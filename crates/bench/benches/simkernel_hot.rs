@@ -14,6 +14,9 @@
 //!   blocking acquire + FIFO hand-off.
 //! * `timer_churn_64` — 64 threads sleeping staggered durations;
 //!   measures the timed run-queue path (`block_until`).
+//! * `idle_pollers_64` — 64 threads in `sleep_poll` on a 200 µs grid whose
+//!   predicate stays false until the last tick (the COI daemon's Snapify
+//!   monitor, idle); measures the dispatcher's threadless tick path.
 //! * `spawn_join_1000` — spawn/join of 1000 simulated threads (each a
 //!   real OS thread); measures thread-table and startup costs.
 //! * `e2e_checkpoint` — a full Snapify checkpoint of a JAC offload run,
@@ -24,6 +27,7 @@
 //! artifacts.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -155,6 +159,28 @@ fn timer_churn_64(iters: u64) -> u64 {
     64 * iters
 }
 
+/// 64 pollers on a 200 µs grid beside one worker that raises their flag
+/// just before tick number `ticks`. Events = poll ticks.
+fn idle_pollers_64(ticks: u64) -> u64 {
+    Kernel::run_root(move || {
+        let raised = Arc::new(AtomicBool::new(false));
+        let mut handles = Vec::new();
+        for p in 0..64u32 {
+            let raised = Arc::clone(&raised);
+            handles.push(simkernel::spawn(format!("p{p}"), move || {
+                simkernel::sleep_poll(us(200), move |_| raised.load(Ordering::SeqCst));
+            }));
+        }
+        simkernel::sleep(us(200 * ticks - 100));
+        raised.store(true, Ordering::SeqCst);
+        for h in handles {
+            h.join();
+        }
+        assert_eq!(simkernel::now().as_nanos(), us(200 * ticks).as_nanos());
+    });
+    64 * ticks
+}
+
 /// Spawn and join 1000 threads. Events = spawns + exits.
 fn spawn_join_1000() -> u64 {
     Kernel::run_root(|| {
@@ -204,6 +230,7 @@ fn main() {
     let pp_rounds: u64 = if quick { 200 } else { 2000 };
     let mx_iters: u64 = if quick { 50 } else { 400 };
     let tm_iters: u64 = if quick { 50 } else { 400 };
+    let poll_ticks: u64 = if quick { 500 } else { 5000 };
 
     println!();
     println!(
@@ -219,6 +246,9 @@ fn main() {
         }),
         measure("timer_churn_64", warmups, batches, || {
             timer_churn_64(tm_iters)
+        }),
+        measure("idle_pollers_64", warmups, batches, || {
+            idle_pollers_64(poll_ticks)
         }),
         measure("spawn_join_1000", warmups, batches, spawn_join_1000),
         measure(

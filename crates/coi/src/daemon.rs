@@ -9,7 +9,11 @@
 //! A dedicated **Snapify monitor thread** oversees in-progress requests by
 //! polling the per-process pipes, exactly as described in the paper: it is
 //! (re)created when the active-request list becomes non-empty and exits
-//! when the list drains.
+//! when the list drains. It still polls on the paper's `poll_interval`
+//! (200 µs) grid, but a tick on which every pipe is empty and no watchdog
+//! window has elapsed — over 99% of them — is evaluated by the simkernel
+//! dispatcher ([`simkernel::sleep_poll`]) instead of waking the thread:
+//! same virtual schedule, no OS-thread hand-off.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -501,8 +505,29 @@ impl CoiDaemon {
                     }
                 }
             }
-            simkernel::sleep(self.inner.config.poll_interval);
+            let daemon = self.clone();
+            simkernel::sleep_poll(self.inner.config.poll_interval, move |now| {
+                daemon.monitor_pass_due(now)
+            });
         }
+    }
+
+    /// Whether a pass of [`Self::monitor_loop`] at `now` could do anything.
+    /// Runs inside the dispatcher (see [`simkernel::sleep_poll`]), so it
+    /// only peeks: an empty list (the thread must wake to exit and clear
+    /// `running`), a pipe message, an elapsed watchdog window, or a held
+    /// monitor lock (the pass would queue behind it) all wake the thread.
+    fn monitor_pass_due(&self, now: simkernel::SimTime) -> bool {
+        self.inner
+            .monitor
+            .peek(|mon| {
+                mon.requests.is_empty()
+                    || mon
+                        .requests
+                        .iter()
+                        .any(|r| !r.pipe.to_daemon.is_empty() || self.watchdog_due(r, now))
+            })
+            .unwrap_or(true)
     }
 
     /// Poll one request's pipe; returns true when the request completed
@@ -553,6 +578,17 @@ impl CoiDaemon {
         }
     }
 
+    /// Whether `req`'s current no-progress window — `watchdog_timeout`
+    /// doubled per extension already granted — has elapsed at `now`.
+    /// A zero `watchdog_timeout` disables the watchdog.
+    fn watchdog_due(&self, req: &ActiveRequest, now: simkernel::SimTime) -> bool {
+        let timeout = self.inner.config.watchdog_timeout;
+        if timeout == simkernel::SimDuration::ZERO {
+            return false;
+        }
+        now.since(req.last_progress) >= timeout * (1u64 << req.extensions.min(10))
+    }
+
     /// Watchdog: a request whose stage has made no progress for the
     /// configured window gets bounded deadline extensions (exponential
     /// backoff — transient chaos-plane faults absorbed by transport
@@ -562,11 +598,7 @@ impl CoiDaemon {
     /// given up on.
     fn watchdog_check(&self, req: &mut ActiveRequest) -> bool {
         let cfg = &self.inner.config;
-        if cfg.watchdog_timeout == simkernel::SimDuration::ZERO {
-            return false;
-        }
-        let window = cfg.watchdog_timeout * (1u64 << req.extensions.min(10));
-        if simkernel::now().since(req.last_progress) < window {
+        if !self.watchdog_due(req, simkernel::now()) {
             return false;
         }
         if req.extensions < cfg.watchdog_retries {

@@ -52,6 +52,19 @@
 //!   &str)` pairs copied into a per-thread reusable buffer; trace labels
 //!   are only formatted when tracing is enabled (checked via an atomic
 //!   before taking any lock).
+//! * **Threadless idle polls.** A thread that would loop `sleep(interval);
+//!   check` parks once in [`Kernel::sleep_poll`] and leaves its check
+//!   behind as a predicate. Dispatch evaluates the predicate when the
+//!   thread's tick comes up: `true` grants the token exactly as a plain
+//!   `sleep` would (so `true` is always safe — it *is* the old path);
+//!   `false` is the caller's promise that its pass would have been a
+//!   no-op, and dispatch re-queues the tick itself, consuming the same
+//!   sequence number, generation bump, `block_until: sleep` trace event,
+//!   livelock-streak step and tie-break draw the thread would have — the
+//!   schedule and the trace are bit-identical, only the two OS-thread
+//!   hand-offs per idle tick are gone. The predicate takes `now` as an
+//!   argument because dispatch also runs on [`Kernel::run`]'s driver and
+//!   on the multi-domain drivers, which have no simulated-thread context.
 //!
 //! # Deadlock detection
 //!
@@ -276,6 +289,15 @@ struct ThreadInfo {
     /// Generation counter: incremented every time the thread blocks, so
     /// stale run-queue entries (from cancelled timed waits) can be skipped.
     generation: u64,
+    /// Set while the thread is parked in [`Kernel::sleep_poll`]: dispatch
+    /// asks it whether the thread's tick needs the thread at all.
+    poll: Option<Poll>,
+}
+
+/// The check a thread in [`Kernel::sleep_poll`] left with the scheduler.
+struct Poll {
+    interval: SimDuration,
+    ready: Box<dyn FnMut(SimTime) -> bool + Send>,
 }
 
 impl ThreadInfo {
@@ -330,6 +352,9 @@ struct Sched {
     livelock_threshold: Option<u64>,
     /// Consecutive dispatches at an unchanged virtual time.
     same_time_streak: u64,
+    /// Ticks of [`Kernel::sleep_poll`] threads that dispatch re-queued
+    /// itself instead of granting the thread the token.
+    inline_polls: u64,
     /// Free-form context (e.g. the active fault schedule) appended to
     /// deadlock/livelock dumps.
     dump_note: Option<String>,
@@ -480,6 +505,7 @@ impl Kernel {
                     rng,
                     livelock_threshold: None,
                     same_time_streak: 0,
+                    inline_polls: 0,
                     dump_note: None,
                     bounded: false,
                     horizon: None,
@@ -624,6 +650,7 @@ impl Kernel {
                 block_since: now,
                 joiners: Vec::new(),
                 generation: 0,
+                poll: None,
             });
             if !daemon {
                 s.live += 1;
@@ -783,25 +810,26 @@ impl Kernel {
         deadline: SimTime,
         reason: BlockReason<'_>,
     ) -> SimTime {
+        self.block_until_with(me, deadline, reason, None)
+    }
+
+    /// [`Kernel::block_until`], optionally leaving `poll` with the
+    /// scheduler for the duration of the wait (see [`Kernel::sleep_poll`]).
+    fn block_until_with(
+        &self,
+        me: Tid,
+        deadline: SimTime,
+        reason: BlockReason<'_>,
+        poll: Option<Poll>,
+    ) -> SimTime {
         let mut s = self.inner.sched.lock().unwrap();
         debug_assert_eq!(s.running, Some(me));
         s.running = None;
-        let now = s.now;
-        {
-            let seq = s.seq;
-            s.seq += 1;
-            let info = s.info_mut(me);
-            debug_assert_eq!(info.state, TState::Running);
-            info.state = TState::Runnable;
-            info.set_reason(reason, Some(deadline), now);
-            info.generation += 1;
-            let generation = info.generation;
-            s.runq.push(Reverse((deadline, seq, me, generation)));
-        }
-        if s.trace.is_some() {
-            let label = format!("block_until: {reason}");
-            trace(&mut s, me, &label);
-        }
+        let info = s.info_mut(me);
+        debug_assert_eq!(info.state, TState::Running);
+        info.state = TState::Runnable;
+        info.poll = poll;
+        requeue_timed(&mut s, me, deadline, reason);
         self.dispatch(&mut s);
         self.park(s, me);
         self.now()
@@ -851,6 +879,65 @@ impl Kernel {
         debug_assert!(self.now() >= deadline);
     }
 
+    /// Sleep in steps of `interval` until `ready` returns `true` at the end
+    /// of a step — observably identical to
+    ///
+    /// ```text
+    /// loop { sleep(interval); if ready(now()) { break } }
+    /// ```
+    ///
+    /// (same virtual times, same sequence numbers, same trace, under every
+    /// [`SchedPolicy`] and domain count) but an idle step costs no OS-thread
+    /// hand-off: the scheduler evaluates `ready` itself when the step ends
+    /// and only wakes the caller once it says `true`.
+    ///
+    /// # Contract for `ready`
+    ///
+    /// `ready(now)` runs **on whichever OS thread is dispatching, under the
+    /// scheduler lock** — possibly [`Kernel::run`]'s driver or a
+    /// multi-domain driver, which are not simulated threads. It must
+    /// therefore be a pure, non-blocking read of state that only this
+    /// kernel's simulated threads mutate: no [`now()`]/[`current()`] (the
+    /// time is the argument), no `Kernel` method, no simulation primitive
+    /// that can block or wake a thread ([`crate::SimMutex::peek`] and the
+    /// `len`/`is_empty` accessors are fine). Returning `true` is always
+    /// safe — the caller wakes and looks for itself, as a plain `sleep`
+    /// loop would; returning `false` is a promise that the caller's pass
+    /// at this instant would have changed nothing. A panic in `ready` fails
+    /// the run as a panic of the calling thread.
+    ///
+    /// # Panics
+    /// Panics if `interval` is zero (an idle zero-length step would spin
+    /// inside the scheduler).
+    pub fn sleep_poll(
+        &self,
+        interval: SimDuration,
+        ready: impl FnMut(SimTime) -> bool + Send + 'static,
+    ) {
+        assert!(
+            interval > SimDuration::ZERO,
+            "sleep_poll needs a positive interval"
+        );
+        let me = current_tid();
+        let poll = Poll {
+            interval,
+            ready: Box::new(ready),
+        };
+        let deadline = self.now() + interval;
+        self.block_until_with(me, deadline, BlockReason::fixed("sleep"), Some(poll));
+        // Take the predicate back so its captures are dropped here, on
+        // their owner's thread, rather than under the scheduler lock.
+        let poll = self.inner.sched.lock().unwrap().info_mut(me).poll.take();
+        drop(poll);
+    }
+
+    /// How many [`Kernel::sleep_poll`] steps ended with `ready` returning
+    /// `false`, i.e. were re-queued by the scheduler without waking their
+    /// thread.
+    pub fn inline_polls(&self) -> u64 {
+        self.inner.sched.lock().unwrap().inline_polls
+    }
+
     /// Record a labeled event: into the string trace (no-op unless
     /// tracing enabled) and, when observability recording is on, as a
     /// typed [`snapify_obs::Event::Instant`]. The string trace is the
@@ -891,6 +978,16 @@ impl Kernel {
     /// called with no thread currently granted.
     fn dispatch(&self, s: &mut Sched) {
         debug_assert!(s.running.is_none());
+        while !self.pick_next(s) {}
+    }
+
+    /// One pick of [`Kernel::dispatch`]. Returns `false` if it must pick
+    /// again: the thread whose turn came is parked in
+    /// [`Kernel::sleep_poll`] and its predicate had nothing for it to do,
+    /// so its next tick was queued on its behalf. Picking again goes
+    /// through the same horizon check, livelock accounting and tie-break
+    /// as the pick the thread's own `sleep` would have caused.
+    fn pick_next(&self, s: &mut Sched) -> bool {
         let next = match s.policy {
             SchedPolicy::Fifo => pop_valid(s),
             SchedPolicy::Random(_) => pop_random_tie(s),
@@ -907,12 +1004,33 @@ impl Kernel {
                             s.failure = Some(livelock_dump(s, limit));
                             s.done = true;
                             self.shutdown_all(s);
-                            return;
+                            return true;
                         }
                     }
                 }
                 s.now = s.now.max(t);
                 self.inner.now_ns.store(s.now.as_nanos(), Ordering::Relaxed);
+                let now = s.now;
+                if let Some(poll) = s.info_mut(tid).poll.as_mut() {
+                    // The predicate is foreign code running under the
+                    // scheduler lock: a panic must fail the run like a
+                    // panic on the poller's own thread, not poison it.
+                    let ready = &mut poll.ready;
+                    match panic::catch_unwind(AssertUnwindSafe(|| ready(now))) {
+                        Ok(true) => {}
+                        Ok(false) => {
+                            let deadline = now + poll.interval;
+                            requeue_timed(s, tid, deadline, BlockReason::fixed("sleep"));
+                            s.inline_polls += 1;
+                            return false;
+                        }
+                        Err(payload) => {
+                            let msg = payload_to_string(payload.as_ref());
+                            self.fail_thread_panicked(s, tid, &msg);
+                            return true;
+                        }
+                    }
+                }
                 s.running = Some(tid);
                 let info = s.info_mut(tid);
                 info.state = TState::Running;
@@ -942,7 +1060,7 @@ impl Kernel {
                     s.paused = true;
                     s.paused_next = None;
                     self.inner.driver_cv.notify_all();
-                    return;
+                    return true;
                 } else {
                     s.failure = Some(deadlock_dump(s));
                     s.done = true;
@@ -950,6 +1068,17 @@ impl Kernel {
                 self.shutdown_all(s);
             }
         }
+        true
+    }
+
+    /// Fail the run because thread `tid`'s code panicked with `msg`, and
+    /// shut every surviving thread down.
+    fn fail_thread_panicked(&self, s: &mut Sched, tid: Tid, msg: &str) {
+        let name = &s.info(tid).name;
+        let failure = format!("thread '{name}' panicked: {msg}");
+        s.failure.get_or_insert(failure);
+        s.done = true;
+        self.shutdown_all(s);
     }
 
     /// Park every simulated thread forever and wake the driver.
@@ -988,11 +1117,7 @@ impl Kernel {
             s.runq.push(Reverse((now, seq, j, generation)));
         }
         if let Some(msg) = panic_msg {
-            let name = s.info(me).name.clone();
-            s.failure
-                .get_or_insert_with(|| format!("thread '{name}' panicked: {msg}"));
-            s.done = true;
-            self.shutdown_all(&mut s);
+            self.fail_thread_panicked(&mut s, me, &msg);
         } else if !daemon && s.live == 0 {
             // Last non-daemon thread finished: the simulation is complete.
             // Remaining daemon (service) threads are parked via shutdown.
@@ -1193,6 +1318,26 @@ fn obs_clock() -> (u64, u32) {
     })
 }
 
+/// Queue `tid`'s timed wake-up at `deadline` and record it — the
+/// bookkeeping of giving up the token in [`Kernel::block_until`], shared
+/// with dispatch, which performs it on behalf of an idle
+/// [`Kernel::sleep_poll`] thread. Everything a later dispatch or the
+/// trace can observe of a timed block happens here, in this order.
+fn requeue_timed(s: &mut Sched, tid: Tid, deadline: SimTime, reason: BlockReason<'_>) {
+    let now = s.now;
+    let seq = s.seq;
+    s.seq += 1;
+    let info = s.info_mut(tid);
+    info.set_reason(reason, Some(deadline), now);
+    info.generation += 1;
+    let generation = info.generation;
+    s.runq.push(Reverse((deadline, seq, tid, generation)));
+    if s.trace.is_some() {
+        let label = format!("block_until: {reason}");
+        trace(s, tid, &label);
+    }
+}
+
 fn trace(s: &mut Sched, tid: Tid, label: &str) {
     let now = s.now;
     if let Some(tr) = s.trace.as_mut() {
@@ -1333,13 +1478,19 @@ fn livelock_dump(s: &Sched, limit: u64) -> String {
         if !matches!(info.state, TState::Runnable | TState::Running) {
             continue;
         }
+        // A runnable thread in a timed wait shows what it waits for.
+        let wait = match info.block_deadline {
+            Some(d) => format!(": {} (until {d})", info.reason()),
+            None => String::new(),
+        };
         out.push_str(&format!(
-            "  [{}] '{}'{} {:?} since {}\n",
+            "  [{}] '{}'{} {:?} since {}{}\n",
             i + 1,
             info.name,
             if info.daemon { " (daemon)" } else { "" },
             info.state,
             info.block_since,
+            wait,
         ));
     }
     push_dump_note(&mut out, s);
@@ -1428,6 +1579,14 @@ pub fn now() -> SimTime {
 pub fn sleep(d: SimDuration) {
     let (k, _) = current();
     k.sleep(d);
+}
+
+/// [`Kernel::sleep_poll`] on the calling simulated thread's kernel: sleep
+/// in steps of `interval` until `ready(now)` holds at the end of a step.
+/// See the method for the contract `ready` must keep.
+pub fn sleep_poll(interval: SimDuration, ready: impl FnMut(SimTime) -> bool + Send + 'static) {
+    let (k, _) = current();
+    k.sleep_poll(interval, ready);
 }
 
 /// Yield the token to other threads runnable at the current time.
@@ -1823,6 +1982,41 @@ mod tests {
         let msg = payload_to_string(err.as_ref());
         assert!(msg.contains("flight recorder (last"), "{msg}");
         assert!(msg.contains("last breadcrumb before hang"), "{msg}");
+    }
+
+    #[test]
+    fn sleep_poll_wakes_on_the_first_ready_tick() {
+        let k = Kernel::new();
+        let h = k.spawn("poller", || {
+            let until = now() + ms(1);
+            sleep_poll(crate::time::us(300), move |now| now >= until);
+            now()
+        });
+        k.run();
+        // Ticks at 300/600/900 µs are idle; 1200 µs is the first past 1 ms.
+        assert_eq!(h.take_result(), Some(SimTime::ZERO + crate::time::us(1200)));
+        assert_eq!(k.inline_polls(), 3);
+    }
+
+    #[test]
+    fn panic_in_sleep_poll_predicate_fails_the_run_as_its_thread() {
+        let k = Kernel::new();
+        k.spawn("poller", || {
+            sleep_poll(ms(1), |_| panic!("boom in predicate"));
+        });
+        // The bystander is the thread that dispatches the poller's tick.
+        k.spawn("bystander", || sleep(secs(1)));
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| k.run()))
+            .expect_err("a panicking predicate must abort the run");
+        let msg = payload_to_string(err.as_ref());
+        assert!(
+            msg.contains("thread 'poller' panicked: boom in predicate"),
+            "{msg}"
+        );
+        // The panic was caught under the scheduler lock, not through it.
+        assert!(!k.inner.sched.is_poisoned());
+        assert_eq!(k.now(), SimTime::ZERO + ms(1));
+        assert_eq!(k.live_threads(), 2);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod obs {
 pub use channel::{RecvError, SendError, SimChannel};
 pub use domain::{DomainId, MultiDomainConfig, MultiKernel, PortRx, PortTx};
 pub use kernel::{
-    current, in_simulation, now, sleep, spawn, yield_now, JoinHandle, Kernel, SchedPolicy, Tid,
-    TraceEvent,
+    current, in_simulation, now, sleep, sleep_poll, spawn, yield_now, JoinHandle, Kernel,
+    SchedPolicy, Tid, TraceEvent,
 };
 pub use resource::{Bandwidth, BandwidthResource};
 pub use sync::{Barrier, Semaphore, SimCondvar, SimMutex, SimMutexGuard};

@@ -106,6 +106,22 @@ impl<T> SimMutex<T> {
         self.state.lock().unwrap().owner.is_some()
     }
 
+    /// Read the protected value without acquiring the simulated lock:
+    /// `Some(f(&value))` if no simulated thread holds it, `None` if one
+    /// does. Never blocks and never touches the scheduler, and — unlike
+    /// [`SimMutex::try_lock`] — does not need a simulated-thread context,
+    /// so a [`crate::Kernel::sleep_poll`] predicate may call it. `f` must
+    /// not use the mutex.
+    pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        let st = self.state.lock().unwrap();
+        if st.owner.is_some() {
+            return None;
+        }
+        // Holding `state` keeps `lock`/`try_lock` out while `f` reads.
+        let data = self.data.lock().unwrap();
+        Some(f(&data))
+    }
+
     fn unlock(&self) {
         let next = {
             let mut st = self.state.lock().unwrap();
@@ -375,6 +391,21 @@ mod tests {
     use crate::kernel::{now, sleep, spawn, Kernel};
     use crate::time::{ms, SimTime};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    #[test]
+    fn peek_reads_a_free_mutex_and_refuses_a_held_one() {
+        let m = Arc::new(SimMutex::new("m", 7u64));
+        // No simulated-thread context needed.
+        assert_eq!(m.peek(|v| *v + 1), Some(8));
+        let m2 = Arc::clone(&m);
+        Kernel::run_root(move || {
+            let g = m2.lock();
+            assert_eq!(m2.peek(|v| *v), None);
+            drop(g);
+            assert_eq!(m2.peek(|v| *v), Some(7));
+            assert!(!m2.is_locked(), "peek must not take the lock");
+        });
+    }
 
     #[test]
     fn mutex_provides_exclusion_in_virtual_time() {

@@ -157,6 +157,12 @@ fn watchdog_rescues_stuck_capture_request() {
         snapify_capture(&snap, false).unwrap();
         let err = snapify_wait(&snap).unwrap_err();
         assert!(matches!(err, SnapifyError::Protocol(_)), "got {err:?}");
+        // Asked at t+735.586ms; the 2 s window is extended once to 4 s, and
+        // the monitor gives up on its first 200 µs tick past that. Pinned
+        // because the monitor's idle ticks run inside the dispatcher
+        // (`simkernel::sleep_poll`), which must not move the tick that
+        // surfaces the failure.
+        assert_eq!(simkernel::now(), SimTime(4_735_630_701));
 
         // The process itself is unharmed: resume and run to completion.
         snapify_resume(&snap).unwrap();
