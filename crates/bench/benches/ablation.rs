@@ -8,15 +8,10 @@
 //!    overlap quantifies it.
 //! 3. **Snapify hook cost** — Fig 9's overhead as a function of the
 //!    per-crossing cost of the drain locks.
-//! 4. **Incremental checkpointing** (extension) — full-image vs
-//!    dirty-region checkpoints for an iterative application that mutates
-//!    a small fraction of its memory per step.
 
-use blcr_sim::{BlcrConfig, IncrementalCheckpointer};
 use coi_sim::{CoiConfig, FunctionRegistry};
-use phi_platform::{NodeId, Payload, PhiServer, PlatformParams, GB, MB};
+use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams, GB};
 use simkernel::{Kernel, SimDuration};
-use simproc::{PidAllocator, SimProcess, VecSink};
 use snapify::SnapifyWorld;
 use snapify_bench::{bytes, header, secs, Table};
 use snapify_io::{SnapifyIo, SnapifyIoConfig};
@@ -98,7 +93,13 @@ fn hook_cost_sweep() {
                     ..CoiConfig::default()
                 }
             };
-            let world = SnapifyWorld::boot_with(PlatformParams::default(), config, registry);
+            let world = SnapifyWorld::boot_with(
+                PlatformParams::default(),
+                config,
+                registry,
+                FaultSchedule::none(),
+                None,
+            );
             let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
             let r = run.run_to_completion().unwrap();
             assert!(r.verified);
@@ -124,72 +125,10 @@ fn hook_cost_sweep() {
     println!();
 }
 
-fn incremental_ablation() {
-    println!("Ablation 4 (extension): full vs incremental checkpoints");
-    println!("(app with 512 MiB resident memory, mutating one 16 MiB region per phase)");
-    let mut t = Table::new(vec![
-        "checkpoint",
-        "full (s / bytes)",
-        "incremental (s / bytes)",
-    ]);
-    let rows = Kernel::run_root(|| {
-        let server = PhiServer::new(PlatformParams::default());
-        let node = server.device(0).clone();
-        let pids = PidAllocator::new();
-        let cfg = BlcrConfig::default();
-        let proc = SimProcess::new(pids.alloc(), "iterative-app", &node);
-        proc.memory()
-            .map_region("base", Payload::synthetic(0, 512 * MB))
-            .unwrap();
-        proc.memory()
-            .map_region("hot", Payload::synthetic(1, 16 * MB))
-            .unwrap();
-
-        let mut inc = IncrementalCheckpointer::new(cfg.clone());
-        let mut out = Vec::new();
-        for phase in 0..4u64 {
-            // The app mutates its hot region each phase.
-            proc.memory()
-                .update_region("hot", Payload::synthetic(100 + phase, 16 * MB))
-                .unwrap();
-            // Full checkpoint.
-            let t0 = simkernel::now();
-            let mut sink = VecSink::new();
-            let full = blcr_sim::checkpoint(&cfg, &proc, &phase.to_le_bytes(), &mut sink).unwrap();
-            let full_t = simkernel::now() - t0;
-            // Incremental checkpoint.
-            let t1 = simkernel::now();
-            let mut sink = VecSink::new();
-            let delta = inc
-                .checkpoint(&proc, &phase.to_le_bytes(), &mut sink, &|_| true)
-                .unwrap();
-            let inc_t = simkernel::now() - t1;
-            out.push((
-                phase,
-                full_t,
-                full.snapshot_bytes,
-                inc_t,
-                delta.stats.snapshot_bytes,
-            ));
-        }
-        out
-    });
-    for (phase, full_t, full_b, inc_t, inc_b) in rows {
-        t.row(vec![
-            format!("#{phase}"),
-            format!("{} / {}", secs(full_t), bytes(full_b)),
-            format!("{} / {}", secs(inc_t), bytes(inc_b)),
-        ]);
-    }
-    t.print();
-    println!("(after the base image, deltas carry only the 16 MiB hot region)");
-}
-
 fn main() {
     let params = PlatformParams::default();
     header("Ablations: Snapify design choices", &params);
     buffer_size_sweep();
     async_flush_ablation();
     hook_cost_sweep();
-    incremental_ablation();
 }

@@ -12,8 +12,8 @@
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
 //! Dumps `BENCH_dedup.json` next to the other `BENCH_*.json`.
 
-use coi_sim::{DeviceBinary, FunctionRegistry};
-use phi_platform::{NodeId, Payload, PhiServer, PlatformParams, GB, MB};
+use coi_sim::{CoiConfig, DeviceBinary, FunctionRegistry};
+use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams, GB, MB};
 use simkernel::Kernel;
 use simproc::SnapshotStorage;
 use snapify::{SnapifyWorld, SwapScheduler};
@@ -65,7 +65,13 @@ fn registry(store_bytes: u64) -> FunctionRegistry {
 fn swap_cycle(name: &str, buffer_bytes: u64) -> Row {
     let label = name.to_string();
     Kernel::run_root(move || {
-        let world = SnapifyWorld::boot_dedup(registry(buffer_bytes));
+        let world = SnapifyWorld::boot_with(
+            PlatformParams::default(),
+            CoiConfig::default(),
+            registry(buffer_bytes),
+            FaultSchedule::none(),
+            Some(DedupConfig::default()),
+        );
         let store = world.store().unwrap().clone();
         let sched = SwapScheduler::new(1, "/swap/bench").with_store(&store);
         let host = world.coi().create_host_process("t");

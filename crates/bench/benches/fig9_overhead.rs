@@ -10,7 +10,7 @@
 //! single run per configuration is exact.)
 
 use coi_sim::{CoiConfig, FunctionRegistry};
-use phi_platform::PlatformParams;
+use phi_platform::{FaultSchedule, PlatformParams};
 use simkernel::{obs, Kernel};
 use snapify::SnapifyWorld;
 use snapify_bench::{header, secs, Table};
@@ -20,7 +20,13 @@ fn run_once(spec: WorkloadSpec, config: CoiConfig) -> simkernel::SimDuration {
     Kernel::run_root(move || {
         let registry = FunctionRegistry::new();
         register_suite(&registry, std::slice::from_ref(&spec));
-        let world = SnapifyWorld::boot_with(PlatformParams::default(), config, registry);
+        let world = SnapifyWorld::boot_with(
+            PlatformParams::default(),
+            config,
+            registry,
+            FaultSchedule::none(),
+            None,
+        );
         let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
         let result = run.run_to_completion().unwrap();
         assert!(result.verified, "{} failed verification", spec.name);

@@ -14,7 +14,7 @@
 //! Dumps `BENCH_incremental.json` next to the other `BENCH_*.json`.
 
 use coi_sim::{CoiConfig, DeviceBinary, FunctionRegistry};
-use phi_platform::{Payload, PlatformParams, MB};
+use phi_platform::{FaultSchedule, Payload, PlatformParams, MB};
 use simkernel::Kernel;
 use snapify::{SnapifyWorld, SwapScheduler};
 use snapify_bench::{bytes, header, secs, Table};
@@ -65,14 +65,15 @@ fn registry() -> FunctionRegistry {
 /// duration and its dirty/clean capture byte deltas.
 fn warm_park(bufs: u64, buf_bytes: u64, dirty: u64, rebase_every: u32) -> (u64, u64, u64) {
     Kernel::run_root(move || {
-        let world = SnapifyWorld::boot_dedup_with(
+        let world = SnapifyWorld::boot_with(
             PlatformParams::default(),
             CoiConfig::default(),
             registry(),
-            DedupConfig {
+            FaultSchedule::none(),
+            Some(DedupConfig {
                 incremental_rebase_every: rebase_every,
                 ..DedupConfig::default()
-            },
+            }),
         );
         let store = world.store().unwrap().clone();
         let sched = SwapScheduler::new(1, "/bench/incr").with_store(&store);

@@ -14,7 +14,7 @@
 //! Dumps `BENCH_swapin.json` next to the other `BENCH_*.json`.
 
 use coi_sim::{DeviceBinary, FunctionRegistry};
-use phi_platform::{NodeId, Payload, PhiServer, PlatformParams, GB, MB};
+use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams, GB, MB};
 use simkernel::Kernel;
 use simproc::SnapshotStorage;
 use snapify::{SnapifyWorld, SwapScheduler};
@@ -73,14 +73,15 @@ fn registry() -> FunctionRegistry {
 /// (swap-in time, restore bytes fetched, restore bytes avoided).
 fn swapin_once(buffer_bytes: u64, cache_bytes: u64) -> (simkernel::SimDuration, u64, u64) {
     Kernel::run_root(move || {
-        let world = SnapifyWorld::boot_dedup_with(
+        let world = SnapifyWorld::boot_with(
             PlatformParams::default(),
             coi_sim::CoiConfig::default(),
             registry(),
-            DedupConfig {
+            FaultSchedule::none(),
+            Some(DedupConfig {
                 restore_cache_bytes: cache_bytes,
                 ..DedupConfig::default()
-            },
+            }),
         );
         let store = world.store().unwrap().clone();
         let sched = SwapScheduler::new(1, "/swap/bench-in").with_store(&store);

@@ -115,6 +115,7 @@ fn metric_for(rows: &[String], name: &str, metric: &str) -> Option<f64> {
 /// The direction a guarded metric is allowed to move, with the factor
 /// of the baseline it must stay within. Deterministic virtual-time
 /// metrics use tight 10% factors; wall-clock metrics use wide ones.
+#[derive(Clone, Copy)]
 enum Bound {
     /// Regression = the value grew; fail when `current > baseline * f`.
     NoGrowthPast(f64),
@@ -184,6 +185,28 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
+/// Every gated file, in check order: `(label, metric, bound, wall_clock)`.
+/// `label` names the baseline (`BENCH_<label>.json`), the default current
+/// file beside it, and the `--<label> <json>` flag that overrides it.
+const GATES: [(&str, &str, Bound, bool); 6] = [
+    (
+        "dedup",
+        "warm_shipped_bytes",
+        Bound::NoGrowthPast(1.10),
+        false,
+    ),
+    ("swapin", "speedup", Bound::NoDropPast(0.90), false),
+    ("incremental", "speedup", Bound::NoDropPast(0.90), false),
+    (
+        "serving",
+        "warm_speedup_p99",
+        Bound::NoDropPast(0.90),
+        false,
+    ),
+    ("cluster", "saved_fraction", Bound::NoDropPast(0.95), false),
+    ("simkernel", "events_per_sec", Bound::NoDropPast(0.35), true),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| {
@@ -192,101 +215,36 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let baselines = flag("--baselines").unwrap_or_else(|| "crates/bench/baselines".to_string());
-    let explicit = flag("--dedup").is_some()
-        || flag("--swapin").is_some()
-        || flag("--incremental").is_some()
-        || flag("--serving").is_some()
-        || flag("--cluster").is_some()
-        || flag("--simkernel").is_some();
-    let dedup = flag("--dedup")
-        .or_else(|| (!explicit).then(|| "crates/bench/BENCH_dedup.json".to_string()));
-    let swapin = flag("--swapin")
-        .or_else(|| (!explicit).then(|| "crates/bench/BENCH_swapin.json".to_string()));
-    let incremental = flag("--incremental")
-        .or_else(|| (!explicit).then(|| "crates/bench/BENCH_incremental.json".to_string()));
-    let serving = flag("--serving")
-        .or_else(|| (!explicit).then(|| "crates/bench/BENCH_serving.json".to_string()));
-    let cluster = flag("--cluster")
-        .or_else(|| (!explicit).then(|| "crates/bench/BENCH_cluster.json".to_string()));
-    let simkernel = flag("--simkernel")
-        .or_else(|| (!explicit).then(|| "crates/bench/BENCH_simkernel.json".to_string()));
+    let selected = GATES.map(|(label, ..)| flag(&format!("--{label}")));
+    let explicit = selected.iter().any(Option::is_some);
 
     let mut failures = Vec::new();
     let mut compared = 0;
     let mut quick_skips = 0;
-    let mut run =
-        |label: &str, metric: &str, bound: Bound, current: Option<&String>, wall_clock: bool| {
-            let Some(current) = current else {
-                return Ok(());
+    let run = || -> Result<(), String> {
+        for ((label, metric, bound, wall_clock), selected) in GATES.into_iter().zip(selected) {
+            let current = match selected {
+                Some(path) => path,
+                None if explicit => continue,
+                None => format!("crates/bench/BENCH_{label}.json"),
             };
             let baseline = read(&format!("{baselines}/BENCH_{label}.json"))?;
-            let current = read(current)?;
+            let current = read(&current)?;
             if wall_clock && quick_flag(&baseline) != quick_flag(&current) {
                 println!(
                     "{label}: quick flag differs from baseline ({:?} vs {:?}) — wall-clock rates \
-                 are not comparable across workload sizes, skipping",
+                     are not comparable across workload sizes, skipping",
                     quick_flag(&current),
                     quick_flag(&baseline)
                 );
                 quick_skips += 1;
-                return Ok(());
+                continue;
             }
             compared += check(label, metric, bound, &baseline, &current, &mut failures);
-            Ok::<(), String>(())
-        };
-    let result = run(
-        "dedup",
-        "warm_shipped_bytes",
-        Bound::NoGrowthPast(1.10),
-        dedup.as_ref(),
-        false,
-    )
-    .and_then(|()| {
-        run(
-            "swapin",
-            "speedup",
-            Bound::NoDropPast(0.90),
-            swapin.as_ref(),
-            false,
-        )
-    })
-    .and_then(|()| {
-        run(
-            "incremental",
-            "speedup",
-            Bound::NoDropPast(0.90),
-            incremental.as_ref(),
-            false,
-        )
-    })
-    .and_then(|()| {
-        run(
-            "serving",
-            "warm_speedup_p99",
-            Bound::NoDropPast(0.90),
-            serving.as_ref(),
-            false,
-        )
-    })
-    .and_then(|()| {
-        run(
-            "cluster",
-            "saved_fraction",
-            Bound::NoDropPast(0.95),
-            cluster.as_ref(),
-            false,
-        )
-    })
-    .and_then(|()| {
-        run(
-            "simkernel",
-            "events_per_sec",
-            Bound::NoDropPast(0.35),
-            simkernel.as_ref(),
-            true,
-        )
-    });
-    if let Err(e) = result {
+        }
+        Ok(())
+    };
+    if let Err(e) = run() {
         eprintln!("perf gate error: {e}");
         return ExitCode::FAILURE;
     }

@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod incremental;
 pub mod stream;
 
 use phi_platform::{Payload, SimNode};
@@ -39,8 +38,6 @@ use simkernel::time::{ms, us};
 use simkernel::SimDuration;
 use simproc::{ByteSink, ByteSource, IoError, PidAllocator, SimProcess};
 use stream::{FrameReader, FrameWriter};
-
-pub use incremental::{restart_chain, IncrementalCheckpointer, IncrementalStats};
 
 /// Snapshot stream magic.
 const MAGIC: &[u8; 8] = b"BLCRSIM1";
@@ -139,31 +136,21 @@ pub fn checkpoint(
     runtime_state: &[u8],
     sink: &mut dyn ByteSink,
 ) -> Result<CheckpointStats, BlcrError> {
-    checkpoint_filtered(config, proc, runtime_state, sink, &|_| true)
+    checkpoint_impl(config, proc, runtime_state, sink, &|_| true, false)
 }
 
 /// Like [`checkpoint`], but captures only the regions for which
-/// `include(region_name)` is true. COI uses this to exclude file-backed
+/// `include(region_name)` is true — COI uses this to exclude file-backed
 /// local-store mappings (saved separately by Snapify's pause) from the
-/// process image, as real BLCR skips shared file-backed mappings.
-pub fn checkpoint_filtered(
-    config: &BlcrConfig,
-    proc: &SimProcess,
-    runtime_state: &[u8],
-    sink: &mut dyn ByteSink,
-    include: &dyn Fn(&str) -> bool,
-) -> Result<CheckpointStats, BlcrError> {
-    checkpoint_impl(config, proc, runtime_state, sink, include, false)
-}
-
-/// Like [`checkpoint_filtered`], but O(dirty): regions whose dirty flag
-/// is clear are offered to the sink as *cached records*
-/// ([`ByteSink::write_cached_record`]) keyed by name + content digest. A
-/// record-aware sink (the content-addressed snapshot store) that still
-/// holds the prior snapshot's chunks for that region emits them without
-/// the region ever being read, chunked, or hashed; any other sink — or a
-/// changed region — falls back to plain streaming, so the produced image
-/// is byte-equivalent to a full [`checkpoint_filtered`] in every case.
+/// process image, as real BLCR skips shared file-backed mappings — and
+/// O(dirty): regions whose dirty flag is clear are offered to the sink
+/// as *cached records* ([`ByteSink::write_cached_record`]) keyed by
+/// name + content digest. A record-aware sink (the content-addressed
+/// snapshot store) that still holds the prior snapshot's chunks for that
+/// region emits them without the region ever being read, chunked, or hashed;
+/// any other sink — or a changed region — falls back to plain streaming,
+/// so the produced image is byte-equivalent to a full [`checkpoint`] of
+/// the same regions in every case.
 pub fn checkpoint_incremental(
     config: &BlcrConfig,
     proc: &SimProcess,

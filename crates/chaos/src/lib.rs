@@ -829,11 +829,12 @@ fn workload_op(case: &ChaosCase) -> Result<usize, String> {
         .scaled(128, 12);
     let registry = FunctionRegistry::new();
     register_suite(&registry, std::slice::from_ref(&spec));
-    let world = SnapifyWorld::boot_with_faults(
+    let world = SnapifyWorld::boot_with(
         PlatformParams::default(),
         CoiConfig::default(),
         registry,
         case.faults.clone(),
+        None,
     );
     let run = Arc::new(
         WorkloadRun::launch(world.coi(), &spec, 0).map_err(|e| format!("launch failed: {e:?}"))?,
@@ -984,12 +985,12 @@ fn workload_op(case: &ChaosCase) -> Result<usize, String> {
 fn swap_rotate_op(case: &ChaosCase) -> Result<(usize, Vec<String>), String> {
     let registry = FunctionRegistry::new();
     registry.register(DeviceBinary::new("tenant.so", MB, 32 * MB));
-    let world = SnapifyWorld::boot_dedup_with_faults(
+    let world = SnapifyWorld::boot_with(
         PlatformParams::default(),
         CoiConfig::default(),
         registry,
-        DedupConfig::default(),
         case.faults.clone(),
+        Some(DedupConfig::default()),
     );
     let store = world.store().expect("dedup world has a store").clone();
     let mut sched = SwapScheduler::new(1, format!("/swap/chaos/{}", case.seed)).with_store(&store);

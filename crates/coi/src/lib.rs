@@ -144,7 +144,12 @@ mod tests {
 
     fn world() -> (CoiWorld, PhiServer) {
         let server = PhiServer::default_server();
-        let w = CoiWorld::boot_default(&server, test_registry());
+        let w = CoiWorld::boot(
+            &server,
+            CoiConfig::default(),
+            test_registry(),
+            Arc::new(DirectStorage::new(&server)),
+        );
         (w, server)
     }
 

@@ -11,7 +11,7 @@ use crate::binary::FunctionRegistry;
 use crate::config::CoiConfig;
 use crate::daemon::CoiDaemon;
 use crate::handle::CoiProcessHandle;
-use crate::storage::{DirectStorage, SnapshotStorage};
+use crate::storage::SnapshotStorage;
 use crate::CoiError;
 
 struct Inner {
@@ -42,18 +42,6 @@ impl CoiWorld {
         storage: Arc<dyn SnapshotStorage>,
     ) -> CoiWorld {
         let scif = Scif::new(server);
-        Self::boot_with_scif(server, scif, config, registry, storage)
-    }
-
-    /// Like [`CoiWorld::boot`], but on an existing SCIF driver (so other
-    /// services, e.g. Snapify-IO daemons, can share the port space).
-    pub fn boot_with_scif(
-        server: &PhiServer,
-        scif: Scif,
-        config: CoiConfig,
-        registry: FunctionRegistry,
-        storage: Arc<dyn SnapshotStorage>,
-    ) -> CoiWorld {
         let pids = PidAllocator::new();
         let blcr = BlcrConfig::default();
         let daemons = (0..server.num_devices())
@@ -83,16 +71,6 @@ impl CoiWorld {
                 daemons,
             }),
         }
-    }
-
-    /// Boot with default config and pass-through storage (tests).
-    pub fn boot_default(server: &PhiServer, registry: FunctionRegistry) -> CoiWorld {
-        CoiWorld::boot(
-            server,
-            CoiConfig::default(),
-            registry,
-            Arc::new(DirectStorage::new(server)),
-        )
     }
 
     /// Create a host process to run an offload application in.

@@ -38,8 +38,9 @@
 
 use std::collections::BTreeMap;
 
+use coi_sim::wire::{Dec, DecodeError, Enc};
 use coi_sim::{CoiBuffer, CoiConfig, CoiProcessHandle, DeviceBinary, FunctionRegistry};
-use phi_platform::{FaultSchedule, NodeId, Payload, PlatformParams};
+use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams};
 use scif_sim::{ClusterRx, ClusterTx};
 use simkernel::{obs, SchedPolicy};
 use simproc::SnapshotStorage;
@@ -270,7 +271,7 @@ impl FleetReport {
 /// The device-side workload every fleet tenant runs: pure compute that
 /// reads its buffers without rewriting them, so buffer contents (and
 /// therefore snapshot chunks) stay exactly as placement wrote them.
-pub fn fleet_registry() -> FunctionRegistry {
+fn fleet_registry() -> FunctionRegistry {
     let reg = FunctionRegistry::new();
     reg.register(
         DeviceBinary::new("fleet.so", 1 << 20, 8 << 20).simple_function("touch", |ctx| {
@@ -282,58 +283,15 @@ pub fn fleet_registry() -> FunctionRegistry {
 }
 
 // ---------------------------------------------------------------------
-// Control protocol: hand-framed payloads over cluster links. Every
-// message is a tag byte plus little-endian u64 fields (strings are
-// length-prefixed). Large content (the host snapshot) is never framed —
-// it follows its header as a separate raw payload so synthetic extents
-// survive the trip.
+// Control protocol: `coi_sim::wire` frames over cluster links. Every
+// message is a tag byte plus little-endian u64 fields (bools ride as
+// u64 too; strings are length-prefixed). Large content (the host
+// snapshot) is never framed — it follows its header as a separate raw
+// payload so synthetic extents survive the trip.
 // ---------------------------------------------------------------------
 
-fn enc_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn enc_str(out: &mut Vec<u8>, s: &str) {
-    enc_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Dec {
-    buf: Vec<u8>,
-    off: usize,
-}
-
-impl Dec {
-    fn new(p: &Payload) -> Dec {
-        Dec {
-            buf: p.to_bytes(),
-            off: 0,
-        }
-    }
-
-    fn u8(&mut self) -> u8 {
-        let b = self.buf[self.off];
-        self.off += 1;
-        b
-    }
-
-    fn u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.buf[self.off..self.off + 8]);
-        self.off += 8;
-        u64::from_le_bytes(raw)
-    }
-
-    fn str(&mut self) -> String {
-        let len = self.u64() as usize;
-        let s = String::from_utf8(self.buf[self.off..self.off + len].to_vec())
-            .expect("fleet message strings are utf-8");
-        self.off += len;
-        s
-    }
-}
-
 /// Controller → agent commands.
+#[derive(Debug, PartialEq)]
 enum Ctl {
     Launch {
         tenant: u64,
@@ -366,82 +324,68 @@ enum Ctl {
 
 impl Ctl {
     fn encode(&self) -> Payload {
-        let mut b = Vec::new();
         match self {
             Ctl::Launch {
                 tenant,
                 device,
                 park,
-            } => {
-                b.push(1);
-                enc_u64(&mut b, *tenant);
-                enc_u64(&mut b, *device);
-                enc_u64(&mut b, *park as u64);
-            }
-            Ctl::Cycle { tenant } => {
-                b.push(2);
-                enc_u64(&mut b, *tenant);
-            }
-            Ctl::Report => b.push(3),
-            Ctl::MigrateOut { tenant, path } => {
-                b.push(4);
-                enc_u64(&mut b, *tenant);
-                enc_str(&mut b, path);
-            }
+            } => Enc::new()
+                .tag(1)
+                .u64(*tenant)
+                .u64(*device)
+                .u64(*park as u64),
+            Ctl::Cycle { tenant } => Enc::new().tag(2).u64(*tenant),
+            Ctl::Report => Enc::new().tag(3),
+            Ctl::MigrateOut { tenant, path } => Enc::new().tag(4).u64(*tenant).string(path),
             Ctl::RestoreIn {
                 tenant,
                 device,
                 path,
                 binary,
-            } => {
-                b.push(5);
-                enc_u64(&mut b, *tenant);
-                enc_u64(&mut b, *device);
-                enc_str(&mut b, path);
-                enc_str(&mut b, binary);
-            }
-            Ctl::Cleanup { tenant } => {
-                b.push(6);
-                enc_u64(&mut b, *tenant);
-            }
-            Ctl::RestoreBack { tenant } => {
-                b.push(7);
-                enc_u64(&mut b, *tenant);
-            }
-            Ctl::Shutdown => b.push(8),
+            } => Enc::new()
+                .tag(5)
+                .u64(*tenant)
+                .u64(*device)
+                .string(path)
+                .string(binary),
+            Ctl::Cleanup { tenant } => Enc::new().tag(6).u64(*tenant),
+            Ctl::RestoreBack { tenant } => Enc::new().tag(7).u64(*tenant),
+            Ctl::Shutdown => Enc::new().tag(8),
         }
-        Payload::bytes(b)
+        .payload()
     }
 
-    fn decode(p: &Payload) -> Ctl {
-        let mut d = Dec::new(p);
-        match d.u8() {
+    fn decode(p: &Payload) -> Result<Ctl, DecodeError> {
+        let bytes = p.to_bytes();
+        let mut d = Dec::new(&bytes);
+        Ok(match d.tag()? {
             1 => Ctl::Launch {
-                tenant: d.u64(),
-                device: d.u64(),
-                park: d.u64() != 0,
+                tenant: d.u64()?,
+                device: d.u64()?,
+                park: d.u64()? != 0,
             },
-            2 => Ctl::Cycle { tenant: d.u64() },
+            2 => Ctl::Cycle { tenant: d.u64()? },
             3 => Ctl::Report,
             4 => Ctl::MigrateOut {
-                tenant: d.u64(),
-                path: d.str(),
+                tenant: d.u64()?,
+                path: d.string()?,
             },
             5 => Ctl::RestoreIn {
-                tenant: d.u64(),
-                device: d.u64(),
-                path: d.str(),
-                binary: d.str(),
+                tenant: d.u64()?,
+                device: d.u64()?,
+                path: d.string()?,
+                binary: d.string()?,
             },
-            6 => Ctl::Cleanup { tenant: d.u64() },
-            7 => Ctl::RestoreBack { tenant: d.u64() },
+            6 => Ctl::Cleanup { tenant: d.u64()? },
+            7 => Ctl::RestoreBack { tenant: d.u64()? },
             8 => Ctl::Shutdown,
-            t => panic!("unknown fleet control tag {t}"),
-        }
+            t => return Err(DecodeError(format!("unknown fleet control tag {t}"))),
+        })
     }
 }
 
 /// Agent → controller replies.
+#[derive(Debug, PartialEq)]
 enum Rep {
     Launched {
         tenant: u64,
@@ -484,99 +428,76 @@ enum Rep {
 
 impl Rep {
     fn encode(&self) -> Payload {
-        let mut b = Vec::new();
         match self {
-            Rep::Launched { tenant } => {
-                b.push(1);
-                enc_u64(&mut b, *tenant);
-            }
-            Rep::Cycled { tenant, bytes } => {
-                b.push(2);
-                enc_u64(&mut b, *tenant);
-                enc_u64(&mut b, *bytes);
-            }
+            Rep::Launched { tenant } => Enc::new().tag(1).u64(*tenant),
+            Rep::Cycled { tenant, bytes } => Enc::new().tag(2).u64(*tenant).u64(*bytes),
             Rep::Load {
                 resident,
                 parked,
                 swaps,
-            } => {
-                b.push(3);
-                enc_u64(&mut b, *resident);
-                enc_u64(&mut b, *parked);
-                enc_u64(&mut b, *swaps);
-            }
+            } => Enc::new().tag(3).u64(*resident).u64(*parked).u64(*swaps),
             Rep::MigratedOut {
                 tenant,
                 dev_bytes,
                 host_bytes,
                 binary,
-            } => {
-                b.push(4);
-                enc_u64(&mut b, *tenant);
-                enc_u64(&mut b, *dev_bytes);
-                enc_u64(&mut b, *host_bytes);
-                enc_str(&mut b, binary);
-            }
-            Rep::MigrateFailed { tenant, error } => {
-                b.push(5);
-                enc_u64(&mut b, *tenant);
-                enc_str(&mut b, error);
-            }
+            } => Enc::new()
+                .tag(4)
+                .u64(*tenant)
+                .u64(*dev_bytes)
+                .u64(*host_bytes)
+                .string(binary),
+            Rep::MigrateFailed { tenant, error } => Enc::new().tag(5).u64(*tenant).string(error),
             Rep::Restored { tenant, ok, error } => {
-                b.push(6);
-                enc_u64(&mut b, *tenant);
-                enc_u64(&mut b, *ok as u64);
-                enc_str(&mut b, error);
+                Enc::new().tag(6).u64(*tenant).u64(*ok as u64).string(error)
             }
-            Rep::RestoredBack { tenant } => {
-                b.push(7);
-                enc_u64(&mut b, *tenant);
-            }
-            Rep::Cleaned { tenant } => {
-                b.push(8);
-                enc_u64(&mut b, *tenant);
-            }
-            Rep::Done { tenants } => {
-                b.push(9);
-                enc_u64(&mut b, *tenants);
-            }
+            Rep::RestoredBack { tenant } => Enc::new().tag(7).u64(*tenant),
+            Rep::Cleaned { tenant } => Enc::new().tag(8).u64(*tenant),
+            Rep::Done { tenants } => Enc::new().tag(9).u64(*tenants),
         }
-        Payload::bytes(b)
+        .payload()
     }
 
-    fn decode(p: &Payload) -> Rep {
-        let mut d = Dec::new(p);
-        match d.u8() {
-            1 => Rep::Launched { tenant: d.u64() },
+    fn decode(p: &Payload) -> Result<Rep, DecodeError> {
+        let bytes = p.to_bytes();
+        let mut d = Dec::new(&bytes);
+        Ok(match d.tag()? {
+            1 => Rep::Launched { tenant: d.u64()? },
             2 => Rep::Cycled {
-                tenant: d.u64(),
-                bytes: d.u64(),
+                tenant: d.u64()?,
+                bytes: d.u64()?,
             },
             3 => Rep::Load {
-                resident: d.u64(),
-                parked: d.u64(),
-                swaps: d.u64(),
+                resident: d.u64()?,
+                parked: d.u64()?,
+                swaps: d.u64()?,
             },
             4 => Rep::MigratedOut {
-                tenant: d.u64(),
-                dev_bytes: d.u64(),
-                host_bytes: d.u64(),
-                binary: d.str(),
+                tenant: d.u64()?,
+                dev_bytes: d.u64()?,
+                host_bytes: d.u64()?,
+                binary: d.string()?,
             },
             5 => Rep::MigrateFailed {
-                tenant: d.u64(),
-                error: d.str(),
+                tenant: d.u64()?,
+                error: d.string()?,
             },
             6 => Rep::Restored {
-                tenant: d.u64(),
-                ok: d.u64() != 0,
-                error: d.str(),
+                tenant: d.u64()?,
+                ok: d.u64()? != 0,
+                error: d.string()?,
             },
-            7 => Rep::RestoredBack { tenant: d.u64() },
-            8 => Rep::Cleaned { tenant: d.u64() },
-            9 => Rep::Done { tenants: d.u64() },
-            t => panic!("unknown fleet reply tag {t}"),
-        }
+            7 => Rep::RestoredBack { tenant: d.u64()? },
+            8 => Rep::Cleaned { tenant: d.u64()? },
+            9 => Rep::Done { tenants: d.u64()? },
+            t => return Err(DecodeError(format!("unknown fleet reply tag {t}"))),
+        })
+    }
+
+    /// Receive and decode the next reply. Both ends of the link are this
+    /// process, so a closed link or an undecodable frame is a bug.
+    fn recv(rx: &ClusterRx, what: &str) -> Rep {
+        Rep::decode(&rx.recv().expect(what)).expect(what)
     }
 }
 
@@ -675,14 +596,11 @@ impl Agent {
             .get(node)
             .cloned()
             .unwrap_or_else(FaultSchedule::none);
-        let world = SnapifyWorld::boot_fleet_node(
-            params,
+        let world = SnapifyWorld::assemble(
+            PhiServer::new_with_faults(params, faults),
             CoiConfig::default(),
             fleet_registry(),
-            DedupConfig::default(),
-            faults,
-            pool,
-            node,
+            Some((DedupConfig::default(), Some((pool, node)))),
         );
         let store = world.store().expect("fleet worlds have a store").clone();
         // The swap dir is namespaced by node: pool manifests are keyed
@@ -1020,7 +938,7 @@ fn run_agent(
 ) -> AgentStats {
     let mut agent = Agent::boot(node, cfg, &pool);
     while let Ok(msg) = ctl.recv() {
-        match Ctl::decode(&msg) {
+        match Ctl::decode(&msg).expect("fleet control frame") {
             Ctl::Launch {
                 tenant,
                 device,
@@ -1125,7 +1043,7 @@ struct CtlResult {
 fn collect_loads(reps: &mut [ClusterRx]) -> Vec<NodeLoad> {
     let mut out = Vec::with_capacity(reps.len());
     for (node, rx) in reps.iter_mut().enumerate() {
-        match Rep::decode(&rx.recv().expect("load report")) {
+        match Rep::recv(rx, "load report") {
             Rep::Load {
                 resident,
                 parked,
@@ -1164,7 +1082,7 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
     }
     for (node, rx) in reps.iter_mut().enumerate() {
         for _ in 0..expected[node] {
-            match Rep::decode(&rx.recv().expect("launch reply")) {
+            match Rep::recv(rx, "launch reply") {
                 Rep::Launched { .. } => {}
                 _ => panic!("expected a launch reply from n{node}"),
             }
@@ -1184,7 +1102,7 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
         .unwrap();
     }
     for (node, rx) in reps.iter_mut().enumerate() {
-        match Rep::decode(&rx.recv().expect("cycle reply")) {
+        match Rep::recv(rx, "cycle reply") {
             Rep::Cycled { .. } => {}
             _ => panic!("expected a cycle reply from n{node}"),
         }
@@ -1236,7 +1154,7 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
                 .encode(),
             )
             .unwrap();
-        match Rep::decode(&reps[src].recv().expect("migrate-out reply")) {
+        match Rep::recv(&reps[src], "migrate-out reply") {
             Rep::MigratedOut {
                 dev_bytes,
                 host_bytes,
@@ -1256,10 +1174,10 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
                     )
                     .unwrap();
                 ctls[dst].send(host_snapshot).unwrap();
-                match Rep::decode(&reps[dst].recv().expect("restore reply")) {
+                match Rep::recv(&reps[dst], "restore reply") {
                     Rep::Restored { ok: true, .. } => {
                         ctls[src].send(Ctl::Cleanup { tenant }.encode()).unwrap();
-                        match Rep::decode(&reps[src].recv().expect("cleanup reply")) {
+                        match Rep::recv(&reps[src], "cleanup reply") {
                             Rep::Cleaned { .. } => {}
                             _ => panic!("expected a cleanup reply from n{src}"),
                         }
@@ -1282,7 +1200,7 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
                         ctls[src]
                             .send(Ctl::RestoreBack { tenant }.encode())
                             .unwrap();
-                        match Rep::decode(&reps[src].recv().expect("restore-back reply")) {
+                        match Rep::recv(&reps[src], "restore-back reply") {
                             Rep::RestoredBack { .. } => {}
                             _ => panic!("expected a restore-back reply from n{src}"),
                         }
@@ -1326,7 +1244,7 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
         tx.send(Ctl::Shutdown.encode()).unwrap();
     }
     for (node, rx) in reps.iter_mut().enumerate() {
-        match Rep::decode(&rx.recv().expect("shutdown reply")) {
+        match Rep::recv(rx, "shutdown reply") {
             Rep::Done { .. } => {}
             _ => panic!("expected a shutdown reply from n{node}"),
         }
@@ -1420,6 +1338,157 @@ impl FleetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Variant selector, three integers, a bool and two strings: enough
+    /// raw material for any `Ctl` or `Rep` variant.
+    type Fields = (u64, u64, u64, u64, bool, (String, String));
+
+    fn fields() -> impl Strategy<Value = Fields> {
+        let text = || {
+            prop::collection::vec(any::<u8>(), 0..24)
+                .prop_map(|b| String::from_utf8_lossy(&b).into_owned())
+        };
+        let int = any::<u64>;
+        (int(), int(), int(), int(), any::<bool>(), (text(), text()))
+    }
+
+    fn ctl_from((variant, tenant, device, _, park, (path, binary)): Fields) -> Ctl {
+        match variant % 8 {
+            0 => Ctl::Launch {
+                tenant,
+                device,
+                park,
+            },
+            1 => Ctl::Cycle { tenant },
+            2 => Ctl::Report,
+            3 => Ctl::MigrateOut { tenant, path },
+            4 => Ctl::RestoreIn {
+                tenant,
+                device,
+                path,
+                binary,
+            },
+            5 => Ctl::Cleanup { tenant },
+            6 => Ctl::RestoreBack { tenant },
+            _ => Ctl::Shutdown,
+        }
+    }
+
+    fn rep_from((variant, tenant, a, b, ok, (text, _)): Fields) -> Rep {
+        match variant % 9 {
+            0 => Rep::Launched { tenant },
+            1 => Rep::Cycled { tenant, bytes: a },
+            2 => Rep::Load {
+                resident: tenant,
+                parked: a,
+                swaps: b,
+            },
+            3 => Rep::MigratedOut {
+                tenant,
+                dev_bytes: a,
+                host_bytes: b,
+                binary: text,
+            },
+            4 => Rep::MigrateFailed {
+                tenant,
+                error: text,
+            },
+            5 => Rep::Restored {
+                tenant,
+                ok,
+                error: text,
+            },
+            6 => Rep::RestoredBack { tenant },
+            7 => Rep::Cleaned { tenant },
+            _ => Rep::Done { tenants: tenant },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn ctl_and_rep_round_trip(f in fields()) {
+            let ctl = ctl_from(f.clone());
+            prop_assert_eq!(Ctl::decode(&ctl.encode()), Ok(ctl));
+            let rep = rep_from(f);
+            prop_assert_eq!(Rep::decode(&rep.encode()), Ok(rep));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            tag in 0u8..12,
+        ) {
+            // Raw noise mostly dies on the tag; forcing a plausible tag
+            // drives the field readers over short and over-long frames.
+            let mut tagged = bytes.clone();
+            tagged.insert(0, tag);
+            for frame in [bytes, tagged] {
+                let p = Payload::bytes(frame);
+                let _ = Ctl::decode(&p);
+                let _ = Rep::decode(&p);
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_frames_are_typed_errors() {
+        let decode = |b: &[u8]| Ctl::decode(&Payload::bytes(b.to_vec()));
+        assert!(decode(&[]).is_err(), "empty frame");
+        assert!(decode(&[0]).is_err(), "unknown tag");
+        assert!(decode(&[2, 1, 2, 3]).is_err(), "short u64");
+        // MigrateOut whose path claims u64::MAX bytes.
+        let mut long = vec![4u8];
+        long.extend_from_slice(&7u64.to_le_bytes());
+        long.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode(&long).is_err(), "over-long length prefix");
+        // MigrateFailed whose error is not UTF-8.
+        let mut bad = vec![5u8];
+        bad.extend_from_slice(&7u64.to_le_bytes());
+        bad.extend_from_slice(&1u64.to_le_bytes());
+        bad.push(0xFF);
+        assert!(Rep::decode(&Payload::bytes(bad)).is_err(), "invalid utf-8");
+        assert!(
+            Rep::decode(&Payload::bytes(vec![10])).is_err(),
+            "unknown tag"
+        );
+    }
+
+    #[test]
+    fn frame_layout_is_pinned() {
+        // Link delays, `cluster.bytes_sent` and the fleet digest are
+        // functions of these bytes: tag, LE u64 fields (bools included),
+        // u64-length-prefixed strings.
+        let ctl = Ctl::RestoreIn {
+            tenant: 7,
+            device: 1,
+            path: "/p".into(),
+            binary: "b.so".into(),
+        };
+        #[rustfmt::skip]
+        let want: [u8; 39] = [
+            5,
+            7, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0, b'/', b'p',
+            4, 0, 0, 0, 0, 0, 0, 0, b'b', b'.', b's', b'o',
+        ];
+        assert_eq!(ctl.encode().to_bytes(), want);
+
+        let rep = Rep::Restored {
+            tenant: 7,
+            ok: true,
+            error: "e".into(),
+        };
+        #[rustfmt::skip]
+        let want: [u8; 26] = [
+            6,
+            7, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0, b'e',
+        ];
+        assert_eq!(rep.encode().to_bytes(), want);
+    }
 
     fn small_cfg(domains: u32) -> FleetConfig {
         FleetConfig {

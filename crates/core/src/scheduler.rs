@@ -573,6 +573,16 @@ mod tests {
         reg
     }
 
+    fn dedup_world(config: DedupConfig) -> SnapifyWorld {
+        SnapifyWorld::boot_with(
+            PlatformParams::default(),
+            CoiConfig::default(),
+            registry(),
+            FaultSchedule::none(),
+            Some(config),
+        )
+    }
+
     #[test]
     fn three_tenants_time_share_one_card() {
         Kernel::run_root(|| {
@@ -642,7 +652,7 @@ mod tests {
     #[test]
     fn warm_swapout_of_unchanged_tenant_ships_almost_nothing() {
         Kernel::run_root(|| {
-            let world = SnapifyWorld::boot_dedup(registry());
+            let world = dedup_world(DedupConfig::default());
             let store = world.store().unwrap().clone();
             let sched = SwapScheduler::new(1, "/swap/warm").with_store(&store);
             let host = world.coi().create_host_process("t");
@@ -688,15 +698,10 @@ mod tests {
             // one buffer, park again. Returns the warm park's virtual
             // duration and its dirty/clean capture byte counts.
             let cycle = |rebase_every: u32| -> (u64, u64, u64) {
-                let world = SnapifyWorld::boot_dedup_with(
-                    PlatformParams::default(),
-                    CoiConfig::default(),
-                    registry(),
-                    DedupConfig {
-                        incremental_rebase_every: rebase_every,
-                        ..DedupConfig::default()
-                    },
-                );
+                let world = dedup_world(DedupConfig {
+                    incremental_rebase_every: rebase_every,
+                    ..DedupConfig::default()
+                });
                 let store = world.store().unwrap().clone();
                 let sched = SwapScheduler::new(1, "/swap/incr").with_store(&store);
                 let host = world.coi().create_host_process("t");
@@ -765,7 +770,7 @@ mod tests {
     #[test]
     fn retire_releases_swap_snapshots_from_the_store() {
         Kernel::run_root(|| {
-            let world = SnapifyWorld::boot_dedup(registry());
+            let world = dedup_world(DedupConfig::default());
             let store = world.store().unwrap().clone();
             let sched = SwapScheduler::new(1, "/swap/gc").with_store(&store);
             let host = world.coi().create_host_process("t");
@@ -870,11 +875,12 @@ mod tests {
                 FaultTarget::Mem(NodeId::HOST),
                 FaultKind::Oom,
             );
-            let world = SnapifyWorld::boot_with_faults(
+            let world = SnapifyWorld::boot_with(
                 PlatformParams::default(),
                 CoiConfig::default(),
                 registry(),
                 schedule,
+                None,
             );
             let sched = SwapScheduler::new(1, "/swap/leak");
             let host = world.coi().create_host_process("a");
@@ -908,7 +914,7 @@ mod tests {
     #[test]
     fn retire_a_parked_job_releases_its_snapshot() {
         Kernel::run_root(|| {
-            let world = SnapifyWorld::boot_dedup(registry());
+            let world = dedup_world(DedupConfig::default());
             let store = world.store().unwrap().clone();
             let sched = SwapScheduler::new(1, "/swap/rp").with_store(&store);
             let host = world.coi().create_host_process("t");
@@ -972,15 +978,10 @@ mod tests {
         // with the warm restore cache on vs off (cold baseline).
         let cycle = |cache_bytes: u64| -> (f64, u64, u64) {
             Kernel::run_root(move || {
-                let world = SnapifyWorld::boot_dedup_with(
-                    PlatformParams::default(),
-                    CoiConfig::default(),
-                    registry(),
-                    DedupConfig {
-                        restore_cache_bytes: cache_bytes,
-                        ..DedupConfig::default()
-                    },
-                );
+                let world = dedup_world(DedupConfig {
+                    restore_cache_bytes: cache_bytes,
+                    ..DedupConfig::default()
+                });
                 let store = world.store().unwrap().clone();
                 let sched = SwapScheduler::new(1, "/swap/si").with_store(&store);
                 let host = world.coi().create_host_process("t");

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use coi_sim::{CoiConfig, CoiWorld, FunctionRegistry};
+use coi_sim::{CoiConfig, CoiWorld, FunctionRegistry, SnapshotStorage};
 use phi_platform::{FaultSchedule, PhiServer, PlatformParams};
 use snapify_io::{SnapifyIo, SnapifyIoConfig};
 use snapstore::{ClusterPool, Dedup, DedupConfig};
@@ -19,121 +19,38 @@ pub struct SnapifyWorld {
 }
 
 impl SnapifyWorld {
-    /// Boot with explicit parameters and COI configuration.
+    /// Boot with default (paper Table 2) parameters, plain Snapify-IO
+    /// snapshot storage and no injected faults.
+    pub fn boot(registry: FunctionRegistry) -> SnapifyWorld {
+        SnapifyWorld::boot_with(
+            PlatformParams::default(),
+            CoiConfig::default(),
+            registry,
+            FaultSchedule::none(),
+            None,
+        )
+    }
+
+    /// Boot with explicit platform and COI configuration.
+    ///
+    /// `schedule` is wired through the whole platform: every node's file
+    /// system and memory pool, every PCIe link, and the transports built
+    /// on this server all consult the resulting fault plane (see
+    /// `phi_platform::FaultPlane`).
+    ///
+    /// `Some(dedup)` fronts the Snapify-IO transport with the
+    /// content-addressed snapshot store: snapshot streams are chunked,
+    /// deduplicated against the host-side chunk index, and only novel
+    /// chunks ship.
     pub fn boot_with(
         params: PlatformParams,
         coi_config: CoiConfig,
         registry: FunctionRegistry,
-    ) -> SnapifyWorld {
-        SnapifyWorld::boot_with_faults(params, coi_config, registry, FaultSchedule::none())
-    }
-
-    /// Boot with a chaos-plane [`FaultSchedule`] wired through the whole
-    /// platform: every node's file system and memory pool, every PCIe
-    /// link, and the transports built on this server all consult the
-    /// resulting fault plane (see `phi_platform::FaultPlane`).
-    pub fn boot_with_faults(
-        params: PlatformParams,
-        coi_config: CoiConfig,
-        registry: FunctionRegistry,
         schedule: FaultSchedule,
+        dedup: Option<DedupConfig>,
     ) -> SnapifyWorld {
         let server = PhiServer::new_with_faults(params, schedule);
-        let io = SnapifyIo::new(&server, SnapifyIoConfig::default());
-        let coi = CoiWorld::boot(&server, coi_config, registry, Arc::new(io.clone()));
-        SnapifyWorld {
-            server,
-            io,
-            coi,
-            store: None,
-        }
-    }
-
-    /// Boot with default (paper Table 2) parameters and Snapify enabled.
-    pub fn boot(registry: FunctionRegistry) -> SnapifyWorld {
-        SnapifyWorld::boot_with(PlatformParams::default(), CoiConfig::default(), registry)
-    }
-
-    /// Boot with the content-addressed snapshot store fronting the
-    /// Snapify-IO transport: snapshot streams are chunked, deduplicated
-    /// against the host-side chunk index, and only novel chunks ship.
-    pub fn boot_dedup(registry: FunctionRegistry) -> SnapifyWorld {
-        SnapifyWorld::boot_dedup_with(
-            PlatformParams::default(),
-            CoiConfig::default(),
-            registry,
-            DedupConfig::default(),
-        )
-    }
-
-    /// [`SnapifyWorld::boot_dedup`] with explicit platform, COI and store
-    /// configuration.
-    pub fn boot_dedup_with(
-        params: PlatformParams,
-        coi_config: CoiConfig,
-        registry: FunctionRegistry,
-        dedup_config: DedupConfig,
-    ) -> SnapifyWorld {
-        SnapifyWorld::boot_dedup_with_faults(
-            params,
-            coi_config,
-            registry,
-            dedup_config,
-            FaultSchedule::none(),
-        )
-    }
-
-    /// [`SnapifyWorld::boot_dedup_with`] plus a chaos-plane
-    /// [`FaultSchedule`], so swap paths through the content-addressed
-    /// store run under injected transport/fs/memory faults.
-    pub fn boot_dedup_with_faults(
-        params: PlatformParams,
-        coi_config: CoiConfig,
-        registry: FunctionRegistry,
-        dedup_config: DedupConfig,
-        schedule: FaultSchedule,
-    ) -> SnapifyWorld {
-        let server = PhiServer::new_with_faults(params, schedule);
-        let io = SnapifyIo::new(&server, SnapifyIoConfig::default());
-        let store = Dedup::new(&server, Arc::new(io.clone()), dedup_config);
-        let coi = CoiWorld::boot(&server, coi_config, registry, Arc::new(store.clone()));
-        SnapifyWorld {
-            server,
-            io,
-            coi,
-            store: Some(store),
-        }
-    }
-
-    /// Boot one node of a fleet: a dedup world whose store is attached
-    /// to the shared cross-node [`ClusterPool`] as cluster node
-    /// `cluster_node`. Snapshot commits publish their chunk manifests
-    /// to the pool, deletes release them, and a restore that misses the
-    /// local backend imports the manifest from the pool, shipping only
-    /// the chunks this node does not already hold. Must be called from
-    /// a simulated thread of the node's own time domain (it prices the
-    /// pool NIC against this node's platform parameters).
-    pub fn boot_fleet_node(
-        params: PlatformParams,
-        coi_config: CoiConfig,
-        registry: FunctionRegistry,
-        dedup_config: DedupConfig,
-        schedule: FaultSchedule,
-        pool: &ClusterPool,
-        cluster_node: usize,
-    ) -> SnapifyWorld {
-        let world = SnapifyWorld::boot_dedup_with_faults(
-            params,
-            coi_config,
-            registry,
-            dedup_config,
-            schedule,
-        );
-        world
-            .store()
-            .expect("fleet nodes always boot with the dedup store")
-            .attach_pool(pool, cluster_node);
-        world
+        SnapifyWorld::assemble(server, coi_config, registry, dedup.map(|c| (c, None)))
     }
 
     /// Boot on an existing server (used by `mpi-sim`, whose cluster owns
@@ -143,13 +60,43 @@ impl SnapifyWorld {
         coi_config: CoiConfig,
         registry: FunctionRegistry,
     ) -> SnapifyWorld {
+        SnapifyWorld::assemble(server, coi_config, registry, None)
+    }
+
+    /// The one boot path: Snapify-IO, then the optional store in front
+    /// of it, then COI over whichever of the two is the snapshot storage.
+    ///
+    /// A store may come with a fleet attachment `(pool, cluster_node)`:
+    /// its commits publish their chunk manifests to the shared
+    /// [`ClusterPool`], deletes release them, and a restore that misses
+    /// the local backend imports the manifest from the pool, shipping
+    /// only the chunks this node does not already hold. That form must
+    /// run on a simulated thread of the node's own time domain (it
+    /// prices the pool NIC against this node's platform parameters).
+    pub(crate) fn assemble(
+        server: PhiServer,
+        coi_config: CoiConfig,
+        registry: FunctionRegistry,
+        dedup: Option<(DedupConfig, Option<(&ClusterPool, usize)>)>,
+    ) -> SnapifyWorld {
         let io = SnapifyIo::new(&server, SnapifyIoConfig::default());
-        let coi = CoiWorld::boot(&server, coi_config, registry, Arc::new(io.clone()));
+        let store = dedup.map(|(config, pool)| {
+            let store = Dedup::new(&server, Arc::new(io.clone()), config);
+            if let Some((pool, cluster_node)) = pool {
+                store.attach_pool(pool, cluster_node);
+            }
+            store
+        });
+        let storage: Arc<dyn SnapshotStorage> = match &store {
+            Some(store) => Arc::new(store.clone()),
+            None => Arc::new(io.clone()),
+        };
+        let coi = CoiWorld::boot(&server, coi_config, registry, storage);
         SnapifyWorld {
             server,
             io,
             coi,
-            store: None,
+            store,
         }
     }
 
@@ -169,7 +116,7 @@ impl SnapifyWorld {
     }
 
     /// The content-addressed snapshot store, if this world was booted
-    /// with [`SnapifyWorld::boot_dedup`].
+    /// with one.
     pub fn store(&self) -> Option<&Dedup> {
         self.store.as_ref()
     }

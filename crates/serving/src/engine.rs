@@ -247,16 +247,16 @@ pub fn run_scenario_with_faults(
     }
     let mut params = cfg.params.clone();
     params.num_devices = cfg.devices;
-    let world = SnapifyWorld::boot_dedup_with_faults(
+    let world = SnapifyWorld::boot_with(
         params,
         CoiConfig::default(),
         registry,
-        DedupConfig {
-            restore_cache_bytes: cfg.restore_cache_bytes,
-            cache_policy: cfg.policy.cache_policy(),
-            ..DedupConfig::default()
-        },
         faults,
+        Some(DedupConfig {
+            restore_cache_bytes: cfg.restore_cache_bytes,
+            cache_policy: cfg.policy,
+            ..DedupConfig::default()
+        }),
     );
     let store = world.store().expect("dedup world").clone();
     let sched = SwapScheduler::new(cfg.devices, "/swap/serving").with_store(&store);

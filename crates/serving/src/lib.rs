@@ -9,8 +9,8 @@
 //!   a single `u64` seed;
 //! * [`policy`] — pluggable eviction policies (LRU, popularity-aware,
 //!   cost-aware on per-tenant swap-size estimates) deciding which
-//!   resident tenants yield device memory, mirrored onto the snapstore
-//!   restore cache;
+//!   resident tenants yield device memory and which chunks the
+//!   snapstore restore cache keeps;
 //! * [`engine`] — the request-driven serving layer above
 //!   `SwapScheduler`: requests for a swapped-out tenant trigger an
 //!   on-demand swap-in, resident tenants serve warm;

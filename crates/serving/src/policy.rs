@@ -1,55 +1,11 @@
 //! Eviction policies: which resident tenant yields its device when a
-//! cold request needs memory, and (mirrored onto the snapstore warm
-//! cache) which restore-cache chunks survive.
+//! cold request needs memory, and (the same value, handed to the
+//! snapstore warm cache) which restore-cache chunks survive.
 
-use snapstore::CachePolicy;
-
-/// How the serving layer picks a victim among resident tenants.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-requested tenant.
-    #[default]
-    Lru,
-    /// Evict the least-requested tenant (ties fall back to LRU). Under
-    /// Zipf skew this keeps the hot set resident even when a burst of
-    /// one-off tenants sweeps through.
-    Popularity,
-    /// Evict the tenant whose eviction forfeits the least restore
-    /// work: requests × swap-size estimate, ties falling back to LRU.
-    CostAware,
-}
-
-impl EvictionPolicy {
-    /// All policies, in bench/report order.
-    pub const ALL: [EvictionPolicy; 3] = [
-        EvictionPolicy::Lru,
-        EvictionPolicy::Popularity,
-        EvictionPolicy::CostAware,
-    ];
-
-    /// Stable label used in reports, bench rows and repro lines.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::Popularity => "popularity",
-            EvictionPolicy::CostAware => "cost",
-        }
-    }
-
-    /// Parse a [`EvictionPolicy::label`] back.
-    pub fn parse(s: &str) -> Option<EvictionPolicy> {
-        EvictionPolicy::ALL.into_iter().find(|p| p.label() == s)
-    }
-
-    /// The snapstore warm-cache policy this serving policy pairs with.
-    pub fn cache_policy(self) -> CachePolicy {
-        match self {
-            EvictionPolicy::Lru => CachePolicy::Lru,
-            EvictionPolicy::Popularity => CachePolicy::Popularity,
-            EvictionPolicy::CostAware => CachePolicy::CostAware,
-        }
-    }
-}
+/// How the serving layer picks a victim among resident tenants — the
+/// same enum the snapstore warm cache evicts by, so restore-cache
+/// retention follows residency policy with nothing to keep in step.
+pub use snapstore::CachePolicy as EvictionPolicy;
 
 /// One eviction candidate: a resident, unpinned tenant.
 #[derive(Clone, Copy, Debug)]
@@ -80,14 +36,6 @@ pub fn choose_victim(policy: EvictionPolicy, candidates: &[VictimInfo]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn label_round_trips() {
-        for p in EvictionPolicy::ALL {
-            assert_eq!(EvictionPolicy::parse(p.label()), Some(p));
-        }
-        assert_eq!(EvictionPolicy::parse("nope"), None);
-    }
 
     #[test]
     fn policies_rank_victims_differently() {

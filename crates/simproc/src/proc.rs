@@ -102,9 +102,6 @@ impl From<OutOfMemory> for RegionError {
 pub struct Region {
     /// Region contents (length == region size).
     pub content: Payload,
-    /// Mutation counter: bumped on every content-changing update.
-    /// Incremental checkpointing uses it to find dirty regions.
-    pub version: u64,
     /// Whether the region has been written since the last capture
     /// (dirty-page tracking, cleared by [`ProcMemory::mark_captured`]).
     pub dirty: bool,
@@ -151,7 +148,6 @@ impl ProcMemory {
             name.to_string(),
             Region {
                 content,
-                version: 0,
                 dirty: true,
             },
         );
@@ -159,9 +155,9 @@ impl ProcMemory {
     }
 
     /// Replace a region's contents (size may change). A byte-identical
-    /// replacement is a no-op: the mutation counter is not bumped and
-    /// the region stays clean, so dirty tracking does not over-capture
-    /// regions an application rewrites with unchanged data.
+    /// replacement is a no-op: the region stays clean, so dirty tracking
+    /// does not over-capture regions an application rewrites with
+    /// unchanged data.
     pub fn update_region(&self, name: &str, content: Payload) -> Result<(), RegionError> {
         let mut st = self.state.lock();
         let region = st
@@ -179,7 +175,6 @@ impl ProcMemory {
             self.pool.free(old - new);
         }
         region.content = content;
-        region.version += 1;
         region.dirty = true;
         st.total = st.total + new - old;
         Ok(())
@@ -236,17 +231,6 @@ impl ProcMemory {
             .regions
             .iter()
             .map(|(k, v)| (k.clone(), v.content.clone()))
-            .collect()
-    }
-
-    /// Region names, contents and mutation counters, in sorted order —
-    /// the raw material of an *incremental* snapshot.
-    pub fn snapshot_regions_versioned(&self) -> Vec<(String, Payload, u64)> {
-        self.state
-            .lock()
-            .regions
-            .iter()
-            .map(|(k, v)| (k.clone(), v.content.clone(), v.version))
             .collect()
     }
 
@@ -507,9 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn identical_update_skips_version_bump_and_stays_clean() {
+    fn identical_update_stays_clean() {
         // Regression: rewriting a region with byte-identical content
-        // bumped `version`, which would make dirty tracking over-capture
+        // marked it changed, which would make dirty tracking over-capture
         // clean regions.
         Kernel::run_root(|| {
             let node = phi_node();
@@ -521,14 +505,14 @@ mod tests {
             proc.memory()
                 .update_region("buf", Payload::synthetic(7, MB))
                 .unwrap();
-            let snap = proc.memory().snapshot_regions_versioned();
-            assert_eq!(snap[0].2, 0, "identical rewrite must not bump version");
-            assert!(!proc.memory().region_is_dirty("buf").unwrap());
-            // A real change still bumps and dirties.
+            assert!(
+                !proc.memory().region_is_dirty("buf").unwrap(),
+                "identical rewrite must not dirty the region"
+            );
+            // A real change still dirties.
             proc.memory()
                 .update_region("buf", Payload::synthetic(8, MB))
                 .unwrap();
-            assert_eq!(proc.memory().snapshot_regions_versioned()[0].2, 1);
             assert!(proc.memory().region_is_dirty("buf").unwrap());
         });
     }

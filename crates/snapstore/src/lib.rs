@@ -51,44 +51,68 @@ pub use pool::{ClusterPool, PoolManifestInfo, PoolStats};
 /// (already unlikely) digest collision across different-size chunks.
 pub type ChunkKey = (u64, u64);
 
-/// Eviction policy of the per-node warm chunk caches. Ticks are unique
+/// Eviction policy, shared by the per-node warm chunk caches here and
+/// the serving layer's choice of which resident tenant yields its
+/// device (`serving::EvictionPolicy` is this enum). Ticks are unique
 /// per cache, so every policy's victim choice is deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CachePolicy {
-    /// Evict the least-recently-touched chunk (capture, restore hit and
-    /// cold arrival all count as touches).
+    /// Evict the least-recently-touched entry (for a chunk: capture,
+    /// restore hit and cold arrival all count as touches).
     #[default]
     Lru,
-    /// Evict the least-touched chunk; ties fall back to LRU. Keeps the
-    /// chunks hot tenants restore over and over, even when a burst of
-    /// one-off captures sweeps the cache.
+    /// Evict the least-touched entry; ties fall back to LRU. Under Zipf
+    /// skew this keeps what hot tenants restore over and over, even
+    /// when a burst of one-off tenants sweeps through.
     Popularity,
-    /// Evict the chunk whose retention avoids the least transport:
+    /// Evict the entry whose retention avoids the least transport:
     /// touches × size, ties falling back to LRU. A big chunk restored
     /// twice outranks a small chunk restored three times.
     CostAware,
 }
 
+impl CachePolicy {
+    /// All policies, in bench/report order.
+    pub const ALL: [CachePolicy; 3] = [
+        CachePolicy::Lru,
+        CachePolicy::Popularity,
+        CachePolicy::CostAware,
+    ];
+
+    /// Stable label used in reports, bench rows and repro lines.
+    pub fn label(self) -> &'static str {
+        match self {
+            CachePolicy::Lru => "lru",
+            CachePolicy::Popularity => "popularity",
+            CachePolicy::CostAware => "cost",
+        }
+    }
+
+    /// Parse a [`CachePolicy::label`] back.
+    pub fn parse(s: &str) -> Option<CachePolicy> {
+        CachePolicy::ALL.into_iter().find(|p| p.label() == s)
+    }
+}
+
+/// Fixed chunk size the capture stream is cut into (boundary marks from
+/// the frame writer cut shorter chunks early, keeping regions aligned
+/// across snapshots).
+const CHUNK_SIZE: u64 = 4 << 20;
+/// Digest throughput of one capture-side core (the FNV pass the store
+/// pays per chunk): 2 GB/s.
+const HASH_BW: Bandwidth = Bandwidth(2e9);
+/// Bounded depth of the capture → shipper queue.
+const PIPELINE_DEPTH: usize = 4;
+/// Bounded depth of the prefetch → replay queue.
+const RESTORE_PREFETCH_DEPTH: usize = 4;
+
 /// Store configuration.
 #[derive(Clone, Debug)]
 pub struct DedupConfig {
-    /// Fixed chunk size the capture stream is cut into (boundary marks
-    /// from the frame writer cut shorter chunks early, keeping regions
-    /// aligned across snapshots).
-    pub chunk_size: u64,
-    /// Digest throughput of one capture-side core (the FNV pass the
-    /// store pays per chunk).
-    pub hash_bw: Bandwidth,
     /// Whether novel chunks ship on a dedicated sim thread, overlapping
     /// the digest/lookup of the next chunk. `false` = ship inline
     /// (serial baseline, used by the bench to measure the overlap gain).
     pub pipelined: bool,
-    /// Bounded depth of the capture → shipper queue.
-    pub pipeline_depth: usize,
-    /// Whether the wrapped backend stores files on the opening node's
-    /// own fs (`LocalStorage`) rather than the host fs. Decides where
-    /// pack files live and where restore staging is materialized.
-    pub local_fs: bool,
     /// Byte budget of each node's warm chunk cache (restore fast path).
     /// Chunks a node captured or restored stay "warm" there until
     /// evicted (LRU) or collected; a warm chunk is restored with a
@@ -99,8 +123,6 @@ pub struct DedupConfig {
     /// the transport of chunk `k+1` overlaps the digest/replay of chunk
     /// `k`. `false` = fetch inline (serial baseline for the bench).
     pub restore_pipelined: bool,
-    /// Bounded depth of the prefetch → replay queue.
-    pub restore_prefetch_depth: usize,
     /// Which chunks the warm caches keep when over budget.
     pub cache_policy: CachePolicy,
     /// Rebase period of the *incremental capture* fast path. An
@@ -118,14 +140,9 @@ pub struct DedupConfig {
 impl Default for DedupConfig {
     fn default() -> DedupConfig {
         DedupConfig {
-            chunk_size: 4 << 20,
-            hash_bw: Bandwidth::gb_per_sec(2.0),
             pipelined: true,
-            pipeline_depth: 4,
-            local_fs: false,
             restore_cache_bytes: 4 << 30,
             restore_pipelined: true,
-            restore_prefetch_depth: 4,
             cache_policy: CachePolicy::default(),
             incremental_rebase_every: 16,
         }
@@ -178,13 +195,7 @@ struct ChunkEntry {
 
 struct PackInfo {
     path: String,
-    node: NodeId,
     live: u64,
-}
-
-struct ManifestRecord {
-    chunks: Vec<ChunkKey>,
-    node: NodeId,
 }
 
 /// One record's slice of a snapshot stream, as cut by the capture-side
@@ -275,7 +286,8 @@ impl WarmCache {
 struct Index {
     chunks: HashMap<ChunkKey, ChunkEntry>,
     packs: HashMap<u64, PackInfo>,
-    manifests: HashMap<String, ManifestRecord>,
+    /// Live manifests: path → the chunk keys it references, in order.
+    manifests: HashMap<String, Vec<ChunkKey>>,
     /// Per-path record ledgers (incremental capture fast path).
     ledgers: HashMap<String, Ledger>,
     next_pack: u64,
@@ -303,6 +315,68 @@ impl Index {
         self.warm
             .get(&node)
             .is_some_and(|c| c.chunks.contains_key(key))
+    }
+
+    /// Install `refs` as the manifest at `path`, replacing any manifest
+    /// already there: reference every chunk (content the index lacks
+    /// moves out of `novel` into `pack`), mark `warm` as held by `node`,
+    /// then release the replaced manifest. Returns the files that died.
+    #[allow(clippy::too_many_arguments)]
+    fn install_manifest(
+        &mut self,
+        path: &str,
+        node: NodeId,
+        refs: &[ChunkKey],
+        novel: &mut HashMap<ChunkKey, Payload>,
+        pack: Option<u64>,
+        warm: &[ChunkKey],
+        config: &DedupConfig,
+    ) -> Vec<String> {
+        let mut dead_files = Vec::new();
+        // Install the new manifest's references BEFORE releasing the
+        // one it replaces: re-snapshotting unchanged content to the
+        // same path dedups against the old manifest's chunks, and
+        // releasing first would free exactly the chunks the new
+        // manifest is about to reference.
+        let old = self.manifests.remove(path);
+        for key in refs {
+            if let Some(entry) = self.chunks.get_mut(key) {
+                entry.refs += 1;
+                continue;
+            }
+            let content = novel
+                .remove(key)
+                .expect("novel chunk content retained until install");
+            let pack = pack.expect("novel chunks imply a pack");
+            self.chunks.insert(
+                *key,
+                ChunkEntry {
+                    content: content.normalize(),
+                    refs: 1,
+                    pack,
+                },
+            );
+            self.packs.get_mut(&pack).expect("pack registered").live += 1;
+            self.stats.bytes_stored += key.1;
+        }
+        for key in warm {
+            self.warm_insert(node, *key, config);
+        }
+        if let Some(old) = old {
+            release_manifest(self, old, &mut dead_files);
+        }
+        // A pack that ended up with no surviving novel chunks (every
+        // "fresh" chunk was committed by a concurrent capture first)
+        // is dead on arrival.
+        if let Some(pack) = pack {
+            if self.packs.get(&pack).map(|p| p.live) == Some(0) {
+                let info = self.packs.remove(&pack).unwrap();
+                dead_files.push(info.path);
+            }
+        }
+        self.manifests.insert(path.to_string(), refs.to_vec());
+        self.stats.manifests = self.manifests.len() as u64;
+        dead_files
     }
 
     /// A chunk died (refcount hit zero): no warm cache may keep serving
@@ -348,7 +422,6 @@ impl Dedup {
         backend: Arc<dyn SnapshotStorage>,
         config: DedupConfig,
     ) -> Dedup {
-        assert!(config.chunk_size > 0);
         Dedup {
             inner: Arc::new(StoreInner {
                 server: server.clone(),
@@ -401,14 +474,10 @@ impl Dedup {
         &self.inner.server
     }
 
-    /// The fs the wrapped backend materializes files on for streams
-    /// opened from `node`.
-    fn storage_fs(&self, node: NodeId) -> SimFs {
-        if self.inner.config.local_fs {
-            self.inner.server.node(node).fs().clone()
-        } else {
-            self.inner.server.host().fs().clone()
-        }
+    /// The fs the wrapped backend materializes files on: pack files and
+    /// restore staging live on the host.
+    fn storage_fs(&self) -> &SimFs {
+        self.inner.server.host().fs()
     }
 
     fn hasher(&self, node: NodeId) -> BandwidthResource {
@@ -416,11 +485,7 @@ impl Dedup {
         hashers
             .entry(node)
             .or_insert_with(|| {
-                BandwidthResource::new(
-                    format!("snapstore-hash-{node}"),
-                    self.inner.config.hash_bw,
-                    SimDuration::ZERO,
-                )
+                BandwidthResource::new(format!("snapstore-hash-{node}"), HASH_BW, SimDuration::ZERO)
             })
             .clone()
     }
@@ -460,7 +525,7 @@ impl Dedup {
     }
 
     /// Reserve a pack id + path for a snapshot's novel chunks.
-    fn new_pack(&self, manifest_path: &str, node: NodeId) -> (u64, String) {
+    fn new_pack(&self, manifest_path: &str) -> (u64, String) {
         let mut idx = self.inner.index.lock().unwrap();
         let id = idx.next_pack;
         idx.next_pack += 1;
@@ -469,7 +534,6 @@ impl Dedup {
             id,
             PackInfo {
                 path: path.clone(),
-                node,
                 live: 0,
             },
         );
@@ -481,7 +545,7 @@ impl Dedup {
     fn discard_pack(&self, id: u64) {
         let info = self.inner.index.lock().unwrap().packs.remove(&id);
         if let Some(info) = info {
-            let _ = self.storage_fs(info.node).delete(&info.path);
+            let _ = self.storage_fs().delete(&info.path);
         }
     }
 
@@ -503,60 +567,13 @@ impl Dedup {
         spans: HashMap<String, RegionSpan>,
         reused: bool,
     ) {
-        let mut dead_files = Vec::new();
         let mut pool_contents: Vec<Payload> = Vec::new();
-        {
+        let dead_files = {
             let mut idx = self.inner.index.lock().unwrap();
-            // Install the new manifest's references BEFORE releasing the
-            // one it replaces: re-snapshotting unchanged content to the
-            // same path dedups against the old manifest's chunks, and
-            // releasing first would free exactly the chunks the new
-            // manifest is about to reference.
-            let old = idx.manifests.remove(path);
-            for key in refs {
-                if let Some(entry) = idx.chunks.get_mut(key) {
-                    entry.refs += 1;
-                    continue;
-                }
-                let content = fresh
-                    .remove(key)
-                    .expect("novel chunk content retained until commit");
-                let pack = pack.expect("novel chunks imply a pack");
-                idx.chunks.insert(
-                    *key,
-                    ChunkEntry {
-                        content: content.normalize(),
-                        refs: 1,
-                        pack,
-                    },
-                );
-                idx.packs.get_mut(&pack).expect("pack registered").live += 1;
-                idx.stats.bytes_stored += key.1;
-            }
             // Everything the capture just streamed is materialized on
             // the capturing node right now: warm it for the swap-in.
-            for key in refs {
-                idx.warm_insert(node, *key, &self.inner.config);
-            }
-            if let Some(old) = old {
-                release_manifest(&mut idx, old, &mut dead_files);
-            }
-            // A pack that ended up with no surviving novel chunks (every
-            // "fresh" chunk was committed by a concurrent capture first)
-            // is dead on arrival.
-            if let Some(pack) = pack {
-                if idx.packs.get(&pack).map(|p| p.live) == Some(0) {
-                    let info = idx.packs.remove(&pack).unwrap();
-                    dead_files.push((info.node, info.path));
-                }
-            }
-            idx.manifests.insert(
-                path.to_string(),
-                ManifestRecord {
-                    chunks: refs.to_vec(),
-                    node,
-                },
-            );
+            let dead_files =
+                idx.install_manifest(path, node, refs, fresh, pack, refs, &self.inner.config);
             // Install the new ledger: a capture that reused prior spans
             // lengthens the logical delta chain; one that streamed
             // everything is a fresh base. A capture with no record
@@ -569,12 +586,12 @@ impl Dedup {
                 let age = if reused { prior_age + 1 } else { 0 };
                 idx.ledgers.insert(path.to_string(), Ledger { age, spans });
             }
-            idx.stats.manifests = idx.manifests.len() as u64;
             idx.stats.bytes_shipped += manifest_len;
             if self.inner.pool.get().is_some() {
                 pool_contents = refs.iter().map(|k| idx.chunks[k].content.clone()).collect();
             }
-        }
+            dead_files
+        };
         obs::counter_add("store.bytes_shipped", manifest_len);
         self.delete_files(dead_files);
         if let Some(att) = self.inner.pool.get() {
@@ -592,7 +609,7 @@ impl Dedup {
             match idx.manifests.remove(path) {
                 Some(old) => {
                     idx.ledgers.remove(path);
-                    dead_files.push((old.node, path.to_string()));
+                    dead_files.push(path.to_string());
                     release_manifest(&mut idx, old, &mut dead_files);
                     idx.stats.manifests = idx.manifests.len() as u64;
                     true
@@ -630,9 +647,9 @@ impl Dedup {
         n
     }
 
-    fn delete_files(&self, files: Vec<(NodeId, String)>) {
-        for (node, path) in files {
-            let _ = self.storage_fs(node).delete(&path);
+    fn delete_files(&self, files: Vec<String>) {
+        for path in files {
+            let _ = self.storage_fs().delete(&path);
         }
     }
 
@@ -650,8 +667,8 @@ impl Dedup {
 
 /// Release one manifest's references; dead chunks and dead packs are
 /// removed from the index and the packs' files queued on `dead_files`.
-fn release_manifest(idx: &mut Index, old: ManifestRecord, dead_files: &mut Vec<(NodeId, String)>) {
-    for key in &old.chunks {
+fn release_manifest(idx: &mut Index, old: Vec<ChunkKey>, dead_files: &mut Vec<String>) {
+    for key in &old {
         let entry = idx.chunks.get_mut(key).expect("referenced chunk exists");
         entry.refs -= 1;
         if entry.refs > 0 {
@@ -668,7 +685,7 @@ fn release_manifest(idx: &mut Index, old: ManifestRecord, dead_files: &mut Vec<(
             let info = idx.packs.remove(&entry.pack).unwrap();
             idx.stats.packs_deleted += 1;
             obs::counter_add("store.gc.packs_deleted", 1);
-            dead_files.push((info.node, info.path));
+            dead_files.push(info.path);
         }
     }
 }
@@ -810,7 +827,7 @@ impl Dedup {
         //    overlaps the replay of chunk `k`. The staging file dies
         //    with the source. A fully-warm restore opens no stream at
         //    all.
-        let fs = self.storage_fs(local);
+        let fs = self.storage_fs().clone();
         let mut staging = None;
         let fetch = if cold_bytes == 0 {
             ColdFetch::None
@@ -818,7 +835,7 @@ impl Dedup {
             let spath = format!("{path}.restore");
             fs.create_or_truncate(&spath);
             for content in &cold {
-                for chunk in content.chunks(self.inner.config.chunk_size) {
+                for chunk in content.chunks(CHUNK_SIZE) {
                     fs.append_async(&spath, chunk)?;
                 }
             }
@@ -826,7 +843,7 @@ impl Dedup {
             if self.inner.config.restore_pipelined {
                 let tx: SimChannel<Payload> = SimChannel::bounded(
                     format!("snapstore-restore-pipe:{path}"),
-                    self.inner.config.restore_prefetch_depth.max(1),
+                    RESTORE_PREFETCH_DEPTH,
                 );
                 let rx = tx.clone();
                 let store = self.clone();
@@ -961,60 +978,29 @@ impl Dedup {
         msink
             .write(Payload::bytes(bytes))
             .and_then(|_| msink.close())?;
-        // Install into the local index, mirroring `commit`.
         let pack = if fetched.is_empty() {
             None
         } else {
-            Some(self.new_pack(path, local).0)
+            Some(self.new_pack(path).0)
         };
-        let mut dead_files = Vec::new();
-        {
-            let mut idx = self.inner.index.lock().unwrap();
-            let old = idx.manifests.remove(path);
-            for key in &pm.chunks {
-                if let Some(entry) = idx.chunks.get_mut(key) {
-                    entry.refs += 1;
-                    continue;
-                }
-                let content = fetched.get(key).expect("novel chunk fetched").clone();
-                let pack = pack.expect("novel chunks imply a pack");
-                idx.chunks.insert(
-                    *key,
-                    ChunkEntry {
-                        content: content.normalize(),
-                        refs: 1,
-                        pack,
-                    },
-                );
-                idx.packs.get_mut(&pack).expect("pack registered").live += 1;
-                idx.stats.bytes_stored += key.1;
-            }
-            // Fetched bytes just landed on the importing node: they are
-            // warm for the restore about to replay them. Chunks the
-            // node merely indexes elsewhere stay cold.
-            for key in &pm.chunks {
-                if fetched.contains_key(key) {
-                    idx.warm_insert(local, *key, &self.inner.config);
-                }
-            }
-            if let Some(old) = old {
-                release_manifest(&mut idx, old, &mut dead_files);
-            }
-            if let Some(pack) = pack {
-                if idx.packs.get(&pack).map(|p| p.live) == Some(0) {
-                    let info = idx.packs.remove(&pack).unwrap();
-                    dead_files.push((info.node, info.path));
-                }
-            }
-            idx.manifests.insert(
-                path.to_string(),
-                ManifestRecord {
-                    chunks: pm.chunks.clone(),
-                    node: local,
-                },
-            );
-            idx.stats.manifests = idx.manifests.len() as u64;
-        }
+        // Fetched bytes just landed on the importing node: they are
+        // warm for the restore about to replay them. Chunks the node
+        // merely indexes elsewhere stay cold.
+        let warm: Vec<ChunkKey> = pm
+            .chunks
+            .iter()
+            .filter(|key| fetched.contains_key(key))
+            .copied()
+            .collect();
+        let dead_files = self.inner.index.lock().unwrap().install_manifest(
+            path,
+            local,
+            &pm.chunks,
+            &mut fetched,
+            pack,
+            &warm,
+            &self.inner.config,
+        );
         self.delete_files(dead_files);
         // This node now holds the manifest: its pool references keep
         // the chunks alive after the publisher releases its own.
@@ -1141,7 +1127,7 @@ impl DedupSink {
     /// one). Pipelined mode hands the backend sink to a dedicated
     /// thread fed by a bounded queue.
     fn start_shipper(&mut self) -> Result<Shipper, IoError> {
-        let (pack, pack_path) = self.store.new_pack(&self.path, self.local);
+        let (pack, pack_path) = self.store.new_pack(&self.path);
         if !self.store.inner.config.pipelined {
             match self.store.backend().sink(self.local, &pack_path) {
                 Ok(sink) => {
@@ -1157,10 +1143,8 @@ impl DedupSink {
                 }
             }
         }
-        let tx: SimChannel<Payload> = SimChannel::bounded(
-            format!("snapstore-pipe:{}", self.path),
-            self.store.inner.config.pipeline_depth.max(1),
-        );
+        let tx: SimChannel<Payload> =
+            SimChannel::bounded(format!("snapstore-pipe:{}", self.path), PIPELINE_DEPTH);
         let rx = tx.clone();
         let store = self.store.clone();
         let local = self.local;
@@ -1236,12 +1220,11 @@ impl DedupSink {
     }
 
     fn cut_pending(&mut self, boundary: bool) -> Result<(), IoError> {
-        let chunk_size = self.store.inner.config.chunk_size;
-        while self.pending.len() >= chunk_size {
-            let chunk = self.pending.slice(0, chunk_size);
+        while self.pending.len() >= CHUNK_SIZE {
+            let chunk = self.pending.slice(0, CHUNK_SIZE);
             self.pending = self
                 .pending
-                .slice(chunk_size, self.pending.len() - chunk_size);
+                .slice(CHUNK_SIZE, self.pending.len() - CHUNK_SIZE);
             self.process_chunk(chunk)?;
         }
         if boundary && !self.pending.is_empty() {
@@ -1682,6 +1665,14 @@ mod tests {
             out.append(c);
         }
         out
+    }
+
+    #[test]
+    fn policy_label_round_trips() {
+        for p in CachePolicy::ALL {
+            assert_eq!(CachePolicy::parse(p.label()), Some(p));
+        }
+        assert_eq!(CachePolicy::parse("nope"), None);
     }
 
     #[test]

@@ -147,7 +147,13 @@ fn watchdog_rescues_stuck_capture_request() {
             watchdog_retries: 1,
             ..CoiConfig::default()
         };
-        let world = SnapifyWorld::boot_with(PlatformParams::default(), coi, registry);
+        let world = SnapifyWorld::boot_with(
+            PlatformParams::default(),
+            coi,
+            registry,
+            FaultSchedule::none(),
+            None,
+        );
         let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
         let handle = run.handle().clone();
         let snap = snapify_swapout(&handle, "/snap/wd").unwrap();
@@ -190,11 +196,12 @@ fn faulted_stream_open_releases_staging_memory() {
             FaultTarget::Bus(0),
             FaultKind::ConnReset,
         );
-        let world = SnapifyWorld::boot_with_faults(
+        let world = SnapifyWorld::boot_with(
             PlatformParams::default(),
             CoiConfig::default(),
             registry,
             schedule,
+            None,
         );
         let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
         while simkernel::now().0 < simkernel::time::secs(501).as_nanos() {

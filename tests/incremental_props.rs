@@ -35,14 +35,15 @@ fn park_cycle(
     dirty: Vec<(u8, u64)>,
 ) -> (Vec<u64>, u64) {
     Kernel::run_root_with(policy, move || {
-        let world = SnapifyWorld::boot_dedup_with(
+        let world = SnapifyWorld::boot_with(
             PlatformParams::default(),
             CoiConfig::default(),
             registry(),
-            DedupConfig {
+            FaultSchedule::none(),
+            Some(DedupConfig {
                 incremental_rebase_every: rebase_every,
                 ..DedupConfig::default()
-            },
+            }),
         );
         let store = world.store().unwrap().clone();
         let sched = SwapScheduler::new(1, "/prop/incr").with_store(&store);
@@ -118,12 +119,12 @@ fn fault_mid_delta_capture_leaves_chain_intact(policy: SchedPolicy, seed: u64) {
             FaultTarget::Mem(NodeId::HOST),
             FaultKind::Oom,
         );
-        let world = SnapifyWorld::boot_dedup_with_faults(
+        let world = SnapifyWorld::boot_with(
             PlatformParams::default(),
             CoiConfig::default(),
             registry(),
-            DedupConfig::default(),
             schedule,
+            Some(DedupConfig::default()),
         );
         let store = world.store().unwrap().clone();
         let sched = SwapScheduler::new(1, "/prop/chaos").with_store(&store);

@@ -4,7 +4,7 @@
 //! regression in any cost model or protocol fails CI.
 
 use snapify_repro::coi_sim::{CoiConfig, FunctionRegistry};
-use snapify_repro::phi_platform::{NodeId, Payload, PhiServer, PlatformParams, MB};
+use snapify_repro::phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams, MB};
 use snapify_repro::prelude::*;
 use snapify_repro::simproc::SnapshotStorage;
 use snapify_repro::snapify_io::{Nfs, NfsConfig, NfsMode, Scp, ScpConfig, SnapifyIo};
@@ -105,7 +105,13 @@ fn fig9_overhead_bounds() {
             let spec = by_name(name).unwrap().scaled(32, 8);
             let registry = FunctionRegistry::new();
             register_suite(&registry, std::slice::from_ref(&spec));
-            let world = SnapifyWorld::boot_with(PlatformParams::default(), config, registry);
+            let world = SnapifyWorld::boot_with(
+                PlatformParams::default(),
+                config,
+                registry,
+                FaultSchedule::none(),
+                None,
+            );
             let r = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
             let result = r.run_to_completion().unwrap();
             assert!(result.verified);
