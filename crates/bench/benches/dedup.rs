@@ -10,13 +10,15 @@
 //! shipping (pipelined vs. serial capture of the same image).
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
-//! Dumps `BENCH_dedup.json` next to the other `BENCH_*.json`.
+//! Ends by holding its rows against the committed `BENCH_dedup.json`
+//! (`snapify_bench::report`).
 
 use coi_sim::{CoiConfig, DeviceBinary, FunctionRegistry};
 use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams, GB, MB};
 use simkernel::Kernel;
 use simproc::SnapshotStorage;
 use snapify::{SnapifyWorld, SwapScheduler};
+use snapify_bench::report::{fixed, Report};
 use snapify_bench::{bytes, header, secs, Table};
 use snapify_io::SnapifyIo;
 use snapstore::{Dedup, DedupConfig};
@@ -140,10 +142,7 @@ fn pipeline_compare(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = snapify_bench::quick();
     let params = PlatformParams::default();
     header(
         if quick {
@@ -199,34 +198,18 @@ fn main() {
         );
     }
 
-    dump_json("BENCH_dedup.json", &rows, quick);
-}
-
-fn dump_json(path: &str, rows: &[Row], quick: bool) {
-    let mut out = String::from("{\n  \"benches\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"cold_secs\": {:.6}, \"warm_secs\": {:.6}, \
-             \"cold_shipped_bytes\": {}, \"warm_shipped_bytes\": {}, \
-             \"dedup_ratio\": {:.4}, \"pipelined_secs\": {:.6}, \"serial_secs\": {:.6}, \
-             \"overlap_gain\": {:.4}}}",
-            r.name,
-            r.cold.as_secs_f64(),
-            r.warm.as_secs_f64(),
-            r.cold_shipped,
-            r.warm_shipped,
-            r.dedup_ratio(),
-            r.pipelined.as_secs_f64(),
-            r.serial.as_secs_f64(),
-            r.overlap_gain()
-        ));
+    let mut report = Report::default();
+    for r in &rows {
+        report
+            .row(&r.name)
+            .field("cold_secs", fixed(r.cold.as_secs_f64(), 6))
+            .field("warm_secs", fixed(r.warm.as_secs_f64(), 6))
+            .field("cold_shipped_bytes", r.cold_shipped)
+            .field("warm_shipped_bytes", r.warm_shipped)
+            .field("dedup_ratio", fixed(r.dedup_ratio(), 4))
+            .field("pipelined_secs", fixed(r.pipelined.as_secs_f64(), 6))
+            .field("serial_secs", fixed(r.serial.as_secs_f64(), 6))
+            .field("overlap_gain", fixed(r.overlap_gain(), 4));
     }
-    out.push_str(&format!("\n  ],\n  \"quick\": {quick}\n}}\n"));
-    match std::fs::write(path, out) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    report.finish("BENCH_dedup.json")
 }

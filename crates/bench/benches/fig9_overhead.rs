@@ -8,11 +8,16 @@
 //!
 //! (The paper repeats each run 20×; the simulation is deterministic, so a
 //! single run per configuration is exact.)
+//!
+//! Ends by holding the overhead rows and the obs summary of the
+//! Snapify-enabled runs against the committed `BENCH_fig9.json`
+//! (`snapify_bench::report`).
 
 use coi_sim::{CoiConfig, FunctionRegistry};
 use phi_platform::{FaultSchedule, PlatformParams};
 use simkernel::{obs, Kernel};
 use snapify::SnapifyWorld;
+use snapify_bench::report::{fixed, Report};
 use snapify_bench::{header, secs, Table};
 use workloads::{register_suite, suite, WorkloadRun, WorkloadSpec};
 
@@ -48,7 +53,7 @@ fn main() {
         "overhead (%)",
     ]);
     let mut overheads = Vec::new();
-    let mut rows = Vec::new();
+    let mut report = Report::default();
     // Record the Snapify-enabled runs so the dumped artifact carries the
     // per-phase/per-transport breakdown alongside the overhead table.
     obs::reset();
@@ -60,7 +65,11 @@ fn main() {
         let snap = run_once(spec.clone(), CoiConfig::default());
         let overhead = (snap.as_secs_f64() - stock.as_secs_f64()) / stock.as_secs_f64() * 100.0;
         overheads.push((spec.name, overhead));
-        rows.push((spec.name, stock.as_nanos(), snap.as_nanos(), overhead));
+        report
+            .row(spec.name)
+            .field("stock_ns", stock.as_nanos())
+            .field("snapify_ns", snap.as_nanos())
+            .field("overhead_pct", fixed(overhead, 4));
         table.row(vec![
             spec.name.to_string(),
             secs(stock),
@@ -70,7 +79,11 @@ fn main() {
     }
     obs::disable();
     table.print();
-    dump_json("BENCH_fig9.json", &rows);
+    // The recorded per-phase/metrics summary rides along as one nested
+    // scalar, indented to sit under the top level; it is virtual-time
+    // telemetry, so it is held like the rows.
+    let summary = obs::summary_json();
+    report.scalar("summary", summary.trim_end().replace('\n', "\n  "));
     let avg: f64 = overheads.iter().map(|(_, o)| o).sum::<f64>() / overheads.len() as f64;
     let (worst_name, worst) = overheads
         .iter()
@@ -80,28 +93,5 @@ fn main() {
     println!();
     println!("average overhead: {avg:.2}%   worst: {worst:.2}% ({worst_name})");
     println!("shape checks: average ~1.5%, worst <5% (MD in the paper).");
-}
-
-/// Dump the overhead table plus the recorded per-phase/metrics summary
-/// of the Snapify-enabled runs as one JSON artifact.
-fn dump_json(path: &str, rows: &[(&str, u64, u64, f64)]) {
-    let mut out = String::from("{\n  \"benchmarks\": [");
-    for (i, (name, stock_ns, snap_ns, overhead)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{name}\", \"stock_ns\": {stock_ns}, \
-             \"snapify_ns\": {snap_ns}, \"overhead_pct\": {overhead:.4}}}"
-        ));
-    }
-    out.push_str("\n  ],\n  \"summary\": ");
-    // summary_json() is itself a JSON object; indent it to nest cleanly.
-    let summary = obs::summary_json();
-    out.push_str(&summary.trim_end().replace('\n', "\n  "));
-    out.push_str("\n}\n");
-    match std::fs::write(path, out) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    report.finish("BENCH_fig9.json")
 }

@@ -11,12 +11,14 @@
 //! and the fraction of the image that entered the hash pipeline.
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
-//! Dumps `BENCH_incremental.json` next to the other `BENCH_*.json`.
+//! Ends by holding its rows against the committed
+//! `BENCH_incremental.json` (`snapify_bench::report`).
 
 use coi_sim::{CoiConfig, DeviceBinary, FunctionRegistry};
 use phi_platform::{FaultSchedule, Payload, PlatformParams, MB};
 use simkernel::Kernel;
 use snapify::{SnapifyWorld, SwapScheduler};
+use snapify_bench::report::{fixed, Report};
 use snapify_bench::{bytes, header, secs, Table};
 use snapstore::DedupConfig;
 
@@ -141,10 +143,7 @@ fn cycle(name: &str, bufs: u64, buf_bytes: u64, dirty: u64) -> Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = snapify_bench::quick();
     let params = PlatformParams::default();
     header(
         if quick {
@@ -217,31 +216,16 @@ fn main() {
         }
     }
 
-    dump_json("BENCH_incremental.json", &rows, quick);
-}
-
-fn dump_json(path: &str, rows: &[Row], quick: bool) {
-    let mut out = String::from("{\n  \"benches\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"full_secs\": {:.6}, \"incremental_secs\": {:.6}, \
-             \"dirty_bytes\": {}, \"clean_bytes\": {}, \"speedup\": {:.4}, \
-             \"hashed_fraction\": {:.4}}}",
-            r.name,
-            r.full.as_secs_f64(),
-            r.incremental.as_secs_f64(),
-            r.dirty_bytes,
-            r.clean_bytes,
-            r.speedup(),
-            r.hashed_fraction()
-        ));
+    let mut report = Report::default();
+    for r in &rows {
+        report
+            .row(&r.name)
+            .field("full_secs", fixed(r.full.as_secs_f64(), 6))
+            .field("incremental_secs", fixed(r.incremental.as_secs_f64(), 6))
+            .field("dirty_bytes", r.dirty_bytes)
+            .field("clean_bytes", r.clean_bytes)
+            .field("speedup", fixed(r.speedup(), 4))
+            .field("hashed_fraction", fixed(r.hashed_fraction(), 4));
     }
-    out.push_str(&format!("\n  ],\n  \"quick\": {quick}\n}}\n"));
-    match std::fs::write(path, out) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    report.finish("BENCH_incremental.json")
 }

@@ -13,7 +13,10 @@
 //! can tell the difference.
 //!
 //! Pass `--quick` (or `BENCH_QUICK=1`) for a fast smoke run (CI).
-//! Dumps `BENCH_multidomain.json` next to the other artifacts.
+//! Ends by holding its rows against the committed
+//! `BENCH_multidomain.json` (`snapify_bench::report`): `events` must
+//! reproduce; the rates and `host_cores` are this host's and are only
+//! recorded.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -22,6 +25,7 @@ use phi_platform::{cluster_lookahead, DomainPlacement, PlatformParams};
 use simkernel::domain::{MultiDomainConfig, MultiKernel};
 use simkernel::time::us;
 use simkernel::SimChannel;
+use snapify_bench::report::{fixed, Report};
 
 const NODES: usize = 8;
 const PAIRS: usize = 4;
@@ -136,10 +140,7 @@ fn measure(domains: u32, rounds: u64, warmups: u32, batches: u32) -> Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = snapify_bench::quick();
     let (warmups, batches) = if quick { (1, 2) } else { (2, 5) };
     let rounds: u64 = if quick { 256 } else { 4096 };
     let host_cores = std::thread::available_parallelism()
@@ -167,7 +168,23 @@ fn main() {
         );
     }
 
-    dump_json("BENCH_multidomain.json", &rows, host_cores, quick);
+    let mut report = Report::default();
+    for key in ["wall_secs", "events_per_sec", "speedup", "host_cores"] {
+        report.wall_clock(key, None);
+    }
+    for r in &rows {
+        report
+            .row(&format!("domains_{}", r.domains))
+            .field("domains", r.domains)
+            .field("events", r.events)
+            .field("wall_secs", fixed(r.secs, 6))
+            .field("events_per_sec", fixed(r.events_per_sec(), 1))
+            .field("speedup", fixed(r.events_per_sec() / serial, 3));
+    }
+    report
+        .scalar("host_cores", host_cores)
+        .scalar("quick", quick);
+    report.finish("BENCH_multidomain.json");
 
     // Scaling floors from the issue: only enforceable when the host has
     // the cores to parallelize onto, and only on full (non-quick) runs
@@ -191,32 +208,5 @@ fn main() {
         if host_cores < 4 {
             println!("(host has {host_cores} cores; scaling floors not enforced)");
         }
-    }
-}
-
-fn dump_json(path: &str, rows: &[Row], host_cores: usize, quick: bool) {
-    let serial = rows[0].events_per_sec();
-    let mut out = String::from("{\n  \"benches\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"domains_{}\", \"domains\": {}, \"events\": {}, \
-             \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"speedup\": {:.3}}}",
-            r.domains,
-            r.domains,
-            r.events,
-            r.secs,
-            r.events_per_sec(),
-            r.events_per_sec() / serial
-        ));
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"host_cores\": {host_cores},\n  \"quick\": {quick}\n}}\n"
-    ));
-    match std::fs::write(path, out) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }

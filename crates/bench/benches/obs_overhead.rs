@@ -17,8 +17,9 @@
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI);
 //! quick runs are too short for a tight relative bound, so the gate
-//! loosens to 25% there. Dumps `BENCH_obs.json` next to the other
-//! `BENCH_*.json` artifacts.
+//! loosens to 25% there. Ends by writing `BENCH_obs.json`
+//! (`snapify_bench::report`); every number in it is this host's wall
+//! clock, so only the row names are held against the committed file.
 //!
 //! [`MetricId`]: simkernel::obs::MetricId
 
@@ -31,6 +32,7 @@ use simkernel::obs;
 use simkernel::time::ms;
 use simkernel::Kernel;
 use snapify::{SnapifyWorld, SwapScheduler};
+use snapify_bench::report::{fixed, Report};
 
 /// One full two-tenant rotate cycle: tenant A (16 MiB) parked, tenant B
 /// (48 MiB) resident, then `rotations` hand-offs. Telemetry recording
@@ -105,10 +107,7 @@ fn labeled_hot_path_ns(ops: u64) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = snapify_bench::quick();
     let (warmups, batches) = if quick { (1, 3) } else { (2, 7) };
     let rotations = if quick { 4 } else { 10 };
     let hot_ops: u64 = if quick { 200_000 } else { 2_000_000 };
@@ -153,16 +152,21 @@ fn main() {
     let ns_per_op = labeled_hot_path_ns(hot_ops);
     println!("{:<28} {:>8.1} ns/op", "labeled_hot_path", ns_per_op);
 
-    let json = format!(
-        "{{\n  \"benches\": [\n    {{\"name\": \"swap_rotate_obs_off\", \"wall_secs\": {off:.6}}},\n    \
-         {{\"name\": \"swap_rotate_obs_on\", \"wall_secs\": {on:.6}}},\n    \
-         {{\"name\": \"labeled_hot_path\", \"ns_per_op\": {ns_per_op:.1}}}\n  ],\n  \
-         \"overhead_pct\": {overhead_pct:.3},\n  \"gate_pct\": {gate_pct},\n  \"quick\": {quick}\n}}\n"
-    );
-    match std::fs::write("BENCH_obs.json", json) {
-        Ok(()) => println!("\nwrote BENCH_obs.json"),
-        Err(e) => eprintln!("\nfailed to write BENCH_obs.json: {e}"),
+    let mut report = Report::default();
+    for key in ["wall_secs", "ns_per_op", "overhead_pct"] {
+        report.wall_clock(key, None);
     }
+    report
+        .row("swap_rotate_obs_off")
+        .field("wall_secs", fixed(off, 6))
+        .row("swap_rotate_obs_on")
+        .field("wall_secs", fixed(on, 6))
+        .row("labeled_hot_path")
+        .field("ns_per_op", fixed(ns_per_op, 1))
+        .scalar("overhead_pct", fixed(overhead_pct, 3))
+        .scalar("gate_pct", fixed(gate_pct, 0))
+        .scalar("quick", quick);
+    report.finish("BENCH_obs.json");
 
     assert!(
         overhead_pct < gate_pct,

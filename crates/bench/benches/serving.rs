@@ -16,14 +16,16 @@
 //!   throughput with a 2-deep admission limit: the limiter must shed
 //!   load instead of letting the cold queue grow without bound.
 //!
-//! Quick mode (`--quick` / `BENCH_QUICK=1`) runs a shorter `zipf1k`
-//! schedule under distinct row names (`zipf1k-quick-*`), so quick and
-//! full rows coexist in the committed baseline and `perf_gate` is never
-//! vacuous in either mode. Dumps `BENCH_serving.json`.
+//! Quick mode (`--quick` / `BENCH_QUICK=1`) runs only a shorter `zipf1k`
+//! schedule under distinct row names (`zipf1k-quick-*`); a full run
+//! emits those rows too, so both sets sit in the committed
+//! `BENCH_serving.json` and either mode ends by holding its rows
+//! against it (`snapify_bench::report`).
 
 use phi_platform::PlatformParams;
 use serving::{run_scenario, EvictionPolicy, ServingConfig, ServingReport, TrafficConfig};
 use simkernel::Kernel;
+use snapify_bench::report::{fixed, quote, Report};
 use snapify_bench::{header, Table};
 
 struct Row {
@@ -96,10 +98,7 @@ fn run(name: &str, cfg: ServingConfig) -> Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = snapify_bench::quick();
     let params = PlatformParams::default();
     header(
         if quick {
@@ -110,17 +109,19 @@ fn main() {
         &params,
     );
 
-    let (zipf_prefix, zipf_requests) = if quick {
-        ("zipf1k-quick", 600)
+    let sweeps: &[(&str, usize)] = if quick {
+        &[("zipf1k-quick", 600)]
     } else {
-        ("zipf1k", 2000)
+        &[("zipf1k", 2000), ("zipf1k-quick", 600)]
     };
     let mut rows = Vec::new();
-    for policy in EvictionPolicy::ALL {
-        rows.push(run(
-            &format!("{zipf_prefix}-{}", policy.label()),
-            zipf1k(policy, zipf_requests),
-        ));
+    for (prefix, requests) in sweeps {
+        for policy in EvictionPolicy::ALL {
+            rows.push(run(
+                &format!("{prefix}-{}", policy.label()),
+                zipf1k(policy, *requests),
+            ));
+        }
     }
     rows.push(run("overload-limit2", overload()));
 
@@ -158,7 +159,7 @@ fn main() {
     println!("beats cold p99 by >=2x for every policy, popularity-aware eviction beats");
     println!("LRU on overall p99, and uniform overload trips the admission limiter.");
 
-    for r in rows.iter().filter(|r| r.name.starts_with(zipf_prefix)) {
+    for r in rows.iter().filter(|r| r.name.starts_with("zipf1k")) {
         assert!(
             r.warm_speedup_p99() >= 2.0,
             "{}: warm p99 must be >=2x better than cold (got {:.2}x)\n{}",
@@ -173,13 +174,15 @@ fn main() {
             .map(|r| r.report.overall.p99_ns)
             .expect("zipf1k row present")
     };
-    let lru = p99_of(format!("{zipf_prefix}-lru"));
-    let pop = p99_of(format!("{zipf_prefix}-popularity"));
-    assert!(
-        pop < lru,
-        "popularity-aware eviction must beat LRU on overall p99 under Zipf skew \
-         (popularity {pop}ns vs lru {lru}ns)"
-    );
+    for (prefix, _) in sweeps {
+        let lru = p99_of(format!("{prefix}-lru"));
+        let pop = p99_of(format!("{prefix}-popularity"));
+        assert!(
+            pop < lru,
+            "{prefix}: popularity-aware eviction must beat LRU on overall p99 under \
+             Zipf skew (popularity {pop}ns vs lru {lru}ns)"
+        );
+    }
     let shed = &rows.last().unwrap().report;
     assert!(
         shed.rejected > 0,
@@ -187,44 +190,25 @@ fn main() {
         shed.summary()
     );
 
-    dump_json("BENCH_serving.json", &rows, quick);
-}
-
-fn dump_json(path: &str, rows: &[Row], quick: bool) {
-    let mut out = String::from("{\n  \"benches\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut out = Report::default();
+    for r in &rows {
         let rep = &r.report;
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"policy\": \"{}\", \"requests\": {}, \
-             \"admitted\": {}, \"cold_count\": {}, \"warm_count\": {}, \
-             \"cold_p50_ns\": {}, \"cold_p99_ns\": {}, \"warm_p50_ns\": {}, \
-             \"warm_p99_ns\": {}, \"overall_p99_ns\": {}, \"warm_speedup_p99\": {:.4}, \
-             \"swaps\": {}, \"max_resident\": {}, \"restore_bytes_avoided\": {}, \
-             \"slo_breaches\": {}}}",
-            r.name,
-            rep.policy,
-            rep.requests,
-            rep.admitted,
-            rep.cold.count,
-            rep.warm.count,
-            rep.cold.p50_ns,
-            rep.cold.p99_ns,
-            rep.warm.p50_ns,
-            rep.warm.p99_ns,
-            rep.overall.p99_ns,
-            r.warm_speedup_p99(),
-            rep.swaps,
-            rep.max_resident,
-            rep.restore_bytes_avoided,
-            rep.breaches.len(),
-        ));
+        out.row(&r.name)
+            .field("policy", quote(&rep.policy))
+            .field("requests", rep.requests)
+            .field("admitted", rep.admitted)
+            .field("cold_count", rep.cold.count)
+            .field("warm_count", rep.warm.count)
+            .field("cold_p50_ns", rep.cold.p50_ns)
+            .field("cold_p99_ns", rep.cold.p99_ns)
+            .field("warm_p50_ns", rep.warm.p50_ns)
+            .field("warm_p99_ns", rep.warm.p99_ns)
+            .field("overall_p99_ns", rep.overall.p99_ns)
+            .field("warm_speedup_p99", fixed(r.warm_speedup_p99(), 4))
+            .field("swaps", rep.swaps)
+            .field("max_resident", rep.max_resident)
+            .field("restore_bytes_avoided", rep.restore_bytes_avoided)
+            .field("slo_breaches", rep.breaches.len());
     }
-    out.push_str(&format!("\n  ],\n  \"quick\": {quick}\n}}\n"));
-    match std::fs::write(path, out) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    out.finish("BENCH_serving.json")
 }

@@ -23,8 +23,12 @@
 //!   the macro number everything else serves.
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
-//! Dumps `BENCH_simkernel.json` next to the other `BENCH_*.json`
-//! artifacts.
+//! Ends by holding its rows against the committed
+//! `BENCH_simkernel.json` (`snapify_bench::report`): `events` must
+//! reproduce, and `events_per_sec` must stay above 0.35× the committed
+//! rate — a deliberately generous wall-clock margin that only catches
+//! order-of-magnitude collapses of the dispatch hot path (an accidental
+//! O(n) scan, a lost fast path), not machine or scheduler noise.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,6 +39,7 @@ use coi_sim::FunctionRegistry;
 use simkernel::time::{ms, us};
 use simkernel::{Kernel, Semaphore, SimChannel, SimMutex};
 use snapify::{checkpoint_application, SnapifyWorld};
+use snapify_bench::report::{fixed, Report};
 use workloads::{by_name, register_suite, WorkloadRun};
 
 /// One measured scenario: `events` simulation events dispatched in
@@ -222,10 +227,7 @@ fn e2e_checkpoint() -> u64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = snapify_bench::quick();
     let (warmups, batches) = if quick { (1, 2) } else { (2, 5) };
     let pp_rounds: u64 = if quick { 200 } else { 2000 };
     let mx_iters: u64 = if quick { 50 } else { 400 };
@@ -259,27 +261,17 @@ fn main() {
         ),
     ];
 
-    dump_json("BENCH_simkernel.json", &rows, quick);
-}
-
-fn dump_json(path: &str, rows: &[Row], quick: bool) {
-    let mut out = String::from("{\n  \"benches\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"events\": {}, \"wall_secs\": {:.6}, \
-             \"events_per_sec\": {:.1}}}",
-            r.name,
-            r.events,
-            r.secs,
-            r.events_per_sec()
-        ));
+    let mut report = Report::default();
+    report
+        .wall_clock("wall_secs", None)
+        .wall_clock("events_per_sec", Some(0.35));
+    for r in &rows {
+        report
+            .row(r.name)
+            .field("events", r.events)
+            .field("wall_secs", fixed(r.secs, 6))
+            .field("events_per_sec", fixed(r.events_per_sec(), 1));
     }
-    out.push_str(&format!("\n  ],\n  \"quick\": {quick}\n}}\n"));
-    match std::fs::write(path, out) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    report.scalar("quick", quick);
+    report.finish("BENCH_simkernel.json")
 }

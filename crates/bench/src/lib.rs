@@ -2,12 +2,21 @@
 //!
 //! Each table and figure of the paper's evaluation has its own bench
 //! target under `benches/` (custom harnesses — run with `cargo bench`).
-//! This crate holds the formatting and measurement plumbing they share.
+//! This crate holds the formatting and measurement plumbing they share,
+//! and [`report`] — the only code that writes or reads a `BENCH_*.json`.
 
 #![warn(missing_docs)]
 
+pub mod report;
+
 use phi_platform::PlatformParams;
 use simkernel::SimDuration;
+
+/// Whether this run was asked for the fast smoke sizes CI uses:
+/// `--quick` on the command line or `BENCH_QUICK=1` in the environment.
+pub fn quick() -> bool {
+    std::env::args().any(|a| a == "--quick") || std::env::var("BENCH_QUICK").is_ok_and(|v| v == "1")
+}
 
 /// Format a virtual duration as seconds with 3 decimals.
 pub fn secs(d: SimDuration) -> String {

@@ -265,22 +265,7 @@ fn checkpoint_impl(
 /// Size in bytes that a checkpoint of `proc` would produce (pure query —
 /// used by planners and benchmark reporting).
 pub fn image_size(config: &BlcrConfig, proc: &SimProcess, runtime_state_len: u64) -> u64 {
-    image_size_filtered(config, proc, runtime_state_len, &|_| true)
-}
-
-/// [`image_size`] restricted to the regions `include` accepts.
-pub fn image_size_filtered(
-    config: &BlcrConfig,
-    proc: &SimProcess,
-    runtime_state_len: u64,
-    include: &dyn Fn(&str) -> bool,
-) -> u64 {
-    let regions: Vec<(String, Payload)> = proc
-        .memory()
-        .snapshot_regions()
-        .into_iter()
-        .filter(|(name, _)| include(name))
-        .collect();
+    let regions = proc.memory().snapshot_regions();
     let mut total = MAGIC.len() as u64
         + config.preamble_writes as u64 * config.preamble_write_size
         + 8

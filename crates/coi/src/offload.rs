@@ -370,14 +370,6 @@ impl OffloadRuntime {
         self.inner.buffers.lock().values().map(|b| b.size).sum()
     }
 
-    /// Device-snapshot size a capture would produce right now.
-    pub fn snapshot_size(&self) -> u64 {
-        let state_len = self.serialize_state().len() as u64;
-        blcr_sim::image_size_filtered(&self.inner.blcr, &self.inner.proc, state_len, &|n| {
-            !n.starts_with(BUF_REGION_PREFIX)
-        })
-    }
-
     /// True if every SCIF channel of this process is empty in both
     /// directions *and* every received run request is recorded in the
     /// pipeline state — the consistency predicate of §3.
@@ -397,18 +389,6 @@ impl OffloadRuntime {
             && eps.event.inbound_pending() == 0
             && eps.event.outbound_pending() == 0
             && received == st.enqueued
-    }
-
-    /// Digest over the process's private (non-buffer) memory image.
-    pub fn private_digest(&self) -> u64 {
-        let mut combined = Payload::empty();
-        for (name, content) in self.inner.proc.memory().snapshot_regions() {
-            if !name.starts_with(BUF_REGION_PREFIX) {
-                combined.append(Payload::bytes(name.as_bytes().to_vec()));
-                combined.append(content);
-            }
-        }
-        combined.digest()
     }
 
     /// Digest over the local store (buffer contents, by id).

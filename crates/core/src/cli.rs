@@ -11,83 +11,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use coi_sim::CoiProcessHandle;
-use simkernel::obs;
 use simkernel::{SimChannel, SimMutex};
 
 use crate::api::{snapify_migrate, snapify_swapin, snapify_swapout, SnapifyT};
 use crate::SnapifyError;
-
-/// Observability flags accepted by every `snapify` tool invocation.
-///
-/// `--trace-out <path>` dumps a Chrome trace-event JSON file (loadable in
-/// Perfetto / `chrome://tracing`) when the run finishes; `--metrics-out
-/// <path>` dumps the metrics summary (phase breakdowns, counters,
-/// histograms) as JSON. Passing either flag turns event recording on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ObsOptions {
-    /// Where to write the Chrome trace-event JSON (`--trace-out`).
-    pub trace_out: Option<String>,
-    /// Where to write the metrics summary JSON (`--metrics-out`).
-    pub metrics_out: Option<String>,
-}
-
-impl ObsOptions {
-    /// Extract `--trace-out` / `--metrics-out` (either `--flag value` or
-    /// `--flag=value` form) from `args`, returning the parsed options and
-    /// the remaining arguments in order.
-    pub fn parse(args: &[String]) -> Result<(ObsOptions, Vec<String>), SnapifyError> {
-        let mut opts = ObsOptions::default();
-        let mut rest = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            fn slot<'a>(opts: &'a mut ObsOptions, flag: &str) -> &'a mut Option<String> {
-                match flag {
-                    "--trace-out" => &mut opts.trace_out,
-                    _ => &mut opts.metrics_out,
-                }
-            }
-            match arg.split_once('=') {
-                Some((flag @ ("--trace-out" | "--metrics-out"), value)) => {
-                    *slot(&mut opts, flag) = Some(value.to_string());
-                }
-                None if arg == "--trace-out" || arg == "--metrics-out" => {
-                    let value = it.next().ok_or_else(|| {
-                        SnapifyError::Protocol(format!("{arg} requires a path argument"))
-                    })?;
-                    *slot(&mut opts, arg) = Some(value.clone());
-                }
-                _ => rest.push(arg.clone()),
-            }
-        }
-        Ok((opts, rest))
-    }
-
-    /// Whether either output was requested.
-    pub fn recording_requested(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some()
-    }
-
-    /// Turn event recording on if either output was requested. Call this
-    /// before the instrumented run.
-    pub fn enable_recording(&self) {
-        if self.recording_requested() {
-            obs::enable();
-        }
-    }
-
-    /// Write the requested reports from the events recorded so far.
-    pub fn write_reports(&self) -> Result<(), SnapifyError> {
-        if let Some(path) = &self.trace_out {
-            std::fs::write(path, obs::chrome_trace())
-                .map_err(|e| SnapifyError::Io(format!("{path}: {e}")))?;
-        }
-        if let Some(path) = &self.metrics_out {
-            std::fs::write(path, obs::summary_json())
-                .map_err(|e| SnapifyError::Io(format!("{path}: {e}")))?;
-        }
-        Ok(())
-    }
-}
 
 /// A command accepted by the `snapify` utility.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -225,43 +152,5 @@ impl SnapifyCli {
             .get(&host_pid)
             .map(|r| r.snapshot.lock().is_some())
             .unwrap_or(false)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn obs_options_parse_both_forms() {
-        let (opts, rest) = ObsOptions::parse(&strings(&[
-            "swap-out",
-            "--trace-out",
-            "/tmp/trace.json",
-            "--metrics-out=/tmp/metrics.json",
-            "42",
-        ]))
-        .unwrap();
-        assert_eq!(opts.trace_out.as_deref(), Some("/tmp/trace.json"));
-        assert_eq!(opts.metrics_out.as_deref(), Some("/tmp/metrics.json"));
-        assert!(opts.recording_requested());
-        assert_eq!(rest, strings(&["swap-out", "42"]));
-    }
-
-    #[test]
-    fn obs_options_absent_by_default() {
-        let (opts, rest) = ObsOptions::parse(&strings(&["migrate", "1"])).unwrap();
-        assert_eq!(opts, ObsOptions::default());
-        assert!(!opts.recording_requested());
-        assert_eq!(rest, strings(&["migrate", "1"]));
-    }
-
-    #[test]
-    fn obs_options_missing_value_is_an_error() {
-        assert!(ObsOptions::parse(&strings(&["--trace-out"])).is_err());
     }
 }

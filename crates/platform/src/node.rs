@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use simkernel::{Bandwidth, BandwidthResource, SimDuration};
+use simkernel::{BandwidthResource, SimDuration};
 
 use crate::fs::{FsConfig, SimFs};
 use crate::memory::MemPool;
@@ -187,27 +187,10 @@ impl SimNode {
         simkernel::sleep(self.parallel_compute_time(flops, threads));
     }
 
-    /// Execute a single-threaded compute region.
-    pub fn serial_compute(&self, flops: f64) {
-        simkernel::sleep(SimDuration::from_secs_f64(
-            flops / self.inner.flops_per_core,
-        ));
-    }
-
     /// Perform a memory copy of `bytes` on this node (occupies the node's
     /// copy engine; concurrent copies serialize).
     pub fn memcpy(&self, bytes: u64) {
         self.inner.memcpy.transfer(bytes);
-    }
-
-    /// Memcpy cost without occupying the engine (cost-model query).
-    pub fn memcpy_time(&self, bytes: u64) -> SimDuration {
-        self.inner.memcpy.service_time(bytes)
-    }
-
-    /// Memory-copy bandwidth of the node.
-    pub fn memcpy_bw(&self) -> Bandwidth {
-        self.inner.memcpy.bandwidth()
     }
 }
 

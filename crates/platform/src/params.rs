@@ -137,24 +137,9 @@ impl Default for PlatformParams {
 }
 
 impl PlatformParams {
-    /// The default parameter set renamed for cluster node `n` — every
-    /// node of a fleet gets a distinct `hostname` (`node0`, `node1`, …)
-    /// while sharing the Table 2 hardware configuration.
-    pub fn for_cluster_node(n: usize) -> PlatformParams {
-        PlatformParams {
-            hostname: format!("node{n}"),
-            ..PlatformParams::default()
-        }
-    }
-
     /// Effective parallel compute throughput of one Phi card, in FLOPS.
     pub fn phi_flops(&self) -> f64 {
         self.phi_cores as f64 * self.phi_gflops_per_core * 1e9
-    }
-
-    /// Effective parallel compute throughput of the host, in FLOPS.
-    pub fn host_flops(&self) -> f64 {
-        self.host_cores as f64 * self.host_gflops_per_core * 1e9
     }
 
     /// Render the configuration as a Table 2-style block (printed in every

@@ -513,16 +513,6 @@ impl ScifEndpoint {
         self.tx.is_closed()
     }
 
-    /// Local node.
-    pub fn local_node(&self) -> NodeId {
-        self.local
-    }
-
-    /// Peer node.
-    pub fn peer_node(&self) -> NodeId {
-        self.peer
-    }
-
     /// Connection identifier (diagnostics).
     pub fn conn_id(&self) -> u64 {
         self.conn_id

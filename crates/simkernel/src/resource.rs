@@ -170,11 +170,6 @@ impl BandwidthResource {
         &self.inner.name
     }
 
-    /// Configured bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.inner.bandwidth
-    }
-
     /// Configured per-operation latency.
     pub fn per_op_latency(&self) -> SimDuration {
         self.inner.per_op_latency

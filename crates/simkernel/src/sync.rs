@@ -246,11 +246,6 @@ impl SimCondvar {
         }
         n
     }
-
-    /// Number of threads currently waiting.
-    pub fn waiter_count(&self) -> usize {
-        self.waiters.lock().unwrap().len()
-    }
 }
 
 impl fmt::Debug for SimCondvar {

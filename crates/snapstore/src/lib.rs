@@ -1592,7 +1592,9 @@ impl Manifest {
         for _ in 0..n {
             let digest = u64_at(&mut off)?;
             let len = u64_at(&mut off)?;
-            sum += len;
+            sum = sum
+                .checked_add(len)
+                .ok_or("manifest chunk lengths overflow u64")?;
             chunks.push((digest, len));
         }
         let total = u64_at(&mut off)?;
@@ -2434,5 +2436,51 @@ mod tests {
         let n = bad_sum.len();
         bad_sum[n - 17] ^= 1; // flip a bit in `total`
         assert!(Manifest::decode(&bad_sum).is_err());
+    }
+
+    /// 64 bytes, `n = 2` passes the `n > len / 16` guard, and the two
+    /// lengths sum past `u64::MAX`.
+    #[test]
+    fn manifest_length_overflow_is_an_error() {
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        for word in [2, 1, u64::MAX, 2, u64::MAX, 0, 0] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(bytes.len(), 64);
+        let err = Manifest::decode(&bytes).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn manifest_decode_inverts_encode(
+            chunks in prop::collection::vec((any::<u64>(), 0u64..(1 << 40)), 0..32),
+            image_digest in any::<u64>(),
+        ) {
+            let m = Manifest {
+                total: chunks.iter().map(|(_, len)| len).sum(),
+                chunks,
+                image_digest,
+            };
+            prop_assert_eq!(Manifest::decode(&m.encode()), Ok(m));
+        }
+
+        #[test]
+        fn manifest_decode_never_panics(
+            words in prop::collection::vec(prop_oneof![0u64..4, any::<u64>()], 0..12),
+            tail in prop::collection::vec(any::<u8>(), 0..8),
+            magic in any::<bool>(),
+        ) {
+            // Raw noise dies on the magic; a real magic and small words
+            // drive the count guard, the length sum and the tail checks.
+            let mut bytes = if magic { MANIFEST_MAGIC.to_vec() } else { Vec::new() };
+            for w in words {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+            bytes.extend_from_slice(&tail);
+            let _ = Manifest::decode(&bytes);
+        }
     }
 }

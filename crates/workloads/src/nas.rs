@@ -107,11 +107,6 @@ pub fn nas_by_name(name: &str) -> Option<MzSpec> {
     nas_suite().into_iter().find(|s| s.name == name)
 }
 
-/// Register the per-rank binary of a multi-zone run.
-pub fn register_nas(registry: &FunctionRegistry, spec: &MzSpec, ranks: usize) {
-    registry.register(crate::kernel::build_binary(&spec.per_rank(ranks)));
-}
-
 /// One rank of a running multi-zone application.
 pub struct MzRank {
     comm: Comm,
