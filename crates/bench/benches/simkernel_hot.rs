@@ -17,10 +17,21 @@
 //! * `idle_pollers_64` — 64 threads in `sleep_poll` on a 200 µs grid whose
 //!   predicate stays false until the last tick (the COI daemon's Snapify
 //!   monitor, idle); measures the dispatcher's threadless tick path.
-//! * `spawn_join_1000` — spawn/join of 1000 simulated threads (each a
-//!   real OS thread); measures thread-table and startup costs.
+//! * `spawn_join_1000` — spawn/join of 1000 simulated threads alive at
+//!   once (so 1000 OS threads); measures thread-table and startup costs.
+//! * `spawn_join_seq_1000` — 1000 times spawn one thread and join it, the
+//!   serving layer's per-request pattern; every spawn after the first
+//!   reuses the OS thread the previous one left idle.
 //! * `e2e_checkpoint` — a full Snapify checkpoint of a JAC offload run,
 //!   the macro number everything else serves.
+//!
+//! The process pins itself to the lowest CPU it is allowed on before it
+//! measures (Linux; the rule `benchmark/README.md` states for its
+//! children). The kernel runs one simulated thread at a time, so a second
+//! CPU adds nothing but cross-CPU wake-ups — and whether the host
+//! scheduler spreads the workers over two CPUs varies from run to run:
+//! unpinned on a 2-core host the same binary lands at ≈50 k or ≈300–590 k
+//! events/sec per row, pinned the rows repeat within ±15%.
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
 //! Ends by holding its rows against the committed
@@ -202,6 +213,23 @@ fn spawn_join_1000() -> u64 {
     2000
 }
 
+/// Spawn one thread and join it, 1000 times. Events = spawns + exits.
+fn spawn_join_seq_1000() -> u64 {
+    Kernel::run_root(|| {
+        let sum: u64 = (0..1000u64)
+            .map(|t| {
+                simkernel::spawn(format!("s{t}"), move || {
+                    simkernel::sleep(us(t % 11));
+                    t
+                })
+                .join()
+            })
+            .sum();
+        assert_eq!(sum, 999 * 1000 / 2);
+    });
+    2000
+}
+
 /// One full checkpoint of a running JAC offload application — the macro
 /// workload the microbenches exist to speed up. Events are not counted
 /// here; the row reports runs/sec (events = 1 per run).
@@ -226,8 +254,38 @@ fn e2e_checkpoint() -> u64 {
     1
 }
 
+/// Pin this process (every thread it spawns inherits the mask) to the
+/// lowest CPU its affinity mask allows. Returns that CPU.
+#[cfg(target_os = "linux")]
+fn pin_to_first_cpu() -> Result<usize, &'static str> {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    // SAFETY: `mask` is a live, writable buffer of exactly the size passed.
+    if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
+        return Err("sched_getaffinity failed");
+    }
+    let word = mask.iter().position(|w| *w != 0).ok_or("empty mask")?;
+    let cpu = word * 64 + mask[word].trailing_zeros() as usize;
+    let mut one = [0u64; 16];
+    one[word] = 1 << (cpu % 64);
+    // SAFETY: `one` is a live buffer of exactly the size passed; the
+    // kernel only reads it.
+    if unsafe { sched_setaffinity(0, std::mem::size_of_val(&one), one.as_ptr()) } != 0 {
+        return Err("sched_setaffinity failed");
+    }
+    Ok(cpu)
+}
+
 fn main() {
     let quick = snapify_bench::quick();
+    #[cfg(target_os = "linux")]
+    match pin_to_first_cpu() {
+        Ok(cpu) => println!("pinned to CPU {cpu}"),
+        Err(why) => println!("NOT pinned ({why}): rows will not repeat"),
+    }
     let (warmups, batches) = if quick { (1, 2) } else { (2, 5) };
     let pp_rounds: u64 = if quick { 200 } else { 2000 };
     let mx_iters: u64 = if quick { 50 } else { 400 };
@@ -253,6 +311,7 @@ fn main() {
             idle_pollers_64(poll_ticks)
         }),
         measure("spawn_join_1000", warmups, batches, spawn_join_1000),
+        measure("spawn_join_seq_1000", warmups, batches, spawn_join_seq_1000),
         measure(
             "e2e_checkpoint",
             if quick { 0 } else { 1 },

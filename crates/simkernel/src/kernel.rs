@@ -2,13 +2,16 @@
 //!
 //! # Execution model
 //!
-//! Every *simulated thread* is a real OS thread, but **exactly one simulated
+//! Every *simulated thread* runs on a real OS thread (a *worker*, which
+//! runs one simulated thread at a time and is handed the next one to be
+//! spawned when its current one finishes), but **exactly one simulated
 //! thread executes at any moment**. A single "token" is handed from thread to
 //! thread by the scheduler: a thread runs until it performs a blocking
 //! simulation operation (sleep, lock acquisition, channel receive, join, …),
 //! at which point it selects the next runnable thread — the one with the
 //! earliest pending wake-up time — advances the virtual clock to that time,
-//! grants it the token, and parks itself.
+//! marks it as the token holder, and then — scheduler lock released —
+//! signals it and parks itself.
 //!
 //! This "single token" discipline has two important consequences that the
 //! rest of the workspace relies on:
@@ -32,12 +35,32 @@
 //! workspace, so the token hand-off is engineered to touch as little
 //! shared state as possible:
 //!
-//! * **Per-thread parking slots.** Each simulated thread parks on its own
+//! * **Per-thread parking slots.** Each worker parks on its own
 //!   `Mutex<SlotState>` + `Condvar` pair. Granting the token signals
 //!   exactly that thread's slot — one `notify_one` on an uncontended
 //!   condvar — instead of broadcasting on a global condvar and waking all
 //!   N parked threads to re-check who was granted (the previous design's
 //!   thundering herd, O(N) wake-ups per event).
+//! * **Grant outside the lock.** Dispatch only *chooses* under the
+//!   scheduler lock: it marks the grantee `Running` and returns its worker.
+//!   The granter releases the scheduler lock, signals the grantee's slot
+//!   (releasing the slot mutex before `notify_one`), and parks on its own
+//!   slot. The woken thread therefore never runs into a mutex the granter
+//!   still holds, and a hand-off costs one OS context switch instead of
+//!   the 2.4 it cost when the wake-up was sent from inside both locks
+//!   (wake, preempt, block on the lock, switch back to unlock, switch
+//!   again). Nothing runs between the mark and the signal, and slot states
+//!   are sticky, so a grant that reaches a slot before its owner has
+//!   parked there — possible on a second CPU — is simply found on arrival.
+//! * **Recycled OS threads.** A worker whose simulated thread has exited
+//!   waits on the kernel's idle list; `spawn` hands it the new thread's
+//!   `(tid, closure)` instead of creating an OS thread, so a spawn
+//!   costs no syscall and OS threads are bounded by the peak number of
+//!   simulated threads alive at once, not by the number ever spawned. When
+//!   the run ends the idle workers are told to exit and the driver joins
+//!   them. Workers are named `sim-worker-{n}`: dumps and the `thread '…'
+//!   panicked` failure carry the *simulated* thread's name, std's own
+//!   panic-hook line the worker's.
 //! * **Slab thread table.** `Tid`s are dense and monotonically assigned,
 //!   so thread metadata lives in a `Vec` indexed by `tid - 1`, not a
 //!   `HashMap` (no hashing on every dispatch).
@@ -79,6 +102,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -200,9 +224,12 @@ enum TState {
     Finished,
 }
 
-/// A simulated thread's private parking spot. The scheduler signals it to
-/// hand over the token; nothing else ever waits on it, so a grant wakes
-/// exactly one OS thread.
+/// A worker's private parking spot. A grant signals it to hand over the
+/// token; nothing else ever waits on it, so a grant wakes exactly one OS
+/// thread. The state is sticky: a grant that arrives before the owner is
+/// back in [`Slot::wait`] — the granter signals *after* releasing the
+/// scheduler lock, so on a second CPU the grantee can run, wake the
+/// granter and block again first — is found there when the owner parks.
 struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
@@ -219,20 +246,24 @@ enum SlotState {
 }
 
 impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
+    fn new() -> Slot {
+        Slot {
             state: Mutex::new(SlotState::Parked),
             cv: Condvar::new(),
-        })
+        }
     }
 
-    /// Hand the token to this slot's owner. Wakes at most one OS thread.
+    /// Hand the token to this slot's owner. Wakes at most one OS thread,
+    /// and only after the slot mutex is free again, so the woken thread
+    /// does not run straight into it. Never called under the scheduler
+    /// lock on the hand-off path (see [`Kernel::park`]).
     fn grant(&self) {
         let mut st = self.state.lock().unwrap();
         debug_assert!(*st != SlotState::Granted, "double grant");
         if *st != SlotState::Shutdown {
             *st = SlotState::Granted;
         }
+        drop(st);
         self.cv.notify_one();
     }
 
@@ -266,14 +297,54 @@ impl Slot {
     }
 }
 
+/// An OS thread that runs simulated threads, one after another: when a
+/// simulated thread's closure returns, its worker goes onto the kernel's
+/// idle list ([`Sched::idle`]) instead of exiting, and the next
+/// [`Kernel::spawn`] hands it the new thread — no `clone`, no stack
+/// `mmap`/`munmap`, and no wake-up until that thread's first grant.
+struct Worker {
+    slot: Slot,
+    /// The simulated thread to run at the next grant, left here by
+    /// `spawn_inner`. A grant that finds it empty is the end-of-run
+    /// release of an idle worker: the OS thread exits.
+    job: Mutex<Option<Job>>,
+    /// This OS thread's handle, for the driver to join after the release.
+    os: Mutex<Option<thread::JoinHandle<()>>>,
+}
+
+/// What `spawn_inner` leaves in a worker's mailbox.
+struct Job {
+    tid: Tid,
+    /// The thread's closure, wrapped to store its result in the
+    /// [`JoinHandle`]; returns the panic message if it panicked.
+    body: Box<dyn FnOnce() -> Option<String> + Send>,
+}
+
+impl Worker {
+    /// The life of a worker OS thread: park until granted, run the
+    /// simulated thread found in the mailbox, go idle, repeat.
+    fn main(self: Arc<Worker>, kernel: Kernel) {
+        loop {
+            self.slot.wait();
+            let Some(job) = self.job.lock().unwrap().take() else {
+                return;
+            };
+            CTX.with(|c| *c.borrow_mut() = Some((kernel.clone(), job.tid)));
+            let panic_msg = (job.body)();
+            kernel.thread_exit(job.tid, panic_msg);
+        }
+    }
+}
+
 struct ThreadInfo {
     name: String,
     state: TState,
     /// Daemon threads (service loops) do not keep the simulation alive:
     /// the run ends when the last non-daemon thread finishes.
     daemon: bool,
-    /// This thread's private parking spot.
-    slot: Arc<Slot>,
+    /// The OS thread running this simulated thread; the token is handed
+    /// over through its slot. A `Finished` thread's worker has moved on.
+    worker: Arc<Worker>,
     /// Why the thread is blocked (for deadlock dumps): static kind and
     /// suffix plus a reusable buffer holding the dynamic name — refilled
     /// in place on every block, so steady-state blocking never allocates.
@@ -319,11 +390,6 @@ impl ThreadInfo {
     }
 }
 
-/// Minimum `spawned_os` length before a reap sweep runs (see
-/// `Sched::reap_at`). Small runs never sweep; large runs sweep with
-/// frequency inversely proportional to the live-thread count.
-const REAP_FLOOR: usize = 256;
-
 struct Sched {
     now: SimTime,
     seq: u64,
@@ -338,12 +404,12 @@ struct Sched {
     shutdown: bool,
     failure: Option<String>,
     trace: Option<Vec<TraceEvent>>,
-    spawned_os: Vec<(thread::JoinHandle<()>, bool)>,
-    /// Reap finished OS threads once `spawned_os` reaches this length.
-    /// Finished-but-unjoined threads keep their stack mappings alive, and
-    /// long runs with many short-lived simulated threads exhaust the
-    /// process mapping budget (`vm.max_map_count`) without reaping.
-    reap_at: usize,
+    /// Workers whose simulated thread has exited, most recent last: the
+    /// next spawn takes one instead of creating an OS thread, so OS
+    /// threads are bounded by the peak number of concurrently live
+    /// simulated threads, not by the number ever spawned. Released (told
+    /// to exit) by `shutdown_all`, joined by the driver.
+    idle: Vec<Arc<Worker>>,
     /// Tie-break policy; `rng` is the splitmix64 state for `Random`.
     policy: SchedPolicy,
     rng: u64,
@@ -396,6 +462,8 @@ struct Inner {
     trace_on: AtomicBool,
     /// The driver of `Kernel::run` parks here waiting for completion.
     driver_cv: Condvar,
+    /// OS threads created so far (a statistic; also numbers the workers).
+    os_threads_created: AtomicU64,
     /// Domain id of this kernel in a multi-domain run (0 outside one),
     /// mixed into observability thread ids (`tid | domain << 24`) so
     /// per-domain event streams stay distinct in the shared flight
@@ -499,8 +567,7 @@ impl Kernel {
                     shutdown: false,
                     failure: None,
                     trace: None,
-                    spawned_os: Vec::new(),
-                    reap_at: REAP_FLOOR,
+                    idle: Vec::new(),
                     policy,
                     rng,
                     livelock_threshold: None,
@@ -515,6 +582,7 @@ impl Kernel {
                 now_ns: AtomicU64::new(0),
                 trace_on: AtomicBool::new(false),
                 driver_cv: Condvar::new(),
+                os_threads_created: AtomicU64::new(0),
                 domain_tag: AtomicU32::new(0),
             }),
         }
@@ -629,83 +697,49 @@ impl Kernel {
         let name = name.into();
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let result2 = Arc::clone(&result);
-        let kernel = self.clone();
-        let slot = Slot::new();
-        let slot2 = Arc::clone(&slot);
+        let body = Box::new(move || match panic::catch_unwind(AssertUnwindSafe(f)) {
+            Ok(v) => {
+                *result2.lock().unwrap() = Some(v);
+                None
+            }
+            Err(payload) => Some(payload_to_string(payload.as_ref())),
+        });
 
-        let tid = {
+        let idle = {
             let mut s = self.inner.sched.lock().unwrap();
             assert!(!s.done, "cannot spawn after the simulation finished");
-            let tid = s.threads.len() as Tid + 1;
-            let now = s.now;
-            s.threads.push(ThreadInfo {
-                name: name.clone(),
-                state: TState::Runnable,
-                daemon,
-                slot,
-                block_kind: "",
-                block_suffix: "",
-                block_name: String::new(),
-                block_deadline: None,
-                block_since: now,
-                joiners: Vec::new(),
-                generation: 0,
-                poll: None,
-            });
-            if !daemon {
-                s.live += 1;
-            }
-            let (now, seq) = (s.now, s.seq);
-            s.seq += 1;
-            s.runq.push(Reverse((now, seq, tid, 0)));
-            trace(&mut s, tid, "spawn");
-            tid
+            s.idle.pop()
         };
+        // An OS thread is only created (outside the scheduler lock) when
+        // no finished simulated thread has left its worker behind.
+        let worker = idle.unwrap_or_else(|| self.new_worker());
 
-        let os = thread::Builder::new()
-            .name(format!("sim-{tid}-{name}"))
-            .spawn(move || {
-                CTX.with(|c| *c.borrow_mut() = Some((kernel.clone(), tid)));
-                // Park until granted for the first time.
-                slot2.wait();
-                let out = panic::catch_unwind(AssertUnwindSafe(f));
-                match out {
-                    Ok(v) => {
-                        *result2.lock().unwrap() = Some(v);
-                        kernel.thread_exit(tid, daemon, None);
-                    }
-                    Err(payload) => {
-                        let msg = payload_to_string(payload.as_ref());
-                        kernel.thread_exit(tid, daemon, Some(msg));
-                    }
-                }
-            })
-            .expect("failed to spawn OS thread for simulated thread");
-
-        {
-            let mut s = self.inner.sched.lock().unwrap();
-            s.spawned_os.push((os, daemon));
-            if s.spawned_os.len() >= s.reap_at {
-                // Join OS threads whose simulated thread has exited so their
-                // stacks are unmapped mid-run. A finished thread has already
-                // passed `thread_exit` (it runs inside the closure), so the
-                // join cannot wait on anything that needs the sched lock.
-                let handles = std::mem::take(&mut s.spawned_os);
-                let mut keep = Vec::with_capacity(handles.len());
-                for (h, d) in handles {
-                    if h.is_finished() {
-                        let _ = h.join();
-                    } else {
-                        keep.push((h, d));
-                    }
-                }
-                s.spawned_os = keep;
-                // Double the threshold relative to the surviving set so the
-                // sweep stays amortized O(1) per spawn even when thousands of
-                // threads are long-lived.
-                s.reap_at = (s.spawned_os.len() * 2).max(REAP_FLOOR);
-            }
+        let mut s = self.inner.sched.lock().unwrap();
+        let tid = s.threads.len() as Tid + 1;
+        *worker.job.lock().unwrap() = Some(Job { tid, body });
+        let now = s.now;
+        s.threads.push(ThreadInfo {
+            name: name.clone(),
+            state: TState::Runnable,
+            daemon,
+            worker,
+            block_kind: "",
+            block_suffix: "",
+            block_name: String::new(),
+            block_deadline: None,
+            block_since: now,
+            joiners: Vec::new(),
+            generation: 0,
+            poll: None,
+        });
+        if !daemon {
+            s.live += 1;
         }
+        let seq = s.seq;
+        s.seq += 1;
+        s.runq.push(Reverse((now, seq, tid, 0)));
+        trace(&mut s, tid, "spawn");
+        drop(s);
 
         JoinHandle {
             kernel: self.clone(),
@@ -713,6 +747,34 @@ impl Kernel {
             name,
             result,
         }
+    }
+
+    /// Create a worker OS thread, parked on its slot until the simulated
+    /// thread it is about to be given is first granted the token.
+    fn new_worker(&self) -> Arc<Worker> {
+        let n = self
+            .inner
+            .os_threads_created
+            .fetch_add(1, Ordering::Relaxed);
+        let worker = Arc::new(Worker {
+            slot: Slot::new(),
+            job: Mutex::new(None),
+            os: Mutex::new(None),
+        });
+        let (w, kernel) = (Arc::clone(&worker), self.clone());
+        let os = thread::Builder::new()
+            .name(format!("sim-worker-{n}"))
+            .spawn(move || w.main(kernel))
+            .expect("failed to spawn OS thread for simulated thread");
+        *worker.os.lock().unwrap() = Some(os);
+        worker
+    }
+
+    /// How many OS threads this kernel has created. Workers are recycled,
+    /// so this is the peak number of simulated threads that were alive at
+    /// once, not the number ever spawned.
+    pub fn os_threads_created(&self) -> u64 {
+        self.inner.os_threads_created.load(Ordering::Relaxed)
     }
 
     /// Run the simulation to completion. Blocks the calling (real) thread
@@ -727,27 +789,15 @@ impl Kernel {
         if s.live == 0 {
             s.done = true;
         } else {
-            self.dispatch(&mut s);
+            s = self.dispatch_from_driver(s);
         }
         while !s.done {
             s = self.inner.driver_cv.wait(s).unwrap();
         }
         let failure = s.failure.clone();
-        let handles = std::mem::take(&mut s.spawned_os);
-        drop(s);
+        join_released(s);
         if let Some(msg) = failure {
-            // Aborted simulation: surviving simulated threads are parked
-            // forever (see `Slot::wait`), so they cannot be joined.
-            // Unwinding them instead would run user destructors concurrently
-            // against a dead scheduler.
             panic!("simulation failed: {msg}");
-        }
-        for (h, daemon) in handles {
-            // Daemon threads may be parked forever (shutdown at completion);
-            // only non-daemon threads are guaranteed to have exited.
-            if !daemon {
-                let _ = h.join();
-            }
         }
     }
 
@@ -797,8 +847,8 @@ impl Kernel {
             let label = format!("block: {reason}");
             trace(&mut s, me, &label);
         }
-        self.dispatch(&mut s);
-        self.park(s, me);
+        let next = self.dispatch(&mut s);
+        self.park(s, me, next);
     }
 
     /// Block the calling simulated thread until virtual time `deadline`
@@ -830,8 +880,8 @@ impl Kernel {
         info.state = TState::Runnable;
         info.poll = poll;
         requeue_timed(&mut s, me, deadline, reason);
-        self.dispatch(&mut s);
-        self.park(s, me);
+        let next = self.dispatch(&mut s);
+        self.park(s, me, next);
         self.now()
     }
 
@@ -966,28 +1016,61 @@ impl Kernel {
         self.inner.sched.lock().unwrap().live
     }
 
-    /// Release the scheduler lock and park on our own slot until granted.
-    fn park(&self, s: MutexGuard<'_, Sched>, me: Tid) {
-        let slot = Arc::clone(&s.info(me).slot);
+    /// The second half of every hand-off: release the scheduler lock,
+    /// *then* signal the thread `dispatch` chose, then park on our own
+    /// slot until granted. Signalling with the lock released is what makes
+    /// a hand-off one OS context switch: the woken thread finds both the
+    /// scheduler mutex and its slot mutex free, so it is never put back to
+    /// sleep just for the granter to be switched in to unlock.
+    fn park(&self, s: MutexGuard<'_, Sched>, me: Tid, next: Option<Arc<Worker>>) {
+        let mine = Arc::clone(&s.info(me).worker);
         drop(s);
-        slot.wait();
+        if let Some(next) = next {
+            if Arc::ptr_eq(&next, &mine) {
+                // Our own turn came up again (e.g. the only runnable
+                // thread sleeping): keep the token, signal nobody.
+                return;
+            }
+            next.slot.grant();
+        }
+        mine.slot.wait();
     }
 
-    /// Select the next runnable thread, advance the clock, and grant it the
-    /// token (waking exactly one OS thread, via its private slot). Must be
-    /// called with no thread currently granted.
-    fn dispatch(&self, s: &mut Sched) {
+    /// Select the next runnable thread, advance the clock and mark it
+    /// `Running`. Returns its worker for the caller to signal **after
+    /// releasing the scheduler lock**, or `None` if there is nobody to
+    /// grant (run over, or paused at a window barrier). Must be called
+    /// with no thread currently granted. Between the mark and the signal
+    /// no simulated thread runs — the granter only unlocks and signals —
+    /// so the single-token discipline holds as if both happened at once.
+    fn dispatch(&self, s: &mut Sched) -> Option<Arc<Worker>> {
         debug_assert!(s.running.is_none());
-        while !self.pick_next(s) {}
+        loop {
+            if let ControlFlow::Break(next) = self.pick_next(s) {
+                return next;
+            }
+        }
     }
 
-    /// One pick of [`Kernel::dispatch`]. Returns `false` if it must pick
-    /// again: the thread whose turn came is parked in
-    /// [`Kernel::sleep_poll`] and its predicate had nothing for it to do,
-    /// so its next tick was queued on its behalf. Picking again goes
-    /// through the same horizon check, livelock accounting and tie-break
-    /// as the pick the thread's own `sleep` would have caused.
-    fn pick_next(&self, s: &mut Sched) -> bool {
+    /// [`Kernel::dispatch`] for a driver (`run`, `step_until`), which has
+    /// no slot to park on: signal outside the lock like every hand-off,
+    /// then take the lock back to wait on `driver_cv`.
+    fn dispatch_from_driver<'a>(&'a self, mut s: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
+        if let Some(next) = self.dispatch(&mut s) {
+            drop(s);
+            next.slot.grant();
+            s = self.inner.sched.lock().unwrap();
+        }
+        s
+    }
+
+    /// One pick of [`Kernel::dispatch`]. `Continue` means pick again: the
+    /// thread whose turn came is parked in [`Kernel::sleep_poll`] and its
+    /// predicate had nothing for it to do, so its next tick was queued on
+    /// its behalf. Picking again goes through the same horizon check,
+    /// livelock accounting and tie-break as the pick the thread's own
+    /// `sleep` would have caused. `Break` carries what `dispatch` returns.
+    fn pick_next(&self, s: &mut Sched) -> ControlFlow<Option<Arc<Worker>>> {
         let next = match s.policy {
             SchedPolicy::Fifo => pop_valid(s),
             SchedPolicy::Random(_) => pop_random_tie(s),
@@ -1004,7 +1087,7 @@ impl Kernel {
                             s.failure = Some(livelock_dump(s, limit));
                             s.done = true;
                             self.shutdown_all(s);
-                            return true;
+                            return ControlFlow::Break(None);
                         }
                     }
                 }
@@ -1022,12 +1105,12 @@ impl Kernel {
                             let deadline = now + poll.interval;
                             requeue_timed(s, tid, deadline, BlockReason::fixed("sleep"));
                             s.inline_polls += 1;
-                            return false;
+                            return ControlFlow::Continue(());
                         }
                         Err(payload) => {
                             let msg = payload_to_string(payload.as_ref());
                             self.fail_thread_panicked(s, tid, &msg);
-                            return true;
+                            return ControlFlow::Break(None);
                         }
                     }
                 }
@@ -1037,7 +1120,7 @@ impl Kernel {
                 info.block_kind = "";
                 info.block_suffix = "";
                 info.block_deadline = None;
-                info.slot.grant();
+                return ControlFlow::Break(Some(Arc::clone(&info.worker)));
             }
             Picked::Horizon(t) => {
                 // The earliest pending event is at or past the safe
@@ -1060,7 +1143,7 @@ impl Kernel {
                     s.paused = true;
                     s.paused_next = None;
                     self.inner.driver_cv.notify_all();
-                    return true;
+                    return ControlFlow::Break(None);
                 } else {
                     s.failure = Some(deadlock_dump(s));
                     s.done = true;
@@ -1068,7 +1151,7 @@ impl Kernel {
                 self.shutdown_all(s);
             }
         }
-        true
+        ControlFlow::Break(None)
     }
 
     /// Fail the run because thread `tid`'s code panicked with `msg`, and
@@ -1081,30 +1164,37 @@ impl Kernel {
         self.shutdown_all(s);
     }
 
-    /// Park every simulated thread forever and wake the driver.
+    /// Park every simulated thread forever, release the idle workers (a
+    /// grant with an empty mailbox: they exit) and wake the driver.
     fn shutdown_all(&self, s: &mut Sched) {
         s.shutdown = true;
         for info in &s.threads {
             if info.state != TState::Finished {
-                info.slot.shutdown();
+                info.worker.slot.shutdown();
             }
+        }
+        for worker in &s.idle {
+            worker.slot.grant();
         }
         self.inner.driver_cv.notify_all();
     }
 
     /// Exit protocol for a finishing simulated thread.
-    fn thread_exit(&self, me: Tid, daemon: bool, panic_msg: Option<String>) {
+    fn thread_exit(&self, me: Tid, panic_msg: Option<String>) {
         let mut s = self.inner.sched.lock().unwrap();
+        let daemon = s.info(me).daemon;
         debug_assert_eq!(s.running, Some(me));
         s.running = None;
         if !daemon {
             s.live -= 1;
         }
-        let joiners = {
-            let info = s.info_mut(me);
-            info.state = TState::Finished;
-            std::mem::take(&mut info.joiners)
-        };
+        let info = s.info_mut(me);
+        info.state = TState::Finished;
+        let joiners = std::mem::take(&mut info.joiners);
+        // This OS thread is free for the next spawn from here on; it parks
+        // on its slot as soon as it is back in `Worker::main`.
+        let worker = Arc::clone(&info.worker);
+        s.idle.push(worker);
         trace(&mut s, me, "exit");
         for j in joiners {
             let (now, seq) = (s.now, s.seq);
@@ -1116,6 +1206,7 @@ impl Kernel {
             let generation = info.generation;
             s.runq.push(Reverse((now, seq, j, generation)));
         }
+        let mut next = None;
         if let Some(msg) = panic_msg {
             self.fail_thread_panicked(&mut s, me, &msg);
         } else if !daemon && s.live == 0 {
@@ -1124,9 +1215,13 @@ impl Kernel {
             s.done = true;
             self.shutdown_all(&mut s);
         } else if !s.shutdown {
-            self.dispatch(&mut s);
+            next = self.dispatch(&mut s);
         }
+        drop(s);
         CTX.with(|c| *c.borrow_mut() = None);
+        if let Some(next) = next {
+            next.slot.grant();
+        }
     }
 
     /// Join on a thread: block until it finishes.
@@ -1189,14 +1284,16 @@ impl Kernel {
                 s.done = true;
                 self.shutdown_all(&mut s);
             } else {
-                self.dispatch(&mut s);
+                s = self.dispatch_from_driver(s);
                 while !s.done && !s.paused {
                     s = self.inner.driver_cv.wait(s).unwrap();
                 }
             }
         }
         if s.done {
-            match s.failure.clone() {
+            let failure = s.failure.clone();
+            join_released(s);
+            match failure {
                 Some(msg) => StepOutcome::Failed(msg),
                 None => StepOutcome::Done,
             }
@@ -1304,6 +1401,22 @@ pub(crate) enum StepOutcome {
     Paused { next: Option<SimTime> },
     /// The domain aborted (thread panic or livelock dump).
     Failed(String),
+}
+
+/// Join the idle workers `shutdown_all` released, once the run is done.
+/// Simulated threads that had not finished — parked daemons at completion,
+/// every survivor of an abort — are parked forever (see [`Slot::wait`]:
+/// unwinding them would run user destructors against a dead scheduler) and
+/// cannot be joined; their workers are not on the idle list.
+fn join_released(mut s: MutexGuard<'_, Sched>) {
+    debug_assert!(s.done);
+    let idle = std::mem::take(&mut s.idle);
+    drop(s);
+    for worker in idle {
+        if let Some(os) = worker.os.lock().unwrap().take() {
+            let _ = os.join();
+        }
+    }
 }
 
 /// Observability timestamp source: virtual time + simulated thread id
