@@ -1,8 +1,8 @@
 //! **obs_overhead** — wall-clock cost of the dimensional telemetry
 //! pipeline on the swap plane's hot path.
 //!
-//! The labeled-metrics contract is that instrumentation is cheap enough
-//! to leave on: interned label sets mean no per-observation allocation,
+//! The metrics contract is that instrumentation is cheap enough to
+//! leave on: interned label sets mean no per-observation allocation,
 //! and every recording site is gated on one relaxed atomic load when
 //! the recorder is disabled. This harness proves both ends:
 //!
@@ -11,17 +11,15 @@
 //!   the recorder disabled vs enabled. The relative delta is the
 //!   pipeline's end-to-end overhead; the gate requires it under 5%
 //!   (full mode).
-//! * `labeled_hot_path` — a micro-loop of labeled counter + latency
-//!   sketch observations through cached [`MetricId`]s, reporting ns/op
-//!   for one fully-labeled observation.
+//! * `labeled_hot_path` — a micro-loop of the two calls production
+//!   makes (`counter_add_labeled` + `sketch_observe_labeled`, three
+//!   labels each), reporting ns/op for one fully-labeled observation.
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI);
 //! quick runs are too short for a tight relative bound, so the gate
 //! loosens to 25% there. Ends by writing `BENCH_obs.json`
 //! (`snapify_bench::report`); every number in it is this host's wall
 //! clock, so only the row names are held against the committed file.
-//!
-//! [`MetricId`]: simkernel::obs::MetricId
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -81,23 +79,16 @@ fn best_secs(warmups: u32, batches: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// ns per fully-labeled observation (one counter add + one latency
-/// sketch observe) through cached metric ids — the steady-state hot
-/// path, no interning and no allocation per op.
+/// sketch observe) — the steady-state hot path: the label set is
+/// interned on the first iteration, then hashed and found in place.
 fn labeled_hot_path_ns(ops: u64) -> f64 {
     obs::reset();
     obs::enable();
-    let ctr = obs::counter_id(
-        "bench.ops",
-        &[("device", "0"), ("op", "rotate"), ("tenant", "tenant-a")],
-    );
-    let sk = obs::sketch_id(
-        "bench.latency_ns",
-        &[("device", "0"), ("op", "rotate"), ("tenant", "tenant-a")],
-    );
+    let labels = [("device", "0"), ("op", "rotate"), ("tenant", "tenant-a")];
     let t0 = Instant::now();
     for i in 0..ops {
-        obs::counter_add_at(ctr, 1);
-        obs::sketch_observe_at(sk, black_box(1000 + i % 997));
+        obs::counter_add_labeled("bench.ops", black_box(&labels), 1);
+        obs::sketch_observe_labeled("bench.latency_ns", &labels, black_box(1000 + i % 997));
     }
     let secs = t0.elapsed().as_secs_f64();
     obs::disable();

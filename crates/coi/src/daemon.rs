@@ -603,12 +603,10 @@ impl CoiDaemon {
         }
         if req.extensions < cfg.watchdog_retries {
             req.extensions += 1;
-            obs::counter_add("chaos.coi.watchdog_extensions", 1);
-            obs::counter_add("chaos.retried", 1);
+            obs::counter_add_labeled("chaos.retried", &[("op", "coi-watchdog")], 1);
             return false;
         }
-        obs::counter_add("chaos.coi.watchdog_expired", 1);
-        obs::counter_add("chaos.surfaced", 1);
+        obs::counter_add_labeled("chaos.surfaced", &[("op", "coi-watchdog")], 1);
         let reply = match &req.stage {
             ReqStage::AwaitPauseAck { .. } | ReqStage::AwaitPauseComplete => {
                 CtlMsg::SnapifyPauseComplete { ok: false }

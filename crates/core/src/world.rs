@@ -81,11 +81,11 @@ impl SnapifyWorld {
     ) -> SnapifyWorld {
         let io = SnapifyIo::new(&server, SnapifyIoConfig::default());
         let store = dedup.map(|(config, pool)| {
-            let store = Dedup::new(&server, Arc::new(io.clone()), config);
-            if let Some((pool, cluster_node)) = pool {
-                store.attach_pool(pool, cluster_node);
+            let backend = Arc::new(io.clone());
+            match pool {
+                Some((pool, node)) => Dedup::with_pool(&server, backend, config, pool, node),
+                None => Dedup::new(&server, backend, config),
             }
-            store
         });
         let storage: Arc<dyn SnapshotStorage> = match &store {
             Some(store) => Arc::new(store.clone()),

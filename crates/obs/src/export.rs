@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::Event;
-use crate::labels::{render_key, MetricData};
-use crate::recorder::{recorder, DurationStat, Histogram};
+use crate::labels::{render_key, LabeledMetric, MetricValue};
+use crate::recorder::{recorder, DurationStat, Histogram, Recorder};
 use crate::sketch::LatencySketch;
 
 /// Canonical order for the paper's stacked-bar phase charts (Fig 9/10):
@@ -68,10 +68,13 @@ fn micros(ns: u64, out: &mut String) {
 /// ring is bounded); iteration happens under the recorder lock without
 /// cloning the buffer.
 pub fn chrome_trace() -> String {
-    let inner = recorder().lock().unwrap();
-    let mut out = String::with_capacity(64 + inner.flight.len() * 96);
+    chrome_trace_of(&recorder())
+}
+
+fn chrome_trace_of(rec: &Recorder) -> String {
+    let mut out = String::with_capacity(64 + rec.flight.len() * 96);
     out.push_str("{\"traceEvents\":[");
-    for (i, ev) in inner.flight.iter().enumerate() {
+    for (i, ev) in rec.flight.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -121,7 +124,7 @@ pub fn chrome_trace() -> String {
         }
     }
     out.push_str("\n],\"otherData\":{");
-    for (i, (k, v)) in inner.meta.iter().enumerate() {
+    for (i, (k, v)) in rec.meta.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -135,105 +138,57 @@ pub fn chrome_trace() -> String {
     out
 }
 
-/// The value of one labeled metric in a [`Summary`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// Monotonic counter.
-    Counter(u64),
-    /// Last-set gauge.
-    Gauge(i64),
-    /// Power-of-two histogram.
-    Histogram(Box<Histogram>),
-    /// Bounded-error percentile sketch (boxed: a sketch's bucket array
-    /// is ~15 KiB, far larger than the other variants).
-    Sketch(Box<LatencySketch>),
-}
-
-impl MetricValue {
-    fn from_data(d: &MetricData) -> MetricValue {
-        match d {
-            MetricData::Counter(c) => MetricValue::Counter(*c),
-            MetricData::Gauge(g) => MetricValue::Gauge(*g),
-            MetricData::Histogram(h) => MetricValue::Histogram(h.clone()),
-            MetricData::Sketch(s) => MetricValue::Sketch(s.clone()),
-        }
-    }
-}
-
-/// One labeled metric in a [`Summary`]: name, sorted label pairs, and
-/// the captured value.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LabeledMetric {
-    /// Metric name.
-    pub name: String,
-    /// Label pairs, sorted by key.
-    pub labels: Vec<(String, String)>,
-    /// Captured value.
-    pub value: MetricValue,
-}
-
-impl LabeledMetric {
-    /// The canonical export key, `name{k=v,k2=v2}`.
-    pub fn key(&self) -> String {
-        render_key(&self.name, &self.labels, None)
-    }
-
-    /// The label's value, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// An aggregated view of the recording: per-phase durations plus the
 /// metrics registry. Obtain via [`Summary::capture`].
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
     /// Closed-span duration statistics per span name.
     pub durations: BTreeMap<String, DurationStat>,
-    /// Monotonic counters.
+    /// Counter totals: each name's sum over all of its label sets (the
+    /// unlabeled series included).
     pub counters: BTreeMap<String, u64>,
-    /// Gauges (last set value).
-    pub gauges: BTreeMap<String, i64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Labeled (dimensional) metrics, sorted by rendered key.
+    /// Every series that carries labels, plus the unlabeled sketches,
+    /// sorted by rendered key.
     pub labeled: Vec<LabeledMetric>,
     /// Run metadata (chaos seed, fault schedule, …).
     pub meta: BTreeMap<String, String>,
 }
 
 impl Summary {
-    /// Snapshot the current recorder state. Labeled metrics are sorted
-    /// by rendered key so the capture (and everything exported from it)
-    /// is independent of interning order.
+    /// Snapshot the process-wide recorder.
     pub fn capture() -> Summary {
-        let inner = recorder().lock().unwrap();
-        let mut labeled: Vec<LabeledMetric> = inner
-            .labeled
-            .entries
-            .iter()
-            .map(|e| LabeledMetric {
-                name: e.name.clone(),
-                labels: e.labels.clone(),
-                value: MetricValue::from_data(&e.data),
-            })
-            .collect();
-        labeled.sort_by(|a, b| {
-            a.key()
-                .cmp(&b.key())
-                .then_with(|| kind_rank(a).cmp(&kind_rank(b)))
-        });
-        Summary {
-            durations: inner.durations.clone(),
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner.histograms.clone(),
-            labeled,
-            meta: inner.meta.clone(),
+        Summary::of(&recorder())
+    }
+
+    /// The three metric sections are views of the one registry; sorting
+    /// `labeled` by rendered key makes the capture (and everything
+    /// exported from it) independent of interning order.
+    fn of(rec: &Recorder) -> Summary {
+        let mut s = Summary {
+            durations: rec
+                .durations
+                .iter()
+                .map(|(name, stat)| (name.to_string(), *stat))
+                .collect(),
+            meta: rec.meta.clone(),
+            ..Summary::default()
+        };
+        for e in &rec.metrics.entries {
+            match &e.value {
+                MetricValue::Counter(c) => *s.counters.entry(e.name.clone()).or_insert(0) += c,
+                MetricValue::Histogram(h) if e.labels.is_empty() => {
+                    s.histograms.insert(e.name.clone(), h.as_ref().clone());
+                }
+                _ => {}
+            }
+            if !e.labels.is_empty() || matches!(e.value, MetricValue::Sketch(_)) {
+                s.labeled.push(e.clone());
+            }
         }
+        s.labeled.sort_by_cached_key(|m| (m.key(), m.value.kind()));
+        s
     }
 
     /// The paper-figure phase rows (canonical order, only phases that
@@ -277,37 +232,6 @@ impl Summary {
             _ => None,
         })
     }
-
-    /// The merge of every `name` sketch whose labels contain all of
-    /// `labels` as a subset — e.g. the one `("start", "cold")` pair
-    /// rolls every tenant's cold-start sketch into a single
-    /// distribution. `None` if nothing matched; an empty `labels`
-    /// merges every sketch with that name.
-    pub fn sketch_where(&self, name: &str, labels: &[(&str, &str)]) -> Option<LatencySketch> {
-        let mut merged: Option<LatencySketch> = None;
-        for m in &self.labeled {
-            let MetricValue::Sketch(s) = &m.value else {
-                continue;
-            };
-            if m.name != name || !labels.iter().all(|(k, v)| m.label(k) == Some(*v)) {
-                continue;
-            }
-            match &mut merged {
-                Some(acc) => acc.merge(s),
-                None => merged = Some(s.as_ref().clone()),
-            }
-        }
-        merged
-    }
-}
-
-fn kind_rank(m: &LabeledMetric) -> u8 {
-    match m.value {
-        MetricValue::Counter(_) => 0,
-        MetricValue::Gauge(_) => 1,
-        MetricValue::Histogram(_) => 2,
-        MetricValue::Sketch(_) => 3,
-    }
 }
 
 fn ms(ns: u64) -> String {
@@ -340,9 +264,6 @@ fn write_metric_value_json(v: &MetricValue, out: &mut String) {
         MetricValue::Counter(c) => {
             let _ = write!(out, "{{\"type\": \"counter\", \"value\": {c}}}");
         }
-        MetricValue::Gauge(g) => {
-            let _ = write!(out, "{{\"type\": \"gauge\", \"value\": {g}}}");
-        }
         MetricValue::Histogram(h) => {
             out.push_str("{\"type\": \"histogram\", \"value\": ");
             write_histogram_json(h, out);
@@ -366,11 +287,14 @@ fn write_metric_value_json(v: &MetricValue, out: &mut String) {
 }
 
 /// Export the summary as deterministic JSON: phase breakdown, all span
-/// durations, counters, gauges, histograms, labeled metrics, the
+/// durations, counter totals, histograms, labeled metrics, the
 /// per-tenant breakdown, and run metadata — every map in sorted key
 /// order.
 pub fn summary_json() -> String {
-    let s = Summary::capture();
+    json_of(&Summary::capture())
+}
+
+fn json_of(s: &Summary) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"phase_breakdown_ns\": {");
     let phases = s.phase_breakdown();
@@ -417,20 +341,6 @@ pub fn summary_json() -> String {
         let _ = write!(out, "\": {v}");
     }
     out.push_str(if s.counters.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"gauges\": {");
-    for (i, (name, v)) in s.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(name, &mut out);
-        let _ = write!(out, "\": {v}");
-    }
-    out.push_str(if s.gauges.is_empty() {
         "},\n"
     } else {
         "\n  },\n"
@@ -508,9 +418,12 @@ pub fn summary_json() -> String {
 
 /// Export the summary as a plain-text report: the paper-style stacked
 /// phase breakdown first, then every span name, then the metrics
-/// registry (unlabeled, labeled, and the per-tenant rollup).
+/// registry (totals, labeled, and the per-tenant rollup).
 pub fn summary_text() -> String {
-    let s = Summary::capture();
+    text_of(&Summary::capture())
+}
+
+fn text_of(s: &Summary) -> String {
     let mut out = String::new();
     out.push_str("== snapify phase breakdown (virtual time, ms) ==\n");
     let phases = s.phase_breakdown();
@@ -542,10 +455,6 @@ pub fn summary_text() -> String {
     for (name, v) in &s.counters {
         let _ = writeln!(out, "  {name:<40} {v}");
     }
-    out.push_str("\n== gauges ==\n");
-    for (name, v) in &s.gauges {
-        let _ = writeln!(out, "  {name:<40} {v}");
-    }
     out.push_str("\n== histograms (power-of-two buckets) ==\n");
     for (name, h) in &s.histograms {
         let _ = writeln!(
@@ -567,9 +476,6 @@ pub fn summary_text() -> String {
             match &m.value {
                 MetricValue::Counter(c) => {
                     let _ = writeln!(out, "  {:<56} {c}", m.key());
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "  {:<56} {g}", m.key());
                 }
                 MetricValue::Histogram(h) => {
                     let _ = writeln!(
@@ -606,9 +512,6 @@ pub fn summary_text() -> String {
                     MetricValue::Counter(c) => {
                         let _ = writeln!(out, "    {key:<52} {c}");
                     }
-                    MetricValue::Gauge(g) => {
-                        let _ = writeln!(out, "    {key:<52} {g}");
-                    }
                     MetricValue::Histogram(h) => {
                         let _ =
                             writeln!(out, "    {key:<52} count {:>8}  sum {:>16}", h.count, h.sum);
@@ -637,80 +540,106 @@ pub fn summary_text() -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::labels::{counter_add_labeled, sketch_observe_labeled};
-    use crate::recorder::{
-        counter_add, disable, enable, histogram_observe, reset, set_meta, test_guard,
-    };
+    use super::{chrome_trace_of, json_of, text_of, Summary};
+    use crate::labels::Registry;
+    use crate::recorder::Recorder;
 
     #[test]
     fn chrome_trace_is_valid_shape_and_deterministic() {
-        let _g = test_guard();
-        reset();
-        enable();
-        {
-            let _a = crate::span!("snapify.pause", device = 0);
-            let _b = crate::span!("drain");
-        }
-        crate::instant("checkpoint done");
-        counter_add("scif.bytes_sent", 4096);
-        set_meta("chaos.seed", "7");
-        disable();
-        let t1 = super::chrome_trace();
-        let t2 = super::chrome_trace();
-        assert_eq!(t1, t2);
+        let mut rec = Recorder::new(64);
+        let a = rec.span_begin((1_000, 1), "snapify.pause", vec![("device", "0".into())]);
+        let b = rec.span_begin((1_500, 1), "drain", Vec::new());
+        rec.span_end((2_000, 1), b);
+        rec.span_end((2_250, 1), a);
+        rec.instant((3_000, 1), "checkpoint done");
+        rec.meta.insert("chaos.seed".into(), "7".into());
+        let t1 = chrome_trace_of(&rec);
+        assert_eq!(t1, chrome_trace_of(&rec));
         assert!(t1.starts_with("{\"traceEvents\":["));
-        assert!(t1.contains("\"ph\":\"B\""));
-        assert!(t1.contains("\"ph\":\"E\""));
+        assert!(
+            t1.contains("\"name\":\"snapify.pause\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":1,")
+        );
+        assert!(t1.contains("\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":2.250}"));
         assert!(t1.contains("\"ph\":\"i\""));
-        assert!(t1.contains("\"name\":\"snapify.pause\""));
         assert!(t1.contains("\"otherData\":{\"chaos.seed\":\"7\"}"));
         // Balanced B/E.
         assert_eq!(t1.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(t1.matches("\"ph\":\"E\"").count(), 2);
-        reset();
     }
 
     #[test]
     fn summary_reports_phases_and_metrics() {
-        let _g = test_guard();
-        reset();
-        enable();
-        {
-            let _a = crate::span!("snapify.pause");
-        }
-        {
-            let _b = crate::span!("snapify.resume");
-        }
-        counter_add("io.nfs.rpc_ops", 7);
-        histogram_observe("blcr.region_bytes", 4096);
-        disable();
-        let text = super::summary_text();
+        let mut rec = Recorder::new(64);
+        let a = rec.span_begin((0, 0), "snapify.resume", Vec::new());
+        rec.span_end((5, 0), a);
+        let b = rec.span_begin((5, 0), "snapify.pause", Vec::new());
+        rec.span_end((9, 0), b);
+        rec.metrics.counter_add("io.nfs.rpc_ops", &[], 7);
+        rec.metrics.histogram_observe("blcr.region_bytes", 4096);
+        let s = Summary::of(&rec);
+        let text = text_of(&s);
         assert!(text.contains("snapify.pause"));
         assert!(text.contains("io.nfs.rpc_ops"));
-        let json = super::summary_json();
-        assert!(json.contains("\"snapify.pause\""));
+        let json = json_of(&s);
         assert!(json.contains("\"io.nfs.rpc_ops\": 7"));
         assert!(json.contains("\"blcr.region_bytes\""));
-        // Phase order: pause before resume in the breakdown section.
+        // Canonical phase order, not recording order: pause before
+        // resume in the breakdown section.
         let pause = json.find("\"snapify.pause\"").unwrap();
         let resume = json.find("\"snapify.resume\"").unwrap();
         assert!(pause < resume);
-        reset();
+    }
+
+    /// `counters[name]` is a view: the sum of `name{…}` over every label
+    /// set, the unlabeled series included — so a name only ever recorded
+    /// with labels still has its total.
+    #[test]
+    fn counter_totals_are_the_sum_over_label_sets() {
+        let mut rec = Recorder::new(1);
+        let m = &mut rec.metrics;
+        m.counter_add("x", &[("node", "mic0")], 10);
+        m.counter_add("x", &[("node", "mic1")], 5);
+        m.counter_add("x", &[("node", "mic0"), ("op", "w")], 2);
+        m.counter_add("x", &[], 100);
+        m.counter_add("only.labeled", &[("tenant", "a")], 3);
+        m.counter_add("only.labeled", &[("tenant", "b")], 4);
+        m.counter_add("plain", &[], 9);
+        m.sketch_observe("x", &[], 1); // another kind: no part of the total
+        let s = Summary::of(&rec);
+        assert_eq!(s.counters["x"], 117);
+        assert_eq!(s.counters["only.labeled"], 7);
+        assert_eq!(s.counters["plain"], 9);
+        assert_eq!(s.counters.len(), 3);
+        // The labeled view keeps each series; unlabeled counters are
+        // only their total.
+        let keys: Vec<String> = s.labeled.iter().map(|m| m.key()).collect();
+        assert_eq!(
+            keys,
+            [
+                "only.labeled{tenant=a}",
+                "only.labeled{tenant=b}",
+                "x",
+                "x{node=mic0,op=w}",
+                "x{node=mic0}",
+                "x{node=mic1}",
+            ]
+        );
+        let json = json_of(&s);
+        assert!(json.contains("\"only.labeled\": 7"));
     }
 
     #[test]
     fn labeled_metrics_and_tenant_breakdown_export() {
-        let _g = test_guard();
-        reset();
-        enable();
+        let mut rec = Recorder::new(1);
         // Intern deliberately out of sorted order.
-        counter_add_labeled("swap.bytes", &[("tenant", "b"), ("op", "out")], 100);
-        counter_add_labeled("swap.bytes", &[("tenant", "a"), ("op", "out")], 7);
-        sketch_observe_labeled("swap.swapin_ns", &[("tenant", "a")], 1000);
-        sketch_observe_labeled("swap.swapin_ns", &[("tenant", "a")], 2000);
-        counter_add_labeled("node.bytes", &[("node", "mic0")], 9);
-        disable();
-        let json = super::summary_json();
+        let m = &mut rec.metrics;
+        m.counter_add("swap.bytes", &[("tenant", "b"), ("op", "out")], 100);
+        m.counter_add("swap.bytes", &[("tenant", "a"), ("op", "out")], 7);
+        m.sketch_observe("swap.swapin_ns", &[("tenant", "a")], 1000);
+        m.sketch_observe("swap.swapin_ns", &[("tenant", "a")], 2000);
+        m.counter_add("node.bytes", &[("node", "mic0")], 9);
+        let s = Summary::of(&rec);
+        let json = json_of(&s);
         assert!(
             json.contains("\"swap.bytes{op=out,tenant=a}\": {\"type\": \"counter\", \"value\": 7}")
         );
@@ -724,65 +653,36 @@ mod tests {
         // Unlabeled-by-tenant metric stays out of the breakdown.
         let breakdown_at = json.find("\"tenant_breakdown\"").unwrap();
         assert!(!json[breakdown_at..].contains("node.bytes"));
-        let s = super::Summary::capture();
         let sk = s.tenant_sketch("swap.swapin_ns", "a").unwrap();
         assert_eq!(sk.count(), 2);
         assert!(s.tenant_sketch("swap.swapin_ns", "b").is_none());
-        reset();
-    }
-
-    #[test]
-    fn sketch_where_merges_by_label_subset() {
-        let _g = test_guard();
-        reset();
-        enable();
-        sketch_observe_labeled("ttfc", &[("tenant", "a"), ("start", "cold")], 4_000_000);
-        sketch_observe_labeled("ttfc", &[("tenant", "b"), ("start", "cold")], 4_000_000);
-        sketch_observe_labeled("ttfc", &[("tenant", "a"), ("start", "warm")], 1_000);
-        sketch_observe_labeled("other", &[("start", "cold")], 77);
-        disable();
-        let s = super::Summary::capture();
-        // One label pair rolls both cold tenants together...
-        let cold = s.sketch_where("ttfc", &[("start", "cold")]).unwrap();
-        assert_eq!(cold.count(), 2);
-        assert!(cold.p50() >= 3_800_000, "p50={}", cold.p50());
-        // ...two pairs narrow to one series, no labels merges them all.
-        let a_cold = s
-            .sketch_where("ttfc", &[("start", "cold"), ("tenant", "a")])
-            .unwrap();
-        assert_eq!(a_cold.count(), 1);
-        assert_eq!(s.sketch_where("ttfc", &[]).unwrap().count(), 3);
-        // Name mismatch and label-value mismatch both yield nothing.
-        assert!(s.sketch_where("missing", &[]).is_none());
-        assert!(s.sketch_where("ttfc", &[("start", "tepid")]).is_none());
-        reset();
     }
 
     #[test]
     fn identical_runs_serialize_identically() {
-        let _g = test_guard();
-        let run = || {
-            reset();
-            enable();
-            // Interning order differs from sorted order on purpose.
-            counter_add_labeled("m", &[("tenant", "z")], 1);
-            counter_add_labeled("m", &[("tenant", "a")], 2);
-            counter_add("plain", 3);
-            histogram_observe("h", 17);
-            sketch_observe_labeled("lat", &[("tenant", "a"), ("op", "in")], 40);
-            {
-                let _s = crate::span!("snapify.pause");
+        // Same observations, interned in opposite orders.
+        let run = |flip: bool| {
+            let mut steps: [fn(&mut Registry); 5] = [
+                |m| m.counter_add("m", &[("tenant", "z")], 1),
+                |m| m.counter_add("m", &[("tenant", "a")], 2),
+                |m| m.counter_add("plain", &[], 3),
+                |m| m.histogram_observe("h", 17),
+                |m| m.sketch_observe("lat", &[("tenant", "a"), ("op", "in")], 40),
+            ];
+            if flip {
+                steps.reverse();
             }
-            set_meta("run", "x");
-            disable();
-            let out = (super::summary_json(), super::summary_text());
-            reset();
-            out
+            let mut rec = Recorder::new(8);
+            for step in steps {
+                step(&mut rec.metrics);
+            }
+            let id = rec.span_begin((0, 0), "snapify.pause", Vec::new());
+            rec.span_end((3, 0), id);
+            rec.meta.insert("run".into(), "x".into());
+            let s = Summary::of(&rec);
+            (json_of(&s), text_of(&s))
         };
-        let (j1, t1) = run();
-        let (j2, t2) = run();
-        assert_eq!(j1, j2, "summary_json must be byte-stable across runs");
-        assert_eq!(t1, t2, "summary_text must be byte-stable across runs");
+        assert_eq!(run(false), run(true), "exports depend on interning order");
     }
 
     #[test]

@@ -1,36 +1,27 @@
-//! Dimensional (labeled) metrics: counters, gauges, histograms, and
-//! latency sketches keyed by `(name, label set)`.
+//! The metrics registry: counters, power-of-two histograms, and latency
+//! sketches keyed by `(kind, name, label set)`. An unlabeled metric is
+//! simply the empty label set, so there is one store and one recording
+//! path for every metric in the crate.
 //!
 //! Label sets are **interned**: the first observation of a given
-//! `(kind, name, labels)` combination allocates one registry entry and
-//! returns a dense [`MetricId`]; every later lookup hashes the borrowed
-//! name/labels in place (labels are canonicalized by sorting keys on a
-//! stack-allocated index array) and finds the entry without allocating.
-//! The hot path is the `*_at` family — observe through a cached
-//! [`MetricId`] and the cost is one uncontended mutex lock plus a vector
-//! index, with **no allocation and no hashing per observation**.
+//! `(kind, name, labels)` combination allocates one registry entry;
+//! every later observation hashes the borrowed name/labels in place
+//! (labels are canonicalized by sorting keys on a stack-allocated index
+//! array) and finds the entry without allocating.
 //!
-//! Export is deterministic: entries are rendered as
-//! `name{k=v,k2=v2}` with label keys sorted, and the whole registry is
-//! emitted in sorted rendered-key order regardless of interning order.
+//! Export is deterministic: entries are rendered as `name{k=v,k2=v2}`
+//! with label keys sorted, and [`crate::Summary`] emits them in sorted
+//! rendered-key order regardless of interning order.
 
-use crate::recorder::{is_enabled, recorder, Histogram};
+use crate::recorder::Histogram;
 use crate::sketch::LatencySketch;
 use std::collections::HashMap;
 
-/// Handle to an interned labeled metric: a dense index into the
-/// registry. Cheap to copy and cache. Invalidated by
-/// [`crate::reset`] — observations through a stale id are dropped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetricId(pub(crate) u32);
-
-/// What a labeled registry entry holds.
+/// The value of one metric series.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum MetricData {
+pub enum MetricValue {
     /// Monotonic counter.
     Counter(u64),
-    /// Last-set gauge.
-    Gauge(i64),
     /// Power-of-two histogram.
     Histogram(Box<Histogram>),
     /// Bounded-error percentile sketch (boxed: a sketch's bucket array
@@ -38,43 +29,78 @@ pub(crate) enum MetricData {
     Sketch(Box<LatencySketch>),
 }
 
-impl MetricData {
-    const KIND_COUNTER: u8 = 0;
-    const KIND_GAUGE: u8 = 1;
-    const KIND_HISTOGRAM: u8 = 2;
-    const KIND_SKETCH: u8 = 3;
+/// Which [`MetricValue`] variant a series holds. The discriminant is the
+/// kind's byte in the identity hash and its rank in export order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Kind {
+    Counter,
+    Histogram,
+    Sketch,
+}
 
-    fn kind(&self) -> u8 {
+impl Kind {
+    fn zero(self) -> MetricValue {
         match self {
-            MetricData::Counter(_) => Self::KIND_COUNTER,
-            MetricData::Gauge(_) => Self::KIND_GAUGE,
-            MetricData::Histogram(_) => Self::KIND_HISTOGRAM,
-            MetricData::Sketch(_) => Self::KIND_SKETCH,
+            Kind::Counter => MetricValue::Counter(0),
+            Kind::Histogram => MetricValue::Histogram(Box::default()),
+            Kind::Sketch => MetricValue::Sketch(Box::new(LatencySketch::new())),
         }
     }
 }
 
-/// One interned labeled metric.
-#[derive(Clone, Debug)]
-pub(crate) struct LabeledEntry {
-    pub(crate) name: String,
-    /// Label pairs, sorted by key.
-    pub(crate) labels: Vec<(String, String)>,
-    pub(crate) data: MetricData,
+impl MetricValue {
+    pub(crate) fn kind(&self) -> Kind {
+        match self {
+            MetricValue::Counter(_) => Kind::Counter,
+            MetricValue::Histogram(_) => Kind::Histogram,
+            MetricValue::Sketch(_) => Kind::Sketch,
+        }
+    }
 }
 
-/// The labeled-metric intern table + storage. Lives inside the
-/// recorder's `Inner`, guarded by the same mutex.
+/// One metric series: name, sorted label pairs (none for an unlabeled
+/// metric), and its value. The registry stores these and a
+/// [`crate::Summary`] hands out copies.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LabeledMetric {
+    /// Metric name.
+    pub name: String,
+    /// Label pairs, sorted by key.
+    pub labels: Vec<(String, String)>,
+    /// Current value.
+    pub value: MetricValue,
+}
+
+impl LabeledMetric {
+    /// The canonical export key, `name{k=v,k2=v2}`.
+    pub fn key(&self) -> String {
+        render_key(&self.name, &self.labels, None)
+    }
+
+    /// The label's value, if present.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// The intern table + storage; one per `Recorder`.
 #[derive(Default)]
-pub(crate) struct LabeledRegistry {
+pub(crate) struct Registry {
     /// FNV hash of `(kind, name, sorted labels)` → candidate ids.
     by_hash: HashMap<u64, Vec<u32>>,
-    pub(crate) entries: Vec<LabeledEntry>,
+    pub(crate) entries: Vec<LabeledMetric>,
 }
+
+/// Label sets are short static lists at every call site; the bound lets
+/// the hit path sort them on the stack.
+const MAX_LABELS: usize = 8;
 
 /// FNV-1a over the canonical identity of a metric. `order` maps
 /// position → index into `labels` in sorted-key order.
-fn identity_hash(kind: u8, name: &str, labels: &[(&str, &str)], order: &[usize]) -> u64 {
+fn identity_hash(kind: Kind, name: &str, labels: &[(&str, &str)], order: &[usize]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |bytes: &[u8]| {
         for &b in bytes {
@@ -82,7 +108,7 @@ fn identity_hash(kind: u8, name: &str, labels: &[(&str, &str)], order: &[usize])
             h = h.wrapping_mul(0x1_0000_0000_01b3);
         }
     };
-    mix(&[kind]);
+    mix(&[kind as u8]);
     mix(name.as_bytes());
     mix(&[0x1f]);
     for &i in order {
@@ -95,69 +121,62 @@ fn identity_hash(kind: u8, name: &str, labels: &[(&str, &str)], order: &[usize])
     h
 }
 
-/// Sort `labels` indices by key into `buf` (stack space for the common
-/// case); falls back to a heap vector above 8 labels.
-fn sorted_order(labels: &[(&str, &str)], buf: &mut [usize; 8]) -> Vec<usize> {
-    if labels.len() <= 8 {
-        let idx = &mut buf[..labels.len()];
-        for (i, slot) in idx.iter_mut().enumerate() {
+impl Registry {
+    /// The series `(kind, name, labels)`, created empty on first sight.
+    /// Allocation-free on the hit path.
+    fn intern(&mut self, kind: Kind, name: &str, labels: &[(&str, &str)]) -> &mut MetricValue {
+        assert!(labels.len() <= MAX_LABELS, "metric {name}: too many labels");
+        let mut order = [0usize; MAX_LABELS];
+        let order = &mut order[..labels.len()];
+        for (i, slot) in order.iter_mut().enumerate() {
             *slot = i;
         }
-        // Insertion sort: label sets are tiny and mostly pre-sorted.
-        for i in 1..idx.len() {
-            let mut j = i;
-            while j > 0 && labels[idx[j - 1]].0 > labels[idx[j]].0 {
-                idx.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        idx.to_vec()
-    } else {
-        let mut idx: Vec<usize> = (0..labels.len()).collect();
-        idx.sort_by(|&a, &b| labels[a].0.cmp(labels[b].0));
-        idx
-    }
-}
-
-impl LabeledRegistry {
-    /// Intern `(kind, name, labels)`, creating the entry with `init()`
-    /// data on first sight. Allocation-free on the hit path (for up to
-    /// 8 labels) — `init` runs only when the entry is minted.
-    fn intern(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        kind: u8,
-        init: impl FnOnce() -> MetricData,
-    ) -> u32 {
-        let mut buf = [0usize; 8];
-        let order = sorted_order(labels, &mut buf);
-        let h = identity_hash(kind, name, labels, &order);
-        if let Some(ids) = self.by_hash.get(&h) {
-            'cand: for &id in ids {
+        order.sort_by_key(|&i| labels[i].0);
+        let h = identity_hash(kind, name, labels, order);
+        let hit = self.by_hash.get(&h).and_then(|ids| {
+            ids.iter().copied().find(|&id| {
                 let e = &self.entries[id as usize];
-                if e.data.kind() != kind || e.name != name || e.labels.len() != labels.len() {
-                    continue;
-                }
-                for (stored, &i) in e.labels.iter().zip(order.iter()) {
-                    if stored.0 != labels[i].0 || stored.1 != labels[i].1 {
-                        continue 'cand;
-                    }
-                }
-                return id;
-            }
-        }
-        let id = self.entries.len() as u32;
-        self.entries.push(LabeledEntry {
-            name: name.to_string(),
-            labels: order
-                .iter()
-                .map(|&i| (labels[i].0.to_string(), labels[i].1.to_string()))
-                .collect(),
-            data: init(),
+                e.value.kind() == kind
+                    && e.name == name
+                    && e.labels.len() == labels.len()
+                    && e.labels
+                        .iter()
+                        .zip(order.iter())
+                        .all(|(stored, &i)| stored.0 == labels[i].0 && stored.1 == labels[i].1)
+            })
         });
-        self.by_hash.entry(h).or_default().push(id);
-        id
+        let id = hit.unwrap_or_else(|| {
+            let id = self.entries.len() as u32;
+            self.entries.push(LabeledMetric {
+                name: name.to_string(),
+                labels: order
+                    .iter()
+                    .map(|&i| (labels[i].0.to_string(), labels[i].1.to_string()))
+                    .collect(),
+                value: kind.zero(),
+            });
+            self.by_hash.entry(h).or_default().push(id);
+            id
+        });
+        &mut self.entries[id as usize].value
+    }
+
+    pub(crate) fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+        if let MetricValue::Counter(c) = self.intern(Kind::Counter, name, labels) {
+            *c += delta;
+        }
+    }
+
+    pub(crate) fn histogram_observe(&mut self, name: &str, value: u64) {
+        if let MetricValue::Histogram(h) = self.intern(Kind::Histogram, name, &[]) {
+            h.observe(value);
+        }
+    }
+
+    pub(crate) fn sketch_observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+        if let MetricValue::Sketch(s) = self.intern(Kind::Sketch, name, labels) {
+            s.observe(value);
+        }
     }
 }
 
@@ -189,265 +208,30 @@ pub fn render_key(name: &str, labels: &[(String, String)], skip_label: Option<&s
     out
 }
 
-// ---------------------------------------------------------------------
-// Interning entry points (setup path: one allocation on first sight,
-// hash lookup afterwards).
-// ---------------------------------------------------------------------
-
-/// Intern a labeled counter and return its [`MetricId`].
-pub fn counter_id(name: &str, labels: &[(&str, &str)]) -> MetricId {
-    let mut inner = recorder().lock().unwrap();
-    MetricId(
-        inner
-            .labeled
-            .intern(name, labels, MetricData::KIND_COUNTER, || {
-                MetricData::Counter(0)
-            }),
-    )
-}
-
-/// Intern a labeled gauge and return its [`MetricId`].
-pub fn gauge_id(name: &str, labels: &[(&str, &str)]) -> MetricId {
-    let mut inner = recorder().lock().unwrap();
-    MetricId(
-        inner
-            .labeled
-            .intern(name, labels, MetricData::KIND_GAUGE, || {
-                MetricData::Gauge(0)
-            }),
-    )
-}
-
-/// Intern a labeled power-of-two histogram and return its [`MetricId`].
-pub fn histogram_id(name: &str, labels: &[(&str, &str)]) -> MetricId {
-    let mut inner = recorder().lock().unwrap();
-    MetricId(
-        inner
-            .labeled
-            .intern(name, labels, MetricData::KIND_HISTOGRAM, || {
-                MetricData::Histogram(Box::default())
-            }),
-    )
-}
-
-/// Intern a labeled latency sketch and return its [`MetricId`].
-pub fn sketch_id(name: &str, labels: &[(&str, &str)]) -> MetricId {
-    let mut inner = recorder().lock().unwrap();
-    MetricId(
-        inner
-            .labeled
-            .intern(name, labels, MetricData::KIND_SKETCH, || {
-                MetricData::Sketch(Box::new(LatencySketch::new()))
-            }),
-    )
-}
-
-// ---------------------------------------------------------------------
-// Hot-path observation through a cached id: one lock + vector index,
-// no allocation, no hashing.
-// ---------------------------------------------------------------------
-
-/// Add `delta` to the counter behind `id`. Dropped when recording is
-/// disabled or `id` is stale (from before a [`crate::reset`]).
-#[inline]
-pub fn counter_add_at(id: MetricId, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    if let Some(LabeledEntry {
-        data: MetricData::Counter(c),
-        ..
-    }) = inner.labeled.entries.get_mut(id.0 as usize)
-    {
-        *c += delta;
-    }
-}
-
-/// Set the gauge behind `id`.
-#[inline]
-pub fn gauge_set_at(id: MetricId, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    if let Some(LabeledEntry {
-        data: MetricData::Gauge(g),
-        ..
-    }) = inner.labeled.entries.get_mut(id.0 as usize)
-    {
-        *g = value;
-    }
-}
-
-/// Record `value` into the histogram behind `id`.
-#[inline]
-pub fn histogram_observe_at(id: MetricId, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    if let Some(LabeledEntry {
-        data: MetricData::Histogram(h),
-        ..
-    }) = inner.labeled.entries.get_mut(id.0 as usize)
-    {
-        h.observe(value);
-    }
-}
-
-/// Record `value` into the latency sketch behind `id`.
-#[inline]
-pub fn sketch_observe_at(id: MetricId, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    if let Some(LabeledEntry {
-        data: MetricData::Sketch(s),
-        ..
-    }) = inner.labeled.entries.get_mut(id.0 as usize)
-    {
-        s.observe(value);
-    }
-}
-
-// ---------------------------------------------------------------------
-// One-shot convenience: intern + observe. Allocation-free after the
-// first call for a given label set; prefer the `*_at` family inside
-// per-event loops.
-// ---------------------------------------------------------------------
-
-/// Add `delta` to the labeled counter `(name, labels)`.
-pub fn counter_add_labeled(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    let id = inner
-        .labeled
-        .intern(name, labels, MetricData::KIND_COUNTER, || {
-            MetricData::Counter(0)
-        });
-    if let MetricData::Counter(c) = &mut inner.labeled.entries[id as usize].data {
-        *c += delta;
-    }
-}
-
-/// Set the labeled gauge `(name, labels)`.
-pub fn gauge_set_labeled(name: &str, labels: &[(&str, &str)], value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    let id = inner
-        .labeled
-        .intern(name, labels, MetricData::KIND_GAUGE, || {
-            MetricData::Gauge(0)
-        });
-    if let MetricData::Gauge(g) = &mut inner.labeled.entries[id as usize].data {
-        *g = value;
-    }
-}
-
-/// Record `value` into the labeled histogram `(name, labels)`.
-pub fn histogram_observe_labeled(name: &str, labels: &[(&str, &str)], value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    let id = inner
-        .labeled
-        .intern(name, labels, MetricData::KIND_HISTOGRAM, || {
-            MetricData::Histogram(Box::default())
-        });
-    if let MetricData::Histogram(h) = &mut inner.labeled.entries[id as usize].data {
-        h.observe(value);
-    }
-}
-
-/// Record `value` into the labeled latency sketch `(name, labels)`.
-pub fn sketch_observe_labeled(name: &str, labels: &[(&str, &str)], value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    let id = inner
-        .labeled
-        .intern(name, labels, MetricData::KIND_SKETCH, || {
-            MetricData::Sketch(Box::new(LatencySketch::new()))
-        });
-    if let MetricData::Sketch(s) = &mut inner.labeled.entries[id as usize].data {
-        s.observe(value);
-    }
-}
-
-/// Record `value` into the unlabeled latency sketch `name` (an empty
-/// label set).
-pub fn sketch_observe(name: &str, value: u64) {
-    sketch_observe_labeled(name, &[], value);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{disable, enable, reset, test_guard};
 
     #[test]
     fn interning_is_stable_and_order_insensitive() {
-        let _g = test_guard();
-        reset();
-        enable();
-        let a = counter_id("swap.bytes", &[("tenant", "a"), ("device", "0")]);
-        let b = counter_id("swap.bytes", &[("device", "0"), ("tenant", "a")]);
-        assert_eq!(a, b, "label order must not mint a new metric");
-        let c = counter_id("swap.bytes", &[("device", "1"), ("tenant", "a")]);
-        assert_ne!(a, c);
-        counter_add_at(a, 5);
-        counter_add_at(b, 7);
-        counter_add_at(c, 1);
-        let inner = recorder().lock().unwrap();
-        assert_eq!(inner.labeled.entries.len(), 2);
-        assert!(matches!(
-            inner.labeled.entries[a.0 as usize].data,
-            MetricData::Counter(12)
-        ));
-        drop(inner);
-        disable();
-        reset();
+        let mut reg = Registry::default();
+        reg.counter_add("swap.bytes", &[("tenant", "a"), ("device", "0")], 5);
+        reg.counter_add("swap.bytes", &[("device", "0"), ("tenant", "a")], 7);
+        reg.counter_add("swap.bytes", &[("device", "1"), ("tenant", "a")], 1);
+        assert_eq!(reg.entries.len(), 2, "label order must not mint a series");
+        assert_eq!(reg.entries[0].value, MetricValue::Counter(12));
+        assert_eq!(reg.entries[0].labels[0].0, "device", "stored sorted by key");
     }
 
     #[test]
-    fn kinds_with_same_name_are_distinct() {
-        let _g = test_guard();
-        reset();
-        enable();
-        let c = counter_id("m", &[("op", "x")]);
-        let h = histogram_id("m", &[("op", "x")]);
-        let s = sketch_id("m", &[("op", "x")]);
-        let g = gauge_id("m", &[("op", "x")]);
-        let ids = [c.0, h.0, s.0, g.0];
-        let unique: std::collections::HashSet<u32> = ids.iter().copied().collect();
-        assert_eq!(unique.len(), 4, "one entry per kind: {ids:?}");
-        disable();
-        reset();
-    }
-
-    #[test]
-    fn stale_ids_after_reset_are_dropped() {
-        let _g = test_guard();
-        reset();
-        enable();
-        let id = counter_id("stale", &[]);
-        counter_add_at(id, 1);
-        reset();
-        enable();
-        counter_add_at(id, 1); // dropped: registry is empty
-        let inner = recorder().lock().unwrap();
-        assert!(inner.labeled.entries.is_empty());
-        drop(inner);
-        disable();
-        reset();
+    fn kinds_and_label_sets_with_the_same_name_are_distinct() {
+        let mut reg = Registry::default();
+        reg.counter_add("m", &[], 1);
+        reg.counter_add("m", &[("op", "x")], 1);
+        reg.histogram_observe("m", 1);
+        reg.sketch_observe("m", &[], 1);
+        reg.sketch_observe("m", &[("op", "x")], 1);
+        assert_eq!(reg.entries.len(), 5);
     }
 
     #[test]
@@ -459,25 +243,5 @@ mod tests {
         assert_eq!(render_key("m", &labels, None), "m{device=0,tenant=a}");
         assert_eq!(render_key("m", &labels, Some("tenant")), "m{device=0}");
         assert_eq!(render_key("m", &[], None), "m");
-    }
-
-    #[test]
-    fn disabled_observations_are_noops() {
-        let _g = test_guard();
-        reset();
-        disable();
-        counter_add_labeled("c", &[("a", "b")], 1);
-        sketch_observe("s", 9);
-        let id = counter_id("c2", &[]); // interning works while disabled
-        counter_add_at(id, 3);
-        let inner = recorder().lock().unwrap();
-        // Only the explicitly interned ids exist, with zero data.
-        assert_eq!(inner.labeled.entries.len(), 1);
-        assert!(matches!(
-            inner.labeled.entries[0].data,
-            MetricData::Counter(0)
-        ));
-        drop(inner);
-        reset();
     }
 }

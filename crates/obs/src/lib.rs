@@ -7,12 +7,13 @@
 //!
 //! * **structured spans** ([`span!`]) — typed begin/end events stamped
 //!   with the *virtual* clock, nested parent/child per simulated thread;
-//! * a **metrics registry** — named counters, gauges, and fixed-bucket
-//!   (power-of-two) histograms, plus **dimensional metrics** keyed by
-//!   `(name, labels)` with interned label sets ([`labels`]) and
-//!   bounded-error percentile sketches ([`LatencySketch`]);
+//! * one **metrics registry** ([`labels`]) — counters, fixed-bucket
+//!   (power-of-two) histograms and bounded-error percentile sketches
+//!   ([`LatencySketch`]) keyed by `(name, labels)` with interned label
+//!   sets; an unlabeled metric is the empty label set, and a counter's
+//!   total is the sum over its label sets ([`Summary`]);
 //! * a **bounded flight recorder** — the event log is a fixed-capacity
-//!   ring (`OBS_FLIGHT_CAPACITY`, default 65536) so always-on runs cost
+//!   ring ([`FLIGHT_CAPACITY`] events) so always-on runs cost
 //!   O(capacity) memory and failure dumps carry the last-N events;
 //! * an **SLO monitor** ([`SloMonitor`]) — windowed per-tenant quantile
 //!   checks in virtual time, emitting typed [`SloBreach`] records;
@@ -24,9 +25,9 @@
 //!
 //! All timestamps come from an installed [`Clock`] (the simulation
 //! kernel installs `simkernel::now()`), events are appended in scheduler
-//! order, and every aggregate lives in a `BTreeMap` — so two identical
-//! simulation runs export **byte-identical** traces and summaries. No
-//! wall-clock time or randomness is ever consulted.
+//! order, and every export iterates in sorted key order — so two
+//! identical simulation runs export **byte-identical** traces and
+//! summaries. No wall-clock time or randomness is ever consulted.
 //!
 //! ## Cost when disabled
 //!
@@ -47,16 +48,12 @@ pub mod sketch;
 pub mod slo;
 
 pub use event::{Event, SpanId};
-pub use export::{chrome_trace, summary_json, summary_text, LabeledMetric, MetricValue, Summary};
-pub use labels::{
-    counter_add_at, counter_add_labeled, counter_id, gauge_id, gauge_set_at, gauge_set_labeled,
-    histogram_id, histogram_observe_at, histogram_observe_labeled, render_key, sketch_id,
-    sketch_observe, sketch_observe_at, sketch_observe_labeled, MetricId,
-};
+pub use export::{chrome_trace, summary_json, summary_text, Summary};
+pub use labels::{render_key, LabeledMetric, MetricValue};
 pub use recorder::{
-    counter_add, disable, enable, events, events_since, events_total, flight_capacity, flight_tail,
-    gauge_set, histogram_observe, install_clock, instant, is_enabled, meta, reset, set_meta,
-    span_begin, Clock, DurationStat, Histogram, SpanGuard, DEFAULT_FLIGHT_CAPACITY,
+    counter_add, counter_add_labeled, disable, enable, events, events_total, flight_tail,
+    histogram_observe, install_clock, instant, is_enabled, meta, reset, set_meta, sketch_observe,
+    sketch_observe_labeled, span_begin, Clock, DurationStat, Histogram, SpanGuard, FLIGHT_CAPACITY,
 };
 pub use sketch::LatencySketch;
 pub use slo::{SloBreach, SloMonitor, SloSpec};

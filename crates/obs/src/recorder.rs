@@ -1,23 +1,25 @@
-//! The global recorder: span stacks, the bounded flight recorder, and
-//! the metrics registry.
+//! The `Recorder` value — span stacks, the bounded flight recorder,
+//! and the metrics registry — and the process-wide instance the crate's
+//! free functions forward to.
 //!
-//! One process-wide recorder is enough because the simulation kernel
-//! runs exactly one simulated thread at a time: recording happens in
-//! scheduler order, the internal `std::sync::Mutex` is uncontended, and
-//! the resulting event log is deterministic.
+//! A `Recorder` is plain data: its methods take the timestamp they
+//! stamp, so a test builds its own and shares nothing. One process-wide
+//! instance is enough for a simulation because the kernel runs exactly
+//! one simulated thread at a time: recording happens in scheduler order,
+//! the `std::sync::Mutex` around it is uncontended, and the resulting
+//! event log is deterministic.
 //!
-//! The event log is a **flight recorder**: a fixed-capacity ring
-//! (default 65536 events, configurable with `OBS_FLIGHT_CAPACITY`) that
+//! The event log is a **flight recorder**: a fixed-capacity ring that
 //! keeps the most recent events and a monotonic total count. Long
 //! always-on runs therefore cost O(capacity) memory, and failure dumps
 //! can always append the last-N events that led up to the crash.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::event::{Event, SpanId};
-use crate::labels::LabeledRegistry;
+use crate::labels::Registry;
 
 /// A virtual-clock source: returns `(now_ns, tid)` for the calling
 /// thread. Installed once per process by the simulation kernel.
@@ -30,9 +32,8 @@ fn default_clock() -> (u64, u32) {
 static CLOCK: OnceLock<Clock> = OnceLock::new();
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Default flight-recorder capacity when `OBS_FLIGHT_CAPACITY` is
-/// unset.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
+/// Events the process-wide flight recorder retains.
+pub const FLIGHT_CAPACITY: usize = 65_536;
 
 /// Install the virtual-clock source. The first installation wins;
 /// subsequent calls are ignored (the kernel re-installs the same
@@ -62,15 +63,11 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Discard all recorded events, open-span state, metadata, and metrics
-/// (including the labeled registry — cached
-/// [`crate::labels::MetricId`]s become stale and observations through
-/// them are dropped). Re-reads `OBS_FLIGHT_CAPACITY`. Call between
-/// independent recording sessions (e.g. two runs whose exports are
-/// compared byte-for-byte).
+/// Discard all recorded events, open-span state, metadata, and metrics.
+/// Call between independent recording sessions (e.g. two runs whose
+/// exports are compared byte-for-byte).
 pub fn reset() {
-    let mut inner = recorder().lock().unwrap();
-    *inner = Inner::new();
+    *recorder() = Recorder::new(FLIGHT_CAPACITY);
 }
 
 /// Statistics of one span name's closed instances.
@@ -176,14 +173,11 @@ struct OpenSpan {
 }
 
 /// The bounded event log: a ring of the most recent `capacity` events
-/// plus a monotonic sequence counter. The sequence number of the oldest
-/// retained event is `next_seq - buf.len()`.
+/// plus the count of events ever pushed.
 pub(crate) struct FlightRing {
     buf: VecDeque<Event>,
     capacity: usize,
-    /// Sequence number the next recorded event will get; equals the
-    /// total number of events ever recorded since the last reset.
-    next_seq: u64,
+    total: u64,
 }
 
 impl FlightRing {
@@ -191,87 +185,140 @@ impl FlightRing {
         FlightRing {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
-            next_seq: 0,
+            total: 0,
         }
     }
 
-    pub(crate) fn push(&mut self, ev: Event) {
+    fn push(&mut self, ev: Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
         self.buf.push_back(ev);
-        self.next_seq += 1;
+        self.total += 1;
     }
 
     pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
+    /// Events recorded, including those already evicted.
     pub(crate) fn total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Sequence number of the oldest retained event.
-    fn oldest_seq(&self) -> u64 {
-        self.next_seq - self.buf.len() as u64
+        self.total
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.buf.iter()
     }
-
-    /// Events with sequence `>= cursor` that are still retained, oldest
-    /// first. Events evicted before the cursor caught up are silently
-    /// skipped (the caller can detect the gap by comparing the cursor it
-    /// passed with `oldest_seq`).
-    fn since(&self, cursor: u64) -> Vec<Event> {
-        let skip = cursor.saturating_sub(self.oldest_seq()) as usize;
-        self.buf.iter().skip(skip).cloned().collect()
-    }
 }
 
-fn flight_capacity_from_env() -> usize {
-    std::env::var("OBS_FLIGHT_CAPACITY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_FLIGHT_CAPACITY)
-}
-
-pub(crate) struct Inner {
+/// One recording session's state. Every method records unconditionally
+/// at the `(t_ns, tid)` it is given; the enabled gate and the clock
+/// belong to the free functions below.
+pub(crate) struct Recorder {
     pub(crate) flight: FlightRing,
     /// Per-tid stack of open spans (innermost last).
     stacks: HashMap<u32, Vec<OpenSpan>>,
     next_span: SpanId,
-    pub(crate) durations: BTreeMap<String, DurationStat>,
-    pub(crate) counters: BTreeMap<String, u64>,
-    pub(crate) gauges: BTreeMap<String, i64>,
-    pub(crate) histograms: BTreeMap<String, Histogram>,
-    pub(crate) labeled: LabeledRegistry,
+    pub(crate) durations: BTreeMap<&'static str, DurationStat>,
+    pub(crate) metrics: Registry,
     /// Run metadata stamped into exported traces (chaos seed, fault
     /// schedule, …).
     pub(crate) meta: BTreeMap<String, String>,
 }
 
-impl Inner {
-    fn new() -> Inner {
-        Inner {
-            flight: FlightRing::with_capacity(flight_capacity_from_env()),
+impl Recorder {
+    pub(crate) fn new(flight_capacity: usize) -> Recorder {
+        Recorder {
+            flight: FlightRing::with_capacity(flight_capacity),
             stacks: HashMap::new(),
             next_span: 0,
             durations: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            labeled: LabeledRegistry::default(),
+            metrics: Registry::default(),
             meta: BTreeMap::new(),
         }
     }
+
+    pub(crate) fn span_begin(
+        &mut self,
+        (t_ns, tid): (u64, u32),
+        name: &'static str,
+        fields: Vec<(&'static str, String)>,
+    ) -> SpanId {
+        self.next_span += 1;
+        let id = self.next_span;
+        let stack = self.stacks.entry(tid).or_default();
+        let parent = stack.last().map(|s| s.id).unwrap_or(0);
+        stack.push(OpenSpan {
+            id,
+            name,
+            t_begin_ns: t_ns,
+        });
+        self.flight.push(Event::SpanBegin {
+            id,
+            parent,
+            tid,
+            t_ns,
+            name,
+            fields,
+        });
+        id
+    }
+
+    pub(crate) fn span_end(&mut self, (t_ns, tid): (u64, u32), id: SpanId) {
+        // Normally the span being closed is the innermost; search by id
+        // to stay correct under overlapping (non-nested) guards.
+        let Some(stack) = self.stacks.get_mut(&tid) else {
+            return;
+        };
+        let Some(pos) = stack.iter().rposition(|s| s.id == id) else {
+            return; // opened before a reset()
+        };
+        let open = stack.remove(pos);
+        let d = t_ns.saturating_sub(open.t_begin_ns);
+        self.durations.entry(open.name).or_default().observe(d);
+        self.flight.push(Event::SpanEnd {
+            id,
+            tid,
+            t_ns,
+            name: open.name,
+        });
+    }
+
+    pub(crate) fn instant(&mut self, (t_ns, tid): (u64, u32), label: &str) {
+        self.flight.push(Event::Instant {
+            tid,
+            t_ns,
+            label: label.to_string(),
+        });
+    }
+
+    pub(crate) fn flight_tail(&self, n: usize) -> String {
+        use std::fmt::Write as _;
+        let len = self.flight.len();
+        if len == 0 {
+            return String::new();
+        }
+        let take = n.min(len);
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "flight recorder (last {take} of {} events):",
+            self.flight.total()
+        );
+        for ev in self.flight.iter().skip(len - take) {
+            let _ = writeln!(out, "  {}", ev.one_line());
+        }
+        out
+    }
 }
 
-pub(crate) fn recorder() -> &'static Mutex<Inner> {
-    static RECORDER: OnceLock<Mutex<Inner>> = OnceLock::new();
-    RECORDER.get_or_init(|| Mutex::new(Inner::new()))
+/// The process-wide recorder every free function forwards to.
+pub(crate) fn recorder() -> MutexGuard<'static, Recorder> {
+    static RECORDER: OnceLock<Mutex<Recorder>> = OnceLock::new();
+    RECORDER
+        .get_or_init(|| Mutex::new(Recorder::new(FLIGHT_CAPACITY)))
+        .lock()
+        .expect("a thread panicked inside the obs recorder")
 }
 
 /// Guard for an open span; records the end event on drop. Obtain via
@@ -291,33 +338,12 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(id) = self.id else { return };
-        if !is_enabled() {
-            // Recording stopped while the span was open: drop silently;
-            // reset() clears the dangling open-span entry.
-            return;
+        // Recording stopped while the span was open: drop silently;
+        // reset() clears the dangling open-span entry.
+        if let (Some(id), true) = (self.id, is_enabled()) {
+            let at = clock_now();
+            recorder().span_end(at, id);
         }
-        let (t_ns, tid) = clock_now();
-        let mut inner = recorder().lock().unwrap();
-        let stack = inner.stacks.entry(tid).or_default();
-        // Normally the guard being dropped is the innermost span; search
-        // by id to stay correct under overlapping (non-nested) guards.
-        let Some(pos) = stack.iter().rposition(|s| s.id == id) else {
-            return; // opened before a reset()
-        };
-        let open = stack.remove(pos);
-        let d = t_ns.saturating_sub(open.t_begin_ns);
-        inner
-            .durations
-            .entry(open.name.to_string())
-            .or_default()
-            .observe(d);
-        inner.flight.push(Event::SpanEnd {
-            id,
-            tid,
-            t_ns,
-            name: open.name,
-        });
     }
 }
 
@@ -328,71 +354,49 @@ pub fn span_begin(name: &'static str, fields: Vec<(&'static str, String)>) -> Sp
     if !is_enabled() {
         return SpanGuard::inert();
     }
-    let (t_ns, tid) = clock_now();
-    let mut inner = recorder().lock().unwrap();
-    inner.next_span += 1;
-    let id = inner.next_span;
-    let stack = inner.stacks.entry(tid).or_default();
-    let parent = stack.last().map(|s| s.id).unwrap_or(0);
-    stack.push(OpenSpan {
-        id,
-        name,
-        t_begin_ns: t_ns,
-    });
-    inner.flight.push(Event::SpanBegin {
-        id,
-        parent,
-        tid,
-        t_ns,
-        name,
-        fields,
-    });
+    let at = clock_now();
+    let id = recorder().span_begin(at, name, fields);
     SpanGuard { id: Some(id) }
 }
 
 /// Record a point event (the typed twin of the kernel's string trace).
 pub fn instant(label: &str) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        let at = clock_now();
+        recorder().instant(at, label);
     }
-    let (t_ns, tid) = clock_now();
-    let mut inner = recorder().lock().unwrap();
-    inner.flight.push(Event::Instant {
-        tid,
-        t_ns,
-        label: label.to_string(),
-    });
 }
 
-/// Add `delta` to the named monotonic counter.
+/// Add `delta` to the counter `(name, labels)`. [`crate::Summary`]
+/// reports each label set as its own series and their sum under `name`.
+pub fn counter_add_labeled(name: &str, labels: &[(&str, &str)], delta: u64) {
+    if is_enabled() {
+        recorder().metrics.counter_add(name, labels, delta);
+    }
+}
+
+/// Add `delta` to the unlabeled counter `name`.
 pub fn counter_add(name: &str, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+    counter_add_labeled(name, &[], delta);
 }
 
-/// Set the named gauge to `value`.
-pub fn gauge_set(name: &str, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut inner = recorder().lock().unwrap();
-    inner.gauges.insert(name.to_string(), value);
-}
-
-/// Record `value` into the named fixed-bucket histogram.
+/// Record `value` into the fixed-bucket histogram `name`.
 pub fn histogram_observe(name: &str, value: u64) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        recorder().metrics.histogram_observe(name, value);
     }
-    let mut inner = recorder().lock().unwrap();
-    inner
-        .histograms
-        .entry(name.to_string())
-        .or_default()
-        .observe(value);
+}
+
+/// Record `value` into the latency sketch `(name, labels)`.
+pub fn sketch_observe_labeled(name: &str, labels: &[(&str, &str)], value: u64) {
+    if is_enabled() {
+        recorder().metrics.sketch_observe(name, labels, value);
+    }
+}
+
+/// Record `value` into the unlabeled latency sketch `name`.
+pub fn sketch_observe(name: &str, value: u64) {
+    sketch_observe_labeled(name, &[], value);
 }
 
 /// Stamp a metadata key/value onto the recording (e.g. the active chaos
@@ -400,49 +404,29 @@ pub fn histogram_observe(name: &str, value: u64) {
 /// the summary, and cleared by [`reset`]. Recorded even while recording
 /// is disabled so a repro run is always self-identifying.
 pub fn set_meta(key: &str, value: &str) {
-    let mut inner = recorder().lock().unwrap();
-    inner.meta.insert(key.to_string(), value.to_string());
+    recorder().meta.insert(key.to_string(), value.to_string());
 }
 
 /// Snapshot of the current run metadata, sorted by key.
 pub fn meta() -> Vec<(String, String)> {
-    let inner = recorder().lock().unwrap();
-    inner
-        .meta
+    let rec = recorder();
+    rec.meta
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect()
 }
 
 /// Snapshot of the retained flight-recorder events, oldest first. Note
-/// this is the ring **tail** — at most [`flight_capacity`] events; use
-/// [`events_total`] for the monotonic count and [`events_since`] for
-/// incremental reads that do not re-clone already-seen events.
+/// this is the ring **tail** — at most [`FLIGHT_CAPACITY`] events; use
+/// [`events_total`] for the monotonic count.
 pub fn events() -> Vec<Event> {
-    let inner = recorder().lock().unwrap();
-    inner.flight.iter().cloned().collect()
+    recorder().flight.iter().cloned().collect()
 }
 
 /// Total number of events recorded since the last [`reset`], including
 /// events already evicted from the ring.
 pub fn events_total() -> u64 {
-    recorder().lock().unwrap().flight.total()
-}
-
-/// The flight recorder's current capacity (events retained).
-pub fn flight_capacity() -> usize {
-    recorder().lock().unwrap().flight.capacity
-}
-
-/// Incremental event read: returns the retained events with sequence
-/// `>= cursor` and the next cursor to pass. Start with cursor 0; each
-/// call returns only events not seen by the previous call, so pollers
-/// never re-clone the whole buffer. If more than `capacity` events were
-/// recorded between calls the evicted ones are skipped (compare the
-/// returned cursor delta with the returned length to detect the gap).
-pub fn events_since(cursor: u64) -> (Vec<Event>, u64) {
-    let inner = recorder().lock().unwrap();
-    (inner.flight.since(cursor), inner.flight.total())
+    recorder().flight.total()
 }
 
 /// The last `n` flight-recorder events rendered one per line (oldest
@@ -450,31 +434,7 @@ pub fn events_since(cursor: u64) -> (Vec<Event>, u64) {
 /// Used by deadlock/livelock dumps and chaos failure reports; returns an
 /// empty string when nothing was recorded.
 pub fn flight_tail(n: usize) -> String {
-    use std::fmt::Write as _;
-    let inner = recorder().lock().unwrap();
-    let len = inner.flight.len();
-    if len == 0 {
-        return String::new();
-    }
-    let take = n.min(len);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "flight recorder (last {take} of {} events):",
-        inner.flight.total()
-    );
-    for ev in inner.flight.iter().skip(len - take) {
-        let _ = writeln!(out, "  {}", ev.one_line());
-    }
-    out
-}
-
-#[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    // Tests in this crate share the process-global recorder; serialize
-    // the ones that enable it.
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
+    recorder().flight_tail(n)
 }
 
 #[cfg(test)]
@@ -482,78 +442,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recording_is_a_noop() {
-        let _g = test_guard();
-        reset();
-        disable();
-        let guard = crate::span!("phase", x = 1);
-        drop(guard);
-        counter_add("c", 5);
-        gauge_set("g", -2);
-        histogram_observe("h", 17);
-        instant("nothing");
-        assert!(events().is_empty());
-        assert_eq!(events_total(), 0);
-        let inner = recorder().lock().unwrap();
-        assert!(inner.counters.is_empty());
-        assert!(inner.gauges.is_empty());
-        assert!(inner.histograms.is_empty());
-    }
-
-    #[test]
     fn spans_nest_per_thread() {
-        let _g = test_guard();
-        reset();
-        enable();
-        let outer = crate::span!("outer");
-        let inner_span = crate::span!("inner", step = 3);
-        drop(inner_span);
-        drop(outer);
-        disable();
-        let evs = events();
-        reset();
-        assert_eq!(evs.len(), 4);
-        match (&evs[0], &evs[1]) {
-            (
-                Event::SpanBegin {
-                    id: outer_id,
-                    parent: 0,
-                    ..
-                },
-                Event::SpanBegin { parent, fields, .. },
-            ) => {
-                assert_eq!(parent, outer_id);
+        let mut rec = Recorder::new(16);
+        let outer = rec.span_begin((10, 1), "outer", Vec::new());
+        let other = rec.span_begin((11, 2), "other-thread", Vec::new());
+        let inner = rec.span_begin((12, 1), "inner", vec![("step", "3".to_string())]);
+        rec.span_end((15, 1), inner);
+        rec.span_end((20, 1), outer);
+        rec.span_end((21, 2), other);
+        let evs: Vec<&Event> = rec.flight.iter().collect();
+        assert_eq!(evs.len(), 6);
+        assert!(matches!(evs[1], Event::SpanBegin { parent: 0, .. }));
+        match evs[2] {
+            Event::SpanBegin { parent, fields, .. } => {
+                assert_eq!(*parent, outer);
                 assert_eq!(fields, &vec![("step", "3".to_string())]);
             }
-            other => panic!("unexpected events: {other:?}"),
+            other => panic!("unexpected event: {other:?}"),
         }
-        assert!(matches!(&evs[2], Event::SpanEnd { name: "inner", .. }));
-        assert!(matches!(&evs[3], Event::SpanEnd { name: "outer", .. }));
+        assert!(matches!(evs[3], Event::SpanEnd { name: "inner", .. }));
+        assert!(matches!(evs[4], Event::SpanEnd { name: "outer", .. }));
+        assert_eq!(rec.durations["inner"].total_ns, 3);
+        assert_eq!(rec.durations["outer"].total_ns, 10);
     }
 
+    /// Two recorders in one process share nothing: what the
+    /// process-global `static` could not offer, and what lets a kernel
+    /// own one.
     #[test]
-    fn metrics_accumulate() {
-        let _g = test_guard();
-        reset();
-        enable();
-        counter_add("bytes", 10);
-        counter_add("bytes", 32);
-        gauge_set("depth", 4);
-        gauge_set("depth", 2);
-        histogram_observe("sizes", 0);
-        histogram_observe("sizes", 1);
-        histogram_observe("sizes", 1024);
-        disable();
-        let inner = recorder().lock().unwrap();
-        assert_eq!(inner.counters["bytes"], 42);
-        assert_eq!(inner.gauges["depth"], 2);
-        let h = &inner.histograms["sizes"];
-        assert_eq!((h.count, h.sum, h.min, h.max), (3, 1025, 0, 1024));
-        assert_eq!(h.buckets[0], 1); // 0
-        assert_eq!(h.buckets[1], 1); // 1
-        assert_eq!(h.buckets[11], 1); // 1024 in [2^10, 2^11)
-        drop(inner);
-        reset();
+    fn recorders_are_independent_values() {
+        let mut a = Recorder::new(16);
+        let mut b = Recorder::new(16);
+        a.instant((1, 0), "only in a");
+        let span = a.span_begin((2, 0), "phase", Vec::new());
+        a.metrics.counter_add("bytes", &[], 42);
+        a.meta.insert("run".into(), "a".into());
+        b.metrics.sketch_observe("lat", &[("tenant", "t")], 7);
+        // b never saw a's span: closing it there is a no-op.
+        b.span_end((3, 0), span);
+        assert_eq!((a.flight.total(), b.flight.total()), (2, 0));
+        assert_eq!((a.metrics.entries.len(), b.metrics.entries.len()), (1, 1));
+        assert_eq!(a.metrics.entries[0].name, "bytes");
+        assert_eq!(b.metrics.entries[0].name, "lat");
+        assert!(b.meta.is_empty() && b.durations.is_empty());
+        assert!(b.flight_tail(8).is_empty());
     }
 
     #[test]
@@ -629,86 +561,24 @@ mod tests {
         assert_eq!(b.min_ns, 5, "empty stat's zero min must not leak in");
     }
 
+    /// The acceptance bound for the flight recorder: a million events at
+    /// capacity 4096 hold at most 4096 in memory while the monotonic
+    /// total still counts every one.
     #[test]
-    fn flight_ring_is_bounded_with_monotonic_sequence() {
-        let mut ring = FlightRing::with_capacity(4);
-        for i in 0..10u64 {
-            ring.push(Event::Instant {
-                tid: 0,
-                t_ns: i,
-                label: format!("e{i}"),
-            });
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.total(), 10);
-        assert_eq!(ring.oldest_seq(), 6);
-        let tail: Vec<u64> = ring.iter().map(|e| e.t_ns()).collect();
-        assert_eq!(tail, vec![6, 7, 8, 9]);
-        // Cursor before the oldest retained event skips the gap.
-        assert_eq!(ring.since(0).len(), 4);
-        assert_eq!(ring.since(8).len(), 2);
-        assert_eq!(ring.since(10).len(), 0);
-    }
-
-    #[test]
-    fn events_since_is_incremental() {
-        let _g = test_guard();
-        reset();
-        enable();
-        instant("a");
-        instant("b");
-        let (batch, cursor) = events_since(0);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(cursor, 2);
-        let (batch, cursor) = events_since(cursor);
-        assert!(batch.is_empty());
-        instant("c");
-        let (batch, cursor) = events_since(cursor);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(cursor, 3);
-        disable();
-        reset();
-    }
-
-    /// The acceptance bound for the flight recorder: a run emitting a
-    /// million events at `OBS_FLIGHT_CAPACITY=4096` holds at most 4096
-    /// in memory while the monotonic total still counts every one.
-    #[test]
-    fn million_events_stay_bounded_by_configured_capacity() {
-        let _g = test_guard();
-        std::env::set_var("OBS_FLIGHT_CAPACITY", "4096");
-        reset(); // re-reads the env var
-        std::env::remove_var("OBS_FLIGHT_CAPACITY");
-        assert_eq!(flight_capacity(), 4096);
-        enable();
+    fn million_events_stay_bounded_by_capacity() {
+        let mut rec = Recorder::new(4096);
         const N: u64 = 1_000_000;
         for i in 0..N {
-            instant(if i % 2 == 0 { "tick" } else { "tock" });
+            rec.instant((i, 0), if i % 2 == 0 { "tick" } else { "tock" });
         }
-        disable();
-        assert_eq!(events_total(), N, "every event is counted");
-        let tail = events();
-        assert_eq!(tail.len(), 4096, "but only capacity are retained");
-        // The retained window is exactly the newest 4096: a cursor at
-        // the oldest retained sequence returns the full window.
-        let (batch, cursor) = events_since(N - 4096);
-        assert_eq!(batch.len(), 4096);
-        assert_eq!(cursor, N);
+        assert_eq!(rec.flight.total(), N, "every event is counted");
+        assert_eq!(rec.flight.len(), 4096, "but only capacity are retained");
+        // The retained window is exactly the newest 4096.
+        let oldest = rec.flight.iter().next().unwrap();
+        assert_eq!(oldest.t_ns(), N - 4096);
         // flight_tail renders from the same bounded window.
-        let dump = flight_tail(8);
+        let dump = rec.flight_tail(8);
         assert!(dump.starts_with("flight recorder (last 8 of 1000000 events):"));
-        reset(); // env var is gone: capacity returns to the default
-        assert_eq!(flight_capacity(), DEFAULT_FLIGHT_CAPACITY);
-    }
-
-    #[test]
-    fn meta_survives_disable_and_clears_on_reset() {
-        let _g = test_guard();
-        reset();
-        disable();
-        set_meta("chaos.seed", "42");
-        assert_eq!(meta(), vec![("chaos.seed".into(), "42".into())]);
-        reset();
-        assert!(meta().is_empty());
+        assert_eq!(dump.lines().count(), 9);
     }
 }

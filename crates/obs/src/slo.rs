@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::recorder::{counter_add, instant, is_enabled};
+use crate::recorder::{counter_add_labeled, instant, is_enabled};
 use crate::sketch::LatencySketch;
 
 /// A parsed SLO: `<metric>.p<quantile> < <threshold> over <window>`.
@@ -206,8 +206,7 @@ impl SloMonitor {
             samples: w.sketch.count(),
         };
         if is_enabled() {
-            counter_add("slo.breaches", 1);
-            crate::labels::counter_add_labeled("slo.breaches", &[("tenant", tenant)], 1);
+            counter_add_labeled("slo.breaches", &[("tenant", tenant)], 1);
             instant(&format!("slo.breach {}", breach.render()));
         }
         breaches.push(breach);

@@ -21,7 +21,7 @@
 //!   an environment variable (`SIMCHAOS_FAULTS=…`).
 //!
 //! Every injection is counted through `snapify-obs`
-//! (`chaos.injected.*`), so a run's fault activity is visible in the
+//! (`chaos.injected{fault}`), so a run's fault activity is visible in the
 //! metrics dump even when everything is survived silently.
 
 use std::fmt;
@@ -309,8 +309,7 @@ impl FaultPlane {
     /// Consume the first unfired fault aimed at `target` whose time has
     /// come (entry time ≤ current virtual time). Returns `None` outside
     /// a simulation, when the plane is empty, or when nothing is due.
-    /// Each injection bumps the `chaos.injected` and
-    /// `chaos.injected.<kind>` counters.
+    /// Each injection bumps the `chaos.injected{fault=<kind>}` counter.
     pub fn take(&self, target: FaultTarget) -> Option<FaultKind> {
         if self.inner.schedule.is_empty() || !simkernel::in_simulation() {
             return None;
@@ -320,8 +319,7 @@ impl FaultPlane {
         for (i, e) in self.inner.schedule.entries.iter().enumerate() {
             if !fired[i] && e.target == target && e.at <= now {
                 fired[i] = true;
-                obs::counter_add("chaos.injected", 1);
-                obs::counter_add(&format!("chaos.injected.{}", e.fault.label()), 1);
+                obs::counter_add_labeled("chaos.injected", &[("fault", e.fault.label())], 1);
                 return Some(e.fault);
             }
         }

@@ -57,17 +57,6 @@ pub struct SnapifyIoConfig {
     /// socket↔staging buffer; the second copy partially overlaps the DMA,
     /// hence the fractional default).
     pub socket_copies: f64,
-    /// On-the-fly compression of the staged chunks, modeled as a cost
-    /// knob on shipped bytes: the DMA moves `compression_ratio × len`
-    /// while a compressor core pays `len / compress_bw` per chunk on
-    /// the device side of the transfer. `1.0` disables compression
-    /// (the paper's transport, and the default). The logical file is
-    /// unchanged either way — compression only trades compressor CPU
-    /// for PCIe bytes.
-    pub compression_ratio: f64,
-    /// Single-core throughput of the in-line compressor (an in-order
-    /// Phi core running lz-class compression).
-    pub compress_bw: Bandwidth,
 }
 
 impl Default for SnapifyIoConfig {
@@ -77,8 +66,6 @@ impl Default for SnapifyIoConfig {
             open_overhead: ms(9),
             notify_bytes: 64,
             socket_copies: 1.5,
-            compression_ratio: 1.0,
-            compress_bw: Bandwidth::gb_per_sec(4.0),
         }
     }
 }

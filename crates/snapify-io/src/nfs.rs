@@ -104,28 +104,21 @@ impl Nfs {
                 // failure mode to model; consume them, but count the
                 // drop so a misconfigured schedule is visible.
                 other => {
-                    obs::counter_add("chaos.nfs.ignored", 1);
-                    obs::counter_add(&format!("chaos.nfs.ignored.{}", other.label()), 1);
+                    obs::counter_add_labeled("chaos.nfs.ignored", &[("fault", other.label())], 1);
                     continue;
                 }
             };
             simkernel::sleep(stall);
-            obs::counter_add("chaos.nfs.timeouts", 1);
-            obs::counter_add_labeled("io.timeouts", &[("op", verb), ("transport", "nfs")], 1);
+            let labels = [("op", verb), ("transport", "nfs")];
+            obs::counter_add_labeled("io.timeouts", &labels, 1);
             if attempt >= retry.max_retries {
-                obs::counter_add("chaos.surfaced", 1);
-                obs::counter_add_labeled(
-                    "io.errors_surfaced",
-                    &[("op", verb), ("transport", "nfs")],
-                    1,
-                );
+                obs::counter_add_labeled("chaos.surfaced", &labels, 1);
                 return Err(IoError::Timeout(format!(
                     "nfs {op}: no server response after {} attempt(s)",
                     attempt + 1
                 )));
             }
-            obs::counter_add("chaos.retried", 1);
-            obs::counter_add_labeled("io.retries", &[("op", verb), ("transport", "nfs")], 1);
+            obs::counter_add_labeled("chaos.retried", &labels, 1);
             simkernel::sleep(retry.backoff_for(attempt));
             attempt += 1;
         }

@@ -68,25 +68,15 @@ impl Scp {
         loop {
             match self.inner.server.faults().take(FaultTarget::Scp) {
                 Some(FaultKind::ConnReset) => {
-                    obs::counter_add("chaos.scp.resets", 1);
-                    obs::counter_add_labeled("io.resets", &[("op", verb), ("transport", "scp")], 1);
+                    let labels = [("op", verb), ("transport", "scp")];
+                    obs::counter_add_labeled("io.resets", &labels, 1);
                     if *resets >= retry.max_retries {
-                        obs::counter_add("chaos.surfaced", 1);
-                        obs::counter_add_labeled(
-                            "io.errors_surfaced",
-                            &[("op", verb), ("transport", "scp")],
-                            1,
-                        );
+                        obs::counter_add_labeled("chaos.surfaced", &labels, 1);
                         return Err(IoError::ConnReset(format!(
                             "scp {context}: connection reset, retry budget exhausted"
                         )));
                     }
-                    obs::counter_add("chaos.retried", 1);
-                    obs::counter_add_labeled(
-                        "io.retries",
-                        &[("op", verb), ("transport", "scp")],
-                        1,
-                    );
+                    obs::counter_add_labeled("chaos.retried", &labels, 1);
                     simkernel::sleep(retry.backoff_for(*resets));
                     // Reconnect: pay the ssh handshake again.
                     simkernel::sleep(self.inner.config.setup);
@@ -97,8 +87,7 @@ impl Scp {
                 // failure mode to model; consume them, but count the
                 // drop so a misconfigured schedule is visible.
                 Some(other) => {
-                    obs::counter_add("chaos.scp.ignored", 1);
-                    obs::counter_add(&format!("chaos.scp.ignored.{}", other.label()), 1);
+                    obs::counter_add_labeled("chaos.scp.ignored", &[("fault", other.label())], 1);
                 }
                 None => return Ok(()),
             }

@@ -153,8 +153,11 @@ impl SnapifyIo {
             .expect("one end of a cross-node open is a device");
         match self.inner.server.faults().take(FaultTarget::Bus(idx)) {
             Some(FaultKind::ConnReset) => {
-                obs::counter_add("chaos.snapify_io.connect_resets", 1);
-                obs::counter_add("chaos.surfaced", 1);
+                obs::counter_add_labeled(
+                    "chaos.surfaced",
+                    &[("op", "open"), ("transport", "snapify-io")],
+                    1,
+                );
                 Err(IoError::ConnReset(format!(
                     "snapify-io open {local}->{target}: scif connect reset"
                 )))
@@ -170,25 +173,6 @@ impl SnapifyIo {
                 Ok(())
             }
             _ => Ok(()),
-        }
-    }
-
-    /// Bytes a `len`-byte staged chunk puts on the DMA once the in-line
-    /// compressor has run (all of them when compression is off).
-    fn shipped_len(&self, len: u64) -> u64 {
-        let ratio = self.inner.config.compression_ratio;
-        if ratio >= 1.0 {
-            len
-        } else {
-            (len as f64 * ratio).ceil() as u64
-        }
-    }
-
-    /// Compressor time for a `len`-byte chunk; zero when compression is
-    /// off.
-    fn compress_cost(&self, len: u64) {
-        if self.inner.config.compression_ratio < 1.0 {
-            simkernel::sleep(self.inner.config.compress_bw.time_for(len));
         }
     }
 
@@ -208,14 +192,11 @@ impl SnapifyIo {
             .node(local)
             .memcpy((chunk.len() as f64 * self.inner.config.socket_copies) as u64);
         if local != target {
-            // Compress in the staging buffer (device CPU), then the
-            // chunk-ready notification + DMA pull by the remote daemon
-            // move only the compressed bytes.
-            self.compress_cost(chunk.len());
+            // Chunk-ready notification + DMA pull by the remote daemon.
             server
                 .link_between(local, target)
                 .message_transfer(self.inner.config.notify_bytes);
-            server.rdma_between(local, target, self.shipped_len(chunk.len()));
+            server.rdma_between(local, target, chunk.len());
         }
         // The remote daemon appends asynchronously; the writer does not
         // wait for the file system (§7: the host flush runs in parallel).
@@ -246,14 +227,11 @@ impl SnapifyIo {
         let t0 = simkernel::now();
         let chunk = server.node(target).fs().read(path, offset, len)?;
         if local != target {
-            // Mirror of the write path: the remote daemon compresses,
-            // the DMA pushes the compressed bytes, the local daemon
-            // decompresses into the socket.
-            self.compress_cost(chunk.len());
+            // Mirror of the write path: notification + DMA push.
             server
                 .link_between(local, target)
                 .message_transfer(self.inner.config.notify_bytes);
-            server.rdma_between(target, local, self.shipped_len(chunk.len()));
+            server.rdma_between(target, local, chunk.len());
         }
         server
             .node(local)
@@ -409,53 +387,6 @@ mod tests {
             // Both land around 1 GB/s (0.7–1.6s for 1 GiB).
             assert!(write_time.as_secs_f64() > 0.5 && write_time.as_secs_f64() < 1.6);
             assert!(read_time.as_secs_f64() < 2.5);
-        });
-    }
-
-    #[test]
-    fn compression_ships_fewer_pcie_bytes_and_wins_on_a_slow_link() {
-        use phi_platform::{FaultSchedule, PlatformParams};
-        use simkernel::Bandwidth;
-        Kernel::run_root(|| {
-            // A congested link (0.5 GB/s effective RDMA): the wire, not
-            // the compressor core, is the bottleneck, so spending CPU to
-            // shrink the shipped bytes pays off.
-            let run = |ratio: f64| {
-                let params = PlatformParams {
-                    pcie_rdma_bw: Bandwidth::gb_per_sec(0.5),
-                    ..PlatformParams::default()
-                };
-                let server = PhiServer::new_with_faults(params, FaultSchedule::none());
-                let io = SnapifyIo::new(
-                    &server,
-                    SnapifyIoConfig {
-                        compression_ratio: ratio,
-                        ..SnapifyIoConfig::default()
-                    },
-                );
-                let dev = NodeId::device(0);
-                let data = Payload::synthetic(5, GB);
-                let t0 = now();
-                write_all(&io, dev, NodeId::HOST, "/snap/comp", &data);
-                let elapsed = now() - t0;
-                let shipped = server.link(0).rdma_stats().0;
-                // The transport knob never changes the logical file.
-                assert_eq!(
-                    read_all(&io, dev, NodeId::HOST, "/snap/comp").digest(),
-                    data.digest()
-                );
-                (elapsed, shipped)
-            };
-            let (plain_t, plain_b) = run(1.0);
-            let (comp_t, comp_b) = run(0.3);
-            assert!(
-                comp_b * 3 <= plain_b,
-                "the DMA moves only compressed bytes: comp={comp_b} plain={plain_b}"
-            );
-            assert!(
-                comp_t < plain_t,
-                "compression wins on a slow link: comp={comp_t} plain={plain_t}"
-            );
         });
     }
 

@@ -36,7 +36,7 @@
 //! dead are deleted from the backing fs.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use phi_platform::{FaultKind, FaultTarget, NodeId, Payload, PhiServer, SimFs};
 use simkernel::obs;
@@ -405,7 +405,7 @@ struct StoreInner {
     /// Per-node digest engines, created lazily.
     hashers: Mutex<HashMap<NodeId, BandwidthResource>>,
     /// Shared cross-node pool, if this store joined a fleet.
-    pool: OnceLock<PoolAttachment>,
+    pool: Option<PoolAttachment>,
 }
 
 /// The content-addressed store, wrapping a [`SnapshotStorage`] backend.
@@ -422,6 +422,42 @@ impl Dedup {
         backend: Arc<dyn SnapshotStorage>,
         config: DedupConfig,
     ) -> Dedup {
+        Dedup::build(server, backend, config, None)
+    }
+
+    /// [`Dedup::new`] as a member of a fleet: every manifest this store
+    /// commits is published to `pool` under fleet node `cluster_node`,
+    /// deletions release the node's pool holds, and a restore that
+    /// misses locally imports the snapshot from the pool — paying the
+    /// cluster network only for chunks this store has never seen. Must
+    /// be called from a sim thread (it builds the cluster NIC).
+    pub fn with_pool(
+        server: &PhiServer,
+        backend: Arc<dyn SnapshotStorage>,
+        config: DedupConfig,
+        pool: &ClusterPool,
+        cluster_node: usize,
+    ) -> Dedup {
+        let params = server.params();
+        let nic = BandwidthResource::new(
+            format!("snapstore-nic{cluster_node}"),
+            params.net_bw,
+            params.net_latency,
+        );
+        let attachment = PoolAttachment {
+            pool: pool.clone(),
+            node: cluster_node,
+            nic,
+        };
+        Dedup::build(server, backend, config, Some(attachment))
+    }
+
+    fn build(
+        server: &PhiServer,
+        backend: Arc<dyn SnapshotStorage>,
+        config: DedupConfig,
+        pool: Option<PoolAttachment>,
+    ) -> Dedup {
         Dedup {
             inner: Arc::new(StoreInner {
                 server: server.clone(),
@@ -429,34 +465,9 @@ impl Dedup {
                 config,
                 index: Mutex::new(Index::default()),
                 hashers: Mutex::new(HashMap::new()),
-                pool: OnceLock::new(),
+                pool,
             }),
         }
-    }
-
-    /// Join a fleet: every manifest this store commits is published to
-    /// `pool` under fleet node `cluster_node`, deletions release the
-    /// node's pool holds, and a restore that misses locally imports the
-    /// snapshot from the pool — paying the cluster network only for
-    /// chunks this store has never seen. Must be called from a sim
-    /// thread (it builds the cluster NIC), at most once per store.
-    pub fn attach_pool(&self, pool: &ClusterPool, cluster_node: usize) {
-        let params = self.inner.server.params();
-        let nic = BandwidthResource::new(
-            format!("snapstore-nic{cluster_node}"),
-            params.net_bw,
-            params.net_latency,
-        );
-        let ok = self
-            .inner
-            .pool
-            .set(PoolAttachment {
-                pool: pool.clone(),
-                node: cluster_node,
-                nic,
-            })
-            .is_ok();
-        assert!(ok, "cluster pool already attached to this store");
     }
 
     /// The store configuration.
@@ -500,8 +511,6 @@ impl Dedup {
         idx.stats.bytes_deduped += len;
         idx.stats.capture_dirty_bytes += len;
         drop(idx);
-        obs::counter_add("store.chunks_hit", 1);
-        obs::counter_add("store.bytes_deduped", len);
         if obs::is_enabled() {
             let n = node.to_string();
             obs::counter_add_labeled("store.chunks_hit", &[("node", &n)], 1);
@@ -515,8 +524,6 @@ impl Dedup {
         idx.stats.bytes_shipped += len;
         idx.stats.capture_dirty_bytes += len;
         drop(idx);
-        obs::counter_add("store.chunks_miss", 1);
-        obs::counter_add("store.bytes_shipped", len);
         if obs::is_enabled() {
             let n = node.to_string();
             obs::counter_add_labeled("store.chunks_miss", &[("node", &n)], 1);
@@ -587,14 +594,14 @@ impl Dedup {
                 idx.ledgers.insert(path.to_string(), Ledger { age, spans });
             }
             idx.stats.bytes_shipped += manifest_len;
-            if self.inner.pool.get().is_some() {
+            if self.inner.pool.is_some() {
                 pool_contents = refs.iter().map(|k| idx.chunks[k].content.clone()).collect();
             }
             dead_files
         };
         obs::counter_add("store.bytes_shipped", manifest_len);
         self.delete_files(dead_files);
-        if let Some(att) = self.inner.pool.get() {
+        if let Some(att) = &self.inner.pool {
             att.pool
                 .publish(path, att.node, refs, &pool_contents, total, image_digest);
         }
@@ -619,7 +626,7 @@ impl Dedup {
         };
         self.delete_files(dead_files);
         if existed {
-            if let Some(att) = self.inner.pool.get() {
+            if let Some(att) = &self.inner.pool {
                 att.pool.release(path, att.node);
             }
         }
@@ -900,7 +907,7 @@ impl Dedup {
     /// the pool has no visible manifest at `path` — the caller's local
     /// miss then stands.
     fn pool_import(&self, local: NodeId, path: &str) -> Result<bool, IoError> {
-        let Some(att) = self.inner.pool.get() else {
+        let Some(att) = &self.inner.pool else {
             return Ok(false);
         };
         let Some(pm) = att.pool.manifest(path) else {
@@ -1423,8 +1430,6 @@ impl DedupSource {
             idx.stats.restore_chunks_warm += 1;
             idx.stats.restore_bytes_avoided += len;
             drop(idx);
-            obs::counter_add("snapify.restore.cache_hits", 1);
-            obs::counter_add("snapify.restore.bytes_avoided", len);
             if obs::is_enabled() {
                 let n = self.local.to_string();
                 obs::counter_add_labeled("snapify.restore.cache_hits", &[("node", &n)], 1);
@@ -1484,7 +1489,6 @@ impl DedupSource {
         idx.stats.restore_chunks_cold += 1;
         idx.stats.restore_bytes_fetched += len;
         drop(idx);
-        obs::counter_add("snapify.restore.bytes_fetched", len);
         if obs::is_enabled() {
             let n = self.local.to_string();
             obs::counter_add_labeled("snapify.restore.bytes_fetched", &[("node", &n)], len);
@@ -1643,6 +1647,11 @@ mod tests {
 
     fn store(server: &PhiServer, config: DedupConfig) -> Dedup {
         Dedup::new(server, Arc::new(HostFs(server.clone())), config)
+    }
+
+    fn fleet_store(server: &PhiServer, pool: &ClusterPool, node: usize) -> Dedup {
+        let backend = Arc::new(HostFs(server.clone()));
+        Dedup::with_pool(server, backend, DedupConfig::default(), pool, node)
     }
 
     fn write_stream(store: &Dedup, path: &str, parts: &[Payload]) {
@@ -2305,10 +2314,8 @@ mod tests {
             let server_a = PhiServer::default_server();
             let server_b = PhiServer::default_server();
             let pool = ClusterPool::new(us(50));
-            let sa = store(&server_a, DedupConfig::default());
-            let sb = store(&server_b, DedupConfig::default());
-            sa.attach_pool(&pool, 0);
-            sb.attach_pool(&pool, 1);
+            let sa = fleet_store(&server_a, &pool, 0);
+            let sb = fleet_store(&server_b, &pool, 1);
             let data = Payload::synthetic(31, 32 * MB);
             write_stream(&sa, "/fleet/t0/img", std::slice::from_ref(&data));
             simkernel::sleep(ms(1)); // past the publication delay
@@ -2338,10 +2345,8 @@ mod tests {
             let server_a = PhiServer::default_server();
             let server_b = PhiServer::default_server();
             let pool = ClusterPool::new(us(50));
-            let sa = store(&server_a, DedupConfig::default());
-            let sb = store(&server_b, DedupConfig::default());
-            sa.attach_pool(&pool, 0);
-            sb.attach_pool(&pool, 1);
+            let sa = fleet_store(&server_a, &pool, 0);
+            let sb = fleet_store(&server_b, &pool, 1);
             let base = Payload::synthetic(0xBA5E, 48 * MB);
             let unique = Payload::synthetic(41, 4 * MB);
             // Node 1 captures its own tenant sharing the base region…
@@ -2380,10 +2385,8 @@ mod tests {
             let server_a = PhiServer::default_server();
             let server_b = PhiServer::default_server();
             let pool = ClusterPool::new(us(50));
-            let sa = store(&server_a, DedupConfig::default());
-            let sb = store(&server_b, DedupConfig::default());
-            sa.attach_pool(&pool, 0);
-            sb.attach_pool(&pool, 1);
+            let sa = fleet_store(&server_a, &pool, 0);
+            let sb = fleet_store(&server_b, &pool, 1);
             let data = Payload::synthetic(51, 64 * MB);
             write_stream(&sa, "/fleet/race/img", std::slice::from_ref(&data));
             simkernel::sleep(ms(1));

@@ -9,10 +9,16 @@
 //! Small populations keep each run fast; the scheduling policy matrix
 //! is what makes these properties, not the scale — the 1k-tenant shape
 //! is covered by `cargo bench --bench serving`.
+//!
+//! The tenant classes' SLOs arrive as text (`TenantClass::slo`, the
+//! chaos repro line's `SIMCHAOS_SLO=`), so the text form is checked
+//! here too: rendering is lossless and parsing never panics.
 
+use proptest::prelude::*;
 use serving::{
     run_scenario, ArrivalProcess, EvictionPolicy, ServingConfig, ServingReport, TrafficConfig,
 };
+use simkernel::obs::SloSpec;
 use simkernel::{Kernel, SchedPolicy};
 
 fn config(policy: EvictionPolicy, process: ArrivalProcess) -> ServingConfig {
@@ -99,5 +105,38 @@ fn admission_limited_overload_still_serves_everything_admitted() {
             report.summary()
         );
         assert_eq!(report.admitted + report.rejected, report.requests);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    #[test]
+    fn slo_spec_text_round_trips(
+        name in prop::collection::vec(prop::sample::select(b"ab.p95_-".to_vec()), 0..12),
+        quantile in prop::sample::select(vec![0.50, 0.90, 0.95, 0.99, 0.999]),
+        threshold_ns in any::<u64>(),
+        window_ns in any::<u64>(),
+    ) {
+        let name: String = name.into_iter().map(char::from).collect();
+        let spec = SloSpec::new(&name, quantile, threshold_ns, window_ns);
+        prop_assert_eq!(SloSpec::parse(&spec.render()), Ok(spec));
+    }
+
+    /// Whatever the text, `parse` answers `Ok` or `Err`: raw bytes, and
+    /// soups of the grammar's own tokens that get past its first checks.
+    #[test]
+    fn slo_spec_parse_never_panics(
+        raw in prop::collection::vec(any::<u8>(), 0..48),
+        soup in prop::collection::vec(
+            prop::sample::select(vec![
+                "<", " over ", ".p", "p", "50", "99", "999", "ns", "us", "ms", "s", " ", "m",
+                "-1", "18446744073709551616", "18446744073709551615", "é", "\u{0}",
+            ]),
+            0..10,
+        ),
+    ) {
+        let _ = SloSpec::parse(&String::from_utf8_lossy(&raw));
+        let _ = SloSpec::parse(&soup.concat());
     }
 }
