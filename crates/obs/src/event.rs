@@ -1,5 +1,5 @@
-//! The typed event model: what the string labels of
-//! `simkernel::Kernel::trace_event` grow up into.
+//! The typed event model: what the string labels of the simulation
+//! kernel's scheduling trace grow up into.
 
 /// Identifier of a span, unique within one recording session. `0` is
 /// reserved for "no span" (used as the parent of top-level spans).

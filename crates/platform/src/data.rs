@@ -10,18 +10,70 @@
 //! Synthetic extents behave like real data for everything the simulation
 //! cares about: they can be sliced, concatenated, and digested, and a
 //! digest survives *any* re-chunking (transfer pipelines split payloads at
-//! buffer granularity) because [`Payload::normalize`] re-merges contiguous
-//! extents before hashing. A data-path bug that drops, duplicates, or
+//! buffer granularity) because [`Payload::digest`] hashes the canonical
+//! segment stream — contiguous extents merged, runs of real bytes joined —
+//! whatever the segmentation. A data-path bug that drops, duplicates, or
 //! reorders a chunk therefore changes the digest even for synthetic data.
+//!
+//! Real bytes are never copied by the payload algebra: a byte segment is
+//! a [`ByteWindow`] — a shared buffer plus a range — so [`Payload::slice`],
+//! [`Payload::chunks`] and [`Payload::replace`] hand out windows into the
+//! buffer they were given, and every stage of a transfer pipeline holds a
+//! handle to the same allocation. A window keeps its whole buffer alive;
+//! [`Payload::normalize`] is the one place bytes are copied, joining a run
+//! of windows into a single exactly-sized buffer.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// A range of a shared, immutable byte buffer. Cloning and re-windowing
+/// share the allocation; equality is by content.
+#[derive(Clone)]
+pub struct ByteWindow {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl ByteWindow {
+    fn whole(buf: Vec<u8>) -> ByteWindow {
+        let end = buf.len();
+        ByteWindow {
+            buf: Arc::new(buf),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl Deref for ByteWindow {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl PartialEq for ByteWindow {
+    fn eq(&self, other: &ByteWindow) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ByteWindow {}
+
+impl fmt::Debug for ByteWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// One segment of a payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Segment {
-    /// Real bytes (shared, cheap to clone).
-    Bytes(Arc<Vec<u8>>),
+    /// Real bytes (shared, cheap to clone and to re-window).
+    Bytes(ByteWindow),
     /// `len` bytes of deterministic synthetic content: the bytes of extent
     /// `tag` starting at `offset`.
     Synthetic {
@@ -47,12 +99,34 @@ impl Segment {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The `len` bytes of this segment starting at `start` (in range by
+    /// the caller's arithmetic).
+    fn window(&self, start: u64, len: u64) -> Segment {
+        match self {
+            Segment::Bytes(b) => {
+                let start = b.start + start as usize;
+                Segment::Bytes(ByteWindow {
+                    buf: Arc::clone(&b.buf),
+                    start,
+                    end: start + len as usize,
+                })
+            }
+            Segment::Synthetic { tag, offset, .. } => Segment::Synthetic {
+                tag: *tag,
+                offset: offset + start,
+                len,
+            },
+        }
+    }
 }
 
 /// A logical byte string: a sequence of segments.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Payload {
     segments: Vec<Segment>,
+    /// Sum of the segment lengths, kept as segments come and go.
+    len: u64,
 }
 
 impl fmt::Debug for Payload {
@@ -60,7 +134,7 @@ impl fmt::Debug for Payload {
         write!(
             f,
             "Payload[{} bytes, {} segs]",
-            self.len(),
+            self.len,
             self.segments.len()
         )
     }
@@ -81,6 +155,37 @@ fn fnv_u64(mut state: u64, v: u64) -> u64 {
     state
 }
 
+/// One piece of a payload's canonical segment stream
+/// ([`Payload::canonical`]).
+enum Canonical<'a> {
+    /// A byte window; `continues` if the previous piece was one too.
+    Bytes {
+        window: &'a ByteWindow,
+        continues: bool,
+    },
+    /// A maximal synthetic extent `(tag, offset, len)`.
+    Extent((u64, u64, u64)),
+}
+
+/// Join a run of byte windows into one: a lone window is returned as the
+/// shared handle it already is, several are copied into one buffer sized
+/// exactly to their total.
+fn join_windows(run: &mut Vec<&ByteWindow>) -> Option<Segment> {
+    let joined = match run.as_slice() {
+        [] => return None,
+        [only] => (*only).clone(),
+        many => {
+            let mut buf = Vec::with_capacity(many.iter().map(|w| w.len()).sum());
+            for w in many {
+                buf.extend_from_slice(w);
+            }
+            ByteWindow::whole(buf)
+        }
+    };
+    run.clear();
+    Some(Segment::Bytes(joined))
+}
+
 impl Payload {
     /// The empty payload.
     pub fn empty() -> Payload {
@@ -94,7 +199,8 @@ impl Payload {
             return Payload::empty();
         }
         Payload {
-            segments: vec![Segment::Bytes(Arc::new(v))],
+            len: v.len() as u64,
+            segments: vec![Segment::Bytes(ByteWindow::whole(v))],
         }
     }
 
@@ -104,6 +210,7 @@ impl Payload {
             return Payload::empty();
         }
         Payload {
+            len,
             segments: vec![Segment::Synthetic {
                 tag,
                 offset: 0,
@@ -114,7 +221,7 @@ impl Payload {
 
     /// Total length in bytes.
     pub fn len(&self) -> u64 {
-        self.segments.iter().map(Segment::len).sum()
+        self.len
     }
 
     /// Whether the payload is zero-length.
@@ -129,6 +236,7 @@ impl Payload {
 
     /// Append another payload.
     pub fn append(&mut self, other: Payload) {
+        self.len += other.len;
         self.segments.extend(other.segments);
     }
 
@@ -141,125 +249,157 @@ impl Payload {
         out
     }
 
-    /// Extract `len` bytes starting at `offset`. Panics if out of range.
+    /// Whether `[offset, offset + len)` lies inside the payload — without
+    /// the wrap-around a plain `offset + len` has in a release build.
+    fn contains_range(&self, offset: u64, len: u64) -> bool {
+        offset.checked_add(len).is_some_and(|end| end <= self.len)
+    }
+
+    /// Extract `len` bytes starting at `offset`, as windows into the same
+    /// buffers. Panics if out of range.
     pub fn slice(&self, offset: u64, len: u64) -> Payload {
         assert!(
-            offset + len <= self.len(),
+            self.contains_range(offset, len),
             "slice [{offset}, {offset}+{len}) out of range for payload of {} bytes",
-            self.len()
+            self.len
         );
-        let mut out = Vec::new();
-        let mut pos = 0u64;
-        let mut remaining_skip = offset;
-        let mut remaining_take = len;
+        let mut segments = Vec::new();
+        let mut skip = offset;
+        let mut wanted = len;
         for seg in &self.segments {
-            if remaining_take == 0 {
+            if wanted == 0 {
                 break;
             }
             let seg_len = seg.len();
-            if remaining_skip >= seg_len {
-                remaining_skip -= seg_len;
-                pos += seg_len;
+            if skip >= seg_len {
+                skip -= seg_len;
                 continue;
             }
-            let start = remaining_skip;
-            let take = (seg_len - start).min(remaining_take);
-            remaining_skip = 0;
-            remaining_take -= take;
-            pos += seg_len;
-            let _ = pos;
-            match seg {
-                Segment::Bytes(b) => {
-                    out.push(Segment::Bytes(Arc::new(
-                        b[start as usize..(start + take) as usize].to_vec(),
-                    )));
-                }
-                Segment::Synthetic {
-                    tag, offset: so, ..
-                } => {
-                    out.push(Segment::Synthetic {
-                        tag: *tag,
-                        offset: so + start,
-                        len: take,
-                    });
+            let take = (seg_len - skip).min(wanted);
+            segments.push(seg.window(skip, take));
+            skip = 0;
+            wanted -= take;
+        }
+        Payload { segments, len }
+    }
+
+    /// Split into chunks of at most `chunk` bytes (transfer granularity):
+    /// the payloads `slice(0, chunk)`, `slice(chunk, chunk)`, … in one
+    /// pass over the segments.
+    pub fn chunks(&self, chunk: u64) -> Vec<Payload> {
+        assert!(chunk > 0);
+        let mut out = Vec::with_capacity(self.len.div_ceil(chunk) as usize);
+        let mut cur = Payload::empty();
+        for seg in &self.segments {
+            let seg_len = seg.len();
+            let mut start = 0;
+            while start < seg_len {
+                let take = (seg_len - start).min(chunk - cur.len);
+                cur.segments.push(seg.window(start, take));
+                cur.len += take;
+                start += take;
+                if cur.len == chunk {
+                    out.push(std::mem::take(&mut cur));
                 }
             }
         }
-        Payload { segments: out }
-    }
-
-    /// Split into chunks of at most `chunk` bytes (transfer granularity).
-    pub fn chunks(&self, chunk: u64) -> Vec<Payload> {
-        assert!(chunk > 0);
-        let total = self.len();
-        let mut out = Vec::with_capacity(total.div_ceil(chunk) as usize);
-        let mut off = 0;
-        while off < total {
-            let take = chunk.min(total - off);
-            out.push(self.slice(off, take));
-            off += take;
+        if !cur.is_empty() {
+            out.push(cur);
         }
         out
     }
 
-    /// Canonical form: adjacent synthetic extents with the same tag and
-    /// contiguous offsets are merged; adjacent real-byte segments are
-    /// coalesced. Two payloads representing the same logical byte string
-    /// normalize to equal values regardless of how they were chunked.
-    pub fn normalize(&self) -> Payload {
-        let mut out: Vec<Segment> = Vec::new();
+    /// Walk the canonical segment stream — what the payload *is*,
+    /// whatever its segmentation: empty segments dropped, adjacent
+    /// synthetic extents with the same tag and contiguous offsets merged
+    /// into one, and each byte window marked with whether it continues
+    /// the run of byte windows before it. The one place the merge rule
+    /// lives; [`Payload::normalize`] builds this stream and
+    /// [`Payload::digest`] hashes it.
+    fn canonical<'a>(&'a self, mut visit: impl FnMut(Canonical<'a>)) {
+        // The extent still open to merging, if the last non-empty segment
+        // was synthetic; `in_run` if it was bytes.
+        let mut open: Option<(u64, u64, u64)> = None;
+        let mut in_run = false;
         for seg in &self.segments {
             if seg.is_empty() {
                 continue;
             }
-            match (out.last_mut(), seg) {
-                (
-                    Some(Segment::Synthetic {
-                        tag: t1,
-                        offset: o1,
-                        len: l1,
-                    }),
-                    Segment::Synthetic {
-                        tag: t2,
-                        offset: o2,
-                        len: l2,
-                    },
-                ) if *t1 == *t2 && *o1 + *l1 == *o2 => {
-                    *l1 += *l2;
-                }
-                (Some(Segment::Bytes(b1)), Segment::Bytes(b2)) => {
-                    let mut merged = (**b1).clone();
-                    merged.extend_from_slice(b2);
-                    *out.last_mut().unwrap() = Segment::Bytes(Arc::new(merged));
-                }
-                _ => out.push(seg.clone()),
-            }
-        }
-        Payload { segments: out }
-    }
-
-    /// Chunking-invariant content digest (FNV-1a over the normalized
-    /// segment stream). Equal digests ⇒ same logical content, with
-    /// overwhelming probability.
-    pub fn digest(&self) -> u64 {
-        let norm = self.normalize();
-        let mut h = FNV_OFFSET;
-        for seg in &norm.segments {
             match seg {
-                Segment::Bytes(b) => {
-                    h = fnv_byte(h, 0x01);
-                    for &byte in b.iter() {
-                        h = fnv_byte(h, byte);
+                Segment::Bytes(window) => {
+                    if let Some(extent) = open.take() {
+                        visit(Canonical::Extent(extent));
                     }
+                    visit(Canonical::Bytes {
+                        window,
+                        continues: in_run,
+                    });
+                    in_run = true;
                 }
                 Segment::Synthetic { tag, offset, len } => {
-                    h = fnv_byte(h, 0x02);
-                    h = fnv_u64(h, *tag);
-                    h = fnv_u64(h, *offset);
-                    h = fnv_u64(h, *len);
+                    in_run = false;
+                    match &mut open {
+                        Some((t, o, l)) if *t == *tag && *o + *l == *offset => *l += *len,
+                        _ => {
+                            if let Some(extent) = open.replace((*tag, *offset, *len)) {
+                                visit(Canonical::Extent(extent));
+                            }
+                        }
+                    }
                 }
             }
         }
+        if let Some(extent) = open {
+            visit(Canonical::Extent(extent));
+        }
+    }
+
+    /// Canonical form: adjacent synthetic extents with the same tag and
+    /// contiguous offsets are merged; a run of adjacent real-byte segments
+    /// becomes one segment over one exactly-sized buffer (a run of one
+    /// keeps the buffer it already shares). Two payloads representing the
+    /// same logical byte string normalize to equal values regardless of
+    /// how they were chunked.
+    pub fn normalize(&self) -> Payload {
+        let mut out: Vec<Segment> = Vec::new();
+        let mut run: Vec<&ByteWindow> = Vec::new();
+        self.canonical(|piece| match piece {
+            Canonical::Bytes { window, .. } => run.push(window),
+            Canonical::Extent((tag, offset, len)) => {
+                out.extend(join_windows(&mut run));
+                out.push(Segment::Synthetic { tag, offset, len });
+            }
+        });
+        out.extend(join_windows(&mut run));
+        Payload {
+            segments: out,
+            len: self.len,
+        }
+    }
+
+    /// Chunking-invariant content digest: FNV-1a over the canonical
+    /// segment stream, hashed as it is walked — nothing is built first.
+    /// A run of byte segments is `0x01` then its bytes, an extent is
+    /// `0x02` then `(tag, offset, len)`. Equal digests ⇒ same logical
+    /// content, with overwhelming probability.
+    pub fn digest(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        self.canonical(|piece| match piece {
+            Canonical::Bytes { window, continues } => {
+                if !continues {
+                    h = fnv_byte(h, 0x01);
+                }
+                for &byte in window.iter() {
+                    h = fnv_byte(h, byte);
+                }
+            }
+            Canonical::Extent((tag, offset, len)) => {
+                h = fnv_byte(h, 0x02);
+                h = fnv_u64(h, tag);
+                h = fnv_u64(h, offset);
+                h = fnv_u64(h, len);
+            }
+        });
         h
     }
 
@@ -267,22 +407,22 @@ impl Payload {
     /// `replacement`, leaving the rest unchanged (an RDMA write into a
     /// registered window). Panics if the range exceeds the payload.
     pub fn replace(&self, offset: u64, replacement: Payload) -> Payload {
-        let rep_len = replacement.len();
+        let rep_len = replacement.len;
         assert!(
-            offset + rep_len <= self.len(),
+            self.contains_range(offset, rep_len),
             "replace [{offset}, {offset}+{rep_len}) out of range for payload of {} bytes",
-            self.len()
+            self.len
         );
         let mut out = self.slice(0, offset);
         out.append(replacement);
-        out.append(self.slice(offset + rep_len, self.len() - offset - rep_len));
+        out.append(self.slice(offset + rep_len, self.len - offset - rep_len));
         out
     }
 
     /// Materialize to real bytes. Panics on synthetic segments (tests that
     /// need byte access must use real-byte payloads).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len() as usize);
+        let mut out = Vec::with_capacity(self.len as usize);
         for seg in &self.segments {
             match seg {
                 Segment::Bytes(b) => out.extend_from_slice(b),
@@ -292,13 +432,6 @@ impl Payload {
             }
         }
         out
-    }
-
-    /// Whether any segment is synthetic.
-    pub fn is_synthetic(&self) -> bool {
-        self.segments
-            .iter()
-            .any(|s| matches!(s, Segment::Synthetic { .. }))
     }
 }
 
@@ -323,14 +456,12 @@ mod tests {
         let p = Payload::bytes(vec![1, 2, 3, 4]);
         assert_eq!(p.len(), 4);
         assert_eq!(p.to_bytes(), vec![1, 2, 3, 4]);
-        assert!(!p.is_synthetic());
     }
 
     #[test]
     fn synthetic_basics() {
         let p = Payload::synthetic(42, 1 << 30);
         assert_eq!(p.len(), 1 << 30);
-        assert!(p.is_synthetic());
     }
 
     #[test]
@@ -353,6 +484,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn slice_out_of_range_panics() {
         Payload::bytes(vec![1, 2, 3]).slice(2, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn slice_range_that_wraps_panics() {
+        Payload::bytes(vec![1, 2, 3]).slice(u64::MAX, 2);
     }
 
     #[test]
@@ -470,6 +607,88 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn replace_out_of_range_panics() {
         Payload::bytes(vec![1, 2]).replace(1, Payload::bytes(vec![1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn replace_range_that_wraps_panics() {
+        Payload::bytes(vec![1, 2]).replace(u64::MAX, Payload::bytes(vec![1, 2]));
+    }
+
+    /// The buffer behind a one-segment real-byte payload.
+    fn buffer(p: &Payload) -> &Arc<Vec<u8>> {
+        match p.segments() {
+            [Segment::Bytes(w)] => &w.buf,
+            other => panic!("expected one byte segment, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn windows_share_the_parent_allocation() {
+        let p = Payload::bytes((0..200u8).collect::<Vec<u8>>());
+        let parent = buffer(&p);
+        let s = p.slice(10, 100);
+        assert!(Arc::ptr_eq(buffer(&s), parent));
+        assert!(Arc::ptr_eq(buffer(&s.slice(5, 5)), parent));
+        assert_eq!(s.slice(5, 5).to_bytes(), vec![15, 16, 17, 18, 19]);
+        for c in p.chunks(100) {
+            assert!(Arc::ptr_eq(buffer(&c), parent));
+        }
+        let r = p.replace(100, Payload::synthetic(1, 56));
+        let (head, tail) = (&r.segments()[0], &r.segments()[2]);
+        for (seg, range) in [(head, 0..100u8), (tail, 156..200u8)] {
+            let Segment::Bytes(w) = seg else {
+                panic!("expected bytes, got {seg:?}")
+            };
+            assert!(Arc::ptr_eq(&w.buf, parent));
+            assert_eq!(w.to_vec(), range.collect::<Vec<u8>>());
+        }
+    }
+
+    #[test]
+    fn normalize_joins_a_run_into_one_exact_buffer() {
+        let parts: Vec<Payload> = (0..96u8).map(|i| Payload::bytes(vec![i; 256])).collect();
+        let n = Payload::concat(parts.clone()).normalize();
+        let buf = buffer(&n);
+        assert_eq!((buf.len(), buf.capacity()), (96 * 256, 96 * 256));
+        assert_eq!(n.to_bytes(), Payload::concat(parts).to_bytes());
+        // A run of one is already canonical: same buffer, same window.
+        let lone = Payload::bytes(vec![7; 64]).slice(8, 16);
+        assert!(Arc::ptr_eq(buffer(&lone.normalize()), buffer(&lone)));
+    }
+
+    #[test]
+    fn equality_is_by_content_not_by_buffer() {
+        let a = Payload::bytes(vec![9, 1, 2, 3, 9]).slice(1, 3);
+        let b = Payload::bytes(vec![1, 2, 3]);
+        assert!(!Arc::ptr_eq(buffer(&a), buffer(&b)));
+        assert_eq!(a, b);
+        assert_ne!(a, Payload::bytes(vec![1, 2, 4]));
+    }
+
+    #[test]
+    fn empty_segments_do_not_split_a_canonical_run() {
+        // The public constructors never leave an empty segment behind;
+        // the canonical form is defined for them all the same.
+        let with_empties = |parts: Vec<Segment>| Payload {
+            len: parts.iter().map(Segment::len).sum(),
+            segments: parts,
+        };
+        let empty_bytes = Segment::Bytes(ByteWindow::whole(Vec::new()));
+        let empty_extent = Payload::synthetic(5, 10).segments()[0].window(3, 0);
+        let extent = Payload::synthetic(5, 10);
+        let p = with_empties(vec![
+            extent.segments()[0].window(0, 4),
+            empty_bytes.clone(),
+            extent.segments()[0].window(4, 6),
+            Segment::Bytes(ByteWindow::whole(vec![1, 2])),
+            empty_extent,
+            empty_bytes,
+            Segment::Bytes(ByteWindow::whole(vec![3])),
+        ]);
+        let want = Payload::concat([extent, Payload::bytes(vec![1, 2, 3])]);
+        assert_eq!(p.normalize(), want);
+        assert_eq!(p.digest(), want.digest());
     }
 
     #[test]

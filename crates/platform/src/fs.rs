@@ -312,7 +312,7 @@ impl SimFs {
                 .get(path)
                 .ok_or_else(|| FsError::NotFound(path.to_string()))?;
             let size = file.content.len();
-            if offset + len > size {
+            if offset.checked_add(len).is_none_or(|end| end > size) {
                 return Err(FsError::OutOfRange {
                     path: path.to_string(),
                     offset,
@@ -483,6 +483,14 @@ mod tests {
                 fs.read("/a", 2, 5),
                 Err(FsError::OutOfRange { .. })
             ));
+            // `offset + len` wraps to 1, inside the 3-byte file; the
+            // refused read is not charged either.
+            let before = simkernel::now();
+            assert!(matches!(
+                fs.read("/a", u64::MAX, 2),
+                Err(FsError::OutOfRange { .. })
+            ));
+            assert_eq!(simkernel::now(), before);
         });
     }
 

@@ -18,7 +18,122 @@ fn mixed_payload() -> impl Strategy<Value = Payload> {
     .prop_map(Payload::concat)
 }
 
+/// A payload built from runs of *mergeable* neighbours — contiguous
+/// pieces of one synthetic extent, back-to-back real-byte pieces — with
+/// zero-length pieces of both kinds in between.
+fn mergeable_payload() -> impl Strategy<Value = Payload> {
+    let byte_run = prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 1..5)
+        .prop_map(|pieces| pieces.into_iter().map(Payload::bytes).collect::<Vec<_>>());
+    let extent_run = (0u64..3, 0u64..100, prop::collection::vec(0u64..40, 1..5)).prop_map(
+        |(tag, start, lens)| {
+            let whole = Payload::synthetic(tag, start + lens.iter().sum::<u64>());
+            let mut at = start;
+            let mut pieces = vec![Payload::synthetic(tag, 0), Payload::bytes(Vec::new())];
+            for len in lens {
+                pieces.push(whole.slice(at, len));
+                at += len;
+            }
+            pieces
+        },
+    );
+    prop::collection::vec(prop_oneof![byte_run, extent_run], 0..8)
+        .prop_map(|runs| Payload::concat(runs.into_iter().flatten()))
+}
+
+/// The canonical form as it was first written — fold the segments left
+/// to right, merging each into its predecessor where the two are
+/// mergeable — on plain owned values.
+#[derive(Debug, PartialEq)]
+enum Canon {
+    Bytes(Vec<u8>),
+    Extent(u64, u64, u64),
+}
+
+fn reference_canon(p: &Payload) -> Vec<Canon> {
+    let mut out: Vec<Canon> = Vec::new();
+    for seg in p.segments() {
+        if seg.is_empty() {
+            continue;
+        }
+        match (out.last_mut(), seg) {
+            (Some(Canon::Extent(t1, o1, l1)), Segment::Synthetic { tag, offset, len })
+                if *t1 == *tag && *o1 + *l1 == *offset =>
+            {
+                *l1 += *len
+            }
+            (Some(Canon::Bytes(b1)), Segment::Bytes(b2)) => b1.extend_from_slice(b2),
+            (_, Segment::Bytes(b)) => out.push(Canon::Bytes(b.to_vec())),
+            (_, Segment::Synthetic { tag, offset, len }) => {
+                out.push(Canon::Extent(*tag, *offset, *len))
+            }
+        }
+    }
+    out
+}
+
+/// FNV-1a over a canonical form, segment by segment: what `digest()`
+/// computed when it materialised `normalize()` first.
+fn reference_digest(canon: &[Canon]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    };
+    for seg in canon {
+        match seg {
+            Canon::Bytes(b) => {
+                mix(&[0x01]);
+                mix(b);
+            }
+            Canon::Extent(tag, offset, len) => {
+                mix(&[0x02]);
+                for v in [tag, offset, len] {
+                    mix(&v.to_le_bytes());
+                }
+            }
+        }
+    }
+    h
+}
+
 proptest! {
+    /// The streaming digest and the run-joining normalize agree with the
+    /// pairwise-merge definition they replace, on the segmentations
+    /// where merging actually happens.
+    #[test]
+    fn digest_and_normalize_match_the_pairwise_reference(
+        p in prop_oneof![mixed_payload(), mergeable_payload()],
+        chunk in 1u64..64,
+    ) {
+        let canon = reference_canon(&p);
+        let want = reference_digest(&canon);
+        prop_assert_eq!(p.digest(), want);
+        prop_assert_eq!(reference_canon(&p.normalize()), canon);
+        prop_assert_eq!(p.normalize().segments().len(), canon.len());
+        prop_assert_eq!(Payload::concat(p.chunks(chunk)).digest(), want);
+    }
+
+    /// chunks(n) is the `slice(off, n)` loop, segment for segment and
+    /// digest for digest.
+    #[test]
+    fn chunks_equal_the_slice_loop(p in mergeable_payload(), chunk in 1u64..300) {
+        let mut want = Vec::new();
+        let mut off = 0;
+        while off < p.len() {
+            let take = chunk.min(p.len() - off);
+            want.push(p.slice(off, take));
+            off += take;
+        }
+        let got = p.chunks(chunk);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g, w);
+            prop_assert_eq!(g.len(), w.len());
+            prop_assert_eq!(g.digest(), w.digest());
+        }
+    }
+
     /// slice(0, len) is the identity (up to normalization).
     #[test]
     fn full_slice_is_identity(p in mixed_payload()) {

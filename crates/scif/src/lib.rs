@@ -302,7 +302,7 @@ impl Scif {
             .region(&region)
             .map_err(|_| ScifError::BadAddress(addr))?;
         let len = data.len();
-        if offset + len > window.len() {
+        if offset.checked_add(len).is_none_or(|end| end > window.len()) {
             return Err(ScifError::OutOfRange {
                 addr,
                 offset,
@@ -332,7 +332,7 @@ impl Scif {
             .memory()
             .region(&region)
             .map_err(|_| ScifError::BadAddress(addr))?;
-        if offset + len > window.len() {
+        if offset.checked_add(len).is_none_or(|end| end > window.len()) {
             return Err(ScifError::OutOfRange {
                 addr,
                 offset,
@@ -440,48 +440,13 @@ impl ScifEndpoint {
     /// RDMA-write `data` into the window at `addr` starting at `offset`
     /// (`scif_vwriteto`). Blocks for the DMA time.
     pub fn rdma_write(&self, addr: RdmaAddr, offset: u64, data: Payload) -> Result<(), ScifError> {
-        let (proc, region) = self.scif.resolve_window(addr)?;
-        let window = proc
-            .memory()
-            .region(&region)
-            .map_err(|_| ScifError::BadAddress(addr))?;
-        let len = data.len();
-        if offset + len > window.len() {
-            return Err(ScifError::OutOfRange {
-                addr,
-                offset,
-                len,
-                window: window.len(),
-            });
-        }
-        self.scif
-            .charge_rdma(self.local, proc.node().id(), len.max(1));
-        let updated = window.replace(offset, data);
-        proc.memory()
-            .update_region(&region, updated)
-            .map_err(|_| ScifError::BadAddress(addr))?;
-        Ok(())
+        self.scif.rdma_write_from(self.local, addr, offset, data)
     }
 
     /// RDMA-read `len` bytes at `offset` from the window at `addr`
     /// (`scif_vreadfrom`). Blocks for the DMA time.
     pub fn rdma_read(&self, addr: RdmaAddr, offset: u64, len: u64) -> Result<Payload, ScifError> {
-        let (proc, region) = self.scif.resolve_window(addr)?;
-        let window = proc
-            .memory()
-            .region(&region)
-            .map_err(|_| ScifError::BadAddress(addr))?;
-        if offset + len > window.len() {
-            return Err(ScifError::OutOfRange {
-                addr,
-                offset,
-                len,
-                window: window.len(),
-            });
-        }
-        self.scif
-            .charge_rdma(self.local, proc.node().id(), len.max(1));
-        Ok(window.slice(offset, len))
+        self.scif.rdma_read_from(self.local, addr, offset, len)
     }
 
     /// Messages sent to this endpoint but not yet received (queued or in
@@ -651,6 +616,17 @@ mod tests {
                 ep.rdma_write(addr, 2, Payload::bytes(vec![0u8; 4])),
                 Err(ScifError::OutOfRange { .. })
             ));
+            // `offset + len` wraps to 1, inside the 4-byte window.
+            let two = || Payload::bytes(vec![0u8; 2]);
+            for res in [
+                ep.rdma_write(addr, u64::MAX, two()),
+                scif.rdma_write_from(NodeId::HOST, addr, u64::MAX, two()),
+                ep.rdma_read(addr, u64::MAX, 2).map(drop),
+                scif.rdma_read_from(NodeId::HOST, addr, u64::MAX, 2)
+                    .map(drop),
+            ] {
+                assert!(matches!(res, Err(ScifError::OutOfRange { .. })), "{res:?}");
+            }
         });
     }
 

@@ -212,9 +212,17 @@ impl MultiKernel {
     }
 
     /// Enable event tracing in every domain (see [`Kernel::enable_trace`]).
+    /// With more than one domain the events are kept
+    /// ([`Kernel::keep_trace`]): [`MultiKernel::fingerprint`] has to merge
+    /// them across domains before it can digest them.
     pub fn enable_trace(&self) {
+        let merged = self.shared.kernels.len() > 1;
         for k in &self.shared.kernels {
-            k.enable_trace();
+            if merged {
+                k.keep_trace();
+            } else {
+                k.enable_trace();
+            }
         }
     }
 

@@ -72,9 +72,9 @@
 //!   thread that could observe the torn value (the grantee's slot mutex
 //!   provides the happens-before edge).
 //! * **Allocation-free blocking.** Block reasons are `(&'static str,
-//!   &str)` pairs copied into a per-thread reusable buffer; trace labels
-//!   are only formatted when tracing is enabled (checked via an atomic
-//!   before taking any lock).
+//!   &str)` pairs copied into a per-thread reusable buffer; a trace
+//!   label is formatted straight into the trace's running digest and
+//!   becomes a `String` only under [`Kernel::keep_trace`].
 //! * **Threadless idle polls.** A thread that would loop `sleep(interval);
 //!   check` parks once in [`Kernel::sleep_poll`] and leaves its check
 //!   behind as a predicate. Dispatch evaluates the predicate when the
@@ -104,7 +104,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
@@ -160,6 +160,32 @@ pub struct TraceEvent {
     pub tid: Tid,
     /// Human-readable event label (e.g. `"spawn"`, `"block: sleep"`).
     pub label: String,
+}
+
+/// The event trace, folded as it happens: a count and a running FNV-1a
+/// over `(time, tid, label, 0xff)` per event. Most runs only ever compare
+/// `(trace_len, trace_digest)`, so the events themselves — millions, a
+/// `String` each — are kept only on request ([`Kernel::keep_trace`]).
+struct Trace {
+    on: bool,
+    len: usize,
+    fnv: u64,
+    events: Option<Vec<TraceEvent>>,
+}
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x1_0000_0000_01b3);
+    }
+    h
+}
+
+/// A label is digested piece by piece as `format_args!` renders it.
+impl fmt::Write for Trace {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.fnv = fnv1a(self.fnv, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Why a thread blocked, passed by reference so the hot path never
@@ -403,7 +429,7 @@ struct Sched {
     done: bool,
     shutdown: bool,
     failure: Option<String>,
-    trace: Option<Vec<TraceEvent>>,
+    trace: Trace,
     /// Workers whose simulated thread has exited, most recent last: the
     /// next spawn takes one instead of creating an OS thread, so OS
     /// threads are bounded by the peak number of concurrently live
@@ -457,9 +483,6 @@ struct Inner {
     /// Mirror of `Sched::now`, updated at dispatch: clock reads are a
     /// relaxed load instead of a scheduler-lock round-trip.
     now_ns: AtomicU64,
-    /// Mirror of `Sched::trace.is_some()`: lets `trace_event` return
-    /// without locking when tracing is off.
-    trace_on: AtomicBool,
     /// The driver of `Kernel::run` parks here waiting for completion.
     driver_cv: Condvar,
     /// OS threads created so far (a statistic; also numbers the workers).
@@ -566,7 +589,12 @@ impl Kernel {
                     done: false,
                     shutdown: false,
                     failure: None,
-                    trace: None,
+                    trace: Trace {
+                        on: false,
+                        len: 0,
+                        fnv: 0xcbf2_9ce4_8422_2325,
+                        events: None,
+                    },
                     idle: Vec::new(),
                     policy,
                     rng,
@@ -580,7 +608,6 @@ impl Kernel {
                     paused_next: None,
                 }),
                 now_ns: AtomicU64::new(0),
-                trace_on: AtomicBool::new(false),
                 driver_cv: Condvar::new(),
                 os_threads_created: AtomicU64::new(0),
                 domain_tag: AtomicU32::new(0),
@@ -613,51 +640,40 @@ impl Kernel {
         self.inner.sched.lock().unwrap().dump_note = Some(note.into());
     }
 
-    /// Enable event tracing. Must be called before [`Kernel::run`].
+    /// Enable event tracing: events are counted and folded into
+    /// [`Kernel::trace_digest`], not stored. Call before [`Kernel::run`].
     pub fn enable_trace(&self) {
-        let mut s = self.inner.sched.lock().unwrap();
-        if s.trace.is_none() {
-            s.trace = Some(Vec::new());
-        }
-        self.inner.trace_on.store(true, Ordering::Relaxed);
+        self.inner.sched.lock().unwrap().trace.on = true;
     }
 
-    /// Take the recorded event trace (empty unless [`Kernel::enable_trace`]
-    /// was called). Draining: the second call returns an empty vector.
+    /// [`Kernel::enable_trace`], and keep every event for
+    /// [`Kernel::trace`] to hand back — for runs whose events are read,
+    /// not just compared.
+    pub fn keep_trace(&self) {
+        let mut s = self.inner.sched.lock().unwrap();
+        s.trace.on = true;
+        s.trace.events.get_or_insert_with(Vec::new);
+    }
+
+    /// Take the kept events (empty unless [`Kernel::keep_trace`] was
+    /// called). Draining: later events are no longer kept and a second
+    /// call returns an empty vector; the count and digest run on.
     pub fn trace(&self) -> Vec<TraceEvent> {
         let mut s = self.inner.sched.lock().unwrap();
-        self.inner.trace_on.store(false, Ordering::Relaxed);
-        s.trace.take().unwrap_or_default()
+        s.trace.events.take().unwrap_or_default()
     }
 
-    /// Number of recorded trace events, without draining or copying them.
+    /// Number of events traced so far.
     pub fn trace_len(&self) -> usize {
-        let s = self.inner.sched.lock().unwrap();
-        s.trace.as_ref().map(Vec::len).unwrap_or(0)
+        self.inner.sched.lock().unwrap().trace.len
     }
 
-    /// FNV-1a digest of the recorded trace, without draining or copying
-    /// it. Two runs are trace-identical iff their digests and
-    /// [`Kernel::trace_len`] match — use this for determinism checks
-    /// instead of materializing and comparing full event vectors.
+    /// FNV-1a digest of the events traced so far. Two runs are
+    /// trace-identical iff their digests and [`Kernel::trace_len`] match
+    /// — use this for determinism checks instead of keeping and
+    /// comparing full event vectors.
     pub fn trace_digest(&self) -> u64 {
-        let s = self.inner.sched.lock().unwrap();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        };
-        if let Some(tr) = s.trace.as_ref() {
-            for ev in tr {
-                mix(&ev.time.as_nanos().to_le_bytes());
-                mix(&ev.tid.to_le_bytes());
-                mix(ev.label.as_bytes());
-                mix(&[0xff]);
-            }
-        }
-        h
+        self.inner.sched.lock().unwrap().trace.fnv
     }
 
     /// Current virtual time. A relaxed atomic load — never takes the
@@ -738,7 +754,7 @@ impl Kernel {
         let seq = s.seq;
         s.seq += 1;
         s.runq.push(Reverse((now, seq, tid, 0)));
-        trace(&mut s, tid, "spawn");
+        trace(&mut s, tid, format_args!("spawn"));
         drop(s);
 
         JoinHandle {
@@ -843,10 +859,7 @@ impl Kernel {
             info.set_reason(reason, None, now);
             info.generation += 1;
         }
-        if s.trace.is_some() {
-            let label = format!("block: {reason}");
-            trace(&mut s, me, &label);
-        }
+        trace(&mut s, me, format_args!("block: {reason}"));
         let next = self.dispatch(&mut s);
         self.park(s, me, next);
     }
@@ -910,7 +923,7 @@ impl Kernel {
             }
             other => panic!("make_runnable on thread {tid} in state {other:?}"),
         }
-        trace(&mut s, tid, "wake");
+        trace(&mut s, tid, format_args!("wake"));
     }
 
     /// Yield the token: stay runnable at the current time but let any other
@@ -986,29 +999,6 @@ impl Kernel {
     /// thread.
     pub fn inline_polls(&self) -> u64 {
         self.inner.sched.lock().unwrap().inline_polls
-    }
-
-    /// Record a labeled event: into the string trace (no-op unless
-    /// tracing enabled) and, when observability recording is on, as a
-    /// typed [`snapify_obs::Event::Instant`]. The string trace is the
-    /// back-compat surface; new code should prefer `obs::span!`.
-    ///
-    /// When both the string trace and obs recording are off this is two
-    /// relaxed atomic loads — no lock, no allocation.
-    pub fn trace_event(&self, label: &str) {
-        // Forward to the typed layer first: the observability clock reads
-        // `Kernel::now()` (a lock-free load).
-        if snapify_obs::is_enabled() {
-            snapify_obs::instant(label);
-        }
-        if !self.inner.trace_on.load(Ordering::Relaxed) {
-            return;
-        }
-        let me = CTX
-            .with(|c| c.borrow().as_ref().map(|(_, t)| *t))
-            .unwrap_or(0);
-        let mut s = self.inner.sched.lock().unwrap();
-        trace(&mut s, me, label);
     }
 
     /// Number of live (unfinished) simulated threads.
@@ -1195,7 +1185,7 @@ impl Kernel {
         // on its slot as soon as it is back in `Worker::main`.
         let worker = Arc::clone(&info.worker);
         s.idle.push(worker);
-        trace(&mut s, me, "exit");
+        trace(&mut s, me, format_args!("exit"));
         for j in joiners {
             let (now, seq) = (s.now, s.seq);
             s.seq += 1;
@@ -1331,7 +1321,7 @@ impl Kernel {
                 info.generation += 1;
                 let generation = info.generation;
                 s.runq.push(Reverse((t, seq, tid, generation)));
-                trace(&mut s, tid, "wake");
+                trace(&mut s, tid, format_args!("wake"));
             }
             TState::Runnable => {
                 // Timed wait (`block_until`): supersede its timer entry
@@ -1340,7 +1330,7 @@ impl Kernel {
                     info.generation += 1;
                     let generation = info.generation;
                     s.runq.push(Reverse((t, seq, tid, generation)));
-                    trace(&mut s, tid, "wake");
+                    trace(&mut s, tid, format_args!("wake"));
                 }
             }
             other => panic!("wake_external_at on thread {tid} in state {other:?}"),
@@ -1445,16 +1435,21 @@ fn requeue_timed(s: &mut Sched, tid: Tid, deadline: SimTime, reason: BlockReason
     info.generation += 1;
     let generation = info.generation;
     s.runq.push(Reverse((deadline, seq, tid, generation)));
-    if s.trace.is_some() {
-        let label = format!("block_until: {reason}");
-        trace(s, tid, &label);
-    }
+    trace(s, tid, format_args!("block_until: {reason}"));
 }
 
-fn trace(s: &mut Sched, tid: Tid, label: &str) {
-    let now = s.now;
-    if let Some(tr) = s.trace.as_mut() {
-        tr.push(TraceEvent {
+fn trace(s: &mut Sched, tid: Tid, label: fmt::Arguments<'_>) {
+    let (now, tr) = (s.now, &mut s.trace);
+    if !tr.on {
+        return;
+    }
+    tr.len += 1;
+    tr.fnv = fnv1a(tr.fnv, &now.as_nanos().to_le_bytes());
+    tr.fnv = fnv1a(tr.fnv, &tid.to_le_bytes());
+    fmt::Write::write_fmt(tr, label).expect("folding a label cannot fail");
+    tr.fnv = fnv1a(tr.fnv, &[0xff]);
+    if let Some(events) = tr.events.as_mut() {
+        events.push(TraceEvent {
             time: now,
             tid,
             label: label.to_string(),
@@ -1869,9 +1864,12 @@ mod tests {
 
     #[test]
     fn trace_is_deterministic() {
-        let run = || {
+        let run = |keep: bool| {
             let k = Kernel::new();
             k.enable_trace();
+            if keep {
+                k.keep_trace();
+            }
             for i in 0..4 {
                 k.spawn(format!("t{i}"), move || {
                     sleep(ms(i as u64 * 3 % 7));
@@ -1881,12 +1879,12 @@ mod tests {
             k.run();
             (k.trace_len(), k.trace_digest(), k.trace())
         };
-        let (n1, d1, t1) = run();
-        let (n2, d2, t2) = run();
+        let (n1, d1, t1) = run(true);
         assert!(!t1.is_empty());
-        assert_eq!(t1, t2);
-        assert_eq!((n1, d1), (n2, d2));
         assert_eq!(n1, t1.len());
+        assert_eq!(run(true), (n1, d1, t1));
+        // Folding alone keeps no events and reads the same pair.
+        assert_eq!(run(false), (n1, d1, Vec::new()));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! per-producer FIFO ordering, and clock monotonicity.
 
 use proptest::prelude::*;
-use simkernel::{now, sleep, spawn, Kernel, Semaphore, SimChannel, SimDuration, SimMutex, SimTime};
+use simkernel::{
+    now, sleep, spawn, Kernel, Semaphore, SimChannel, SimDuration, SimMutex, SimTime, TraceEvent,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -12,9 +14,16 @@ fn workload() -> impl Strategy<Value = Vec<Vec<u64>>> {
     prop::collection::vec(prop::collection::vec(0u64..5_000, 0..8), 1..6)
 }
 
-fn run_workload(plan: &[Vec<u64>]) -> (Vec<simkernel::TraceEvent>, u64) {
+/// Run `plan` with the trace folded (`keep == false`) or folded and
+/// kept; returns the kept events, `(trace_len, trace_digest)` and the
+/// end time.
+fn run_workload(plan: &[Vec<u64>], keep: bool) -> (Vec<TraceEvent>, (usize, u64), u64) {
     let k = Kernel::new();
-    k.enable_trace();
+    if keep {
+        k.keep_trace();
+    } else {
+        k.enable_trace();
+    }
     for (i, sleeps) in plan.iter().enumerate() {
         let sleeps = sleeps.clone();
         k.spawn(format!("t{i}"), move || {
@@ -24,8 +33,28 @@ fn run_workload(plan: &[Vec<u64>]) -> (Vec<simkernel::TraceEvent>, u64) {
         });
     }
     k.run();
-    let end = k.now().as_nanos();
-    (k.trace(), end)
+    let fingerprint = (k.trace_len(), k.trace_digest());
+    (k.trace(), fingerprint, k.now().as_nanos())
+}
+
+/// `Kernel::trace_digest` as it was computed before it became a running
+/// fold: FNV-1a walked over the stored events. The reference the fold
+/// is held to.
+fn digest_by_walk(events: &[TraceEvent]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_0000_01b3);
+        }
+    };
+    for ev in events {
+        mix(&ev.time.as_nanos().to_le_bytes());
+        mix(&ev.tid.to_le_bytes());
+        mix(ev.label.as_bytes());
+        mix(&[0xff]);
+    }
+    h
 }
 
 proptest! {
@@ -34,16 +63,22 @@ proptest! {
     /// Any workload executes identically twice: same trace, same end time.
     #[test]
     fn schedules_are_deterministic(plan in workload()) {
-        let (t1, e1) = run_workload(&plan);
-        let (t2, e2) = run_workload(&plan);
-        prop_assert_eq!(t1, t2);
-        prop_assert_eq!(e1, e2);
+        prop_assert_eq!(run_workload(&plan, true), run_workload(&plan, true));
+    }
+
+    /// The running fold is the walk over the events it replaces, and
+    /// folding alone stores nothing yet reads the same pair.
+    #[test]
+    fn trace_fold_equals_the_walk_over_kept_events(plan in workload()) {
+        let (events, kept, end) = run_workload(&plan, true);
+        prop_assert_eq!(kept, (events.len(), digest_by_walk(&events)));
+        prop_assert_eq!(run_workload(&plan, false), (Vec::new(), kept, end));
     }
 
     /// The simulation ends exactly when the longest thread ends.
     #[test]
     fn end_time_is_max_thread_time(plan in workload()) {
-        let (_, end) = run_workload(&plan);
+        let (_, _, end) = run_workload(&plan, false);
         let expect: u64 = plan
             .iter()
             .map(|s| s.iter().sum::<u64>() * 1_000)

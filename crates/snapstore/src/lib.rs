@@ -351,7 +351,7 @@ impl Index {
             self.chunks.insert(
                 *key,
                 ChunkEntry {
-                    content: content.normalize(),
+                    content,
                     refs: 1,
                     pack,
                 },
@@ -1091,6 +1091,10 @@ pub struct DedupSink {
 
 impl DedupSink {
     fn process_chunk(&mut self, chunk: Payload) -> Result<(), IoError> {
+        // Canonicalise once, where the chunk is cut: `image`, `fresh`,
+        // the pack file, the index and the cluster pool all end up
+        // holding handles to this one buffer.
+        let chunk = chunk.normalize();
         let len = chunk.len();
         // The digest pass occupies a capture-side core; the shipper
         // thread (if any) moves the previous chunk meanwhile.
@@ -1705,6 +1709,36 @@ mod tests {
             let data = Payload::bytes((0..=255u8).cycle().take(10_000).collect::<Vec<_>>());
             write_stream(&st, "/snap/rb", std::slice::from_ref(&data));
             assert_eq!(read_stream(&st, "/snap/rb").to_bytes(), data.to_bytes());
+        });
+    }
+
+    #[test]
+    fn index_and_pack_file_hold_one_buffer_per_chunk() {
+        use phi_platform::Segment;
+        Kernel::run_root(|| {
+            let server = PhiServer::default_server();
+            let st = store(&server, DedupConfig::default());
+            // BLCR's preamble shape: many small real-byte writes that
+            // end up in one chunk.
+            let mut sink = st.sink(NodeId::device(0), "/snap/one").unwrap();
+            for i in 0..96u8 {
+                sink.write(Payload::bytes(vec![i; 256])).unwrap();
+            }
+            sink.close().unwrap();
+            let (indexed, pack_path) = {
+                let idx = st.inner.index.lock().unwrap();
+                assert_eq!(idx.chunks.len(), 1);
+                let entry = idx.chunks.values().next().unwrap();
+                (entry.content.clone(), idx.packs[&entry.pack].path.clone())
+            };
+            let on_disk = server.host().fs().read_all(&pack_path).unwrap();
+            match (indexed.segments(), on_disk.segments()) {
+                ([Segment::Bytes(a)], [Segment::Bytes(b)]) => {
+                    assert_eq!(a.len(), 96 * 256);
+                    assert_eq!((a.as_ptr(), a.len()), (b.as_ptr(), b.len()));
+                }
+                other => panic!("expected one byte segment each, got {other:?}"),
+            }
         });
     }
 

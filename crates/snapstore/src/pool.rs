@@ -234,7 +234,7 @@ impl ClusterPool {
             let entry = inner.chunks.entry(*key).or_insert_with(|| {
                 inner.stats.chunks_published += 1;
                 PoolChunk {
-                    content: content.normalize(),
+                    content: content.clone(),
                     refs: 0,
                     pins: 0,
                     visible_at: visible,

@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// [`Kernel`]: simkernel::Kernel
 fn mixed_workload_single_domain() -> String {
     let mk = MultiKernel::new(MultiDomainConfig::new(1, us(50)));
-    mk.enable_trace();
     let k = mk.domain(0);
+    k.keep_trace();
 
     let work: SimChannel<u64> = SimChannel::bounded("work", 2);
     let done: SimChannel<u64> = SimChannel::with_options("done", None, us(50));

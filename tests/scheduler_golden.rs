@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// thread parked at shutdown.
 fn mixed_workload() -> Vec<simkernel::TraceEvent> {
     let k = Kernel::new();
-    k.enable_trace();
+    k.keep_trace();
 
     let work: SimChannel<u64> = SimChannel::bounded("work", 2);
     let done: SimChannel<u64> = SimChannel::with_options("done", None, us(50));
