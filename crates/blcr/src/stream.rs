@@ -127,10 +127,13 @@ impl<'a> FrameReader<'a> {
         out
     }
 
-    /// Read exactly `n` real bytes (metadata parse).
+    /// Read exactly `n` real bytes (metadata parse). Synthetic content
+    /// here means the stream lost framing inside a region: an error.
     pub fn read_bytes(&mut self, n: u64) -> Result<Vec<u8>, IoError> {
         self.fill(n)?;
-        Ok(self.take(n).to_bytes())
+        self.take(n).try_bytes().ok_or_else(|| {
+            IoError::Other(format!("corrupt stream: {n} metadata bytes are synthetic"))
+        })
     }
 
     /// Read a `u64`.
@@ -235,6 +238,21 @@ mod tests {
             let len = r.read_u64().unwrap();
             assert_eq!(len, 100);
             assert!(matches!(r.read_bytes(100), Err(IoError::Other(_))));
+        });
+    }
+
+    /// A de-synchronised image: the reader expects a length prefix
+    /// where a synthetic region's bytes are.
+    #[test]
+    fn synthetic_bytes_where_metadata_is_expected_are_an_error() {
+        Kernel::run_root(|| {
+            let mut stream = Payload::bytes(7u64.to_le_bytes().to_vec());
+            stream.append(Payload::synthetic(5, 64));
+            let mut src = PayloadSource::new(stream);
+            let mut r = FrameReader::new(&mut src);
+            assert_eq!(r.read_u64().unwrap(), 7);
+            let err = r.read_string().unwrap_err();
+            assert!(err.to_string().contains("synthetic"), "{err}");
         });
     }
 

@@ -15,7 +15,7 @@
 
 use phi_platform::Payload;
 
-use crate::wire::{Dec, DecodeError, Enc};
+use crate::wire::{frame_bytes, Dec, DecodeError, Enc};
 
 /// Host ↔ daemon control messages (SCIF use case 1 + Snapify service).
 #[derive(Clone, Debug, PartialEq)]
@@ -168,7 +168,7 @@ impl CtlMsg {
 
     /// Decode from channel bytes.
     pub fn decode(p: &Payload) -> Result<CtlMsg, DecodeError> {
-        let bytes = p.to_bytes();
+        let bytes = frame_bytes(p)?;
         let mut d = Dec::new(&bytes);
         let msg = match d.tag()? {
             1 => CtlMsg::CreateProcess {
@@ -276,7 +276,7 @@ impl CmdMsg {
 
     /// Decode from channel bytes.
     pub fn decode(p: &Payload) -> Result<CmdMsg, DecodeError> {
-        let bytes = p.to_bytes();
+        let bytes = frame_bytes(p)?;
         let mut d = Dec::new(&bytes);
         let msg = match d.tag()? {
             1 => CmdMsg::Ping,
@@ -324,7 +324,7 @@ impl StreamMsg {
 
     /// Decode from channel bytes.
     pub fn decode(p: &Payload) -> Result<StreamMsg, DecodeError> {
-        let bytes = p.to_bytes();
+        let bytes = frame_bytes(p)?;
         let mut d = Dec::new(&bytes);
         let msg = match d.tag()? {
             1 => StreamMsg::Record(d.bytes()?),
@@ -389,7 +389,7 @@ impl RunMsg {
 
     /// Decode from channel bytes.
     pub fn decode(p: &Payload) -> Result<RunMsg, DecodeError> {
-        let bytes = p.to_bytes();
+        let bytes = frame_bytes(p)?;
         let mut d = Dec::new(&bytes);
         let msg = match d.tag()? {
             1 => RunMsg::Request {
@@ -562,5 +562,151 @@ mod tests {
         assert!(CtlMsg::decode(&Payload::bytes(vec![99])).is_err());
         assert!(CmdMsg::decode(&Payload::bytes(vec![])).is_err());
         assert!(RunMsg::decode(&Payload::bytes(vec![1, 2])).is_err());
+    }
+
+    /// A frame with synthetic content — wholly, or after a valid tag —
+    /// is a typed error from every decoder, not a panic.
+    #[test]
+    fn synthetic_frames_are_typed_errors() {
+        let mut tagged = Payload::bytes(vec![1]);
+        tagged.append(Payload::synthetic(3, 64));
+        for p in [Payload::synthetic(3, 64), tagged] {
+            assert!(CtlMsg::decode(&p).is_err());
+            assert!(CmdMsg::decode(&p).is_err());
+            assert!(StreamMsg::decode(&p).is_err());
+            assert!(RunMsg::decode(&p).is_err());
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Variant selector, integers, ports, a bool, two strings, bytes
+    /// and a list: raw material for any variant of the four families.
+    type Fields = (
+        (u64, u64, u64),
+        (u16, u16, u16, u16),
+        bool,
+        (String, String),
+        Vec<u8>,
+        Vec<u64>,
+    );
+
+    fn fields() -> impl Strategy<Value = Fields> {
+        let text = || {
+            prop::collection::vec(any::<u8>(), 0..24)
+                .prop_map(|b| String::from_utf8_lossy(&b).into_owned())
+        };
+        let (int, port) = (any::<u64>, any::<u16>);
+        (
+            (int(), int(), int()),
+            (port(), port(), port(), port()),
+            any::<bool>(),
+            (text(), text()),
+            prop::collection::vec(any::<u8>(), 0..24),
+            prop::collection::vec(int(), 0..8),
+        )
+    }
+
+    fn ctl_from(((variant, a, b), p, flag, (s, t), _, list): Fields) -> CtlMsg {
+        let ports = [p.0, p.1, p.2, p.3];
+        match variant % 12 {
+            0 => CtlMsg::CreateProcess {
+                host_pid: a,
+                binary: s,
+            },
+            1 => CtlMsg::CreateProcessReply { pid: a, ports },
+            2 => CtlMsg::DestroyProcess { pid: a },
+            3 => CtlMsg::DestroyAck,
+            4 => CtlMsg::SnapifyPause { pid: a, path: s },
+            5 => CtlMsg::SnapifyPauseComplete { ok: flag },
+            6 => CtlMsg::SnapifyCapture {
+                pid: a,
+                path: s,
+                terminate: flag,
+            },
+            7 => CtlMsg::SnapifyCaptureComplete {
+                ok: flag,
+                snapshot_bytes: a,
+            },
+            8 => CtlMsg::SnapifyResume { pid: a },
+            9 => CtlMsg::SnapifyResumeComplete,
+            10 => CtlMsg::SnapifyRestore {
+                path: s,
+                host_pid: a,
+            },
+            _ => CtlMsg::SnapifyRestoreReply {
+                pid: a,
+                ports,
+                addr_table: list.iter().map(|v| (*v, a, b, v ^ b)).collect(),
+                breakdown: (a, b, variant, a ^ b),
+                error: t,
+            },
+        }
+    }
+
+    fn cmd_from(((variant, id, b), _, _, (error, _), _, _): Fields) -> CmdMsg {
+        match variant % 8 {
+            0 => CmdMsg::Ping,
+            1 => CmdMsg::Pong,
+            2 => CmdMsg::CreateBuffer { id, size: b },
+            3 => CmdMsg::BufferCreated { id, addr: b, error },
+            4 => CmdMsg::DestroyBuffer { id },
+            5 => CmdMsg::BufferDestroyed { id },
+            6 => CmdMsg::Shutdown,
+            _ => CmdMsg::ShutdownAck,
+        }
+    }
+
+    fn stream_from(((variant, ..), _, _, _, bytes, _): Fields) -> StreamMsg {
+        match variant % 3 {
+            0 => StreamMsg::Record(bytes),
+            1 => StreamMsg::Shutdown,
+            _ => StreamMsg::ShutdownAck,
+        }
+    }
+
+    fn run_from(((variant, id, _), _, _, (text, _), bytes, buffers): Fields) -> RunMsg {
+        match variant % 3 {
+            0 => RunMsg::Request {
+                id,
+                function: text,
+                args: bytes,
+                buffers,
+            },
+            1 => RunMsg::Result { id, ret: bytes },
+            _ => RunMsg::Error { id, message: text },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn every_family_round_trips(f in fields()) {
+            let ctl = ctl_from(f.clone());
+            prop_assert_eq!(CtlMsg::decode(&ctl.encode()), Ok(ctl));
+            let cmd = cmd_from(f.clone());
+            prop_assert_eq!(CmdMsg::decode(&cmd.encode()), Ok(cmd));
+            let stream = stream_from(f.clone());
+            prop_assert_eq!(StreamMsg::decode(&stream.encode()), Ok(stream));
+            let run = run_from(f);
+            prop_assert_eq!(RunMsg::decode(&run.encode()), Ok(run));
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+            tag in 0u8..14,
+        ) {
+            // Raw noise mostly dies on the tag; forcing a plausible tag
+            // drives the field readers over short and over-long frames.
+            let mut tagged = bytes.clone();
+            tagged.insert(0, tag);
+            for frame in [bytes, tagged] {
+                let p = Payload::bytes(frame);
+                let _ = CtlMsg::decode(&p);
+                let _ = CmdMsg::decode(&p);
+                let _ = StreamMsg::decode(&p);
+                let _ = RunMsg::decode(&p);
+            }
+        }
     }
 }

@@ -95,6 +95,14 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// The real bytes of a received control frame. A frame is always real
+/// bytes when a peer of ours encoded it; synthetic content is a
+/// malformed message like any other.
+pub fn frame_bytes(p: &Payload) -> Result<Vec<u8>, DecodeError> {
+    p.try_bytes()
+        .ok_or_else(|| DecodeError("synthetic payload in a control frame".into()))
+}
+
 impl<'a> Dec<'a> {
     /// Wrap a byte slice.
     pub fn new(buf: &'a [u8]) -> Dec<'a> {

@@ -110,17 +110,6 @@ impl MultiNodeCluster {
         ))
     }
 
-    /// Links forming a unidirectional ring `0 → 1 → … → n-1 → 0`;
-    /// entry `i` is the link *from* node `i` to node `(i+1) % n`.
-    pub fn ring(&self) -> Vec<(ClusterTx, ClusterRx)> {
-        (0..self.nodes)
-            .map(|i| {
-                self.link(i, (i + 1) % self.nodes)
-                    .expect("ring nodes are in range by construction")
-            })
-            .collect()
-    }
-
     /// Spawn node `node`'s body in its domain. The closure runs as a
     /// simulated thread of that domain's kernel, so everything it boots
     /// ([`SnapifyWorld`], channels, daemons) lands in the same domain.
@@ -171,6 +160,14 @@ mod tests {
         reg
     }
 
+    /// Links forming a unidirectional ring `0 → 1 → … → n-1 → 0`;
+    /// entry `i` is the link *from* node `i` to node `(i+1) % n`.
+    fn ring(cluster: &MultiNodeCluster) -> Vec<(ClusterTx, ClusterRx)> {
+        (0..cluster.nodes)
+            .map(|i| cluster.link(i, (i + 1) % cluster.nodes).unwrap())
+            .collect()
+    }
+
     /// Each node boots a full Snapify world in its own domain, offloads
     /// a fill, snapshots the process, then passes its snapshot size
     /// around a ring of cross-domain links. Returns per-node
@@ -178,7 +175,7 @@ mod tests {
     fn ring_run(nodes: usize, domains: u32) -> Vec<(u64, u64, u64)> {
         let cluster = MultiNodeCluster::new(nodes, domains, PlatformParams::default());
         // tx[i] sends i→i+1; after the rotate, rx[i] receives (i-1)→i.
-        let (txs, mut rxs): (Vec<_>, Vec<_>) = cluster.ring().into_iter().unzip();
+        let (txs, mut rxs): (Vec<_>, Vec<_>) = ring(&cluster).into_iter().unzip();
         rxs.rotate_right(1);
 
         let joins: Vec<_> = txs

@@ -38,7 +38,7 @@
 
 use std::collections::BTreeMap;
 
-use coi_sim::wire::{Dec, DecodeError, Enc};
+use coi_sim::wire::{frame_bytes, Dec, DecodeError, Enc};
 use coi_sim::{CoiBuffer, CoiConfig, CoiProcessHandle, DeviceBinary, FunctionRegistry};
 use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams};
 use scif_sim::{ClusterRx, ClusterTx};
@@ -356,7 +356,7 @@ impl Ctl {
     }
 
     fn decode(p: &Payload) -> Result<Ctl, DecodeError> {
-        let bytes = p.to_bytes();
+        let bytes = frame_bytes(p)?;
         let mut d = Dec::new(&bytes);
         Ok(match d.tag()? {
             1 => Ctl::Launch {
@@ -459,7 +459,7 @@ impl Rep {
     }
 
     fn decode(p: &Payload) -> Result<Rep, DecodeError> {
-        let bytes = p.to_bytes();
+        let bytes = frame_bytes(p)?;
         let mut d = Dec::new(&bytes);
         Ok(match d.tag()? {
             1 => Rep::Launched { tenant: d.u64()? },
@@ -1452,6 +1452,9 @@ mod tests {
             Rep::decode(&Payload::bytes(vec![10])).is_err(),
             "unknown tag"
         );
+        let synthetic = Payload::synthetic(3, 64);
+        assert!(Ctl::decode(&synthetic).is_err(), "synthetic frame");
+        assert!(Rep::decode(&synthetic).is_err(), "synthetic frame");
     }
 
     #[test]

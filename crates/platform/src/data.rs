@@ -419,19 +419,29 @@ impl Payload {
         out
     }
 
-    /// Materialize to real bytes. Panics on synthetic segments (tests that
-    /// need byte access must use real-byte payloads).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Materialize to real bytes; `None` if any segment is synthetic.
+    /// What a decoder calls on bytes it did not write itself.
+    pub fn try_bytes(&self) -> Option<Vec<u8>> {
+        // Look before allocating: a synthetic payload's length is not
+        // backed by memory and may exceed it.
+        let real = |seg: &Segment| matches!(seg, Segment::Bytes(_));
+        if !self.segments.iter().all(real) {
+            return None;
+        }
         let mut out = Vec::with_capacity(self.len as usize);
         for seg in &self.segments {
-            match seg {
-                Segment::Bytes(b) => out.extend_from_slice(b),
-                Segment::Synthetic { .. } => {
-                    panic!("cannot materialize synthetic payload to bytes")
-                }
+            if let Segment::Bytes(b) = seg {
+                out.extend_from_slice(b);
             }
         }
-        out
+        Some(out)
+    }
+
+    /// [`Payload::try_bytes`] for tests and for bytes the caller wrote
+    /// itself: panics on synthetic segments.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.try_bytes()
+            .expect("cannot materialize synthetic payload to bytes")
     }
 }
 
@@ -462,6 +472,11 @@ mod tests {
     fn synthetic_basics() {
         let p = Payload::synthetic(42, 1 << 30);
         assert_eq!(p.len(), 1 << 30);
+        assert_eq!(p.try_bytes(), None);
+        let mut mixed = Payload::bytes(vec![1, 2]);
+        assert_eq!(mixed.try_bytes(), Some(vec![1, 2]));
+        mixed.append(Payload::synthetic(42, u64::MAX >> 1));
+        assert_eq!(mixed.try_bytes(), None);
     }
 
     #[test]

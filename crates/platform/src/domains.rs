@@ -4,18 +4,13 @@
 //! parallel time domains conservatively: a domain may only advance to
 //! `min(neighbor clocks) + lookahead`, where the lookahead is the
 //! minimum latency of any link that *crosses* a domain boundary. This
-//! module derives that bound from [`PlatformParams`] for the two
-//! partitionings the workspace uses:
-//!
-//! * **Node-granular** (the default): every cluster node — a host plus
-//!   its coprocessors — is one domain, so the only cross-domain links
-//!   are node-to-node network hops ([`PlatformParams::net_latency`]).
-//!   SCIF messages and PCIe DMA stay *inside* a domain and impose no
-//!   sync cost, which is why this partitioning parallelizes well.
-//! * **Device-granular**: host and coprocessors are split into separate
-//!   domains, so SCIF/PCIe traffic crosses domains and the lookahead
-//!   collapses to the fastest bus latency. Supported for completeness;
-//!   the tighter bound means more barriers per simulated second.
+//! module derives that bound from [`PlatformParams`] for the
+//! partitioning the workspace uses, which is node-granular: every
+//! cluster node — a host plus its coprocessors — is one domain, so the
+//! only cross-domain links are node-to-node network hops
+//! ([`PlatformParams::net_latency`]). SCIF messages and PCIe DMA stay
+//! *inside* a domain and impose no sync cost, which is why this
+//! partitioning parallelizes well.
 //!
 //! Placement is a pure function of `(node index, domain count)` so a
 //! topology keeps identical per-domain schedules across runs.
@@ -30,16 +25,6 @@ use crate::params::PlatformParams;
 /// node-to-node network latency.
 pub fn cluster_lookahead(params: &PlatformParams) -> SimDuration {
     params.net_latency
-}
-
-/// Lookahead for the device-granular partitioning (host and Phi cards
-/// in separate domains): the fastest latency among the links that now
-/// cross domains — SCIF messages, PCIe RDMA setup, and the network.
-pub fn device_lookahead(params: &PlatformParams) -> SimDuration {
-    params
-        .scif_msg_latency
-        .min(params.pcie_rdma_latency)
-        .min(params.net_latency)
 }
 
 /// Static placement of cluster nodes onto time domains.
@@ -86,13 +71,6 @@ mod tests {
         let p = PlatformParams::default();
         assert_eq!(cluster_lookahead(&p), p.net_latency);
         assert_eq!(cluster_lookahead(&p), us(50));
-    }
-
-    #[test]
-    fn device_lookahead_is_fastest_crossing_link() {
-        let p = PlatformParams::default();
-        // scif_msg (15us) < pcie_rdma (20us) < net (50us).
-        assert_eq!(device_lookahead(&p), p.scif_msg_latency);
     }
 
     #[test]

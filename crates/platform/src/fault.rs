@@ -28,7 +28,6 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use simkernel::obs;
-use simkernel::time::us;
 use simkernel::{SimDuration, SimTime};
 
 use crate::node::NodeId;
@@ -73,6 +72,13 @@ impl fmt::Display for FaultKind {
     }
 }
 
+/// A count of microseconds; one whose nanoseconds overflow the clock is
+/// as bad as one that is not a number.
+fn parse_us(s: &str) -> Option<SimDuration> {
+    let n: u64 = s.parse().ok()?;
+    n.checked_mul(1_000).map(SimDuration::from_nanos)
+}
+
 impl FaultKind {
     fn parse(s: &str) -> Result<FaultKind, String> {
         let (name, arg) = match s.split_once('=') {
@@ -81,8 +87,7 @@ impl FaultKind {
         };
         let arg_us = |what: &str| -> Result<SimDuration, String> {
             let a = arg.ok_or_else(|| format!("{what} needs '=<microseconds>'"))?;
-            let n: u64 = a.parse().map_err(|_| format!("bad duration '{a}'"))?;
-            Ok(us(n))
+            parse_us(a).ok_or_else(|| format!("bad duration '{a}'"))
         };
         match name {
             "buserr" => Ok(FaultKind::BusError),
@@ -147,8 +152,10 @@ impl FaultTarget {
             if n == "host" {
                 Ok(NodeId::HOST)
             } else if let Some(i) = n.strip_prefix("mic") {
-                let i: usize = i.parse().map_err(|_| format!("bad node '{n}'"))?;
-                Ok(NodeId::device(i))
+                // Node ids are `u16` with the host at 0.
+                let i: u16 = i.parse().map_err(|_| format!("bad node '{n}'"))?;
+                let id = i.checked_add(1).ok_or_else(|| format!("bad node '{n}'"))?;
+                Ok(NodeId(id))
             } else {
                 Err(format!("bad node '{n}' (expected 'host' or 'mic<i>')"))
             }
@@ -238,11 +245,9 @@ impl FaultSchedule {
                 (Some(t), Some(tg), Some(k)) => (t, tg, k),
                 _ => return Err(format!("bad fault entry '{part}' (want at:target:kind)")),
             };
-            let at_us: u64 = t
-                .parse()
-                .map_err(|_| format!("bad fault time '{t}' in '{part}'"))?;
+            let at = parse_us(t).ok_or_else(|| format!("bad fault time '{t}' in '{part}'"))?;
             entries.push(FaultEntry {
-                at: SimTime::ZERO + us(at_us),
+                at: SimTime::ZERO + at,
                 target: FaultTarget::parse(tg)?,
                 fault: FaultKind::parse(k)?,
             });
@@ -375,7 +380,7 @@ impl FaultHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkernel::time::ms;
+    use simkernel::time::{ms, us};
     use simkernel::Kernel;
 
     #[test]
@@ -435,6 +440,71 @@ mod tests {
             FaultSchedule::parse("5:nfs:nfstimeout").is_err(),
             "missing duration arg"
         );
+    }
+
+    use proptest::prelude::*;
+
+    fn entry() -> impl Strategy<Value = FaultEntry> {
+        // Whole microseconds: the text form's resolution.
+        let micros = || (0u64..(u64::MAX / 1_000)).prop_map(us);
+        let node = (0u16..u16::MAX).prop_map(NodeId);
+        let target = (0u64..6, any::<u16>(), node).prop_map(|(kind, i, node)| match kind {
+            0 => FaultTarget::Bus(i as usize),
+            1 => FaultTarget::Fs(node),
+            2 => FaultTarget::Mem(node),
+            3 => FaultTarget::Nfs,
+            4 => FaultTarget::Scp,
+            _ => FaultTarget::Net(i as usize),
+        });
+        let fault = (0u64..7, micros()).prop_map(|(kind, d)| match kind {
+            0 => FaultKind::BusError,
+            1 => FaultKind::BusDelay(d),
+            2 => FaultKind::DiskFull,
+            3 => FaultKind::ShortWrite,
+            4 => FaultKind::Oom,
+            5 => FaultKind::NfsTimeout(d),
+            _ => FaultKind::ConnReset,
+        });
+        (micros(), target, fault).prop_map(|(at, target, fault)| FaultEntry {
+            at: SimTime::ZERO + at,
+            target,
+            fault,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn schedule_text_round_trips(entries in prop::collection::vec(entry(), 0..6)) {
+            let s = FaultSchedule { entries };
+            prop_assert_eq!(FaultSchedule::parse(&s.to_string()), Ok(s));
+        }
+
+        #[test]
+        fn parse_never_panics(
+            noise in prop::collection::vec(any::<u8>(), 0..48),
+            numbers in prop::collection::vec(prop_oneof![0u64..70_000, any::<u64>()], 3),
+            shape in 0usize..6,
+        ) {
+            // Raw noise dies early; a well-formed entry around hostile
+            // numbers reaches the time, index and duration arithmetic.
+            let noise = String::from_utf8_lossy(&noise).into_owned();
+            let (a, b, c) = (numbers[0], numbers[1], numbers[2]);
+            let shaped = match shape {
+                0 => format!("{a}:bus{b}:busdelay={c}"),
+                1 => format!("{a}:fs.mic{b}:nfstimeout={c}"),
+                2 => format!("{a}:mem.mic{b}:oom"),
+                3 => format!("{a}:net{b}:connreset;{noise}"),
+                4 => format!("{a}:{noise}:{c}"),
+                _ => format!("{noise};{a}:nfs:{noise}={c}"),
+            };
+            for text in [noise, shaped] {
+                if let Ok(s) = FaultSchedule::parse(&text) {
+                    // Whatever parses prints back to something that
+                    // parses to the same schedule.
+                    prop_assert_eq!(FaultSchedule::parse(&s.to_string()), Ok(s));
+                }
+            }
+        }
     }
 
     #[test]

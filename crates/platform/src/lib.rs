@@ -38,7 +38,7 @@ pub mod server;
 
 pub use bus::PcieLink;
 pub use data::{Payload, Segment};
-pub use domains::{cluster_lookahead, device_lookahead, DomainPlacement};
+pub use domains::{cluster_lookahead, DomainPlacement};
 pub use fault::{FaultEntry, FaultKind, FaultPlane, FaultSchedule, FaultTarget};
 pub use fs::{FsConfig, FsError, SimFs};
 pub use memory::{MemAlloc, MemPool, OutOfMemory};

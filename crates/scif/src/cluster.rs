@@ -77,11 +77,6 @@ impl ClusterRx {
         self.rx.recv_deadline(deadline)
     }
 
-    /// Payloads queued or in flight on the link.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
-    }
-
     /// Cumulative `(arrived, received)` counters.
     pub fn stats(&self) -> (u64, u64) {
         self.rx.stats()

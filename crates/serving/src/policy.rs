@@ -25,11 +25,7 @@ pub struct VictimInfo {
 pub fn choose_victim(policy: EvictionPolicy, candidates: &[VictimInfo]) -> Option<usize> {
     candidates
         .iter()
-        .min_by_key(|c| match policy {
-            EvictionPolicy::Lru => (0, c.last_tick),
-            EvictionPolicy::Popularity => (c.requests as u128, c.last_tick),
-            EvictionPolicy::CostAware => (c.requests as u128 * c.swap_cost as u128, c.last_tick),
-        })
+        .min_by_key(|c| policy.score(c.requests, c.swap_cost, c.last_tick))
         .map(|c| c.tenant)
 }
 
