@@ -81,7 +81,12 @@ fn bench_wire() {
         pid: 42,
         ports: [1, 2, 3, 4],
         addr_table: (0..16).map(|i| (i, 4096, i * 16, i * 32)).collect(),
-        breakdown: (1, 2, 3, 4),
+        breakdown: coi_sim::offload::RestoreBreakdown {
+            library_copy_ns: 1,
+            store_copy_ns: 2,
+            blcr_restart_ns: 3,
+            reregistration_ns: 4,
+        },
         error: String::new(),
     };
     bench("wire/ctl_roundtrip", || {

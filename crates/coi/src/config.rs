@@ -16,8 +16,6 @@ pub struct CoiConfig {
     /// release + the synchronization a formerly-asynchronous send now
     /// performs). Charged only when `snapify_hooks` is on.
     pub hook_cost: SimDuration,
-    /// Wire size of a run-function request (sans args), for message costs.
-    pub run_request_overhead: u64,
     /// Poll interval used by drain waits and the daemon monitor thread.
     pub poll_interval: SimDuration,
     /// Watchdog deadline for one stage of an in-flight Snapify request.
@@ -36,7 +34,6 @@ impl Default for CoiConfig {
         CoiConfig {
             snapify_hooks: true,
             hook_cost: us(7),
-            run_request_overhead: 128,
             poll_interval: us(200),
             watchdog_timeout: secs(300),
             watchdog_retries: 2,

@@ -18,18 +18,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use blcr_sim::BlcrConfig;
-use phi_platform::{NodeId, PlatformParams, SimNode};
-use scif_sim::{ports, Scif, ScifEndpoint};
+use phi_platform::{NodeId, SimNode};
+use scif_sim::{ports, ScifEndpoint};
 use simkernel::obs;
 use simkernel::SimMutex;
-use simproc::{signum, PidAllocator, SimProcess};
+use simproc::{signum, SimProcess};
 
-use crate::binary::FunctionRegistry;
-use crate::config::CoiConfig;
-use crate::msgs::{CtlMsg, PipeMsg};
+use crate::msgs::{serve, CtlMsg, PipeMsg};
 use crate::offload::{OffloadRuntime, SnapifyPipe};
-use crate::storage::SnapshotStorage;
+use crate::world::CoiEnv;
+use crate::CoiError;
 
 struct DaemonEntry {
     runtime: OffloadRuntime,
@@ -85,6 +83,24 @@ enum ReqStage {
     AwaitResumeAck,
 }
 
+impl ReqStage {
+    /// What the requester is told when this stage cannot complete: the
+    /// daemon does not know the pid, no pause is open, or the watchdog
+    /// gave up. (A resume has nothing to fail; it just completes.)
+    fn failure_reply(&self) -> CtlMsg {
+        match self {
+            ReqStage::AwaitPauseAck { .. } | ReqStage::AwaitPauseComplete => {
+                CtlMsg::SnapifyPauseComplete { ok: false }
+            }
+            ReqStage::AwaitCaptureComplete { .. } => CtlMsg::SnapifyCaptureComplete {
+                ok: false,
+                snapshot_bytes: 0,
+            },
+            ReqStage::AwaitResumeAck => CtlMsg::SnapifyResumeComplete,
+        }
+    }
+}
+
 struct MonitorState {
     requests: Vec<ActiveRequest>,
     running: bool,
@@ -92,14 +108,7 @@ struct MonitorState {
 
 struct Inner {
     device_index: usize,
-    node: SimNode,
-    scif: Scif,
-    config: CoiConfig,
-    blcr: BlcrConfig,
-    params: PlatformParams,
-    registry: FunctionRegistry,
-    storage: Arc<dyn SnapshotStorage>,
-    pids: PidAllocator,
+    env: Arc<CoiEnv>,
     daemon_proc: SimProcess,
     entries: SimMutex<HashMap<u64, DaemonEntry>>,
     monitor: SimMutex<MonitorState>,
@@ -114,31 +123,17 @@ pub struct CoiDaemon {
 
 impl CoiDaemon {
     /// Start the daemon for `device_index` (spawns its listener thread).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        device_index: usize,
-        node: &SimNode,
-        scif: &Scif,
-        config: &CoiConfig,
-        blcr: &BlcrConfig,
-        params: &PlatformParams,
-        registry: &FunctionRegistry,
-        storage: Arc<dyn SnapshotStorage>,
-        pids: &PidAllocator,
-    ) -> CoiDaemon {
-        let daemon_proc =
-            SimProcess::new(pids.alloc(), format!("coi_daemon:{}", node.name()), node);
+    pub(crate) fn start(env: &Arc<CoiEnv>, device_index: usize) -> CoiDaemon {
+        let node = env.server.device(device_index);
+        let daemon_proc = SimProcess::new(
+            env.pids.alloc(),
+            format!("coi_daemon:{}", node.name()),
+            node,
+        );
         let daemon = CoiDaemon {
             inner: Arc::new(Inner {
                 device_index,
-                node: node.clone(),
-                scif: scif.clone(),
-                config: config.clone(),
-                blcr: blcr.clone(),
-                params: params.clone(),
-                registry: registry.clone(),
-                storage,
-                pids: pids.clone(),
+                env: Arc::clone(env),
                 entries: SimMutex::new(format!("daemon entries {}", node.name()), HashMap::new()),
                 monitor: SimMutex::new(
                     format!("daemon monitor {}", node.name()),
@@ -151,7 +146,7 @@ impl CoiDaemon {
                 daemon_proc,
             }),
         };
-        let listener = scif.listen(node.id(), ports::COI_DAEMON);
+        let listener = env.scif.listen(node.id(), ports::COI_DAEMON);
         let d = daemon.clone();
         daemon.inner.daemon_proc.spawn_service("listener", move || {
             while let Ok(ep) = listener.accept() {
@@ -171,7 +166,7 @@ impl CoiDaemon {
 
     /// The node the daemon runs on.
     pub fn node(&self) -> &SimNode {
-        &self.inner.node
+        self.inner.env.server.device(self.inner.device_index)
     }
 
     /// Look up a live offload runtime by pid (testing/diagnostics).
@@ -199,48 +194,64 @@ impl CoiDaemon {
     }
 
     fn ctl_handler(&self, ep: ScifEndpoint) {
-        loop {
-            let payload = match ep.recv() {
-                Ok(p) => p,
-                Err(_) => return,
-            };
-            let msg = match CtlMsg::decode(&payload) {
-                Ok(m) => m,
-                Err(_) => continue,
-            };
-            match msg {
-                CtlMsg::CreateProcess { host_pid, binary } => {
-                    self.handle_create(&ep, host_pid, &binary);
-                }
-                CtlMsg::DestroyProcess { pid } => {
-                    if let Some(entry) = self.inner.entries.lock().get_mut(&pid) {
-                        entry.intentional_exit = true;
-                    }
-                    if let Some(rt) = self.runtime(pid) {
-                        rt.terminate();
-                    }
-                    self.inner.entries.lock().remove(&pid);
-                    let _ = ep.send(CtlMsg::DestroyAck.encode());
-                }
-                CtlMsg::SnapifyPause { pid, path } => {
-                    self.handle_pause(&ep, pid, path);
-                }
-                CtlMsg::SnapifyCapture {
-                    pid,
-                    path,
-                    terminate,
-                } => {
-                    self.handle_capture(&ep, pid, path, terminate);
-                }
-                CtlMsg::SnapifyResume { pid } => {
-                    self.handle_resume(&ep, pid);
-                }
-                CtlMsg::SnapifyRestore { path, host_pid } => {
-                    self.handle_restore(&ep, &path, host_pid);
-                }
-                _ => { /* replies never arrive at the daemon */ }
+        serve(&ep, CtlMsg::decode, |msg| match msg {
+            CtlMsg::CreateProcess { host_pid, binary } => {
+                self.handle_create(&ep, host_pid, &binary);
             }
+            CtlMsg::DestroyProcess { pid } => {
+                self.expect_exit(pid);
+                if let Some(rt) = self.runtime(pid) {
+                    rt.terminate();
+                }
+                self.inner.entries.lock().remove(&pid);
+                let _ = ep.send(CtlMsg::DestroyAck.encode());
+            }
+            CtlMsg::SnapifyPause { pid, path } => {
+                self.handle_pause(&ep, pid, path);
+            }
+            CtlMsg::SnapifyCapture {
+                pid,
+                path,
+                terminate,
+            } => {
+                self.handle_capture(&ep, pid, path, terminate);
+            }
+            CtlMsg::SnapifyResume { pid } => {
+                self.handle_resume(&ep, pid);
+            }
+            CtlMsg::SnapifyRestore { path, .. } => {
+                self.handle_restore(&ep, &path);
+            }
+            _ => { /* replies never arrive at the daemon */ }
+        })
+    }
+
+    /// Track `runtime` as a live offload process of this device.
+    fn adopt(&self, runtime: &OffloadRuntime, pipe: Option<SnapifyPipe>) -> u64 {
+        let pid = runtime.proc().pid().0;
+        self.inner.entries.lock().insert(
+            pid,
+            DaemonEntry {
+                runtime: runtime.clone(),
+                intentional_exit: false,
+                pipe,
+            },
+        );
+        pid
+    }
+
+    /// A deliberate termination of `pid` is coming (destroy / swap-out):
+    /// the watchdog must not report it as a crash.
+    fn expect_exit(&self, pid: u64) {
+        if let Some(entry) = self.inner.entries.lock().get_mut(&pid) {
+            entry.intentional_exit = true;
         }
+    }
+
+    /// The Snapify pipe of `pid`, if a pause (or restore) has one open.
+    fn open_pipe(&self, pid: u64) -> Option<SnapifyPipe> {
+        let entries = self.inner.entries.lock();
+        entries.get(&pid).and_then(|e| e.pipe.clone())
     }
 
     fn handle_create(&self, ep: &ScifEndpoint, host_pid: u64, binary: &str) {
@@ -249,79 +260,50 @@ impl CoiDaemon {
             device = self.inner.device_index,
             binary = binary
         );
-        let Some(bin) = self.inner.registry.get(binary) else {
-            let _ = ep.send(
-                CtlMsg::CreateProcessReply {
-                    pid: 0,
-                    ports: [0; 4],
-                }
-                .encode(),
-            );
-            return;
-        };
+        // Pid 0 tells the host the create failed: no such binary, or the
+        // device cannot hold the process.
+        let (pid, ports) = self.create(host_pid, binary).unwrap_or((0, [0; 4]));
+        let _ = ep.send(CtlMsg::CreateProcessReply { pid, ports }.encode());
+    }
+
+    fn create(&self, host_pid: u64, binary: &str) -> Result<(u64, [u16; 4]), CoiError> {
+        let env = &self.inner.env;
+        let node = self.node();
+        let bin = env
+            .registry
+            .get(binary)
+            .ok_or_else(|| CoiError::BadBinary(binary.to_string()))?;
         // Process spawn + binary copy over PCIe + dynamic load (§2).
-        simkernel::sleep(self.inner.params.process_spawn);
-        self.inner
-            .scif
-            .server()
-            .rdma_between(NodeId::HOST, self.inner.node.id(), bin.image_bytes);
-        simkernel::sleep(self.inner.params.library_load);
-        let launched = OffloadRuntime::launch(
-            &self.inner.config,
-            &self.inner.blcr,
-            &self.inner.scif,
-            &self.inner.node,
-            &self.inner.pids,
-            bin,
-            host_pid,
-            Arc::clone(&self.inner.storage),
-            self.inner.params.signal_latency,
-        );
-        match launched {
-            Ok((rt, ports)) => {
-                let pid = rt.proc().pid().0;
-                self.inner.entries.lock().insert(
-                    pid,
-                    DaemonEntry {
-                        runtime: rt.clone(),
-                        intentional_exit: false,
-                        pipe: None,
-                    },
-                );
-                // Watchdog: notice unintentional exits (crashes).
-                let daemon = self.clone();
-                let proc = rt.proc().clone();
-                self.inner.daemon_proc.spawn_service("watchdog", move || {
-                    proc.wait_exit();
-                    let intentional = daemon
-                        .inner
-                        .entries
-                        .lock()
-                        .get(&pid)
-                        .map(|e| e.intentional_exit)
-                        .unwrap_or(true);
-                    if !intentional {
-                        daemon.inner.crashes.lock().push(pid);
-                    }
-                });
-                let _ = ep.send(CtlMsg::CreateProcessReply { pid, ports }.encode());
+        simkernel::sleep(env.server.params().process_spawn);
+        env.server
+            .rdma_between(NodeId::HOST, node.id(), bin.image_bytes);
+        simkernel::sleep(env.server.params().library_load);
+        let (rt, ports) = OffloadRuntime::launch(env, node, bin, host_pid)?;
+        let pid = self.adopt(&rt, None);
+        // Watchdog: notice unintentional exits (crashes).
+        let daemon = self.clone();
+        let proc = rt.proc().clone();
+        self.inner.daemon_proc.spawn_service("watchdog", move || {
+            proc.wait_exit();
+            let intentional = daemon
+                .inner
+                .entries
+                .lock()
+                .get(&pid)
+                .map(|e| e.intentional_exit)
+                .unwrap_or(true);
+            if !intentional {
+                daemon.inner.crashes.lock().push(pid);
             }
-            Err(_) => {
-                let _ = ep.send(
-                    CtlMsg::CreateProcessReply {
-                        pid: 0,
-                        ports: [0; 4],
-                    }
-                    .encode(),
-                );
-            }
-        }
+        });
+        Ok((pid, ports))
     }
 
     fn handle_pause(&self, ep: &ScifEndpoint, pid: u64, path: String) {
         obs::counter_add("coi.daemon.pause_requests", 1);
+        let stage = ReqStage::AwaitPauseAck { path };
         let Some(rt) = self.runtime(pid) else {
-            let _ = ep.send(CtlMsg::SnapifyPauseComplete { ok: false }.encode());
+            let _ = ep.send(stage.failure_reply().encode());
             return;
         };
         // Fig 3 step 1-2: create the pipe, install it, signal the process.
@@ -331,143 +313,67 @@ impl CoiDaemon {
             entry.pipe = Some(pipe.clone());
         }
         rt.signals().kill(rt.proc(), signum::SIGSNAPIFY);
-        self.register_request(ActiveRequest::new(
-            pid,
-            pipe,
-            ep.clone(),
-            ReqStage::AwaitPauseAck { path },
-        ));
+        self.register_request(ActiveRequest::new(pid, pipe, ep.clone(), stage));
     }
 
     fn handle_capture(&self, ep: &ScifEndpoint, pid: u64, path: String, terminate: bool) {
-        let pipe = self
-            .inner
-            .entries
-            .lock()
-            .get(&pid)
-            .and_then(|e| e.pipe.clone());
-        let Some(pipe) = pipe else {
-            let _ = ep.send(
-                CtlMsg::SnapifyCaptureComplete {
-                    ok: false,
-                    snapshot_bytes: 0,
-                }
-                .encode(),
-            );
+        let stage = ReqStage::AwaitCaptureComplete { terminate };
+        let Some(pipe) = self.open_pipe(pid) else {
+            let _ = ep.send(stage.failure_reply().encode());
             return;
         };
         if terminate {
-            if let Some(entry) = self.inner.entries.lock().get_mut(&pid) {
-                entry.intentional_exit = true;
-            }
+            self.expect_exit(pid);
         }
         let _ = pipe
             .to_offload
             .send(PipeMsg::CaptureReq { path, terminate });
-        self.register_request(ActiveRequest::new(
-            pid,
-            pipe,
-            ep.clone(),
-            ReqStage::AwaitCaptureComplete { terminate },
-        ));
+        self.register_request(ActiveRequest::new(pid, pipe, ep.clone(), stage));
     }
 
     fn handle_resume(&self, ep: &ScifEndpoint, pid: u64) {
-        let pipe = self
-            .inner
-            .entries
-            .lock()
-            .get(&pid)
-            .and_then(|e| e.pipe.clone());
-        let Some(pipe) = pipe else {
-            let _ = ep.send(CtlMsg::SnapifyResumeComplete.encode());
+        let stage = ReqStage::AwaitResumeAck;
+        let Some(pipe) = self.open_pipe(pid) else {
+            let _ = ep.send(stage.failure_reply().encode());
             return;
         };
         let _ = pipe.to_offload.send(PipeMsg::ResumeReq);
-        self.register_request(ActiveRequest::new(
-            pid,
-            pipe,
-            ep.clone(),
-            ReqStage::AwaitResumeAck,
-        ));
+        self.register_request(ActiveRequest::new(pid, pipe, ep.clone(), stage));
     }
 
-    fn handle_restore(&self, ep: &ScifEndpoint, path: &str, _host_pid: u64) {
+    fn handle_restore(&self, ep: &ScifEndpoint, path: &str) {
         let _span = obs::span!(
             "coi.daemon.restore",
             device = self.inner.device_index,
             path = path
         );
-        let server = self.inner.scif.server().clone();
-        let node_id = self.inner.node.id();
-        let restored = OffloadRuntime::restore(
-            &self.inner.config,
-            &self.inner.blcr,
-            &self.inner.scif,
-            &self.inner.node,
-            &self.inner.pids,
-            &self.inner.registry,
-            Arc::clone(&self.inner.storage),
-            path,
-            self.inner.params.signal_latency,
-            // "the COI daemon first copies the local store and the runtime
-            // libraries needed by the offload process on the fly" (§4.3).
-            |image_bytes| {
-                server.rdma_between(NodeId::HOST, node_id, image_bytes);
-            },
-        );
-        match restored {
+        let reply = match OffloadRuntime::restore(&self.inner.env, self.node(), path) {
             Ok((rt, ports, addr_table, breakdown)) => {
-                let pid = rt.proc().pid().0;
                 // Re-attach the daemon's bookkeeping (the paper: "the
                 // coi_daemon needs to be brought into the picture again").
-                let pipe = SnapifyPipe::new(pid);
-                rt.install_pipe(pipe.clone());
-                // The restored process starts paused; spawn its pipe
+                // The restored process starts paused; start its pipe
                 // handler directly so a later resume reaches it.
-                {
-                    let rt2 = rt.clone();
-                    rt.proc().spawn_service("snapify-pipe", move || {
-                        rt2.restored_pipe_handler();
-                    });
+                let pipe = SnapifyPipe::new(rt.proc().pid().0);
+                rt.install_pipe(pipe.clone());
+                rt.spawn_pipe_handler(true);
+                CtlMsg::SnapifyRestoreReply {
+                    pid: self.adopt(&rt, Some(pipe)),
+                    ports,
+                    addr_table,
+                    breakdown,
+                    error: String::new(),
                 }
-                self.inner.entries.lock().insert(
-                    pid,
-                    DaemonEntry {
-                        runtime: rt.clone(),
-                        intentional_exit: false,
-                        pipe: Some(pipe),
-                    },
-                );
-                let _ = ep.send(
-                    CtlMsg::SnapifyRestoreReply {
-                        pid,
-                        ports,
-                        addr_table,
-                        breakdown: (
-                            breakdown.library_copy_ns,
-                            breakdown.store_copy_ns,
-                            breakdown.blcr_restart_ns,
-                            breakdown.reregistration_ns,
-                        ),
-                        error: String::new(),
-                    }
-                    .encode(),
-                );
             }
-            Err(e) => {
-                let _ = ep.send(
-                    CtlMsg::SnapifyRestoreReply {
-                        pid: 0,
-                        ports: [0; 4],
-                        addr_table: Vec::new(),
-                        breakdown: (0, 0, 0, 0),
-                        error: e.to_string(),
-                    }
-                    .encode(),
-                );
-            }
-        }
+            // Pid 0: the restore failed, and `error` says why.
+            Err(e) => CtlMsg::SnapifyRestoreReply {
+                pid: 0,
+                ports: [0; 4],
+                addr_table: Vec::new(),
+                breakdown: Default::default(),
+                error: e.to_string(),
+            },
+        };
+        let _ = ep.send(reply.encode());
     }
 
     /// Add a request to the monitor's list, creating the monitor thread if
@@ -506,7 +412,7 @@ impl CoiDaemon {
                 }
             }
             let daemon = self.clone();
-            simkernel::sleep_poll(self.inner.config.poll_interval, move |now| {
+            simkernel::sleep_poll(self.inner.env.config.poll_interval, move |now| {
                 daemon.monitor_pass_due(now)
             });
         }
@@ -582,7 +488,7 @@ impl CoiDaemon {
     /// doubled per extension already granted — has elapsed at `now`.
     /// A zero `watchdog_timeout` disables the watchdog.
     fn watchdog_due(&self, req: &ActiveRequest, now: simkernel::SimTime) -> bool {
-        let timeout = self.inner.config.watchdog_timeout;
+        let timeout = self.inner.env.config.watchdog_timeout;
         if timeout == simkernel::SimDuration::ZERO {
             return false;
         }
@@ -597,7 +503,7 @@ impl CoiDaemon {
     /// instead of hanging it forever. Returns true when the request was
     /// given up on.
     fn watchdog_check(&self, req: &mut ActiveRequest) -> bool {
-        let cfg = &self.inner.config;
+        let cfg = &self.inner.env.config;
         if !self.watchdog_due(req, simkernel::now()) {
             return false;
         }
@@ -607,38 +513,7 @@ impl CoiDaemon {
             return false;
         }
         obs::counter_add_labeled("chaos.surfaced", &[("op", "coi-watchdog")], 1);
-        let reply = match &req.stage {
-            ReqStage::AwaitPauseAck { .. } | ReqStage::AwaitPauseComplete => {
-                CtlMsg::SnapifyPauseComplete { ok: false }
-            }
-            ReqStage::AwaitCaptureComplete { .. } => CtlMsg::SnapifyCaptureComplete {
-                ok: false,
-                snapshot_bytes: 0,
-            },
-            ReqStage::AwaitResumeAck => CtlMsg::SnapifyResumeComplete,
-        };
-        let _ = req.ctl.send(reply.encode());
+        let _ = req.ctl.send(req.stage.failure_reply().encode());
         true
-    }
-}
-
-impl OffloadRuntime {
-    /// Pipe handler for a freshly-restored process: waits for the resume
-    /// request that re-activates it (§4.3: "the offload process, though
-    /// restored, is not fully active until snapify_resume").
-    pub(crate) fn restored_pipe_handler(&self) {
-        let pipe_opt = { self.pipe_slot().lock().clone() };
-        let Some(pipe) = pipe_opt else { return };
-        loop {
-            match pipe.to_offload.recv() {
-                Ok(PipeMsg::ResumeReq) => {
-                    self.clear_barrier_and_resume();
-                    let _ = pipe.to_daemon.send(PipeMsg::ResumeAck);
-                    return;
-                }
-                Ok(_) => continue,
-                Err(_) => return,
-            }
-        }
     }
 }

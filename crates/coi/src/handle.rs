@@ -10,17 +10,18 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use phi_platform::{NodeId, Payload};
-use scif_sim::{ports, RdmaAddr, Scif, ScifEndpoint};
+use scif_sim::{ports, RdmaAddr, ScifEndpoint};
 use simkernel::{SimChannel, SimMutex};
 use simproc::SimProcess;
 
-use crate::config::CoiConfig;
+use crate::locks::DrainLock;
+use crate::msgs::{recv_msg, serve, CmdMsg, CtlMsg, Endpoints, RunMsg, StreamMsg};
+use crate::offload::RestoreBreakdown;
+use crate::world::CoiEnv;
+use crate::CoiError;
 
 /// Map of in-flight run ids to their result channels.
 type PendingRuns = SimMutex<HashMap<u64, SimChannel<Result<Vec<u8>, String>>>>;
-use crate::locks::DrainLock;
-use crate::msgs::{CmdMsg, CtlMsg, RunMsg, StreamMsg};
-use crate::CoiError;
 
 /// A COI buffer as seen by the host: id, size, current RDMA address.
 #[derive(Debug)]
@@ -33,6 +34,14 @@ pub struct CoiBuffer {
 }
 
 impl CoiBuffer {
+    fn new(id: u64, size: u64, addr: u64) -> Arc<CoiBuffer> {
+        Arc::new(CoiBuffer {
+            id,
+            size,
+            addr: SimMutex::new(format!("buf addr {id}"), RdmaAddr(addr)),
+        })
+    }
+
     /// The buffer's current RDMA window address. Changes after a restore
     /// (§4.3's (old, new) lookup table is applied by the Snapify runtime).
     pub fn addr(&self) -> RdmaAddr {
@@ -58,37 +67,30 @@ impl RunHandle {
     }
 }
 
-struct Endpoints {
-    run: ScifEndpoint,
-    cmd: ScifEndpoint,
-    log: ScifEndpoint,
-    event: ScifEndpoint,
-    ctl: ScifEndpoint,
-}
+struct HandleInner {
+    env: Arc<CoiEnv>,
+    host_proc: SimProcess,
+    binary: String,
+    binary_image_bytes: u64,
 
-pub(crate) struct HandleInner {
-    pub(crate) config: CoiConfig,
-    pub(crate) scif: Scif,
-    pub(crate) host_proc: SimProcess,
-    pub(crate) binary: String,
-    pub(crate) binary_image_bytes: u64,
-
-    pub(crate) device: SimMutex<usize>,
-    pub(crate) pid: SimMutex<u64>,
-    eps: SimMutex<Option<Endpoints>>,
+    device: SimMutex<usize>,
+    pid: SimMutex<u64>,
+    /// The data channels and the ctl connection they were negotiated
+    /// over; `None` while the handle is detached.
+    eps: SimMutex<Option<(Endpoints, ScifEndpoint)>>,
 
     pending: Arc<PendingRuns>,
     next_run_id: SimMutex<u64>,
     next_buf_id: SimMutex<u64>,
-    pub(crate) buffers: SimMutex<BTreeMap<u64, Arc<CoiBuffer>>>,
+    buffers: SimMutex<BTreeMap<u64, Arc<CoiBuffer>>>,
 
     // Host-side drain locks (§4.1): process lifecycle (case 1), RDMA
     // buffer transfers (case 2), the cmd client channel (case 3), and the
     // run-function request send (case 4).
-    pub(crate) lifecycle: DrainLock,
-    pub(crate) rdma: DrainLock,
-    pub(crate) cmd_lock: DrainLock,
-    pub(crate) run_send: DrainLock,
+    lifecycle: DrainLock,
+    rdma: DrainLock,
+    cmd_lock: DrainLock,
+    run_send: DrainLock,
 
     // Ctl routing: most exchanges are synchronous request/reply, but the
     // capture completion arrives asynchronously (snapify_capture is
@@ -97,15 +99,15 @@ pub(crate) struct HandleInner {
     capture_done: SimChannel<CtlMsg>,
 
     /// Collected log records (host-side COI log server).
-    pub(crate) logs: SimMutex<Vec<Vec<u8>>>,
+    logs: SimMutex<Vec<Vec<u8>>>,
     /// Collected event records.
-    pub(crate) events: SimMutex<Vec<Vec<u8>>>,
+    events: SimMutex<Vec<Vec<u8>>>,
 }
 
 /// Host-side handle to an offload process (`COIProcess*`). Cheap to clone.
 #[derive(Clone)]
 pub struct CoiProcessHandle {
-    pub(crate) inner: Arc<HandleInner>,
+    inner: Arc<HandleInner>,
 }
 
 impl std::fmt::Debug for CoiProcessHandle {
@@ -118,104 +120,152 @@ impl std::fmt::Debug for CoiProcessHandle {
 }
 
 impl CoiProcessHandle {
+    /// A detached handle: no offload process yet. What `create` attaches,
+    /// and what a restarted host process holds until `snapify_restore`
+    /// re-adopts its swapped-out/checkpointed offload process.
+    pub(crate) fn new_detached(
+        env: &Arc<CoiEnv>,
+        host_proc: &SimProcess,
+        binary: &str,
+    ) -> CoiProcessHandle {
+        let pid_tag = host_proc.pid().0;
+        let binary_image_bytes = env.registry.get(binary).map_or(0, |b| b.image_bytes);
+        CoiProcessHandle {
+            inner: Arc::new(HandleInner {
+                env: Arc::clone(env),
+                host_proc: host_proc.clone(),
+                binary: binary.to_string(),
+                binary_image_bytes,
+                device: SimMutex::new(format!("hdl dev {pid_tag}"), 0),
+                pid: SimMutex::new(format!("hdl pid {pid_tag}"), 0),
+                eps: SimMutex::new(format!("hdl eps {pid_tag}"), None),
+                pending: Arc::new(SimMutex::new(
+                    format!("hdl pending {pid_tag}"),
+                    HashMap::new(),
+                )),
+                next_run_id: SimMutex::new(format!("hdl runid {pid_tag}"), 1),
+                next_buf_id: SimMutex::new(format!("hdl bufid {pid_tag}"), 1),
+                buffers: SimMutex::new(format!("hdl buffers {pid_tag}"), BTreeMap::new()),
+                lifecycle: DrainLock::new(format!("lifecycle {pid_tag}")),
+                rdma: DrainLock::new(format!("rdma {pid_tag}")),
+                cmd_lock: DrainLock::new(format!("cmd-client {pid_tag}")),
+                run_send: DrainLock::new(format!("run-send {pid_tag}")),
+                ctl_replies: SimChannel::unbounded(format!("ctl-replies {pid_tag}")),
+                capture_done: SimChannel::unbounded(format!("capture-done {pid_tag}")),
+                logs: SimMutex::new(format!("hdl logs {pid_tag}"), Vec::new()),
+                events: SimMutex::new(format!("hdl events {pid_tag}"), Vec::new()),
+            }),
+        }
+    }
+
     /// Create an offload process on device `device` running `binary`
-    /// (i.e. `COIProcessCreateFromFile`).
-    pub fn create(
-        config: &CoiConfig,
-        scif: &Scif,
+    /// (i.e. `COIProcessCreateFromFile`): a detached handle, attached
+    /// inside the §4.1 case 1 critical region.
+    pub(crate) fn create(
+        env: &Arc<CoiEnv>,
         host_proc: &SimProcess,
         device: usize,
         binary: &str,
-        binary_image_bytes: u64,
     ) -> Result<CoiProcessHandle, CoiError> {
-        let pid_tag = host_proc.pid().0;
-        let inner = Arc::new(HandleInner {
-            config: config.clone(),
-            scif: scif.clone(),
-            host_proc: host_proc.clone(),
-            binary: binary.to_string(),
-            binary_image_bytes,
-            device: SimMutex::new(format!("hdl dev {pid_tag}"), device),
-            pid: SimMutex::new(format!("hdl pid {pid_tag}"), 0),
-            eps: SimMutex::new(format!("hdl eps {pid_tag}"), None),
-            pending: Arc::new(SimMutex::new(
-                format!("hdl pending {pid_tag}"),
-                HashMap::new(),
-            )),
-            next_run_id: SimMutex::new(format!("hdl runid {pid_tag}"), 1),
-            next_buf_id: SimMutex::new(format!("hdl bufid {pid_tag}"), 1),
-            buffers: SimMutex::new(format!("hdl buffers {pid_tag}"), BTreeMap::new()),
-            lifecycle: DrainLock::new(format!("lifecycle {pid_tag}")),
-            rdma: DrainLock::new(format!("rdma {pid_tag}")),
-            cmd_lock: DrainLock::new(format!("cmd-client {pid_tag}")),
-            run_send: DrainLock::new(format!("run-send {pid_tag}")),
-            ctl_replies: SimChannel::unbounded(format!("ctl-replies {pid_tag}")),
-            capture_done: SimChannel::unbounded(format!("capture-done {pid_tag}")),
-            logs: SimMutex::new(format!("hdl logs {pid_tag}"), Vec::new()),
-            events: SimMutex::new(format!("hdl events {pid_tag}"), Vec::new()),
-        });
-        let handle = CoiProcessHandle { inner };
-
-        // Case 1 critical region: process creation.
-        handle.inner.lifecycle.acquire();
-        let result = handle.create_locked(device, binary);
-        handle.inner.lifecycle.release();
-        result?;
+        let handle = Self::new_detached(env, host_proc, binary);
+        handle.inner.lifecycle.with(|| {
+            let request = CtlMsg::CreateProcess {
+                host_pid: host_proc.pid().0,
+                binary: binary.into(),
+            };
+            match handle.ctl_call(Some(device), request)? {
+                (CtlMsg::CreateProcessReply { pid: 0, .. }, _) => {
+                    Err(CoiError::BadBinary(binary.to_string()))
+                }
+                (CtlMsg::CreateProcessReply { pid, ports }, ctl) => {
+                    handle.attach(device, pid, ports, &[], ctl)
+                }
+                (reply, _) => Err(CoiError::Protocol(format!("unexpected reply {reply:?}"))),
+            }
+        })?;
         Ok(handle)
     }
 
-    fn create_locked(&self, device: usize, binary: &str) -> Result<(), CoiError> {
-        let ctl = self.connect_ctl(device)?;
-        ctl.send(
-            CtlMsg::CreateProcess {
-                host_pid: self.inner.host_proc.pid().0,
-                binary: binary.into(),
-            }
-            .encode(),
-        )
-        .map_err(CoiError::Scif)?;
-        let reply = self.await_reply()?;
-        let CtlMsg::CreateProcessReply { pid, ports } = reply else {
-            return Err(CoiError::Protocol(format!("unexpected reply {reply:?}")));
+    /// One request/reply exchange with a daemon: over the handle's ctl
+    /// connection, or — for the two requests that reach a daemon the
+    /// handle is not attached to yet (create, restore) — over a fresh one
+    /// to `device`'s daemon. Returns the reply and the connection it came
+    /// over, for the caller to attach through.
+    fn ctl_call(
+        &self,
+        fresh: Option<usize>,
+        msg: CtlMsg,
+    ) -> Result<(CtlMsg, ScifEndpoint), CoiError> {
+        let ctl = match fresh {
+            Some(device) => self.connect_ctl(device)?,
+            None => self.ctl()?,
         };
-        if pid == 0 {
-            return Err(CoiError::BadBinary(binary.to_string()));
-        }
-        *self.inner.pid.lock() = pid;
-        self.connect_data_channels(device, ports, ctl)?;
-        Ok(())
+        ctl.send(msg.encode())?;
+        let reply = self.inner.ctl_replies.recv();
+        Ok((reply.map_err(|_| CoiError::Closed)?, ctl))
     }
 
     /// Connect the ctl channel to `device`'s daemon and start its
     /// dispatcher thread.
     fn connect_ctl(&self, device: usize) -> Result<ScifEndpoint, CoiError> {
-        let ctl = self
-            .inner
-            .scif
-            .connect(NodeId::HOST, NodeId::device(device), ports::COI_DAEMON)
-            .map_err(CoiError::Scif)?;
+        let scif = &self.inner.env.scif;
+        let ctl = scif.connect(NodeId::HOST, NodeId::device(device), ports::COI_DAEMON)?;
         let ctl2 = ctl.clone();
         let replies = self.inner.ctl_replies.clone();
         let capture_done = self.inner.capture_done.clone();
         self.inner.host_proc.spawn_service("ctl-dispatch", move || {
-            while let Ok(p) = ctl2.recv() {
-                match CtlMsg::decode(&p) {
-                    Ok(msg @ CtlMsg::SnapifyCaptureComplete { .. }) => {
-                        let _ = capture_done.send(msg);
-                    }
-                    Ok(msg) => {
-                        let _ = replies.send(msg);
-                    }
-                    Err(_) => {}
-                }
-            }
+            serve(&ctl2, CtlMsg::decode, |msg| {
+                let _ = match msg {
+                    CtlMsg::SnapifyCaptureComplete { .. } => capture_done.send(msg),
+                    _ => replies.send(msg),
+                };
+            })
         });
         Ok(ctl)
     }
 
+    /// Wire the handle to offload process `pid` on `device`: the previous
+    /// endpoint set (if any) closed, fresh data channels on `ports`, and
+    /// the (buffer, size, old, new) RDMA address translations applied.
+    fn attach(
+        &self,
+        device: usize,
+        pid: u64,
+        ports: [u16; 4],
+        addr_table: &[(u64, u64, u64, u64)],
+        ctl: ScifEndpoint,
+    ) -> Result<(), CoiError> {
+        self.close_endpoints(Some(&ctl));
+        self.connect_data_channels(device, ports, ctl)?;
+        *self.inner.device.lock() = device;
+        *self.inner.pid.lock() = pid;
+        let mut buffers = self.inner.buffers.lock();
+        let mut max_id = 0;
+        for (id, size, old, new) in addr_table {
+            max_id = max_id.max(*id);
+            match buffers.get(id) {
+                Some(buf) => {
+                    // Existing handle: apply the (old, new) translation.
+                    let mut addr = buf.addr.lock();
+                    debug_assert_eq!(addr.0, *old, "stale RDMA address in translation table");
+                    *addr = RdmaAddr(*new);
+                }
+                None => {
+                    // Restart path (a restored *host* process adopting the
+                    // snapshot's buffers): recreate the handle entry.
+                    buffers.insert(*id, CoiBuffer::new(*id, *size, *new));
+                }
+            }
+        }
+        drop(buffers);
+        let mut next = self.inner.next_buf_id.lock();
+        *next = (*next).max(max_id + 1);
+        Ok(())
+    }
+
     /// Connect run/cmd/log/event to `ports` on `device`, install the
     /// endpoint set, and start the host-side threads.
-    pub(crate) fn connect_data_channels(
+    fn connect_data_channels(
         &self,
         device: usize,
         ports: [u16; 4],
@@ -224,36 +274,26 @@ impl CoiProcessHandle {
         let dev_node = NodeId::device(device);
         let mut eps = Vec::new();
         for p in ports {
-            eps.push(
-                self.inner
-                    .scif
-                    .connect(NodeId::HOST, dev_node, p)
-                    .map_err(CoiError::Scif)?,
-            );
+            eps.push(self.inner.env.scif.connect(NodeId::HOST, dev_node, p)?);
         }
-        let endpoints = Endpoints {
-            run: eps[0].clone(),
-            cmd: eps[1].clone(),
-            log: eps[2].clone(),
-            event: eps[3].clone(),
-            ctl,
-        };
+        let endpoints = Endpoints::new(&eps);
         // Result dispatcher (the receiving half of Fig 4's Pipe_Thread1).
         {
             let run = endpoints.run.clone();
             let pending = Arc::clone(&self.inner.pending);
             self.inner.host_proc.spawn_service("run-dispatch", move || {
-                while let Ok(p) = run.recv() {
-                    let (id, outcome) = match RunMsg::decode(&p) {
-                        Ok(RunMsg::Result { id, ret }) => (id, Ok(ret)),
-                        Ok(RunMsg::Error { id, message }) => (id, Err(message)),
-                        _ => continue,
+                serve(&run, RunMsg::decode, |msg| {
+                    let (id, outcome) = match msg {
+                        RunMsg::Result { id, ret } => (id, Ok(ret)),
+                        RunMsg::Error { id, message } => (id, Err(message)),
+                        // Requests never flow offload → host.
+                        RunMsg::Request { .. } => return,
                     };
                     let ch = pending.lock().remove(&id);
                     if let Some(ch) = ch {
                         let _ = ch.send(outcome);
                     }
-                }
+                })
             });
         }
         // Log / event server threads (§4.1 case 3, host-server side).
@@ -264,37 +304,30 @@ impl CoiProcessHandle {
             let me = self.clone();
             let name = if is_log { "log-server" } else { "event-server" };
             self.inner.host_proc.spawn_service(name, move || {
-                while let Ok(p) = ep.recv() {
-                    match StreamMsg::decode(&p) {
-                        Ok(StreamMsg::Record(rec)) => {
-                            if is_log {
-                                me.inner.logs.lock().push(rec);
-                            } else {
-                                me.inner.events.lock().push(rec);
-                            }
-                        }
-                        Ok(StreamMsg::Shutdown) => {
-                            let _ = ep.send(StreamMsg::ShutdownAck.encode());
-                        }
-                        _ => {}
+                serve(&ep, StreamMsg::decode, |msg| match msg {
+                    StreamMsg::Record(rec) if is_log => me.inner.logs.lock().push(rec),
+                    StreamMsg::Record(rec) => me.inner.events.lock().push(rec),
+                    StreamMsg::Shutdown => {
+                        let _ = ep.send(StreamMsg::ShutdownAck.encode());
                     }
-                }
+                    StreamMsg::ShutdownAck => {}
+                })
             });
         }
-        *self.inner.eps.lock() = Some(endpoints);
+        *self.inner.eps.lock() = Some((endpoints, ctl));
         Ok(())
     }
 
-    fn await_reply(&self) -> Result<CtlMsg, CoiError> {
-        self.inner.ctl_replies.recv().map_err(|_| CoiError::Closed)
+    /// One of the data channels, or `Closed` while the handle is detached.
+    fn data_ep(&self, pick: fn(&Endpoints) -> &ScifEndpoint) -> Result<ScifEndpoint, CoiError> {
+        let eps = self.inner.eps.lock();
+        let ep = eps.as_ref().map(|(data, _)| pick(data).clone());
+        ep.ok_or(CoiError::Closed)
     }
 
-    fn eps(&self) -> Result<(ScifEndpoint, ScifEndpoint, ScifEndpoint), CoiError> {
+    fn ctl(&self) -> Result<ScifEndpoint, CoiError> {
         let eps = self.inner.eps.lock();
-        match eps.as_ref() {
-            Some(e) => Ok((e.run.clone(), e.cmd.clone(), e.ctl.clone())),
-            None => Err(CoiError::Closed),
-        }
+        eps.as_ref().map(|e| e.1.clone()).ok_or(CoiError::Closed)
     }
 
     // ------------------------------------------------------------------
@@ -330,13 +363,13 @@ impl CoiProcessHandle {
 
     /// The host file system (where snapshots live).
     pub fn host_fs(&self) -> phi_platform::SimFs {
-        self.inner.scif.server().host().fs().clone()
+        self.inner.env.server.host().fs().clone()
     }
 
     /// The platform parameters of the host this process runs on
     /// (hostname, link speeds, …).
     pub fn host_params(&self) -> phi_platform::PlatformParams {
-        self.inner.scif.server().params().clone()
+        self.inner.env.server.params().clone()
     }
 
     /// Create a COI buffer of `size` bytes (`COIBufferCreate`).
@@ -347,25 +380,7 @@ impl CoiProcessHandle {
             *n += 1;
             id
         };
-        // Acquire the client lock *before* resolving the endpoint: a call
-        // that blocks across a swap must use the post-restore channel.
-        self.inner.cmd_lock.acquire();
-        let cmd = match self.eps() {
-            Ok((_, cmd, _)) => cmd,
-            Err(e) => {
-                self.inner.cmd_lock.release();
-                return Err(e);
-            }
-        };
-        self.inner.config.charge_hook();
-        let send = cmd.send(CmdMsg::CreateBuffer { id, size }.encode());
-        let reply = if send.is_ok() {
-            Self::await_cmd(&cmd)
-        } else {
-            Err(CoiError::Closed)
-        };
-        self.inner.cmd_lock.release();
-        match reply? {
+        match self.cmd_call(CmdMsg::CreateBuffer { id, size })? {
             CmdMsg::BufferCreated {
                 id: rid,
                 addr,
@@ -377,11 +392,7 @@ impl CoiProcessHandle {
                 if addr == 0 {
                     return Err(CoiError::OutOfMemory(error));
                 }
-                let buf = Arc::new(CoiBuffer {
-                    id,
-                    size,
-                    addr: SimMutex::new(format!("buf addr {id}"), RdmaAddr(addr)),
-                });
+                let buf = CoiBuffer::new(id, size, addr);
                 self.inner.buffers.lock().insert(id, Arc::clone(&buf));
                 Ok(buf)
             }
@@ -393,63 +404,49 @@ impl CoiProcessHandle {
 
     /// Destroy a COI buffer (`COIBufferDestroy`).
     pub fn destroy_buffer(&self, buf: &CoiBuffer) -> Result<(), CoiError> {
-        self.inner.cmd_lock.acquire();
-        let cmd = match self.eps() {
-            Ok((_, cmd, _)) => cmd,
-            Err(e) => {
-                self.inner.cmd_lock.release();
-                return Err(e);
-            }
-        };
-        self.inner.config.charge_hook();
-        let send = cmd.send(CmdMsg::DestroyBuffer { id: buf.id }.encode());
-        let reply = if send.is_ok() {
-            Self::await_cmd(&cmd)
-        } else {
-            Err(CoiError::Closed)
-        };
-        self.inner.cmd_lock.release();
-        reply?;
+        self.cmd_call(CmdMsg::DestroyBuffer { id: buf.id })?;
         self.inner.buffers.lock().remove(&buf.id);
         Ok(())
     }
 
-    fn await_cmd(cmd: &ScifEndpoint) -> Result<CmdMsg, CoiError> {
-        loop {
-            let p = cmd.recv().map_err(CoiError::Scif)?;
-            match CmdMsg::decode(&p) {
-                Ok(m) => return Ok(m),
-                Err(_) => continue,
-            }
-        }
+    /// One request/reply exchange on the cmd channel, inside the §4.1
+    /// case 3 client critical region.
+    fn cmd_call(&self, msg: CmdMsg) -> Result<CmdMsg, CoiError> {
+        self.inner.cmd_lock.with(|| self.cmd_exchange(msg))
+    }
+
+    /// The exchange itself; the caller holds `cmd_lock`, and took it
+    /// *before* the endpoint is resolved here: a call that blocks across
+    /// a swap must use the post-restore channel.
+    fn cmd_exchange(&self, msg: CmdMsg) -> Result<CmdMsg, CoiError> {
+        let cmd = self.data_ep(|e| &e.cmd)?;
+        self.inner.env.config.charge_hook();
+        cmd.send(msg.encode())?;
+        Ok(recv_msg(&cmd, CmdMsg::decode)?)
     }
 
     /// Write `data` into a buffer over RDMA (`COIBufferWrite` — §4.1
     /// case 2 lock around the `scif_writeto` call site).
     pub fn buffer_write(&self, buf: &CoiBuffer, data: Payload) -> Result<(), CoiError> {
         assert_eq!(data.len(), buf.size, "COI buffer writes are whole-buffer");
-        self.inner.rdma.acquire();
-        self.inner.config.charge_hook();
-        let r = self
-            .inner
-            .scif
-            .rdma_write_from(NodeId::HOST, buf.addr(), 0, data)
-            .map_err(CoiError::Scif);
-        self.inner.rdma.release();
-        r
+        let env = &self.inner.env;
+        self.inner.rdma.with(|| {
+            env.config.charge_hook();
+            Ok(env
+                .scif
+                .rdma_write_from(NodeId::HOST, buf.addr(), 0, data)?)
+        })
     }
 
     /// Read a buffer's contents over RDMA (`COIBufferRead`).
     pub fn buffer_read(&self, buf: &CoiBuffer) -> Result<Payload, CoiError> {
-        self.inner.rdma.acquire();
-        self.inner.config.charge_hook();
-        let r = self
-            .inner
-            .scif
-            .rdma_read_from(NodeId::HOST, buf.addr(), 0, buf.size)
-            .map_err(CoiError::Scif);
-        self.inner.rdma.release();
-        r
+        let env = &self.inner.env;
+        self.inner.rdma.with(|| {
+            env.config.charge_hook();
+            Ok(env
+                .scif
+                .rdma_read_from(NodeId::HOST, buf.addr(), 0, buf.size)?)
+        })
     }
 
     /// Launch an offload function asynchronously (`COIPipelineRunFunction`;
@@ -475,23 +472,16 @@ impl CoiProcessHandle {
             args,
             buffers: buffers.iter().map(|b| b.id).collect(),
         };
-        // Acquire the case-4 lock before resolving the endpoint (see
-        // create_buffer).
-        self.inner.run_send.acquire();
-        let run = match self.eps() {
-            Ok((run, _, _)) => run,
-            Err(e) => {
-                self.inner.run_send.release();
-                self.inner.pending.lock().remove(&id);
-                return Err(e);
-            }
-        };
-        self.inner.config.charge_hook();
-        let sent = run.send(msg.encode());
-        self.inner.run_send.release();
-        if sent.is_err() {
+        // The case-4 lock is taken before the endpoint is resolved (see
+        // cmd_exchange).
+        let sent = self.inner.run_send.with(|| {
+            let run = self.data_ep(|e| &e.run)?;
+            self.inner.env.config.charge_hook();
+            run.send(msg.encode()).map_err(|_| CoiError::Closed)
+        });
+        if let Err(e) = sent {
             self.inner.pending.lock().remove(&id);
-            return Err(CoiError::Closed);
+            return Err(e);
         }
         Ok(RunHandle { id, rx: ch })
     }
@@ -518,23 +508,7 @@ impl CoiProcessHandle {
 
     /// Ping the offload process over the cmd channel.
     pub fn ping(&self) -> Result<(), CoiError> {
-        self.inner.cmd_lock.acquire();
-        let cmd = match self.eps() {
-            Ok((_, cmd, _)) => cmd,
-            Err(e) => {
-                self.inner.cmd_lock.release();
-                return Err(e);
-            }
-        };
-        self.inner.config.charge_hook();
-        let send = cmd.send(CmdMsg::Ping.encode());
-        let reply = if send.is_ok() {
-            Self::await_cmd(&cmd)
-        } else {
-            Err(CoiError::Closed)
-        };
-        self.inner.cmd_lock.release();
-        match reply? {
+        match self.cmd_call(CmdMsg::Ping)? {
             CmdMsg::Pong => Ok(()),
             other => Err(CoiError::Protocol(format!(
                 "unexpected ping reply {other:?}"
@@ -545,48 +519,27 @@ impl CoiProcessHandle {
     /// Destroy the offload process (`COIProcessDestroy`; §4.1 case 1
     /// critical region).
     pub fn destroy(&self) -> Result<(), CoiError> {
-        self.inner.lifecycle.acquire();
-        let r = self.destroy_locked();
-        self.inner.lifecycle.release();
-        r
+        self.inner.lifecycle.with(|| {
+            match self.ctl_call(None, CtlMsg::DestroyProcess { pid: self.pid() })? {
+                (CtlMsg::DestroyAck, _) => {
+                    self.close_endpoints(None);
+                    Ok(())
+                }
+                (reply, _) => Err(CoiError::Protocol(format!(
+                    "unexpected destroy reply {reply:?}"
+                ))),
+            }
+        })
     }
 
-    fn destroy_locked(&self) -> Result<(), CoiError> {
-        let (_, _, ctl) = self.eps()?;
-        ctl.send(CtlMsg::DestroyProcess { pid: self.pid() }.encode())
-            .map_err(CoiError::Scif)?;
-        let reply = self.await_reply()?;
-        if !matches!(reply, CtlMsg::DestroyAck) {
-            return Err(CoiError::Protocol(format!(
-                "unexpected destroy reply {reply:?}"
-            )));
-        }
-        self.close_endpoints();
-        Ok(())
-    }
-
-    fn close_endpoints(&self) {
-        let mut eps = self.inner.eps.lock();
-        if let Some(e) = eps.take() {
-            e.run.close();
-            e.cmd.close();
-            e.log.close();
-            e.event.close();
-            e.ctl.close();
-        }
-    }
-
-    /// Close the current endpoint set but keep `keep` (a freshly-opened
-    /// ctl to the restore target, which may be the same daemon).
-    fn close_endpoints_except(&self, keep: &ScifEndpoint) {
-        let mut eps = self.inner.eps.lock();
-        if let Some(e) = eps.take() {
-            e.run.close();
-            e.cmd.close();
-            e.log.close();
-            e.event.close();
-            if e.ctl.conn_id() != keep.conn_id() {
-                e.ctl.close();
+    /// Close the current endpoint set — except the ctl connection when it
+    /// is `keep` (a freshly-opened ctl to the restore target, which may
+    /// be the same daemon).
+    fn close_endpoints(&self, keep: Option<&ScifEndpoint>) {
+        if let Some((data, ctl)) = self.inner.eps.lock().take() {
+            data.close();
+            if keep.map(ScifEndpoint::conn_id) != Some(ctl.conn_id()) {
+                ctl.close();
             }
         }
     }
@@ -598,34 +551,38 @@ impl CoiProcessHandle {
     /// Drain the host side (§4.1): acquire the lifecycle (case 1), RDMA
     /// (case 2), cmd-client (case 3, with shutdown marker), and
     /// run-request (case 4) locks, then wait for the outbound run channel
-    /// to empty. Held until [`CoiProcessHandle::snapify_release_host`].
+    /// to empty. Held until [`CoiProcessHandle::snapify_release_host`] —
+    /// unless the drain fails, which leaves every lock free.
     pub fn snapify_drain_host(&self) -> Result<(), CoiError> {
-        self.inner.lifecycle.acquire();
-        self.inner.rdma.acquire();
+        let i = &self.inner;
+        i.lifecycle.acquire();
+        i.rdma.acquire();
         // Case 3 (host is the client of the cmd channel): lock, then send
         // the shutdown marker and wait for the server's ack.
-        let (run, cmd, _) = match self.eps() {
-            Ok(e) => e,
+        i.cmd_lock.acquire();
+        let marker = self
+            .cmd_exchange(CmdMsg::Shutdown)
+            .and_then(|ack| match ack {
+                CmdMsg::ShutdownAck => self.data_ep(|e| &e.run),
+                other => Err(CoiError::Protocol(format!(
+                    "unexpected shutdown reply {other:?}"
+                ))),
+            });
+        let run = match marker {
+            Ok(run) => run,
             Err(e) => {
-                self.inner.lifecycle.release();
-                self.inner.rdma.release();
+                // The offload process is gone or not answering: nothing
+                // was paused, so nothing may stay locked.
+                i.cmd_lock.release();
+                i.rdma.release();
+                i.lifecycle.release();
                 return Err(e);
             }
         };
-        self.inner.cmd_lock.acquire();
-        self.inner.config.charge_hook();
-        cmd.send(CmdMsg::Shutdown.encode())
-            .map_err(CoiError::Scif)?;
-        loop {
-            let p = cmd.recv().map_err(CoiError::Scif)?;
-            if matches!(CmdMsg::decode(&p), Ok(CmdMsg::ShutdownAck)) {
-                break;
-            }
-        }
         // Case 4: no further run-function requests.
-        self.inner.run_send.acquire();
+        i.run_send.acquire();
         while run.outbound_pending() > 0 {
-            simkernel::sleep(self.inner.config.poll_interval);
+            simkernel::sleep(i.env.config.poll_interval);
         }
         Ok(())
     }
@@ -650,15 +607,15 @@ impl CoiProcessHandle {
         self.inner.lifecycle.release_if_held();
     }
 
-    /// Send a Snapify control message to the daemon.
+    /// Send a Snapify control message to the daemon without waiting for
+    /// an answer (a capture completes asynchronously).
     pub fn snapify_send_ctl(&self, msg: CtlMsg) -> Result<(), CoiError> {
-        let (_, _, ctl) = self.eps()?;
-        ctl.send(msg.encode()).map_err(CoiError::Scif)
+        Ok(self.ctl()?.send(msg.encode())?)
     }
 
-    /// Await the next synchronous daemon reply.
-    pub fn snapify_await_reply(&self) -> Result<CtlMsg, CoiError> {
-        self.await_reply()
+    /// Send a Snapify service request to the daemon and await its reply.
+    pub fn snapify_call(&self, msg: CtlMsg) -> Result<CtlMsg, CoiError> {
+        Ok(self.ctl_call(None, msg)?.0)
     }
 
     /// Await an asynchronous capture-completion notification.
@@ -669,92 +626,39 @@ impl CoiProcessHandle {
     /// After a capture with `terminate` (swap-out): tear down the host
     /// side of the now-dead connections.
     pub fn snapify_detach(&self) {
-        self.close_endpoints();
+        self.close_endpoints(None);
     }
 
-    /// Rewire the handle to a restored offload process: fresh ctl to
-    /// `device`'s daemon, fresh data channels on `ports`, new pid, and the
-    /// (buffer, old, new) RDMA address translations applied.
-    pub fn snapify_attach(
+    /// Ask `device`'s daemon to restore the offload process from `path`
+    /// and rewire the handle to it: fresh ctl and data channels, new pid,
+    /// RDMA addresses translated. `Ok(Err(reason))` is the daemon
+    /// refusing (bad snapshot, device out of memory, …); the handle then
+    /// stays detached.
+    pub fn snapify_restore(
         &self,
         device: usize,
-        pid: u64,
-        ports: [u16; 4],
-        addr_table: &[(u64, u64, u64, u64)],
-        ctl: ScifEndpoint,
-    ) -> Result<(), CoiError> {
-        self.close_endpoints_except(&ctl);
-        self.connect_data_channels(device, ports, ctl)?;
-        *self.inner.device.lock() = device;
-        *self.inner.pid.lock() = pid;
-        let mut buffers = self.inner.buffers.lock();
-        let mut max_id = 0;
-        for (id, size, old, new) in addr_table {
-            max_id = max_id.max(*id);
-            match buffers.get(id) {
-                Some(buf) => {
-                    // Existing handle: apply the (old, new) translation.
-                    let mut addr = buf.addr.lock();
-                    debug_assert_eq!(addr.0, *old, "stale RDMA address in translation table");
-                    *addr = RdmaAddr(*new);
-                }
-                None => {
-                    // Restart path (a restored *host* process adopting the
-                    // snapshot's buffers): recreate the handle entry.
-                    buffers.insert(
-                        *id,
-                        Arc::new(CoiBuffer {
-                            id: *id,
-                            size: *size,
-                            addr: SimMutex::new(format!("buf addr {id}"), RdmaAddr(*new)),
-                        }),
-                    );
-                }
+        path: &str,
+    ) -> Result<Result<RestoreBreakdown, String>, CoiError> {
+        let request = CtlMsg::SnapifyRestore {
+            path: path.to_string(),
+            host_pid: self.inner.host_proc.pid().0,
+        };
+        match self.ctl_call(Some(device), request)? {
+            (CtlMsg::SnapifyRestoreReply { pid: 0, error, .. }, _) => Ok(Err(error)),
+            (
+                CtlMsg::SnapifyRestoreReply {
+                    pid,
+                    ports,
+                    addr_table,
+                    breakdown,
+                    ..
+                },
+                ctl,
+            ) => {
+                self.attach(device, pid, ports, &addr_table, ctl)?;
+                Ok(Ok(breakdown))
             }
-        }
-        drop(buffers);
-        let mut next = self.inner.next_buf_id.lock();
-        *next = (*next).max(max_id + 1);
-        Ok(())
-    }
-
-    /// A detached handle: no offload process yet. Used when a restarted
-    /// host process re-adopts a swapped-out/checkpointed offload process
-    /// via `snapify_restore`.
-    pub fn new_detached(
-        config: &CoiConfig,
-        scif: &Scif,
-        host_proc: &SimProcess,
-        binary: &str,
-        binary_image_bytes: u64,
-    ) -> CoiProcessHandle {
-        let pid_tag = host_proc.pid().0;
-        CoiProcessHandle {
-            inner: Arc::new(HandleInner {
-                config: config.clone(),
-                scif: scif.clone(),
-                host_proc: host_proc.clone(),
-                binary: binary.to_string(),
-                binary_image_bytes,
-                device: SimMutex::new(format!("hdl dev {pid_tag}"), 0),
-                pid: SimMutex::new(format!("hdl pid {pid_tag}"), 0),
-                eps: SimMutex::new(format!("hdl eps {pid_tag}"), None),
-                pending: Arc::new(SimMutex::new(
-                    format!("hdl pending {pid_tag}"),
-                    HashMap::new(),
-                )),
-                next_run_id: SimMutex::new(format!("hdl runid {pid_tag}"), 1),
-                next_buf_id: SimMutex::new(format!("hdl bufid {pid_tag}"), 1),
-                buffers: SimMutex::new(format!("hdl buffers {pid_tag}"), BTreeMap::new()),
-                lifecycle: DrainLock::new(format!("lifecycle {pid_tag}")),
-                rdma: DrainLock::new(format!("rdma {pid_tag}")),
-                cmd_lock: DrainLock::new(format!("cmd-client {pid_tag}")),
-                run_send: DrainLock::new(format!("run-send {pid_tag}")),
-                ctl_replies: SimChannel::unbounded(format!("ctl-replies {pid_tag}")),
-                capture_done: SimChannel::unbounded(format!("capture-done {pid_tag}")),
-                logs: SimMutex::new(format!("hdl logs {pid_tag}"), Vec::new()),
-                events: SimMutex::new(format!("hdl events {pid_tag}"), Vec::new()),
-            }),
+            (reply, _) => Err(CoiError::Protocol(format!("unexpected reply {reply:?}"))),
         }
     }
 
@@ -764,19 +668,12 @@ impl CoiProcessHandle {
         self.inner.buffers.lock().values().cloned().collect()
     }
 
-    /// Restore-time ctl connection: used by `snapify_restore` to reach the
-    /// *target* device's daemon before the handle is rewired.
-    pub fn snapify_connect_ctl(&self, device: usize) -> Result<ScifEndpoint, CoiError> {
-        self.connect_ctl(device)
-    }
-
     /// The run endpoint's outbound in-flight count (drain diagnostics).
     pub fn run_outbound_pending(&self) -> usize {
         self.inner
             .eps
             .lock()
             .as_ref()
-            .map(|e| e.run.outbound_pending())
-            .unwrap_or(0)
+            .map_or(0, |(data, _)| data.run.outbound_pending())
     }
 }

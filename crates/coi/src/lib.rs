@@ -30,9 +30,10 @@ pub mod binary;
 pub mod config;
 pub mod daemon;
 pub mod handle;
-pub mod locks;
+mod locks;
 pub mod msgs;
 pub mod offload;
+mod snapfile;
 pub mod storage;
 pub mod wire;
 pub mod world;
@@ -43,8 +44,7 @@ pub use binary::{DeviceBinary, FunctionRegistry, OffloadCtx, OffloadFn, StepOutc
 pub use config::CoiConfig;
 pub use daemon::CoiDaemon;
 pub use handle::{CoiBuffer, CoiProcessHandle, RunHandle};
-pub use locks::DrainLock;
-pub use offload::{OffloadRuntime, SnapifyPipe, BUF_REGION_PREFIX, IO_CHUNK};
+pub use offload::OffloadRuntime;
 pub use storage::{DirectStorage, SnapshotStorage};
 pub use world::CoiWorld;
 
@@ -82,6 +82,36 @@ impl fmt::Display for CoiError {
 }
 
 impl std::error::Error for CoiError {}
+
+impl From<scif_sim::ScifError> for CoiError {
+    fn from(e: scif_sim::ScifError) -> CoiError {
+        CoiError::Scif(e)
+    }
+}
+
+impl From<simproc::IoError> for CoiError {
+    fn from(e: simproc::IoError) -> CoiError {
+        CoiError::Io(e.to_string())
+    }
+}
+
+impl From<blcr_sim::BlcrError> for CoiError {
+    fn from(e: blcr_sim::BlcrError) -> CoiError {
+        CoiError::Io(e.to_string())
+    }
+}
+
+impl From<phi_platform::OutOfMemory> for CoiError {
+    fn from(e: phi_platform::OutOfMemory) -> CoiError {
+        CoiError::OutOfMemory(e.to_string())
+    }
+}
+
+impl From<wire::DecodeError> for CoiError {
+    fn from(e: wire::DecodeError) -> CoiError {
+        CoiError::Protocol(e.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {

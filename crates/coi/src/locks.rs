@@ -11,7 +11,7 @@ use simkernel::{SimCondvar, SimDuration, SimMutex};
 
 /// An explicitly released, virtual-time mutex used at COI's SCIF call
 /// sites.
-pub struct DrainLock {
+pub(crate) struct DrainLock {
     state: SimMutex<bool>,
     cv: SimCondvar,
     name: String,
@@ -19,7 +19,7 @@ pub struct DrainLock {
 
 impl DrainLock {
     /// New unlocked lock.
-    pub fn new(name: impl Into<String>) -> DrainLock {
+    pub(crate) fn new(name: impl Into<String>) -> DrainLock {
         let name = name.into();
         DrainLock {
             state: SimMutex::new(format!("drain '{name}'"), false),
@@ -29,7 +29,7 @@ impl DrainLock {
     }
 
     /// Acquire, blocking in virtual time.
-    pub fn acquire(&self) {
+    pub(crate) fn acquire(&self) {
         let mut held = self.state.lock();
         while *held {
             held = self.cv.wait(held);
@@ -38,7 +38,7 @@ impl DrainLock {
     }
 
     /// Try to acquire without blocking.
-    pub fn try_acquire(&self) -> bool {
+    fn try_acquire(&self) -> bool {
         let mut held = self.state.lock();
         if *held {
             false
@@ -51,7 +51,7 @@ impl DrainLock {
     /// Acquire, polling so the wait can be abandoned when `abort()` turns
     /// true (used by offload threads so a terminated process never leaves
     /// a thread blocked forever). Returns whether the lock was acquired.
-    pub fn acquire_unless(&self, poll: SimDuration, abort: impl Fn() -> bool) -> bool {
+    pub(crate) fn acquire_unless(&self, poll: SimDuration, abort: impl Fn() -> bool) -> bool {
         loop {
             if self.try_acquire() {
                 return true;
@@ -64,7 +64,7 @@ impl DrainLock {
     }
 
     /// Release. Panics if not held (protocol bug).
-    pub fn release(&self) {
+    pub(crate) fn release(&self) {
         let mut held = self.state.lock();
         assert!(*held, "releasing unheld drain lock '{}'", self.name);
         *held = false;
@@ -73,7 +73,7 @@ impl DrainLock {
     }
 
     /// Release if held (idempotent cleanup).
-    pub fn release_if_held(&self) {
+    pub(crate) fn release_if_held(&self) {
         let mut held = self.state.lock();
         if *held {
             *held = false;
@@ -82,14 +82,9 @@ impl DrainLock {
         }
     }
 
-    /// Whether the lock is currently held.
-    pub fn is_held(&self) -> bool {
-        *self.state.lock()
-    }
-
-    /// Run `f` with the lock held (RAII-style convenience for the common
-    /// per-operation case).
-    pub fn with<T>(&self, f: impl FnOnce() -> T) -> T {
+    /// Run `f` with the lock held: the per-operation critical sections,
+    /// which — unlike a pause — end in the call that began them.
+    pub(crate) fn with<T>(&self, f: impl FnOnce() -> T) -> T {
         self.acquire();
         let out = f();
         self.release();
@@ -108,9 +103,7 @@ mod tests {
     fn acquire_release_cycle() {
         Kernel::run_root(|| {
             let l = DrainLock::new("t");
-            assert!(!l.is_held());
             l.acquire();
-            assert!(l.is_held());
             assert!(!l.try_acquire());
             l.release();
             assert!(l.try_acquire());
@@ -157,7 +150,7 @@ mod tests {
             let l = DrainLock::new("t");
             let v = l.with(|| 42);
             assert_eq!(v, 42);
-            assert!(!l.is_held());
+            assert!(l.try_acquire());
         });
     }
 
@@ -177,7 +170,7 @@ mod tests {
             l.release_if_held();
             l.acquire();
             l.release_if_held();
-            assert!(!l.is_held());
+            assert!(l.try_acquire());
         });
     }
 }

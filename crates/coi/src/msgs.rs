@@ -12,9 +12,16 @@
 //!
 //! [`PipeMsg`] is the daemon ↔ offload-process UNIX-pipe protocol created
 //! by `snapify_pause` (Fig 3).
+//!
+//! The receiving side of every SCIF channel is here too: `recv_msg`
+//! (the next well-formed message — every wait for a reply) and `serve`
+//! (the one receive loop — every server thread).
 
 use phi_platform::Payload;
+use scif_sim::{ScifEndpoint, ScifError};
+use simkernel::obs;
 
+use crate::offload::RestoreBreakdown;
 use crate::wire::{frame_bytes, Dec, DecodeError, Enc};
 
 /// Host ↔ daemon control messages (SCIF use case 1 + Snapify service).
@@ -92,9 +99,8 @@ pub enum CtlMsg {
         /// RDMA address translations: (buffer id, size, old addr, new
         /// addr).
         addr_table: Vec<(u64, u64, u64, u64)>,
-        /// Restore phase timings: (library copy, store copy, blcr
-        /// restart, re-registration), in nanoseconds.
-        breakdown: (u64, u64, u64, u64),
+        /// Restore phase timings.
+        breakdown: RestoreBreakdown,
         /// Error message if the restore failed ports/table are invalid.
         error: String,
     },
@@ -157,10 +163,10 @@ impl CtlMsg {
                 .list(addr_table, |e, (id, size, old, new)| {
                     e.u64(*id).u64(*size).u64(*old).u64(*new)
                 })
-                .u64(breakdown.0)
-                .u64(breakdown.1)
-                .u64(breakdown.2)
-                .u64(breakdown.3)
+                .u64(breakdown.library_copy_ns)
+                .u64(breakdown.store_copy_ns)
+                .u64(breakdown.blcr_restart_ns)
+                .u64(breakdown.reregistration_ns)
                 .string(error)
                 .payload(),
         }
@@ -205,7 +211,12 @@ impl CtlMsg {
                 pid: d.u64()?,
                 ports: [d.u16()?, d.u16()?, d.u16()?, d.u16()?],
                 addr_table: d.list(|d| Ok((d.u64()?, d.u64()?, d.u64()?, d.u64()?)))?,
-                breakdown: (d.u64()?, d.u64()?, d.u64()?, d.u64()?),
+                breakdown: RestoreBreakdown {
+                    library_copy_ns: d.u64()?,
+                    store_copy_ns: d.u64()?,
+                    blcr_restart_ns: d.u64()?,
+                    reregistration_ns: d.u64()?,
+                },
                 error: d.string()?,
             },
             t => return Err(DecodeError(format!("bad CtlMsg tag {t}"))),
@@ -449,6 +460,64 @@ pub enum PipeMsg {
     ResumeAck,
 }
 
+/// The four data channels between a host handle and its offload process
+/// — one per message family above, log and event sharing [`StreamMsg`] —
+/// in the order the daemon's replies list their ports.
+#[derive(Clone)]
+pub(crate) struct Endpoints {
+    pub(crate) run: ScifEndpoint,
+    pub(crate) cmd: ScifEndpoint,
+    pub(crate) log: ScifEndpoint,
+    pub(crate) event: ScifEndpoint,
+}
+
+impl Endpoints {
+    /// From the four connected (or accepted) endpoints, in port order.
+    pub(crate) fn new(eps: &[ScifEndpoint]) -> Endpoints {
+        Endpoints {
+            run: eps[0].clone(),
+            cmd: eps[1].clone(),
+            log: eps[2].clone(),
+            event: eps[3].clone(),
+        }
+    }
+
+    pub(crate) fn close(&self) {
+        self.run.close();
+        self.cmd.close();
+        self.log.close();
+        self.event.close();
+    }
+}
+
+/// The next well-formed message on `ep`: what a client waits on after it
+/// has sent a request. This is the one place a bad frame is judged — it
+/// is skipped and counted, never fatal to the channel.
+pub(crate) fn recv_msg<M>(
+    ep: &ScifEndpoint,
+    decode: fn(&Payload) -> Result<M, DecodeError>,
+) -> Result<M, ScifError> {
+    loop {
+        match decode(&ep.recv()?) {
+            Ok(msg) => return Ok(msg),
+            Err(_) => obs::counter_add("coi.bad_frames", 1),
+        }
+    }
+}
+
+/// The receive loop of every server thread: `recv → decode → handle`
+/// until the channel closes. Moving a service onto the dispatcher
+/// (ROADMAP item 1) is a change to this loop, not to its six callers.
+pub(crate) fn serve<M>(
+    ep: &ScifEndpoint,
+    decode: fn(&Payload) -> Result<M, DecodeError>,
+    mut handle: impl FnMut(M),
+) {
+    while let Ok(msg) = recv_msg(ep, decode) {
+        handle(msg);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,7 +559,12 @@ mod tests {
                 pid: 10,
                 ports: [5, 6, 7, 8],
                 addr_table: vec![(0, 4096, 0x1000, 0x2000), (1, 8192, 0x3000, 0x4000)],
-                breakdown: (1, 2, 3, 4),
+                breakdown: RestoreBreakdown {
+                    library_copy_ns: 1,
+                    store_copy_ns: 2,
+                    blcr_restart_ns: 3,
+                    reregistration_ns: 4,
+                },
                 error: String::new(),
             },
         ];
@@ -578,6 +652,31 @@ mod tests {
         }
     }
 
+    /// The bad-frame policy: garbage and synthetic frames are skipped,
+    /// the message behind them is delivered, and only a closed channel
+    /// ends the loop.
+    #[test]
+    fn bad_frames_are_skipped_not_fatal() {
+        use phi_platform::{NodeId, PhiServer};
+        simkernel::Kernel::run_root(|| {
+            let scif = scif_sim::Scif::new(&PhiServer::default_server());
+            let listener = scif.listen(NodeId::device(0), 7);
+            let peer = simkernel::spawn("peer", move || listener.accept().unwrap());
+            let ep = scif.connect(NodeId::HOST, NodeId::device(0), 7).unwrap();
+            let peer = peer.join();
+            ep.send(Payload::bytes(vec![0xFF])).unwrap();
+            ep.send(Payload::synthetic(1, 8)).unwrap();
+            ep.send(CmdMsg::Ping.encode()).unwrap();
+            assert_eq!(recv_msg(&peer, CmdMsg::decode), Ok(CmdMsg::Ping));
+            ep.send(Payload::bytes(vec![])).unwrap();
+            ep.send(CmdMsg::Pong.encode()).unwrap();
+            ep.close();
+            let mut served = Vec::new();
+            serve(&peer, CmdMsg::decode, |m| served.push(m));
+            assert_eq!(served, [CmdMsg::Pong]);
+        });
+    }
+
     use proptest::prelude::*;
 
     /// Variant selector, integers, ports, a bool, two strings, bytes
@@ -638,7 +737,12 @@ mod tests {
                 pid: a,
                 ports,
                 addr_table: list.iter().map(|v| (*v, a, b, v ^ b)).collect(),
-                breakdown: (a, b, variant, a ^ b),
+                breakdown: RestoreBreakdown {
+                    library_copy_ns: a,
+                    store_copy_ns: b,
+                    blcr_restart_ns: variant,
+                    reregistration_ns: a ^ b,
+                },
                 error: t,
             },
         }

@@ -15,7 +15,7 @@
 //!
 //! # Snapshot-ability
 //!
-//! Everything the executor may be doing is recorded in [`PipelineState`]
+//! Everything the executor may be doing is recorded in `PipelineState`
 //! *before* any blocking operation: queued requests live in the state's
 //! queue (not in a channel), an executing run carries its step cursor, and
 //! a finished-but-unsent result is `ResultPending`. The capture path
@@ -25,34 +25,33 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use blcr_sim::BlcrConfig;
 use phi_platform::{NodeId, Payload, SimNode};
-use scif_sim::{RdmaAddr, Scif, ScifEndpoint};
+use scif_sim::RdmaAddr;
 use simkernel::obs;
-use simkernel::{SimChannel, SimCondvar, SimMutex};
-use simproc::{signum, PidAllocator, Signals, SimProcess};
+use simkernel::{SimChannel, SimCondvar, SimMutex, SimMutexGuard};
+use simproc::{signum, Signals, SimProcess};
 
-use crate::binary::{DeviceBinary, FunctionRegistry, OffloadCtx, StepOutcome};
-use crate::config::CoiConfig;
+use crate::binary::{DeviceBinary, OffloadCtx, StepOutcome};
 use crate::locks::DrainLock;
-use crate::msgs::{CmdMsg, PipeMsg, RunMsg, StreamMsg};
+use crate::msgs::{recv_msg, serve, CmdMsg, Endpoints, PipeMsg, RunMsg, StreamMsg};
+use crate::snapfile::{ActiveRun, RunPhase, RunRequest, RuntimeState, StoreManifest};
 use crate::storage::SnapshotStorage;
-use crate::wire::{Dec, Enc};
+use crate::world::CoiEnv;
 use crate::CoiError;
 
 /// Chunk size used when streaming local stores and snapshots.
-pub const IO_CHUNK: u64 = 4 << 20;
+pub(crate) const IO_CHUNK: u64 = 4 << 20;
 
 /// Region-name prefix of COI buffer backing stores (excluded from the
 /// BLCR process image; saved separately as the local store).
-pub const BUF_REGION_PREFIX: &str = "coi_buf_";
+pub(crate) const BUF_REGION_PREFIX: &str = "coi_buf_";
 
 fn buf_region(id: u64) -> String {
     format!("{BUF_REGION_PREFIX}{id}")
 }
 
 /// RDMA address translation entries: `(buffer id, size, old, new)`.
-pub type AddrTable = Vec<(u64, u64, u64, u64)>;
+pub(crate) type AddrTable = Vec<(u64, u64, u64, u64)>;
 
 /// Timing breakdown of an offload-process restore (§4.3), in nanoseconds
 /// of virtual time. Carried back to the host in the restore reply so
@@ -71,16 +70,16 @@ pub struct RestoreBreakdown {
 
 /// The daemon ↔ offload-process pipe (a pair of local channels).
 #[derive(Clone)]
-pub struct SnapifyPipe {
+pub(crate) struct SnapifyPipe {
     /// Daemon → offload direction.
-    pub to_offload: SimChannel<PipeMsg>,
+    pub(crate) to_offload: SimChannel<PipeMsg>,
     /// Offload → daemon direction.
-    pub to_daemon: SimChannel<PipeMsg>,
+    pub(crate) to_daemon: SimChannel<PipeMsg>,
 }
 
 impl SnapifyPipe {
     /// Create a pipe pair.
-    pub fn new(pid: u64) -> SnapifyPipe {
+    pub(crate) fn new(pid: u64) -> SnapifyPipe {
         SnapifyPipe {
             to_offload: SimChannel::unbounded(format!("pipe-d2o-{pid}")),
             to_daemon: SimChannel::unbounded(format!("pipe-o2d-{pid}")),
@@ -88,36 +87,9 @@ impl SnapifyPipe {
     }
 }
 
-/// One queued offload-function invocation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunRequest {
-    /// Host-assigned run id.
-    pub id: u64,
-    /// Function name.
-    pub function: String,
-    /// Misc argument bytes.
-    pub args: Vec<u8>,
-    /// Buffer ids.
-    pub buffers: Vec<u64>,
-}
-
-/// Execution phase of the active run.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RunPhase {
-    /// Executing; the cursor counts completed steps.
-    Executing(u64),
-    /// Finished; the result has not yet been sent to the host.
-    ResultPending(Result<Vec<u8>, String>),
-}
-
-#[derive(Clone, Debug)]
-struct ActiveRun {
-    req: RunRequest,
-    phase: RunPhase,
-}
-
 /// The snapshot-able pipeline state.
-pub struct PipelineState {
+#[derive(Default)]
+struct PipelineState {
     queue: VecDeque<RunRequest>,
     active: Option<ActiveRun>,
     /// Requests moved from the run channel into `queue` (matched against
@@ -134,22 +106,11 @@ struct BufMeta {
     addr: RdmaAddr,
 }
 
-struct Endpoints {
-    run: ScifEndpoint,
-    cmd: ScifEndpoint,
-    log: ScifEndpoint,
-    event: ScifEndpoint,
-}
-
 struct Inner {
-    config: CoiConfig,
-    blcr: BlcrConfig,
-    scif: Scif,
-    node: SimNode,
+    env: Arc<CoiEnv>,
     proc: SimProcess,
     binary: Arc<DeviceBinary>,
     host_pid: u64,
-    storage: Arc<dyn SnapshotStorage>,
 
     pstate: SimMutex<PipelineState>,
     pcv: SimCondvar,
@@ -178,69 +139,36 @@ impl OffloadRuntime {
     /// Create a fresh offload process for `host_pid` on `node`, running
     /// `binary`. Returns the runtime and the four SCIF ports
     /// (run/cmd/log/event) the host must connect to.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch(
-        config: &CoiConfig,
-        blcr: &BlcrConfig,
-        scif: &Scif,
+    pub(crate) fn launch(
+        env: &Arc<CoiEnv>,
         node: &SimNode,
-        pids: &PidAllocator,
         binary: Arc<DeviceBinary>,
         host_pid: u64,
-        storage: Arc<dyn SnapshotStorage>,
-        signal_latency: simkernel::SimDuration,
     ) -> Result<(OffloadRuntime, [u16; 4]), CoiError> {
-        let proc = SimProcess::new(pids.alloc(), format!("offload:{}", binary.name()), node);
+        let proc = SimProcess::new(env.pids.alloc(), format!("offload:{}", binary.name()), node);
         proc.memory()
-            .map_region("base", Payload::synthetic(0xBA5E, binary.resident_bytes))
-            .map_err(|e| CoiError::OutOfMemory(e.to_string()))?;
-        let rt = Self::build(
-            config,
-            blcr,
-            scif,
-            node,
-            proc,
-            binary,
-            host_pid,
-            storage,
-            signal_latency,
-            PipelineState {
-                queue: VecDeque::new(),
-                active: None,
-                enqueued: 0,
-                barrier: false,
-                parked: false,
-            },
-            BTreeMap::new(),
-        );
+            .map_region("base", Payload::synthetic(0xBA5E, binary.resident_bytes))?;
+        let pstate = PipelineState::default();
+        let rt = Self::build(env, proc, binary, host_pid, pstate, BTreeMap::new());
         let ports = rt.open_ports();
         Ok((rt, ports))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build(
-        config: &CoiConfig,
-        blcr: &BlcrConfig,
-        scif: &Scif,
-        node: &SimNode,
+        env: &Arc<CoiEnv>,
         proc: SimProcess,
         binary: Arc<DeviceBinary>,
         host_pid: u64,
-        storage: Arc<dyn SnapshotStorage>,
-        signal_latency: simkernel::SimDuration,
         pstate: PipelineState,
         buffers: BTreeMap<u64, BufMeta>,
     ) -> OffloadRuntime {
         let pid = proc.pid();
+        let signal_latency = env.server.params().signal_latency;
         let rt = OffloadRuntime {
             inner: Arc::new(Inner {
-                config: config.clone(),
-                blcr: blcr.clone(),
-                scif: scif.clone(),
-                node: node.clone(),
+                env: Arc::clone(env),
                 binary,
                 host_pid,
-                storage,
                 pstate: SimMutex::new(format!("pipeline {pid}"), pstate),
                 pcv: SimCondvar::new(format!("pipeline {pid}")),
                 eps: SimMutex::new(format!("eps {pid}"), None),
@@ -258,20 +186,17 @@ impl OffloadRuntime {
         };
         // The Snapify signal spawns the pipe handler (Fig 3 step 2).
         let rt2 = rt.clone();
-        rt.inner.signals.register(signum::SIGSNAPIFY, move || {
-            let rt3 = rt2.clone();
-            rt2.inner.proc.spawn_service("snapify-pipe", move || {
-                rt3.pipe_handler();
-            });
-        });
+        rt.inner
+            .signals
+            .register(signum::SIGSNAPIFY, move || rt2.spawn_pipe_handler(false));
         rt
     }
 
     /// Bind four ephemeral ports and start the runtime's threads once the
     /// host has connected to each.
     fn open_ports(&self) -> [u16; 4] {
-        let scif = &self.inner.scif;
-        let node = self.inner.node.id();
+        let scif = &self.inner.env.scif;
+        let node = self.node().id();
         let ports = [
             scif.ephemeral_port(),
             scif.ephemeral_port(),
@@ -291,13 +216,7 @@ impl OffloadRuntime {
             for l in &listeners {
                 l.close();
             }
-            let endpoints = Endpoints {
-                run: eps[0].clone(),
-                cmd: eps[1].clone(),
-                log: eps[2].clone(),
-                event: eps[3].clone(),
-            };
-            *rt.inner.eps.lock() = Some(endpoints);
+            *rt.inner.eps.lock() = Some(Endpoints::new(&eps));
             rt.start_threads();
         });
         ports
@@ -336,27 +255,17 @@ impl OffloadRuntime {
     }
 
     /// The node the process runs on.
-    pub fn node(&self) -> &SimNode {
-        &self.inner.node
-    }
-
-    /// The device binary.
-    pub fn binary(&self) -> &Arc<DeviceBinary> {
-        &self.inner.binary
-    }
-
-    /// Owning host process id.
-    pub fn host_pid(&self) -> u64 {
-        self.inner.host_pid
+    pub(crate) fn node(&self) -> &SimNode {
+        self.inner.proc.node()
     }
 
     /// The process's signal table (the daemon signals through this).
-    pub fn signals(&self) -> &Signals {
+    pub(crate) fn signals(&self) -> &Signals {
         &self.inner.signals
     }
 
     /// Install the daemon's pipe (before signalling).
-    pub fn install_pipe(&self, pipe: SnapifyPipe) {
+    pub(crate) fn install_pipe(&self, pipe: SnapifyPipe) {
         *self.inner.pipe.lock() = Some(pipe);
     }
 
@@ -395,15 +304,9 @@ impl OffloadRuntime {
     pub fn local_store_digest(&self) -> u64 {
         let bufs = self.inner.buffers.lock();
         let mut combined = Payload::empty();
-        for (id, _) in bufs.iter() {
+        for id in bufs.keys() {
             combined.append(Payload::bytes(id.to_le_bytes().to_vec()));
-            combined.append(
-                self.inner
-                    .proc
-                    .memory()
-                    .region(&buf_region(*id))
-                    .expect("buffer table entry implies a backing region"),
-            );
+            combined.append(self.buffer_payload(*id));
         }
         combined.digest()
     }
@@ -444,36 +347,45 @@ impl OffloadRuntime {
     // ------------------------------------------------------------------
 
     fn run_receiver(&self) {
-        loop {
-            let ep = match self.inner.eps.lock().as_ref() {
-                Some(e) => e.run.clone(),
-                None => return,
-            };
-            let payload = match ep.recv() {
-                Ok(p) => p,
-                Err(_) => return,
-            };
-            match RunMsg::decode(&payload) {
-                Ok(RunMsg::Request {
+        let Some(ep) = self.inner.eps.lock().as_ref().map(|e| e.run.clone()) else {
+            return;
+        };
+        serve(&ep, RunMsg::decode, |msg| {
+            // Results and errors never flow host → offload.
+            if let RunMsg::Request {
+                id,
+                function,
+                args,
+                buffers,
+            } = msg
+            {
+                let mut st = self.inner.pstate.lock();
+                st.queue.push_back(RunRequest {
                     id,
                     function,
                     args,
                     buffers,
-                }) => {
-                    let mut st = self.inner.pstate.lock();
-                    st.queue.push_back(RunRequest {
-                        id,
-                        function,
-                        args,
-                        buffers,
-                    });
-                    st.enqueued += 1;
-                    drop(st);
-                    self.inner.pcv.notify_all();
-                }
-                _ => { /* results/errors never flow host→offload */ }
+                });
+                st.enqueued += 1;
+                drop(st);
+                self.inner.pcv.notify_all();
             }
+        })
+    }
+
+    /// Park the executor at the capture barrier until resume lowers it
+    /// (or the process terminates — callers check).
+    fn park_at_barrier<'a>(
+        &self,
+        mut st: SimMutexGuard<'a, PipelineState>,
+    ) -> SimMutexGuard<'a, PipelineState> {
+        st.parked = true;
+        self.inner.pcv.notify_all();
+        while st.barrier && !self.is_terminated() {
+            st = self.inner.pcv.wait(st);
         }
+        st.parked = false;
+        st
     }
 
     fn executor(&self) {
@@ -486,12 +398,7 @@ impl OffloadRuntime {
                         return;
                     }
                     if st.barrier {
-                        st.parked = true;
-                        self.inner.pcv.notify_all();
-                        while st.barrier && !self.is_terminated() {
-                            st = self.inner.pcv.wait(st);
-                        }
-                        st.parked = false;
+                        st = self.park_at_barrier(st);
                         continue;
                     }
                     if st.active.is_some() {
@@ -531,17 +438,12 @@ impl OffloadRuntime {
         loop {
             // Step boundary: honour the capture barrier and termination.
             {
-                let mut st = self.inner.pstate.lock();
+                let st = self.inner.pstate.lock();
                 if self.is_terminated() {
                     return;
                 }
                 if st.barrier {
-                    st.parked = true;
-                    self.inner.pcv.notify_all();
-                    while st.barrier && !self.is_terminated() {
-                        st = self.inner.pcv.wait(st);
-                    }
-                    st.parked = false;
+                    let _st = self.park_at_barrier(st);
                     if self.is_terminated() {
                         return;
                     }
@@ -579,11 +481,11 @@ impl OffloadRuntime {
         if !self
             .inner
             .result_lock
-            .acquire_unless(self.inner.config.poll_interval, || self.is_terminated())
+            .acquire_unless(self.inner.env.config.poll_interval, || self.is_terminated())
         {
             return;
         }
-        self.inner.config.charge_hook();
+        self.inner.env.config.charge_hook();
         let ep = self.inner.eps.lock().as_ref().map(|e| e.run.clone());
         if let Some(ep) = ep {
             let msg = match &ret {
@@ -606,32 +508,18 @@ impl OffloadRuntime {
     }
 
     fn cmd_server(&self) {
-        let ep = match self.inner.eps.lock().as_ref() {
-            Some(e) => e.cmd.clone(),
-            None => return,
+        let Some(ep) = self.inner.eps.lock().as_ref().map(|e| e.cmd.clone()) else {
+            return;
         };
-        loop {
-            let payload = match ep.recv() {
-                Ok(p) => p,
-                Err(_) => return,
-            };
-            let msg = match CmdMsg::decode(&payload) {
-                Ok(m) => m,
-                Err(_) => continue,
-            };
-            match msg {
-                CmdMsg::Ping => {
-                    let _ = ep.send(CmdMsg::Pong.encode());
-                }
+        let scif = &self.inner.env.scif;
+        let mem = self.inner.proc.memory();
+        serve(&ep, CmdMsg::decode, |msg| {
+            let reply = match msg {
+                CmdMsg::Ping => CmdMsg::Pong,
                 CmdMsg::CreateBuffer { id, size } => {
-                    let reply = match self
-                        .inner
-                        .proc
-                        .memory()
-                        .map_region(&buf_region(id), Payload::synthetic(0, size))
-                    {
+                    match mem.map_region(&buf_region(id), Payload::synthetic(0, size)) {
                         Ok(()) => {
-                            let addr = self.inner.scif.register(&self.inner.proc, &buf_region(id));
+                            let addr = scif.register(&self.inner.proc, &buf_region(id));
                             self.inner.buffers.lock().insert(id, BufMeta { size, addr });
                             self.enqueue_event(format!("buffer:{id}:created").into_bytes());
                             CmdMsg::BufferCreated {
@@ -645,66 +533,46 @@ impl OffloadRuntime {
                             addr: 0,
                             error: oom.to_string(),
                         },
-                    };
-                    let _ = ep.send(reply.encode());
+                    }
                 }
                 CmdMsg::DestroyBuffer { id } => {
                     if let Some(meta) = self.inner.buffers.lock().remove(&id) {
-                        self.inner.scif.unregister(meta.addr);
-                        self.inner
-                            .proc
-                            .memory()
-                            .unmap_region(&buf_region(id))
+                        scif.unregister(meta.addr);
+                        mem.unmap_region(&buf_region(id))
                             .expect("buffer table entry implies a backing region");
                         self.enqueue_event(format!("buffer:{id}:destroyed").into_bytes());
                     }
-                    let _ = ep.send(CmdMsg::BufferDestroyed { id }.encode());
+                    CmdMsg::BufferDestroyed { id }
                 }
-                CmdMsg::Shutdown => {
-                    // §4.1 case 3 marker: ack and go quiet (the client lock
-                    // guarantees nothing follows until resume).
-                    let _ = ep.send(CmdMsg::ShutdownAck.encode());
-                }
-                _ => {}
-            }
-        }
+                // §4.1 case 3 marker: ack and go quiet (the client lock
+                // guarantees nothing follows until resume).
+                CmdMsg::Shutdown => CmdMsg::ShutdownAck,
+                // Replies never arrive at the server.
+                _ => return,
+            };
+            let _ = ep.send(reply.encode());
+        })
     }
 
     /// Log (`is_log`) or event client: drains the local queue into the
     /// SCIF channel under the channel's client lock.
     fn stream_client(&self, is_log: bool) {
-        let q = if is_log {
-            &self.inner.log_q
+        let i = &self.inner;
+        let (q, lock) = if is_log {
+            (&i.log_q, &i.log_lock)
         } else {
-            &self.inner.event_q
+            (&i.event_q, &i.event_lock)
         };
-        let lock = if is_log {
-            &self.inner.log_lock
-        } else {
-            &self.inner.event_lock
-        };
-        loop {
-            let rec = match q.recv() {
-                Ok(r) => r,
-                Err(_) => return,
+        while let Ok(rec) = q.recv() {
+            let ep = match i.eps.lock().as_ref() {
+                Some(e) if is_log => e.log.clone(),
+                Some(e) => e.event.clone(),
+                None => return,
             };
-            let ep = {
-                let eps = self.inner.eps.lock();
-                match eps.as_ref() {
-                    Some(e) => {
-                        if is_log {
-                            e.log.clone()
-                        } else {
-                            e.event.clone()
-                        }
-                    }
-                    None => return,
-                }
-            };
-            if !lock.acquire_unless(self.inner.config.poll_interval, || self.is_terminated()) {
+            if !lock.acquire_unless(i.env.config.poll_interval, || self.is_terminated()) {
                 return;
             }
-            self.inner.config.charge_hook();
+            i.env.config.charge_hook();
             let _ = ep.send(StreamMsg::Record(rec).encode());
             lock.release();
         }
@@ -714,21 +582,50 @@ impl OffloadRuntime {
     // Snapify: the offload half of pause / capture / resume (Fig 3)
     // ------------------------------------------------------------------
 
-    fn pipe_handler(&self) {
+    /// Start the pipe handler on the installed pipe: after the Snapify
+    /// signal (Fig 3 step 2), or — `restored` — directly by the daemon
+    /// for a process that was born paused by a restore.
+    pub(crate) fn spawn_pipe_handler(&self, restored: bool) {
+        let rt = self.clone();
+        self.inner
+            .proc
+            .spawn_service("snapify-pipe", move || rt.pipe_handler(restored));
+    }
+
+    fn pipe_handler(&self, restored: bool) {
         let pipe = match self.inner.pipe.lock().clone() {
             Some(p) => p,
             None => return,
         };
-        // Fig 3 step 2: acknowledge the daemon's handshake.
-        let _ = pipe.to_daemon.send(PipeMsg::PauseAck);
+        // Fig 3 step 2: acknowledge the daemon's handshake. A restore has
+        // none: the handler is entered past it.
+        if !restored {
+            let _ = pipe.to_daemon.send(PipeMsg::PauseAck);
+        }
         loop {
             match pipe.to_offload.recv() {
+                Ok(PipeMsg::ResumeReq) => {
+                    // Idempotent: a restored process holds no pause locks.
+                    self.release_pause_locks();
+                    {
+                        let mut st = self.inner.pstate.lock();
+                        st.barrier = false;
+                    }
+                    self.inner.pcv.notify_all();
+                    let _ = pipe.to_daemon.send(PipeMsg::ResumeAck);
+                    *self.inner.pipe.lock() = None;
+                    return;
+                }
+                // §4.3: "the offload process, though restored, is not
+                // fully active until snapify_resume" — it answers nothing
+                // else (the daemon's watchdog surfaces such a request).
+                Ok(_) if restored => continue,
                 Ok(PipeMsg::PauseReq { path }) => {
                     let ok = self.do_pause(&path);
                     let _ = pipe.to_daemon.send(PipeMsg::PauseComplete { ok });
                 }
                 Ok(PipeMsg::CaptureReq { path, terminate }) => {
-                    let result = self.do_capture(&path, terminate);
+                    let result = self.do_capture(&path);
                     let (ok, bytes) = match result {
                         Ok(b) => (true, b),
                         Err(_) => (false, 0),
@@ -743,17 +640,6 @@ impl OffloadRuntime {
                         return;
                     }
                 }
-                Ok(PipeMsg::ResumeReq) => {
-                    self.release_pause_locks();
-                    {
-                        let mut st = self.inner.pstate.lock();
-                        st.barrier = false;
-                    }
-                    self.inner.pcv.notify_all();
-                    let _ = pipe.to_daemon.send(PipeMsg::ResumeAck);
-                    *self.inner.pipe.lock() = None;
-                    return;
-                }
                 Ok(_) | Err(_) => return,
             }
         }
@@ -764,15 +650,10 @@ impl OffloadRuntime {
     /// then save the local store to the host snapshot directory.
     fn do_pause(&self, path: &str) -> bool {
         let _span = obs::span!("coi.pause", path = path);
-        let eps = match self.inner.eps.lock().as_ref() {
-            Some(e) => Endpoints {
-                run: e.run.clone(),
-                cmd: e.cmd.clone(),
-                log: e.log.clone(),
-                event: e.event.clone(),
-            },
-            None => return false,
+        let Some(eps) = self.inner.eps.lock().clone() else {
+            return false;
         };
+        let config = &self.inner.env.config;
         // Case 3, offload-client channels: lock out the clients and send
         // the shutdown marker; the host-side server acks when it has seen
         // it, proving the channel carries nothing after the marker.
@@ -782,18 +663,11 @@ impl OffloadRuntime {
             (&self.inner.event_lock, &eps.event),
         ] {
             lock.acquire();
-            self.inner.config.charge_hook();
-            if ep.send(StreamMsg::Shutdown.encode()).is_err() {
+            config.charge_hook();
+            if ep.send(StreamMsg::Shutdown.encode()).is_err()
+                || recv_msg(ep, StreamMsg::decode) != Ok(StreamMsg::ShutdownAck)
+            {
                 return false;
-            }
-            loop {
-                match ep.recv() {
-                    Ok(p) => match StreamMsg::decode(&p) {
-                        Ok(StreamMsg::ShutdownAck) => break,
-                        _ => continue,
-                    },
-                    Err(_) => return false,
-                }
             }
         }
         // Case 4: no result may be sent until resume.
@@ -806,11 +680,11 @@ impl OffloadRuntime {
             if eps.run.inbound_pending() == 0 && received == enq {
                 break;
             }
-            simkernel::sleep(self.inner.config.poll_interval);
+            simkernel::sleep(config.poll_interval);
         }
         // Wait until previously-sent results have landed at the host.
         while eps.run.outbound_pending() > 0 {
-            simkernel::sleep(self.inner.config.poll_interval);
+            simkernel::sleep(config.poll_interval);
         }
         drop(drain_span);
         // Park the executor at a step boundary before touching the local
@@ -827,68 +701,51 @@ impl OffloadRuntime {
     }
 
     fn save_local_store(&self, path: &str) -> Result<(), CoiError> {
-        let bufs: Vec<(u64, u64, RdmaAddr)> = {
-            let b = self.inner.buffers.lock();
-            b.iter().map(|(id, m)| (*id, m.size, m.addr)).collect()
+        let manifest = StoreManifest {
+            binary: self.inner.binary.name().to_string(),
+            host_pid: self.inner.host_pid,
+            buffers: self.buffer_table(),
         };
-        // Manifest: binary name + (id, size, old RDMA address) triples.
-        let manifest = Enc::new()
-            .string(self.inner.binary.name())
-            .u64(self.inner.host_pid)
-            .list(&bufs, |e, (id, size, addr)| {
-                e.u64(*id).u64(*size).u64(addr.0)
-            })
-            .into_bytes();
-        let mut sink = self
-            .inner
-            .storage
-            .sink(
-                self.inner.node.id(),
-                &format!("{path}/local_store/manifest"),
-            )
-            .map_err(|e| CoiError::Io(e.to_string()))?;
-        sink.write(Payload::bytes(manifest))
-            .and_then(|_| sink.close())
-            .map_err(|e| CoiError::Io(e.to_string()))?;
+        let storage = &self.inner.env.storage;
+        let node = self.node().id();
+        let mut sink = storage.sink(node, &format!("{path}/local_store/manifest"))?;
+        sink.write(Payload::bytes(manifest.encode()))?;
+        sink.close()?;
         let mem = self.inner.proc.memory();
         let mut clean_bytes = 0u64;
         let mut dirty_bytes = 0u64;
-        for (id, _, _) in &bufs {
+        for (id, _, _) in &manifest.buffers {
             let region = buf_region(*id);
             let content = self.buffer_payload(*id);
             let digest = content.digest();
             let len = content.len();
             let dirty = mem.region_is_dirty(&region).unwrap_or(true);
-            let mut sink = self
-                .inner
-                .storage
-                .sink(
-                    self.inner.node.id(),
-                    &format!("{path}/local_store/buf_{id}"),
-                )
-                .map_err(|e| CoiError::Io(e.to_string()))?;
+            let mut sink = storage.sink(node, &format!("{path}/local_store/buf_{id}"))?;
             // O(dirty): an untouched buffer whose prior snapshot the
             // store can still replay is never read or streamed again —
             // the sink rebuilds it from the previous capture's chunks.
-            let cached = !dirty
-                && sink
-                    .write_cached_record(&region, digest, len)
-                    .map_err(|e| CoiError::Io(e.to_string()))?;
+            let cached = !dirty && sink.write_cached_record(&region, digest, len)?;
             if cached {
                 clean_bytes += len;
             } else {
                 sink.begin_record(&region, digest, len);
                 for chunk in content.chunks(IO_CHUNK) {
-                    sink.write(chunk).map_err(|e| CoiError::Io(e.to_string()))?;
+                    sink.write(chunk)?;
                 }
                 dirty_bytes += len;
             }
-            sink.close().map_err(|e| CoiError::Io(e.to_string()))?;
+            sink.close()?;
             let _ = mem.mark_region_captured(&region);
         }
         obs::counter_add("snapify.capture.clean_bytes", clean_bytes);
         obs::counter_add("snapify.capture.dirty_bytes", dirty_bytes);
         Ok(())
+    }
+
+    /// `(id, size, RDMA address)` of every COI buffer, by id.
+    fn buffer_table(&self) -> Vec<(u64, u64, u64)> {
+        let bufs = self.inner.buffers.lock();
+        bufs.iter().map(|(id, m)| (*id, m.size, m.addr.0)).collect()
     }
 
     /// Raise the capture barrier and wait until the executor is parked at
@@ -911,27 +768,24 @@ impl OffloadRuntime {
     /// Capture the device snapshot at a safe point. The executor is
     /// already parked (the pause raised the barrier); the barrier stays up
     /// until resume.
-    fn do_capture(&self, path: &str, terminate: bool) -> Result<u64, CoiError> {
-        let _ = terminate;
+    fn do_capture(&self, path: &str) -> Result<u64, CoiError> {
         let _span = obs::span!("coi.capture", path = path);
         self.park_executor();
-        let runtime_state = self.serialize_state();
+        let runtime_state = self.runtime_state_blob();
         // The snapshot transfer proper: streaming the BLCR process image
         // out of the device into the snapshot store.
         let transfer = obs::span!("snapify.transfer", path = path);
-        let mut sink = self
-            .inner
+        let env = &self.inner.env;
+        let mut sink = env
             .storage
-            .sink(self.inner.node.id(), &format!("{path}/device_snapshot"))
-            .map_err(|e| CoiError::Io(e.to_string()))?;
+            .sink(self.node().id(), &format!("{path}/device_snapshot"))?;
         let stats = blcr_sim::checkpoint_incremental(
-            &self.inner.blcr,
+            &env.blcr,
             &self.inner.proc,
             &runtime_state,
             sink.as_mut(),
             &|name| !name.starts_with(BUF_REGION_PREFIX),
-        )
-        .map_err(|e| CoiError::Io(e.to_string()))?;
+        )?;
         drop(transfer);
         obs::histogram_observe("coi.device_snapshot_bytes", stats.snapshot_bytes);
         Ok(stats.snapshot_bytes)
@@ -943,89 +797,45 @@ impl OffloadRuntime {
         self.inner.result_lock.release_if_held();
     }
 
-    /// Serialize the pipeline + buffer table into the opaque runtime-state
-    /// blob stored in the device snapshot.
-    fn serialize_state(&self) -> Vec<u8> {
+    /// The pipeline + buffer table as the opaque runtime-state blob
+    /// stored in the device snapshot.
+    fn runtime_state_blob(&self) -> Vec<u8> {
         let st = self.inner.pstate.lock();
-        let bufs = self.inner.buffers.lock();
-        let mut e = Enc::new()
-            .string(self.inner.binary.name())
-            .u64(self.inner.host_pid)
-            .u64(st.enqueued);
-        // Active run.
-        match &st.active {
-            None => e = e.tag(0),
-            Some(a) => {
-                e = e
-                    .tag(1)
-                    .u64(a.req.id)
-                    .string(&a.req.function)
-                    .bytes(&a.req.args)
-                    .list(&a.req.buffers, |e, b| e.u64(*b));
-                e = match &a.phase {
-                    RunPhase::Executing(cursor) => e.tag(0).u64(*cursor),
-                    RunPhase::ResultPending(Ok(r)) => e.tag(1).bytes(r),
-                    RunPhase::ResultPending(Err(m)) => e.tag(2).string(m),
-                };
-            }
-        }
-        // Pending queue.
-        let queue: Vec<RunRequest> = st.queue.iter().cloned().collect();
-        e = e.list(&queue, |e, r| {
-            e.u64(r.id)
-                .string(&r.function)
-                .bytes(&r.args)
-                .list(&r.buffers, |e, b| e.u64(*b))
-        });
-        // Buffer table.
-        let table: Vec<(u64, u64, u64)> =
-            bufs.iter().map(|(id, m)| (*id, m.size, m.addr.0)).collect();
-        e = e.list(&table, |e, (id, size, addr)| {
-            e.u64(*id).u64(*size).u64(*addr)
-        });
-        e.into_bytes()
+        let state = RuntimeState {
+            binary: self.inner.binary.name().to_string(),
+            host_pid: self.inner.host_pid,
+            active: st.active.clone(),
+            queue: st.queue.clone(),
+        };
+        state.encode(st.enqueued, &self.buffer_table())
     }
 
     /// Restore an offload process from `path` onto `node`. Returns the
-    /// runtime, its new ports, and the (buffer, old, new) RDMA address
-    /// translation table (§4.3).
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        config: &CoiConfig,
-        blcr: &BlcrConfig,
-        scif: &Scif,
+    /// runtime, its new ports, the (buffer, old, new) RDMA address
+    /// translation table (§4.3) and the phase timings.
+    pub(crate) fn restore(
+        env: &Arc<CoiEnv>,
         node: &SimNode,
-        pids: &PidAllocator,
-        registry: &FunctionRegistry,
-        storage: Arc<dyn SnapshotStorage>,
         path: &str,
-        signal_latency: simkernel::SimDuration,
-        library_copy: impl FnOnce(u64),
     ) -> Result<(OffloadRuntime, [u16; 4], AddrTable, RestoreBreakdown), CoiError> {
         let mut breakdown = RestoreBreakdown::default();
+        let storage = &*env.storage;
         // 1. Manifest: which buffers (and their old addresses) exist.
-        let manifest = read_all(
-            &*storage,
-            node.id(),
-            &format!("{path}/local_store/manifest"),
-        )?;
-        let manifest_bytes = manifest.to_bytes();
-        let mut d = Dec::new(&manifest_bytes);
-        let binary_name = d.string().map_err(|e| CoiError::Protocol(e.to_string()))?;
-        let _host_pid = d.u64().map_err(|e| CoiError::Protocol(e.to_string()))?;
-        let buf_list: Vec<(u64, u64, u64)> = d
-            .list(|d| Ok((d.u64()?, d.u64()?, d.u64()?)))
-            .map_err(|e| CoiError::Protocol(e.to_string()))?;
+        let manifest = read_all(storage, node.id(), &format!("{path}/local_store/manifest"))?;
+        let manifest = StoreManifest::decode(&manifest)?;
+        let binary = env
+            .registry
+            .get(&manifest.binary)
+            .ok_or_else(|| CoiError::Protocol(format!("unknown binary '{}'", manifest.binary)))?;
 
-        let binary = registry
-            .get(&binary_name)
-            .ok_or_else(|| CoiError::Protocol(format!("unknown binary '{binary_name}'")))?;
-
-        // 2. Copy the runtime libraries to the coprocessor "on the fly".
+        // 2. Copy the runtime libraries to the coprocessor "on the fly"
+        //    (§4.3: "the COI daemon first copies the local store and the
+        //    runtime libraries needed by the offload process").
         let t0 = simkernel::now();
         {
             let _s = obs::span!("coi.restore.library_copy", bytes = binary.image_bytes);
-            library_copy(binary.image_bytes);
+            env.server
+                .rdma_between(NodeId::HOST, node.id(), binary.image_bytes);
         }
         breakdown.library_copy_ns = (simkernel::now() - t0).as_nanos();
 
@@ -1033,18 +843,15 @@ impl OffloadRuntime {
         let store_span = obs::span!("coi.restore.store_copy");
         let t0 = simkernel::now();
         let mut stores: Vec<(u64, u64, u64, Payload)> = Vec::new();
-        for (id, size, old_addr) in &buf_list {
-            let content = read_all(
-                &*storage,
-                node.id(),
-                &format!("{path}/local_store/buf_{id}"),
-            )?;
-            assert_eq!(
-                content.len(),
-                *size,
-                "local store size mismatch for buf {id}"
-            );
-            stores.push((*id, *size, *old_addr, content));
+        for (id, size, old_addr) in manifest.buffers {
+            let content = read_all(storage, node.id(), &format!("{path}/local_store/buf_{id}"))?;
+            if content.len() != size {
+                return Err(CoiError::Io(format!(
+                    "local store size mismatch for buf {id}: {} bytes, manifest says {size}",
+                    content.len()
+                )));
+            }
+            stores.push((id, size, old_addr, content));
         }
         breakdown.store_copy_ns = (simkernel::now() - t0).as_nanos();
         drop(store_span);
@@ -1052,60 +859,15 @@ impl OffloadRuntime {
         // 4. BLCR restart of the process image.
         let blcr_span = obs::span!("coi.restore.blcr_restart");
         let t0 = simkernel::now();
-        let mut src = storage
-            .source(node.id(), &format!("{path}/device_snapshot"))
-            .map_err(|e| CoiError::Io(e.to_string()))?;
-        let restarted = blcr_sim::restart(blcr, node, pids, src.as_mut())
-            .map_err(|e| CoiError::Io(e.to_string()))?;
+        let mut src = storage.source(node.id(), &format!("{path}/device_snapshot"))?;
+        let restarted = blcr_sim::restart(&env.blcr, node, &env.pids, src.as_mut())?;
         breakdown.blcr_restart_ns = (simkernel::now() - t0).as_nanos();
         drop(blcr_span);
         let proc = restarted.proc;
 
         // 5. Parse the runtime state.
-        let state = restarted.runtime_state;
-        let mut d = Dec::new(&state);
-        let perr = |e: crate::wire::DecodeError| CoiError::Protocol(e.to_string());
-        let state_binary = d.string().map_err(perr)?;
-        debug_assert_eq!(state_binary, binary_name);
-        let host_pid = d.u64().map_err(perr)?;
-        let enqueued = d.u64().map_err(perr)?;
-        let active = match d.tag().map_err(perr)? {
-            0 => None,
-            _ => {
-                let id = d.u64().map_err(perr)?;
-                let function = d.string().map_err(perr)?;
-                let args = d.bytes().map_err(perr)?;
-                let buffers = d.list(|d| d.u64()).map_err(perr)?;
-                let phase = match d.tag().map_err(perr)? {
-                    0 => RunPhase::Executing(d.u64().map_err(perr)?),
-                    1 => RunPhase::ResultPending(Ok(d.bytes().map_err(perr)?)),
-                    _ => RunPhase::ResultPending(Err(d.string().map_err(perr)?)),
-                };
-                Some(ActiveRun {
-                    req: RunRequest {
-                        id,
-                        function,
-                        args,
-                        buffers,
-                    },
-                    phase,
-                })
-            }
-        };
-        let queue: VecDeque<RunRequest> = d
-            .list(|d| {
-                Ok(RunRequest {
-                    id: d.u64()?,
-                    function: d.string()?,
-                    args: d.bytes()?,
-                    buffers: d.list(|d| d.u64())?,
-                })
-            })
-            .map_err(perr)?
-            .into();
-        let _buffer_table: Vec<(u64, u64, u64)> = d
-            .list(|d| Ok((d.u64()?, d.u64()?, d.u64()?)))
-            .map_err(perr)?;
+        let state = RuntimeState::decode(&Payload::bytes(restarted.runtime_state))?;
+        debug_assert_eq!(state.binary, manifest.binary);
 
         // 6. Re-map the local store and re-register the windows; the
         //    re-registration returns *new* addresses, so build the
@@ -1115,18 +877,10 @@ impl OffloadRuntime {
         let mut buffers = BTreeMap::new();
         let mut addr_table = Vec::new();
         for (id, size, old_addr, content) in stores {
-            proc.memory()
-                .map_region(&buf_region(id), content)
-                .map_err(|e| CoiError::OutOfMemory(e.to_string()))?;
-            let new_addr = scif.register(&proc, &buf_region(id));
-            buffers.insert(
-                id,
-                BufMeta {
-                    size,
-                    addr: new_addr,
-                },
-            );
-            addr_table.push((id, size, old_addr, new_addr.0));
+            proc.memory().map_region(&buf_region(id), content)?;
+            let addr = env.scif.register(&proc, &buf_region(id));
+            buffers.insert(id, BufMeta { size, addr });
+            addr_table.push((id, size, old_addr, addr.0));
         }
         // Every region now holds exactly what the snapshot holds (the
         // BLCR image and the re-mapped local store both came from it),
@@ -1138,42 +892,16 @@ impl OffloadRuntime {
         // 7. Build the runtime, initially paused (barrier up) until
         //    snapify_resume (§4.3: "not fully active after restore").
         //    `enqueued` counts receives on the *current* run channel, which
-        //    is brand new after a restore — start it from zero.
-        let _ = enqueued;
-        let rt = Self::build(
-            config,
-            blcr,
-            scif,
-            node,
-            proc,
-            binary,
-            host_pid,
-            storage,
-            signal_latency,
-            PipelineState {
-                queue,
-                active,
-                enqueued: 0,
-                barrier: true,
-                parked: false,
-            },
-            buffers,
-        );
+        //    is brand new after a restore — it starts from zero.
+        let pstate = PipelineState {
+            queue: state.queue,
+            active: state.active,
+            barrier: true,
+            ..PipelineState::default()
+        };
+        let rt = Self::build(env, proc, binary, state.host_pid, pstate, buffers);
         let ports = rt.open_ports();
         Ok((rt, ports, addr_table, breakdown))
-    }
-
-    pub(crate) fn pipe_slot(&self) -> &SimMutex<Option<SnapifyPipe>> {
-        &self.inner.pipe
-    }
-
-    pub(crate) fn clear_barrier_and_resume(&self) {
-        {
-            let mut st = self.inner.pstate.lock();
-            st.barrier = false;
-        }
-        self.inner.pcv.notify_all();
-        *self.inner.pipe.lock() = None;
     }
 
     /// Terminate the offload process: close every channel, wake every
@@ -1188,10 +916,7 @@ impl OffloadRuntime {
         }
         self.inner.pcv.notify_all();
         if let Some(eps) = self.inner.eps.lock().as_ref() {
-            eps.run.close();
-            eps.cmd.close();
-            eps.log.close();
-            eps.event.close();
+            eps.close();
         }
         self.inner.log_q.close();
         self.inner.event_q.close();
@@ -1199,21 +924,16 @@ impl OffloadRuntime {
             pipe.to_offload.close();
             pipe.to_daemon.close();
         }
-        self.inner.scif.unregister_process(&self.inner.proc);
+        self.inner.env.scif.unregister_process(&self.inner.proc);
         self.inner.proc.exit();
     }
 }
 
 fn read_all(storage: &dyn SnapshotStorage, node: NodeId, path: &str) -> Result<Payload, CoiError> {
-    let mut src = storage
-        .source(node, path)
-        .map_err(|e| CoiError::Io(e.to_string()))?;
+    let mut src = storage.source(node, path)?;
     let mut out = Payload::empty();
-    loop {
-        match src.read(IO_CHUNK) {
-            Ok(Some(chunk)) => out.append(chunk),
-            Ok(None) => return Ok(out),
-            Err(e) => return Err(CoiError::Io(e.to_string())),
-        }
+    while let Some(chunk) = src.read(IO_CHUNK)? {
+        out.append(chunk);
     }
+    Ok(out)
 }

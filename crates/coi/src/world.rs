@@ -14,14 +14,21 @@ use crate::handle::CoiProcessHandle;
 use crate::storage::SnapshotStorage;
 use crate::CoiError;
 
+/// What every part of one server's COI shares. Built once, in
+/// [`CoiWorld::boot`]; daemons, offload runtimes and host handles hold
+/// the `Arc`, never copies of its fields.
+pub(crate) struct CoiEnv {
+    pub(crate) server: PhiServer,
+    pub(crate) scif: Scif,
+    pub(crate) config: CoiConfig,
+    pub(crate) blcr: BlcrConfig,
+    pub(crate) registry: FunctionRegistry,
+    pub(crate) pids: PidAllocator,
+    pub(crate) storage: Arc<dyn SnapshotStorage>,
+}
+
 struct Inner {
-    server: PhiServer,
-    scif: Scif,
-    config: CoiConfig,
-    blcr: BlcrConfig,
-    registry: FunctionRegistry,
-    pids: PidAllocator,
-    storage: Arc<dyn SnapshotStorage>,
+    env: Arc<CoiEnv>,
     daemons: Vec<CoiDaemon>,
 }
 
@@ -41,41 +48,27 @@ impl CoiWorld {
         registry: FunctionRegistry,
         storage: Arc<dyn SnapshotStorage>,
     ) -> CoiWorld {
-        let scif = Scif::new(server);
-        let pids = PidAllocator::new();
-        let blcr = BlcrConfig::default();
+        let env = Arc::new(CoiEnv {
+            server: server.clone(),
+            scif: Scif::new(server),
+            config,
+            blcr: BlcrConfig::default(),
+            registry,
+            pids: PidAllocator::new(),
+            storage,
+        });
         let daemons = (0..server.num_devices())
-            .map(|i| {
-                CoiDaemon::start(
-                    i,
-                    server.device(i),
-                    &scif,
-                    &config,
-                    &blcr,
-                    server.params(),
-                    &registry,
-                    Arc::clone(&storage),
-                    &pids,
-                )
-            })
+            .map(|i| CoiDaemon::start(&env, i))
             .collect();
         CoiWorld {
-            inner: Arc::new(Inner {
-                server: server.clone(),
-                scif,
-                config,
-                blcr,
-                registry,
-                pids,
-                storage,
-                daemons,
-            }),
+            inner: Arc::new(Inner { env, daemons }),
         }
     }
 
     /// Create a host process to run an offload application in.
     pub fn create_host_process(&self, name: &str) -> SimProcess {
-        SimProcess::new(self.inner.pids.alloc(), name, self.inner.server.host())
+        let env = &self.inner.env;
+        SimProcess::new(env.pids.alloc(), name, env.server.host())
     }
 
     /// Create an offload process for `host_proc` on device `device`.
@@ -85,55 +78,49 @@ impl CoiWorld {
         device: usize,
         binary: &str,
     ) -> Result<CoiProcessHandle, CoiError> {
-        let image_bytes = self
-            .inner
-            .registry
-            .get(binary)
-            .map(|b| b.image_bytes)
-            .unwrap_or(0);
-        CoiProcessHandle::create(
-            &self.inner.config,
-            &self.inner.scif,
-            host_proc,
-            device,
-            binary,
-            image_bytes,
-        )
+        CoiProcessHandle::create(&self.inner.env, host_proc, device, binary)
+    }
+
+    /// A handle for `host_proc` with no offload process behind it yet: what
+    /// a restarted host process holds until `snapify_restore` re-adopts
+    /// its swapped-out or checkpointed offload process.
+    pub fn detached_handle(&self, host_proc: &SimProcess, binary: &str) -> CoiProcessHandle {
+        CoiProcessHandle::new_detached(&self.inner.env, host_proc, binary)
     }
 
     /// The underlying server.
     pub fn server(&self) -> &PhiServer {
-        &self.inner.server
+        &self.inner.env.server
     }
 
     /// The SCIF driver.
     pub fn scif(&self) -> &Scif {
-        &self.inner.scif
+        &self.inner.env.scif
     }
 
     /// The COI configuration.
     pub fn config(&self) -> &CoiConfig {
-        &self.inner.config
+        &self.inner.env.config
     }
 
     /// The BLCR configuration used for device snapshots.
     pub fn blcr(&self) -> &BlcrConfig {
-        &self.inner.blcr
+        &self.inner.env.blcr
     }
 
     /// The binary registry.
     pub fn registry(&self) -> &FunctionRegistry {
-        &self.inner.registry
+        &self.inner.env.registry
     }
 
     /// The pid allocator (shared by daemons and host processes).
     pub fn pids(&self) -> &PidAllocator {
-        &self.inner.pids
+        &self.inner.env.pids
     }
 
     /// The snapshot storage implementation.
     pub fn storage(&self) -> &Arc<dyn SnapshotStorage> {
-        &self.inner.storage
+        &self.inner.env.storage
     }
 
     /// The daemon of device `i`.

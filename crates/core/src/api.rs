@@ -19,9 +19,11 @@
 use std::sync::Arc;
 
 use coi_sim::msgs::CtlMsg;
-use coi_sim::{CoiError, CoiProcessHandle};
+use coi_sim::CoiProcessHandle;
+use phi_platform::{Payload, SimFs};
 use simkernel::obs;
 use simkernel::{Semaphore, SimMutex};
+use simproc::IoError;
 
 use crate::SnapifyError;
 
@@ -118,7 +120,11 @@ pub fn snapify_pause(snapshot: &SnapifyT) -> Result<(), SnapifyError> {
     // Save copies of the runtime libraries needed by the offload process
     // from the host file system into the snapshot directory (§4.1 — an
     // optimization over copying them back from the coprocessor).
-    copy_libraries_to_snapshot(handle, &snapshot.snapshot_path)?;
+    write_library_file(
+        &handle.host_fs(),
+        &snapshot.snapshot_path,
+        handle.binary_image_bytes(),
+    )?;
 
     // Drain the host side (§4.1 cases 1–4, host half): lifecycle + RDMA
     // locks, cmd-channel shutdown marker, run-request lock + drain.
@@ -128,11 +134,11 @@ pub fn snapify_pause(snapshot: &SnapifyT) -> Result<(), SnapifyError> {
     // pipe, signals the offload process, relays the handshake, forwards
     // the pause request, and reports completion through its monitor
     // thread.
-    handle.snapify_send_ctl(CtlMsg::SnapifyPause {
+    let request = CtlMsg::SnapifyPause {
         pid: handle.pid(),
         path: snapshot.snapshot_path.clone(),
-    })?;
-    match handle.snapify_await_reply()? {
+    };
+    match handle.snapify_call(request)? {
         CtlMsg::SnapifyPauseComplete { ok: true } => Ok(()),
         CtlMsg::SnapifyPauseComplete { ok: false } => {
             // The offload side failed partway through its drain and may
@@ -220,8 +226,7 @@ pub fn snapify_resume(snapshot: &SnapifyT) -> Result<(), SnapifyError> {
         pid = handle.pid(),
         device = handle.device()
     );
-    handle.snapify_send_ctl(CtlMsg::SnapifyResume { pid: handle.pid() })?;
-    match handle.snapify_await_reply()? {
+    match handle.snapify_call(CtlMsg::SnapifyResume { pid: handle.pid() })? {
         CtlMsg::SnapifyResumeComplete => {
             handle.snapify_release_host();
             Ok(())
@@ -244,47 +249,21 @@ pub fn snapify_restore(snapshot: &SnapifyT, device: usize) -> Result<(), Snapify
         device = device,
         path = snapshot.snapshot_path
     );
-    // Fresh ctl connection to the *target* device's daemon.
-    let ctl = handle.snapify_connect_ctl(device)?;
-    ctl.send(
-        CtlMsg::SnapifyRestore {
-            path: snapshot.snapshot_path.clone(),
-            host_pid: handle.host_proc().pid().0,
-        }
-        .encode(),
-    )
-    .map_err(|e| SnapifyError::Coi(CoiError::Scif(e)))?;
-    match handle.snapify_await_reply()? {
-        CtlMsg::SnapifyRestoreReply {
-            pid,
-            ports,
-            addr_table,
-            breakdown,
-            error,
-        } => {
-            if pid == 0 {
-                return Err(SnapifyError::RestoreFailed(error));
-            }
-            handle.snapify_attach(device, pid, ports, &addr_table, ctl)?;
-            *snapshot.terminated.lock() = false;
-            // The paper's restart breakdown (Fig 10), as histograms so
-            // repeated restores aggregate into distributions.
-            obs::histogram_observe("snapify.restore.library_copy_ns", breakdown.0);
-            obs::histogram_observe("snapify.restore.store_copy_ns", breakdown.1);
-            obs::histogram_observe("snapify.restore.blcr_restart_ns", breakdown.2);
-            obs::histogram_observe("snapify.restore.reregistration_ns", breakdown.3);
-            *snapshot.restore_breakdown.lock() = Some(coi_sim::offload::RestoreBreakdown {
-                library_copy_ns: breakdown.0,
-                store_copy_ns: breakdown.1,
-                blcr_restart_ns: breakdown.2,
-                reregistration_ns: breakdown.3,
-            });
-            Ok(())
-        }
-        other => Err(SnapifyError::Protocol(format!(
-            "unexpected reply {other:?}"
-        ))),
-    }
+    let breakdown = handle
+        .snapify_restore(device, &snapshot.snapshot_path)?
+        .map_err(SnapifyError::RestoreFailed)?;
+    *snapshot.terminated.lock() = false;
+    // The paper's restart breakdown (Fig 10), as histograms so repeated
+    // restores aggregate into distributions.
+    obs::histogram_observe("snapify.restore.library_copy_ns", breakdown.library_copy_ns);
+    obs::histogram_observe("snapify.restore.store_copy_ns", breakdown.store_copy_ns);
+    obs::histogram_observe("snapify.restore.blcr_restart_ns", breakdown.blcr_restart_ns);
+    obs::histogram_observe(
+        "snapify.restore.reregistration_ns",
+        breakdown.reregistration_ns,
+    );
+    *snapshot.restore_breakdown.lock() = Some(breakdown);
+    Ok(())
 }
 
 /// Swap the offload process out to `snapshot_path` (Fig 6a): pause,
@@ -361,17 +340,18 @@ pub fn snapify_migrate(
     Ok(snapshot)
 }
 
-/// The §4.1 library-copy step: MPSS keeps the device runtime libraries on
-/// the host fs, so pausing just copies them into the snapshot directory.
-fn copy_libraries_to_snapshot(handle: &CoiProcessHandle, path: &str) -> Result<(), SnapifyError> {
-    let world_fs = handle.host_fs();
-    let image_bytes = handle.binary_image_bytes();
-    world_fs.create_or_truncate(&format!("{path}/libraries"));
-    world_fs
-        .append(
-            &format!("{path}/libraries"),
-            phi_platform::Payload::synthetic(0x11B5, image_bytes),
-        )
-        .map_err(|e| SnapifyError::Io(e.to_string()))?;
+/// The one writer of `{path}/libraries`: MPSS keeps the device runtime
+/// libraries on the host fs, so a pause just copies them into the
+/// snapshot directory (§4.1), and a migration's destination regenerates
+/// the file from its own copy of the binary.
+pub(crate) fn write_library_file(
+    fs: &SimFs,
+    path: &str,
+    image_bytes: u64,
+) -> Result<(), SnapifyError> {
+    let file = format!("{path}/libraries");
+    fs.create_or_truncate(&file);
+    fs.append(&file, Payload::synthetic(0x11B5, image_bytes))
+        .map_err(IoError::from)?;
     Ok(())
 }

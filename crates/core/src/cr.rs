@@ -106,11 +106,8 @@ pub fn host_checkpoint(
 ) -> Result<u64, SnapifyError> {
     let _span = obs::span!("snapify.host_checkpoint", pid = host_proc.pid());
     let storage: &dyn SnapshotStorage = world.io();
-    let mut sink = storage
-        .sink(NodeId::HOST, &format!("{snapshot_path}/host_snapshot"))
-        .map_err(|e| SnapifyError::Io(e.to_string()))?;
-    let stats = blcr_sim::checkpoint(&BlcrConfig::default(), host_proc, host_state, sink.as_mut())
-        .map_err(|e| SnapifyError::Io(e.to_string()))?;
+    let mut sink = storage.sink(NodeId::HOST, &format!("{snapshot_path}/host_snapshot"))?;
+    let stats = blcr_sim::checkpoint(&BlcrConfig::default(), host_proc, host_state, sink.as_mut())?;
     // BLCR fsyncs the context file before reporting success.
     world.server().host().fs().sync();
     Ok(stats.snapshot_bytes)
@@ -168,35 +165,20 @@ pub fn restart_application(
 
     // Host BLCR restart from the host snapshot.
     let storage: &dyn SnapshotStorage = world.io();
-    let mut src = storage
-        .source(NodeId::HOST, &format!("{snapshot_path}/host_snapshot"))
-        .map_err(|e| SnapifyError::Io(e.to_string()))?;
+    let mut src = storage.source(NodeId::HOST, &format!("{snapshot_path}/host_snapshot"))?;
     let restarted = blcr_sim::restart(
         &BlcrConfig::default(),
         world.server().host(),
         world.coi().pids(),
         src.as_mut(),
-    )
-    .map_err(|e| SnapifyError::Io(e.to_string()))?;
+    )?;
     let host_proc = restarted.proc;
     let host_state = restarted.runtime_state;
     let t_host = simkernel::now();
 
     // The restored host process re-enters the BLCR callback's "restart"
     // branch (Fig 5(a)) and calls snapify_restore.
-    let image_bytes = world
-        .coi()
-        .registry()
-        .get(binary)
-        .map(|b| b.image_bytes)
-        .unwrap_or(0);
-    let handle = CoiProcessHandle::new_detached(
-        world.coi().config(),
-        world.coi().scif(),
-        &host_proc,
-        binary,
-        image_bytes,
-    );
+    let handle = world.coi().detached_handle(&host_proc, binary);
     // The drain locks are conceptually still held from the checkpoint
     // (the host snapshot was taken inside the paused region); mirror that
     // on the fresh handle so resume's release is balanced.

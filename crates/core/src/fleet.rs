@@ -729,14 +729,9 @@ impl Agent {
         let dev_bytes = api::snapify_wait(&snap)?;
 
         let storage: &dyn SnapshotStorage = self.world.io();
-        let mut src = storage
-            .source(NodeId::HOST, &format!("{path}/host_snapshot"))
-            .map_err(|e| SnapifyError::Io(e.to_string()))?;
+        let mut src = storage.source(NodeId::HOST, &format!("{path}/host_snapshot"))?;
         let mut content = Payload::empty();
-        while let Some(chunk) = src
-            .read(4 << 20)
-            .map_err(|e| SnapifyError::Io(e.to_string()))?
-        {
+        while let Some(chunk) = src.read(4 << 20)? {
             content.append(chunk);
         }
         self.pending_out.insert(
@@ -847,12 +842,9 @@ impl Agent {
                 self.sched.park(job)?;
             }
             let storage: &dyn SnapshotStorage = self.world.io();
-            let mut sink = storage
-                .sink(NodeId::HOST, &format!("{path}/host_snapshot"))
-                .map_err(|e| SnapifyError::Io(e.to_string()))?;
-            sink.write(host_snapshot)
-                .map_err(|e| SnapifyError::Io(e.to_string()))?;
-            sink.close().map_err(|e| SnapifyError::Io(e.to_string()))?;
+            let mut sink = storage.sink(NodeId::HOST, &format!("{path}/host_snapshot"))?;
+            sink.write(host_snapshot)?;
+            sink.close()?;
             // The destination regenerates the library file from its own
             // copy of the binary — libraries never cross the network
             // (§4.4's library copy is host-local on both ends).
@@ -865,13 +857,7 @@ impl Agent {
                 .ok_or_else(|| {
                     SnapifyError::Protocol(format!("binary {binary} not registered here"))
                 })?;
-            let fs = self.world.server().host().fs();
-            fs.create_or_truncate(&format!("{path}/libraries"));
-            fs.append(
-                &format!("{path}/libraries"),
-                Payload::synthetic(0x11B5, image_bytes),
-            )
-            .map_err(|e| SnapifyError::Io(e.to_string()))?;
+            api::write_library_file(self.world.server().host().fs(), path, image_bytes)?;
             cr::restart_application(&self.world, path, binary, device)
         })();
         match attempt {

@@ -129,6 +129,18 @@ impl From<coi_sim::CoiError> for SnapifyError {
     }
 }
 
+impl From<simproc::IoError> for SnapifyError {
+    fn from(e: simproc::IoError) -> SnapifyError {
+        SnapifyError::Io(e.to_string())
+    }
+}
+
+impl From<blcr_sim::BlcrError> for SnapifyError {
+    fn from(e: blcr_sim::BlcrError) -> SnapifyError {
+        SnapifyError::Io(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

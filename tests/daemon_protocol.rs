@@ -23,12 +23,12 @@ fn pause_of_unknown_pid_reports_failure() {
         let world = SnapifyWorld::boot(registry());
         let host = world.coi().create_host_process("app");
         let h = world.coi().create_process(&host, 0, "p.so").unwrap();
-        h.snapify_send_ctl(CtlMsg::SnapifyPause {
-            pid: 9999,
-            path: "/x".into(),
-        })
-        .unwrap();
-        let reply = h.snapify_await_reply().unwrap();
+        let reply = h
+            .snapify_call(CtlMsg::SnapifyPause {
+                pid: 9999,
+                path: "/x".into(),
+            })
+            .unwrap();
         assert_eq!(reply, CtlMsg::SnapifyPauseComplete { ok: false });
         h.destroy().unwrap();
     });
@@ -61,9 +61,9 @@ fn resume_without_pause_is_harmless() {
         let world = SnapifyWorld::boot(registry());
         let host = world.coi().create_host_process("app");
         let h = world.coi().create_process(&host, 0, "p.so").unwrap();
-        h.snapify_send_ctl(CtlMsg::SnapifyResume { pid: h.pid() })
+        let reply = h
+            .snapify_call(CtlMsg::SnapifyResume { pid: h.pid() })
             .unwrap();
-        let reply = h.snapify_await_reply().unwrap();
         assert_eq!(reply, CtlMsg::SnapifyResumeComplete);
         // The process still works.
         h.run_sync("noop", Vec::new(), &[]).unwrap();

@@ -110,6 +110,82 @@ fn corrupt_snapshot_is_rejected() {
     });
 }
 
+/// A damaged snapshot directory fails the restore, not the daemon:
+/// with the first file under `prefix` replaced by `damage(its content)`
+/// the swap-in is a typed `RestoreFailed` that leaves the target
+/// device's memory where it was, and the same daemon then restores the
+/// repaired snapshot.
+fn damaged_snapshot_fails_the_restore(prefix: &'static str, damage: fn(Payload) -> Payload) {
+    Kernel::run_root(move || {
+        let (world, spec) = boot("MC");
+        let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
+        let handle = run.handle().clone();
+        let snap = snapify_swapout(&handle, "/snap/c").unwrap();
+
+        let fs = world.server().host().fs();
+        let file = fs.list(&format!("/snap/c/local_store/{prefix}")).remove(0);
+        let intact = fs.read_all(&file).unwrap();
+        fs.create_or_truncate(&file);
+        fs.append(&file, damage(intact.clone())).unwrap();
+
+        let mem = world.server().device(1).mem();
+        let used_before = mem.used();
+        let err = snapify_swapin(&snap, 1).unwrap_err();
+        assert!(matches!(err, SnapifyError::RestoreFailed(_)), "got {err:?}");
+        assert_eq!(mem.used(), used_before, "the failed restore leaked");
+
+        fs.create_or_truncate(&file);
+        fs.append(&file, intact).unwrap();
+        snapify_swapin(&snap, 1).unwrap();
+        let result = run.run_to_completion().unwrap();
+        assert!(result.verified);
+        run.destroy().unwrap();
+    });
+}
+
+/// A local-store file cut short — what a `shortwrite` fault leaves
+/// behind (once an `assert_eq!` in the daemon's ctl handler).
+#[test]
+fn truncated_local_store_file_fails_the_restore() {
+    damaged_snapshot_fails_the_restore("buf_", |full| full.slice(0, full.len() / 2));
+}
+
+/// A manifest that is not real bytes (once a `to_bytes()` panic).
+#[test]
+fn synthetic_manifest_fails_the_restore() {
+    damaged_snapshot_fails_the_restore("manifest", |_| Payload::synthetic(9, 64));
+}
+
+/// A pause aimed at a crashed offload process fails typed and holds
+/// nothing afterwards: the handle can still be destroyed (at one time
+/// the failed drain kept the lifecycle, RDMA and cmd locks and `destroy`
+/// deadlocked), and a second tenant of the same device still pauses,
+/// captures and resumes.
+#[test]
+fn failed_pause_of_a_crashed_process_holds_no_locks() {
+    Kernel::run_root(|| {
+        let (world, spec) = boot("KM");
+        let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
+        let neighbour = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
+        let handle = run.handle().clone();
+        let rt = world.coi().daemon(0).runtime(handle.pid()).unwrap();
+        rt.terminate();
+
+        let err = snapify_pause(&SnapifyT::new(&handle, "/snap/dead")).unwrap_err();
+        assert!(matches!(err, SnapifyError::Coi(_)), "got {err:?}");
+        handle.destroy().unwrap();
+
+        let snap = SnapifyT::new(neighbour.handle(), "/snap/neighbour");
+        snapify_pause(&snap).unwrap();
+        snapify_capture(&snap, false).unwrap();
+        snapify_wait(&snap).unwrap();
+        snapify_resume(&snap).unwrap();
+        let result = neighbour.run_to_completion().unwrap();
+        assert!(result.verified);
+        neighbour.destroy().unwrap();
+    });
+}
+
 /// Restoring from a directory that was never written fails cleanly.
 #[test]
 fn missing_snapshot_is_rejected() {
