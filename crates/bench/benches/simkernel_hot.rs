@@ -10,6 +10,9 @@
 //! * `ping_pong_64` — 32 thread pairs (64 simulated threads) exchanging
 //!   messages over unbounded channels; the canonical context-hand-off
 //!   microbench (one block + one wake per message).
+//! * `stepped_echo_64` — the same program with each echo server a
+//!   stepped service (`Kernel::spawn_stepped`): the server's turn runs on
+//!   its client's OS thread, so a round trip is zero hand-offs, not two.
 //! * `mutex_convoy_64` — 64 threads hammering one `SimMutex`; measures
 //!   blocking acquire + FIFO hand-off.
 //! * `timer_churn_64` — 64 threads sleeping staggered durations;
@@ -48,7 +51,7 @@ use std::time::Instant;
 
 use coi_sim::FunctionRegistry;
 use simkernel::time::{ms, us};
-use simkernel::{Kernel, Semaphore, SimChannel, SimMutex};
+use simkernel::{Kernel, Polled, Semaphore, SimChannel, SimMutex, Step};
 use snapify::{checkpoint_application, SnapifyWorld};
 use snapify_bench::report::{fixed, Report};
 use workloads::{by_name, register_suite, WorkloadRun};
@@ -97,19 +100,32 @@ fn measure(name: &'static str, warmups: u32, batches: u32, mut f: impl FnMut() -
 }
 
 /// 32 client/server pairs; each round trip is two messages, i.e. two
-/// block/wake hand-offs. Events = messages delivered.
-fn ping_pong_64(rounds: u64) -> u64 {
+/// block/wake hand-offs — unless the echo servers are `stepped`, and run
+/// on whichever client's OS thread is dispatching. Events = messages
+/// delivered.
+fn ping_pong_64(rounds: u64, stepped: bool) -> u64 {
     Kernel::run_root(move || {
         let mut handles = Vec::new();
         for p in 0..32u32 {
             let req: SimChannel<u64> = SimChannel::unbounded("req");
             let rsp: SimChannel<u64> = SimChannel::unbounded("rsp");
             let (req2, rsp2) = (req.clone(), rsp.clone());
-            simkernel::spawn(format!("srv{p}"), move || {
-                while let Ok(v) = req2.recv() {
-                    rsp2.send(v).unwrap();
-                }
-            });
+            if stepped {
+                let (kernel, _) = simkernel::current();
+                kernel.spawn_stepped(format!("srv{p}"), false, move || loop {
+                    match req2.poll_recv() {
+                        Polled::Wait(w) => return Step::Wait(w),
+                        Polled::Ready(Err(_)) => return Step::Exit,
+                        Polled::Ready(Ok(v)) => rsp2.send(v).unwrap(),
+                    }
+                });
+            } else {
+                simkernel::spawn(format!("srv{p}"), move || {
+                    while let Ok(v) = req2.recv() {
+                        rsp2.send(v).unwrap();
+                    }
+                });
+            }
             handles.push(simkernel::spawn(format!("cli{p}"), move || {
                 for i in 0..rounds {
                     req.send(i).unwrap();
@@ -300,7 +316,12 @@ fn main() {
     println!("{}", "-".repeat(70));
 
     let rows = vec![
-        measure("ping_pong_64", warmups, batches, || ping_pong_64(pp_rounds)),
+        measure("ping_pong_64", warmups, batches, || {
+            ping_pong_64(pp_rounds, false)
+        }),
+        measure("stepped_echo_64", warmups, batches, || {
+            ping_pong_64(pp_rounds, true)
+        }),
         measure("mutex_convoy_64", warmups, batches, || {
             mutex_convoy_64(mx_iters)
         }),

@@ -52,9 +52,14 @@ impl CoiConfig {
 
     /// Charge one hook crossing if the hooks are enabled.
     pub fn charge_hook(&self) {
-        if self.snapify_hooks && self.hook_cost > SimDuration::ZERO {
-            simkernel::sleep(self.hook_cost);
+        if let Some(cost) = self.hook_charge() {
+            simkernel::sleep(cost);
         }
+    }
+
+    /// What one hook crossing costs, if it costs anything.
+    pub(crate) fn hook_charge(&self) -> Option<SimDuration> {
+        (self.snapify_hooks && self.hook_cost > SimDuration::ZERO).then_some(self.hook_cost)
     }
 }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use phi_platform::{NodeId, SimNode};
 use scif_sim::{ports, ScifEndpoint};
 use simkernel::obs;
-use simkernel::SimMutex;
+use simkernel::{Polled, SimMutex, Step};
 use simproc::{signum, SimProcess};
 
 use crate::msgs::{serve, CtlMsg, PipeMsg};
@@ -148,14 +148,21 @@ impl CoiDaemon {
         };
         let listener = env.scif.listen(node.id(), ports::COI_DAEMON);
         let d = daemon.clone();
-        daemon.inner.daemon_proc.spawn_service("listener", move || {
-            while let Ok(ep) = listener.accept() {
-                let d2 = d.clone();
-                d.inner.daemon_proc.spawn_service("ctl-handler", move || {
-                    d2.ctl_handler(ep);
-                });
-            }
-        });
+        daemon
+            .inner
+            .daemon_proc
+            .spawn_stepped("listener", move || loop {
+                match listener.poll_accept() {
+                    Polled::Wait(w) => return Step::Wait(w),
+                    Polled::Ready(Err(_)) => return Step::Exit,
+                    Polled::Ready(Ok(ep)) => {
+                        let d2 = d.clone();
+                        d.inner.daemon_proc.spawn_service("ctl-handler", move || {
+                            d2.ctl_handler(ep);
+                        });
+                    }
+                }
+            });
         daemon
     }
 
@@ -283,8 +290,10 @@ impl CoiDaemon {
         // Watchdog: notice unintentional exits (crashes).
         let daemon = self.clone();
         let proc = rt.proc().clone();
-        self.inner.daemon_proc.spawn_service("watchdog", move || {
-            proc.wait_exit();
+        self.inner.daemon_proc.spawn_stepped("watchdog", move || {
+            if let Polled::Wait(w) = proc.poll_wait_exit() {
+                return Step::Wait(w);
+            }
             let intentional = daemon
                 .inner
                 .entries
@@ -295,6 +304,7 @@ impl CoiDaemon {
             if !intentional {
                 daemon.inner.crashes.lock().push(pid);
             }
+            Step::Exit
         });
         Ok((pid, ports))
     }
@@ -420,20 +430,17 @@ impl CoiDaemon {
 
     /// Whether a pass of [`Self::monitor_loop`] at `now` could do anything.
     /// Runs inside the dispatcher (see [`simkernel::sleep_poll`]), so it
-    /// only peeks: an empty list (the thread must wake to exit and clear
+    /// only looks: an empty list (the thread must wake to exit and clear
     /// `running`), a pipe message, an elapsed watchdog window, or a held
     /// monitor lock (the pass would queue behind it) all wake the thread.
     fn monitor_pass_due(&self, now: simkernel::SimTime) -> bool {
-        self.inner
-            .monitor
-            .peek(|mon| {
-                mon.requests.is_empty()
-                    || mon
-                        .requests
-                        .iter()
-                        .any(|r| !r.pipe.to_daemon.is_empty() || self.watchdog_due(r, now))
-            })
-            .unwrap_or(true)
+        self.inner.monitor.try_lock().is_none_or(|mon| {
+            mon.requests.is_empty()
+                || mon
+                    .requests
+                    .iter()
+                    .any(|r| !r.pipe.to_daemon.is_empty() || self.watchdog_due(r, now))
+        })
     }
 
     /// Poll one request's pipe; returns true when the request completed

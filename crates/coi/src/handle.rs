@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 use phi_platform::{NodeId, Payload};
 use scif_sim::{ports, RdmaAddr, ScifEndpoint};
-use simkernel::{SimChannel, SimMutex};
+use simkernel::{SimChannel, SimMutex, Step};
 use simproc::SimProcess;
 
 use crate::locks::DrainLock;
-use crate::msgs::{recv_msg, serve, CmdMsg, CtlMsg, Endpoints, RunMsg, StreamMsg};
+use crate::msgs::{recv_msg, serve_step, CmdMsg, CtlMsg, Endpoints, RunMsg, StreamMsg};
 use crate::offload::RestoreBreakdown;
 use crate::world::CoiEnv;
 use crate::CoiError;
@@ -210,17 +210,16 @@ impl CoiProcessHandle {
     fn connect_ctl(&self, device: usize) -> Result<ScifEndpoint, CoiError> {
         let scif = &self.inner.env.scif;
         let ctl = scif.connect(NodeId::HOST, NodeId::device(device), ports::COI_DAEMON)?;
-        let ctl2 = ctl.clone();
         let replies = self.inner.ctl_replies.clone();
         let capture_done = self.inner.capture_done.clone();
-        self.inner.host_proc.spawn_service("ctl-dispatch", move || {
-            serve(&ctl2, CtlMsg::decode, |msg| {
-                let _ = match msg {
-                    CtlMsg::SnapifyCaptureComplete { .. } => capture_done.send(msg),
-                    _ => replies.send(msg),
-                };
-            })
+        let dispatch = serve_step(ctl.clone(), CtlMsg::decode, move |msg| {
+            let _ = match msg {
+                CtlMsg::SnapifyCaptureComplete { .. } => capture_done.send(msg),
+                _ => replies.send(msg),
+            };
+            None
         });
+        self.inner.host_proc.spawn_stepped("ctl-dispatch", dispatch);
         Ok(ctl)
     }
 
@@ -279,43 +278,71 @@ impl CoiProcessHandle {
         let endpoints = Endpoints::new(&eps);
         // Result dispatcher (the receiving half of Fig 4's Pipe_Thread1).
         {
-            let run = endpoints.run.clone();
             let pending = Arc::clone(&self.inner.pending);
-            self.inner.host_proc.spawn_service("run-dispatch", move || {
-                serve(&run, RunMsg::decode, |msg| {
-                    let (id, outcome) = match msg {
-                        RunMsg::Result { id, ret } => (id, Ok(ret)),
-                        RunMsg::Error { id, message } => (id, Err(message)),
-                        // Requests never flow offload → host.
-                        RunMsg::Request { .. } => return,
-                    };
-                    let ch = pending.lock().remove(&id);
-                    if let Some(ch) = ch {
-                        let _ = ch.send(outcome);
-                    }
-                })
+            let mut dispatch = serve_step(endpoints.run.clone(), RunMsg::decode, move |msg| {
+                let (id, outcome) = match msg {
+                    RunMsg::Result { id, ret } => (id, Ok(ret)),
+                    RunMsg::Error { id, message } => (id, Err(message)),
+                    // Requests never flow offload → host.
+                    RunMsg::Request { .. } => return None,
+                };
+                let ch = pending.lock().remove(&id);
+                if let Some(ch) = ch {
+                    let _ = ch.send(outcome);
+                }
+                None
+            });
+            let (me, conn_id) = (self.clone(), endpoints.run.conn_id());
+            self.inner.host_proc.spawn_stepped("run-dispatch", move || {
+                let step = dispatch();
+                if matches!(step, Step::Exit) {
+                    me.run_channel_closed(conn_id);
+                }
+                step
             });
         }
-        // Log / event server threads (§4.1 case 3, host-server side).
+        // Log / event servers (§4.1 case 3, host-server side).
         for (is_log, ep) in [
             (true, endpoints.log.clone()),
             (false, endpoints.event.clone()),
         ] {
             let me = self.clone();
             let name = if is_log { "log-server" } else { "event-server" };
-            self.inner.host_proc.spawn_service(name, move || {
-                serve(&ep, StreamMsg::decode, |msg| match msg {
+            let server = serve_step(ep, StreamMsg::decode, move |msg| {
+                match msg {
                     StreamMsg::Record(rec) if is_log => me.inner.logs.lock().push(rec),
                     StreamMsg::Record(rec) => me.inner.events.lock().push(rec),
-                    StreamMsg::Shutdown => {
-                        let _ = ep.send(StreamMsg::ShutdownAck.encode());
-                    }
+                    StreamMsg::Shutdown => return Some(StreamMsg::ShutdownAck.encode()),
                     StreamMsg::ShutdownAck => {}
-                })
+                }
+                None
             });
+            self.inner.host_proc.spawn_stepped(name, server);
         }
         *self.inner.eps.lock() = Some((endpoints, ctl));
         Ok(())
+    }
+
+    /// The run channel `conn_id` closed under its dispatcher. If it is
+    /// still the installed one, the peer closed it; and if the host is not
+    /// inside a lifecycle operation of its own (§4.1 case 1: a destroy, or
+    /// a pause — whose swap-out ends in the process exiting), the offload
+    /// process died on its own and no result will arrive: every pending
+    /// run is failed (`RunHandle::wait` returns `Closed`). A deliberate
+    /// detach takes the endpoint set before closing it, and like a
+    /// swap-out leaves the pending runs to the restored process.
+    fn run_channel_closed(&self, conn_id: u64) {
+        let eps = self.inner.eps.lock();
+        let installed = eps.as_ref().map(|(data, _)| data.run.conn_id()) == Some(conn_id);
+        drop(eps);
+        if !installed || self.inner.lifecycle.is_held() {
+            return;
+        }
+        let mut orphans: Vec<_> = self.inner.pending.lock().drain().collect();
+        orphans.sort_by_key(|(id, _)| *id);
+        for (_, ch) in orphans {
+            ch.close();
+        }
     }
 
     /// One of the data channels, or `Closed` while the handle is detached.

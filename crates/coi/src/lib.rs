@@ -354,6 +354,25 @@ mod tests {
         });
     }
 
+    /// An offload process that dies with a run in flight fails the run —
+    /// once a deadlock of the caller on `run-result-1`: the run channel
+    /// closed, the dispatcher's loop ended, and nothing closed the result
+    /// channels still pending.
+    #[test]
+    fn crash_with_a_run_in_flight_fails_the_run() {
+        Kernel::run_root(|| {
+            let (w, _) = world();
+            let host = w.create_host_process("app");
+            let h = w.create_process(&host, 0, "test.so").unwrap();
+            let run = h.run("steps", 1000u64.to_le_bytes().to_vec(), &[]).unwrap();
+            simkernel::sleep(simkernel::time::us(500));
+            w.daemon(0).runtime(h.pid()).unwrap().terminate();
+            assert_eq!(run.wait(), Err(CoiError::Closed));
+            // Nothing more can be asked of the dead process either.
+            assert!(h.run("steps", 1u64.to_le_bytes().to_vec(), &[]).is_err());
+        });
+    }
+
     #[test]
     fn hook_toggle_changes_runtime() {
         // The Fig 9 mechanism: the same app is slower (in virtual time)

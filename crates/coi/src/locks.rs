@@ -38,7 +38,7 @@ impl DrainLock {
     }
 
     /// Try to acquire without blocking.
-    fn try_acquire(&self) -> bool {
+    pub(crate) fn try_acquire(&self) -> bool {
         let mut held = self.state.lock();
         if *held {
             false
@@ -46,6 +46,11 @@ impl DrainLock {
             *held = true;
             true
         }
+    }
+
+    /// Whether the lock is held right now.
+    pub(crate) fn is_held(&self) -> bool {
+        *self.state.lock()
     }
 
     /// Acquire, polling so the wait can be abandoned when `abort()` turns

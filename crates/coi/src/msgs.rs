@@ -14,12 +14,13 @@
 //! by `snapify_pause` (Fig 3).
 //!
 //! The receiving side of every SCIF channel is here too: `recv_msg`
-//! (the next well-formed message — every wait for a reply) and `serve`
-//! (the one receive loop — every server thread).
+//! (the next well-formed message — every wait for a reply), `serve` (the
+//! receive loop of a server thread) and `serve_step` (the same loop as
+//! the step of a stepped service), all over the one `poll_msg`.
 
 use phi_platform::Payload;
-use scif_sim::{ScifEndpoint, ScifError};
-use simkernel::obs;
+use scif_sim::{ScifEndpoint, ScifError, SendOp};
+use simkernel::{obs, Polled, Step};
 
 use crate::offload::RestoreBreakdown;
 use crate::wire::{frame_bytes, Dec, DecodeError, Enc};
@@ -490,24 +491,37 @@ impl Endpoints {
     }
 }
 
-/// The next well-formed message on `ep`: what a client waits on after it
-/// has sent a request. This is the one place a bad frame is judged — it
-/// is skipped and counted, never fatal to the channel.
-pub(crate) fn recv_msg<M>(
+/// The next well-formed message on `ep`, without blocking. This is the
+/// one place a bad frame is judged — it is skipped and counted, never
+/// fatal to the channel.
+fn poll_msg<M>(
     ep: &ScifEndpoint,
     decode: fn(&Payload) -> Result<M, DecodeError>,
-) -> Result<M, ScifError> {
+) -> Polled<Result<M, ScifError>> {
     loop {
-        match decode(&ep.recv()?) {
-            Ok(msg) => return Ok(msg),
-            Err(_) => obs::counter_add("coi.bad_frames", 1),
+        match ep.poll_recv() {
+            Polled::Wait(w) => return Polled::Wait(w),
+            Polled::Ready(Err(e)) => return Polled::Ready(Err(e)),
+            Polled::Ready(Ok(frame)) => match decode(&frame) {
+                Ok(msg) => return Polled::Ready(Ok(msg)),
+                Err(_) => obs::counter_add("coi.bad_frames", 1),
+            },
         }
     }
 }
 
-/// The receive loop of every server thread: `recv → decode → handle`
-/// until the channel closes. Moving a service onto the dispatcher
-/// (ROADMAP item 1) is a change to this loop, not to its six callers.
+/// The next well-formed message on `ep`: what a client waits on after it
+/// has sent a request.
+pub(crate) fn recv_msg<M>(
+    ep: &ScifEndpoint,
+    decode: fn(&Payload) -> Result<M, DecodeError>,
+) -> Result<M, ScifError> {
+    simkernel::block_on(|| poll_msg(ep, decode))
+}
+
+/// The receive loop of a server thread whose handler blocks (the daemon's
+/// ctl handler runs whole protocols): `recv → decode → handle` until the
+/// channel closes.
 pub(crate) fn serve<M>(
     ep: &ScifEndpoint,
     decode: fn(&Payload) -> Result<M, DecodeError>,
@@ -515,6 +529,32 @@ pub(crate) fn serve<M>(
 ) {
     while let Ok(msg) = recv_msg(ep, decode) {
         handle(msg);
+    }
+}
+
+/// The receive loop of every other server, as the step of a stepped
+/// service (see [`simkernel::Kernel::spawn_stepped`]): `recv → decode →
+/// handle → reply` until the channel closes, with no thread behind it.
+/// `handle` must not block; the reply it returns, if any, is sent before
+/// the next message is looked at.
+pub(crate) fn serve_step<M: 'static>(
+    ep: ScifEndpoint,
+    decode: fn(&Payload) -> Result<M, DecodeError>,
+    mut handle: impl FnMut(M) -> Option<Payload> + Send + 'static,
+) -> impl FnMut() -> Step + Send + 'static {
+    let mut reply: Option<SendOp> = None;
+    move || loop {
+        if let Some(op) = reply.as_mut() {
+            match ep.poll_send(op) {
+                Polled::Wait(w) => return Step::Wait(w),
+                Polled::Ready(_) => reply = None,
+            }
+        }
+        match poll_msg(&ep, decode) {
+            Polled::Wait(w) => return Step::Wait(w),
+            Polled::Ready(Err(_)) => return Step::Exit,
+            Polled::Ready(Ok(msg)) => reply = handle(msg).map(|p| ep.begin_send(p)),
+        }
     }
 }
 

@@ -13,6 +13,10 @@
 //! * a transient **pipe handler** spawned by the Snapify signal, which
 //!   runs the offload half of pause / capture / resume (Fig 3).
 //!
+//! The executor and the pipe handler block mid-protocol and run on OS
+//! threads; the others never block between one wait and the next and are
+//! stepped services (DESIGN §5).
+//!
 //! # Snapshot-ability
 //!
 //! Everything the executor may be doing is recorded in `PipelineState`
@@ -26,14 +30,14 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use phi_platform::{NodeId, Payload, SimNode};
-use scif_sim::RdmaAddr;
+use scif_sim::{RdmaAddr, ScifEndpoint, SendOp};
 use simkernel::obs;
-use simkernel::{SimChannel, SimCondvar, SimMutex, SimMutexGuard};
+use simkernel::{Polled, SimChannel, SimCondvar, SimMutex, SimMutexGuard, Step, Wait};
 use simproc::{signum, Signals, SimProcess};
 
 use crate::binary::{DeviceBinary, OffloadCtx, StepOutcome};
 use crate::locks::DrainLock;
-use crate::msgs::{recv_msg, serve, CmdMsg, Endpoints, PipeMsg, RunMsg, StreamMsg};
+use crate::msgs::{recv_msg, serve_step, CmdMsg, Endpoints, PipeMsg, RunMsg, StreamMsg};
 use crate::snapfile::{ActiveRun, RunPhase, RunRequest, RuntimeState, StoreManifest};
 use crate::storage::SnapshotStorage;
 use crate::world::CoiEnv;
@@ -205,44 +209,34 @@ impl OffloadRuntime {
         ];
         let listeners: Vec<_> = ports.iter().map(|p| scif.listen(node, *p)).collect();
         let rt = self.clone();
-        self.inner.proc.spawn_service("acceptor", move || {
-            let mut eps = Vec::new();
-            for l in &listeners {
-                match l.accept() {
-                    Ok(ep) => eps.push(ep),
-                    Err(_) => return,
+        let mut accepted = Vec::new();
+        self.inner.proc.spawn_stepped("acceptor", move || {
+            while accepted.len() < listeners.len() {
+                match listeners[accepted.len()].poll_accept() {
+                    Polled::Wait(w) => return Step::Wait(w),
+                    Polled::Ready(Err(_)) => return Step::Exit,
+                    Polled::Ready(Ok(ep)) => accepted.push(ep),
                 }
             }
             for l in &listeners {
                 l.close();
             }
-            *rt.inner.eps.lock() = Some(Endpoints::new(&eps));
-            rt.start_threads();
+            let eps = Endpoints::new(&accepted);
+            *rt.inner.eps.lock() = Some(eps.clone());
+            rt.start_threads(&eps);
+            Step::Exit
         });
         ports
     }
 
-    fn start_threads(&self) {
+    fn start_threads(&self, eps: &Endpoints) {
+        let proc = &self.inner.proc;
+        proc.spawn_stepped("run-recv", self.run_receiver(eps.run.clone()));
         let rt = self.clone();
-        self.inner
-            .proc
-            .spawn_service("run-recv", move || rt.run_receiver());
-        let rt = self.clone();
-        self.inner
-            .proc
-            .spawn_service("executor", move || rt.executor());
-        let rt = self.clone();
-        self.inner
-            .proc
-            .spawn_service("cmd-server", move || rt.cmd_server());
-        let rt = self.clone();
-        self.inner.proc.spawn_service("log-client", move || {
-            rt.stream_client(true);
-        });
-        let rt = self.clone();
-        self.inner.proc.spawn_service("event-client", move || {
-            rt.stream_client(false);
-        });
+        proc.spawn_service("executor", move || rt.executor());
+        proc.spawn_stepped("cmd-server", self.cmd_server(eps.cmd.clone()));
+        proc.spawn_stepped("log-client", self.stream_client(true, eps.log.clone()));
+        proc.spawn_stepped("event-client", self.stream_client(false, eps.event.clone()));
     }
 
     // ------------------------------------------------------------------
@@ -346,11 +340,9 @@ impl OffloadRuntime {
     // Worker threads
     // ------------------------------------------------------------------
 
-    fn run_receiver(&self) {
-        let Some(ep) = self.inner.eps.lock().as_ref().map(|e| e.run.clone()) else {
-            return;
-        };
-        serve(&ep, RunMsg::decode, |msg| {
+    fn run_receiver(&self, ep: ScifEndpoint) -> impl FnMut() -> Step + Send + 'static {
+        let rt = self.clone();
+        serve_step(ep, RunMsg::decode, move |msg| {
             // Results and errors never flow host → offload.
             if let RunMsg::Request {
                 id,
@@ -359,7 +351,7 @@ impl OffloadRuntime {
                 buffers,
             } = msg
             {
-                let mut st = self.inner.pstate.lock();
+                let mut st = rt.inner.pstate.lock();
                 st.queue.push_back(RunRequest {
                     id,
                     function,
@@ -368,8 +360,9 @@ impl OffloadRuntime {
                 });
                 st.enqueued += 1;
                 drop(st);
-                self.inner.pcv.notify_all();
+                rt.inner.pcv.notify_all();
             }
+            None
         })
     }
 
@@ -507,74 +500,103 @@ impl OffloadRuntime {
         self.enqueue_log(format!("offload function {id} completed").into_bytes());
     }
 
-    fn cmd_server(&self) {
-        let Some(ep) = self.inner.eps.lock().as_ref().map(|e| e.cmd.clone()) else {
-            return;
-        };
+    fn cmd_server(&self, ep: ScifEndpoint) -> impl FnMut() -> Step + Send + 'static {
+        let rt = self.clone();
+        serve_step(ep, CmdMsg::decode, move |msg| {
+            Some(rt.handle_cmd(msg)?.encode())
+        })
+    }
+
+    /// Serve one command; `None` for a message that is no command.
+    fn handle_cmd(&self, msg: CmdMsg) -> Option<CmdMsg> {
         let scif = &self.inner.env.scif;
         let mem = self.inner.proc.memory();
-        serve(&ep, CmdMsg::decode, |msg| {
-            let reply = match msg {
-                CmdMsg::Ping => CmdMsg::Pong,
-                CmdMsg::CreateBuffer { id, size } => {
-                    match mem.map_region(&buf_region(id), Payload::synthetic(0, size)) {
-                        Ok(()) => {
-                            let addr = scif.register(&self.inner.proc, &buf_region(id));
-                            self.inner.buffers.lock().insert(id, BufMeta { size, addr });
-                            self.enqueue_event(format!("buffer:{id}:created").into_bytes());
-                            CmdMsg::BufferCreated {
-                                id,
-                                addr: addr.0,
-                                error: String::new(),
-                            }
-                        }
-                        Err(oom) => CmdMsg::BufferCreated {
+        Some(match msg {
+            CmdMsg::Ping => CmdMsg::Pong,
+            CmdMsg::CreateBuffer { id, size } => {
+                match mem.map_region(&buf_region(id), Payload::synthetic(0, size)) {
+                    Ok(()) => {
+                        let addr = scif.register(&self.inner.proc, &buf_region(id));
+                        self.inner.buffers.lock().insert(id, BufMeta { size, addr });
+                        self.enqueue_event(format!("buffer:{id}:created").into_bytes());
+                        CmdMsg::BufferCreated {
                             id,
-                            addr: 0,
-                            error: oom.to_string(),
-                        },
+                            addr: addr.0,
+                            error: String::new(),
+                        }
                     }
+                    Err(oom) => CmdMsg::BufferCreated {
+                        id,
+                        addr: 0,
+                        error: oom.to_string(),
+                    },
                 }
-                CmdMsg::DestroyBuffer { id } => {
-                    if let Some(meta) = self.inner.buffers.lock().remove(&id) {
-                        scif.unregister(meta.addr);
-                        mem.unmap_region(&buf_region(id))
-                            .expect("buffer table entry implies a backing region");
-                        self.enqueue_event(format!("buffer:{id}:destroyed").into_bytes());
-                    }
-                    CmdMsg::BufferDestroyed { id }
+            }
+            CmdMsg::DestroyBuffer { id } => {
+                if let Some(meta) = self.inner.buffers.lock().remove(&id) {
+                    scif.unregister(meta.addr);
+                    mem.unmap_region(&buf_region(id))
+                        .expect("buffer table entry implies a backing region");
+                    self.enqueue_event(format!("buffer:{id}:destroyed").into_bytes());
                 }
-                // §4.1 case 3 marker: ack and go quiet (the client lock
-                // guarantees nothing follows until resume).
-                CmdMsg::Shutdown => CmdMsg::ShutdownAck,
-                // Replies never arrive at the server.
-                _ => return,
-            };
-            let _ = ep.send(reply.encode());
+                CmdMsg::BufferDestroyed { id }
+            }
+            // §4.1 case 3 marker: ack and go quiet (the client lock
+            // guarantees nothing follows until resume).
+            CmdMsg::Shutdown => CmdMsg::ShutdownAck,
+            // Replies never arrive at the server.
+            _ => return None,
         })
     }
 
     /// Log (`is_log`) or event client: drains the local queue into the
-    /// SCIF channel under the channel's client lock.
-    fn stream_client(&self, is_log: bool) {
-        let i = &self.inner;
-        let (q, lock) = if is_log {
-            (&i.log_q, &i.log_lock)
-        } else {
-            (&i.event_q, &i.event_lock)
-        };
-        while let Ok(rec) = q.recv() {
-            let ep = match i.eps.lock().as_ref() {
-                Some(e) if is_log => e.log.clone(),
-                Some(e) => e.event.clone(),
-                None => return,
+    /// SCIF channel under the channel's client lock. One record at a time
+    /// goes queue → lock (polled, so a terminated process gives up) →
+    /// hook charge → send → unlock.
+    fn stream_client(&self, is_log: bool, ep: ScifEndpoint) -> impl FnMut() -> Step + Send {
+        enum At {
+            Queue,
+            Lock(Vec<u8>),
+            Charged(Vec<u8>),
+            Sending(SendOp),
+        }
+        let rt = self.clone();
+        let mut at = At::Queue;
+        move || {
+            let i = &rt.inner;
+            let (q, lock) = if is_log {
+                (&i.log_q, &i.log_lock)
+            } else {
+                (&i.event_q, &i.event_lock)
             };
-            if !lock.acquire_unless(i.env.config.poll_interval, || self.is_terminated()) {
-                return;
+            loop {
+                match &mut at {
+                    At::Queue => match q.poll_recv() {
+                        Polled::Wait(w) => return Step::Wait(w),
+                        Polled::Ready(Err(_)) => return Step::Exit,
+                        Polled::Ready(Ok(rec)) => at = At::Lock(rec),
+                    },
+                    At::Lock(rec) if lock.try_acquire() => {
+                        at = At::Charged(std::mem::take(rec));
+                        if let Some(cost) = i.env.config.hook_charge() {
+                            return Step::Wait(Wait::sleep(cost));
+                        }
+                    }
+                    At::Lock(_) if rt.is_terminated() => return Step::Exit,
+                    At::Lock(_) => return Step::Wait(Wait::sleep(i.env.config.poll_interval)),
+                    At::Charged(rec) => {
+                        let record = StreamMsg::Record(std::mem::take(rec));
+                        at = At::Sending(ep.begin_send(record.encode()));
+                    }
+                    At::Sending(op) => match ep.poll_send(op) {
+                        Polled::Wait(w) => return Step::Wait(w),
+                        Polled::Ready(_) => {
+                            lock.release();
+                            at = At::Queue;
+                        }
+                    },
+                }
             }
-            i.env.config.charge_hook();
-            let _ = ep.send(StreamMsg::Record(rec).encode());
-            lock.release();
         }
     }
 

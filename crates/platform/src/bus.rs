@@ -16,7 +16,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use simkernel::{obs, BandwidthResource, SimDuration};
+use simkernel::{block_on, obs, BandwidthResource, Polled, SimDuration, SimTime, Wait};
 
 use crate::fault::{FaultHook, FaultKind, FaultPlane, FaultTarget};
 use crate::node::NodeId;
@@ -79,36 +79,59 @@ impl PcieLink {
         self.inner.device
     }
 
-    /// Consume a due bus fault, paying its cost on `res`: a CRC error
-    /// replays the transfer once at link level (the PCIe contract —
-    /// callers never see it, only the latency); a delay spike stalls.
-    /// Returns the extra time paid.
-    fn fault_penalty(&self, res: &BandwidthResource, bytes: u64) -> SimDuration {
-        match self.inner.faults.take() {
-            Some(FaultKind::BusError) => {
-                obs::counter_add("chaos.bus.replays", 1);
-                res.transfer(bytes)
-            }
-            Some(FaultKind::BusDelay(d)) => {
-                obs::counter_add("chaos.bus.delays", 1);
-                simkernel::sleep(d);
-                d
-            }
-            _ => SimDuration::ZERO,
-        }
-    }
-
     /// Perform an RDMA transfer of `bytes` (blocks for the DMA time).
     pub fn rdma_transfer(&self, bytes: u64) -> SimDuration {
-        let penalty = self.fault_penalty(&self.inner.rdma, bytes);
-        self.inner.rdma.transfer(bytes) + penalty
+        let mut op = LinkTransfer::new(bytes);
+        block_on(|| self.poll_transfer(&self.inner.rdma, &mut op))
     }
 
     /// Send a message of `bytes` over the message path (blocks for the
     /// wire time; delivery latency is handled by the channel layer).
     pub fn message_transfer(&self, bytes: u64) -> SimDuration {
-        let penalty = self.fault_penalty(&self.inner.msg, bytes);
-        self.inner.msg.transfer(bytes) + penalty
+        let mut op = LinkTransfer::new(bytes);
+        block_on(|| self.poll_message_transfer(&mut op))
+    }
+
+    /// The non-blocking core of [`PcieLink::message_transfer`]: advance
+    /// `op` as far as it goes without waiting. `Ready` carries the time the
+    /// transfer took, fault included.
+    pub fn poll_message_transfer(&self, op: &mut LinkTransfer) -> Polled<SimDuration> {
+        self.poll_transfer(&self.inner.msg, op)
+    }
+
+    /// One transfer on `res`, resumable at each point it waits. First a
+    /// due bus fault is consumed and paid for: a CRC error replays the
+    /// transfer once at link level (the PCIe contract — callers never see
+    /// it, only the latency); a delay spike stalls. Then the transfer
+    /// itself occupies the resource; then it is over.
+    fn poll_transfer(&self, res: &BandwidthResource, op: &mut LinkTransfer) -> Polled<SimDuration> {
+        loop {
+            let until = match op.stage {
+                Stage::Fault => {
+                    op.stage = Stage::Transfer;
+                    match self.inner.faults.take() {
+                        Some(FaultKind::BusError) => {
+                            obs::counter_add("chaos.bus.replays", 1);
+                            res.schedule(op.bytes)
+                        }
+                        Some(FaultKind::BusDelay(d)) => {
+                            obs::counter_add("chaos.bus.delays", 1);
+                            return Polled::Wait(Wait::sleep(d));
+                        }
+                        _ => continue,
+                    }
+                }
+                Stage::Transfer => {
+                    op.stage = Stage::Done;
+                    res.schedule(op.bytes)
+                }
+                Stage::Done => return Polled::Ready(simkernel::now() - op.started),
+            };
+            let now = simkernel::now();
+            if until > now {
+                return Polled::Wait(Wait::sleep(until - now));
+            }
+        }
     }
 
     /// One-way small-message latency of this link.
@@ -124,6 +147,36 @@ impl PcieLink {
     /// Cost-model query: RDMA time for `bytes`, ignoring queueing.
     pub fn rdma_time(&self, bytes: u64) -> SimDuration {
         self.inner.rdma.service_time(bytes)
+    }
+}
+
+/// One transfer over a [`PcieLink`] in progress: what
+/// [`PcieLink::poll_message_transfer`] resumes.
+pub struct LinkTransfer {
+    bytes: u64,
+    started: SimTime,
+    stage: Stage,
+}
+
+/// What a [`LinkTransfer`] does next.
+enum Stage {
+    /// Consume a due bus fault and pay for it (a replay, or a stall).
+    Fault,
+    /// Occupy the link for the transfer proper.
+    Transfer,
+    /// Nothing: report the time taken.
+    Done,
+}
+
+impl LinkTransfer {
+    /// A transfer of `bytes` starting now (callable only from a simulated
+    /// thread).
+    pub fn new(bytes: u64) -> LinkTransfer {
+        LinkTransfer {
+            bytes,
+            started: simkernel::now(),
+            stage: Stage::Fault,
+        }
     }
 }
 

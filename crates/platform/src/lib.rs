@@ -36,7 +36,7 @@ pub mod node;
 pub mod params;
 pub mod server;
 
-pub use bus::PcieLink;
+pub use bus::{LinkTransfer, PcieLink};
 pub use data::{Payload, Segment};
 pub use domains::{cluster_lookahead, DomainPlacement};
 pub use fault::{FaultEntry, FaultKind, FaultPlane, FaultSchedule, FaultTarget};

@@ -29,9 +29,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use phi_platform::{NodeId, Payload, PhiServer};
+use phi_platform::{LinkTransfer, NodeId, Payload, PhiServer};
 use simkernel::obs;
-use simkernel::{RecvError, SimChannel, SimDuration, SimMutex};
+use simkernel::{block_on, Polled, SimChannel, SimDuration, SimMutex};
 use simproc::SimProcess;
 
 pub mod cluster;
@@ -377,7 +377,12 @@ pub struct ScifListener {
 impl ScifListener {
     /// Accept the next incoming connection (blocking).
     pub fn accept(&self) -> Result<ScifEndpoint, ScifError> {
-        self.backlog.recv().map_err(|_| ScifError::Closed)
+        block_on(|| self.poll_accept())
+    }
+
+    /// The non-blocking core of [`ScifListener::accept`].
+    pub fn poll_accept(&self) -> Polled<Result<ScifEndpoint, ScifError>> {
+        or_closed(self.backlog.poll_recv())
     }
 
     /// The `(node, port)` this listener is bound to.
@@ -397,6 +402,20 @@ impl ScifListener {
     }
 }
 
+/// A [`ScifEndpoint::send`] in progress (see [`ScifEndpoint::begin_send`]).
+pub struct SendOp {
+    msg: Option<Payload>,
+    wire: LinkTransfer,
+}
+
+/// A closed queue underneath is a closed connection.
+fn or_closed<T, E>(polled: Polled<Result<T, E>>) -> Polled<Result<T, ScifError>> {
+    match polled {
+        Polled::Ready(r) => Polled::Ready(r.map_err(|_| ScifError::Closed)),
+        Polled::Wait(w) => Polled::Wait(w),
+    }
+}
+
 /// One end of a SCIF connection.
 #[derive(Clone)]
 pub struct ScifEndpoint {
@@ -412,29 +431,49 @@ impl ScifEndpoint {
     /// Send a message (`scif_send`): occupies the link's message path for
     /// the wire time, then delivers after the link latency.
     pub fn send(&self, msg: Payload) -> Result<(), ScifError> {
+        let mut op = self.begin_send(msg);
+        block_on(|| self.poll_send(&mut op))
+    }
+
+    /// Start sending `msg`: the send is counted here and carried out by
+    /// [`ScifEndpoint::poll_send`].
+    pub fn begin_send(&self, msg: Payload) -> SendOp {
         let bytes = msg.len().max(1);
         obs::counter_add("scif.bytes_sent", bytes);
         obs::counter_add("scif.msgs_sent", 1);
-        if self.local != self.peer {
-            self.scif
-                .inner
-                .server
-                .link_between(self.local, self.peer)
-                .message_transfer(bytes);
+        SendOp {
+            msg: Some(msg),
+            wire: LinkTransfer::new(bytes),
         }
-        self.tx.send(msg).map_err(|_| ScifError::Closed)
+    }
+
+    /// The non-blocking core of [`ScifEndpoint::send`]: occupy the link
+    /// (unless the peer is on this node), then queue the message for
+    /// delivery. Not to be called again on an `op` that was `Ready`.
+    pub fn poll_send(&self, op: &mut SendOp) -> Polled<Result<(), ScifError>> {
+        if self.local != self.peer {
+            let link = self.scif.inner.server.link_between(self.local, self.peer);
+            if let Polled::Wait(w) = link.poll_message_transfer(&mut op.wire) {
+                return Polled::Wait(w);
+            }
+        }
+        let msg = op.msg.take().expect("send already complete");
+        // The connection's queues are unbounded: only a close refuses.
+        Polled::Ready(self.tx.try_send(msg).map_err(|_| ScifError::Closed))
     }
 
     /// Receive the next message (`scif_recv`), blocking.
     pub fn recv(&self) -> Result<Payload, ScifError> {
-        let msg = self.rx.recv().map_err(|_: RecvError| ScifError::Closed)?;
-        obs::counter_add("scif.bytes_recv", msg.len().max(1));
-        Ok(msg)
+        block_on(|| self.poll_recv())
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Payload> {
-        self.rx.try_recv()
+    /// The non-blocking core of [`ScifEndpoint::recv`].
+    pub fn poll_recv(&self) -> Polled<Result<Payload, ScifError>> {
+        let polled = or_closed(self.rx.poll_recv());
+        if let Polled::Ready(Ok(msg)) = &polled {
+            obs::counter_add("scif.bytes_recv", msg.len().max(1));
+        }
+        polled
     }
 
     /// RDMA-write `data` into the window at `addr` starting at `offset`

@@ -20,8 +20,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::kernel::{current, with_current, BlockReason, Tid};
+use crate::kernel::{current, with_current, Kernel, Tid};
 use crate::time::{SimDuration, SimTime};
+use crate::wait::{block_on, Polled, Wait};
 
 /// Error returned by [`SimChannel::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +64,7 @@ struct ChanState<T> {
 }
 
 struct ChanInner<T> {
-    name: String,
+    name: Arc<str>,
     state: Mutex<ChanState<T>>,
     capacity: Option<usize>,
     latency: SimDuration,
@@ -111,7 +112,7 @@ impl<T: Send + 'static> SimChannel<T> {
     ) -> SimChannel<T> {
         SimChannel {
             inner: Arc::new(ChanInner {
-                name: name.into(),
+                name: name.into().into(),
                 state: Mutex::new(ChanState {
                     queue: VecDeque::new(),
                     recv_waiters: VecDeque::new(),
@@ -154,10 +155,7 @@ impl<T: Send + 'static> SimChannel<T> {
                 }
                 st.send_waiters.push_back(me);
             }
-            kernel.block(
-                me,
-                BlockReason::named_with("channel", &self.inner.name, " full"),
-            );
+            kernel.wait(me, Wait::on("channel", &self.inner.name, " full"));
         }
     }
 
@@ -193,69 +191,53 @@ impl<T: Send + 'static> SimChannel<T> {
     /// Receive a message, blocking in virtual time until one is available
     /// (and, with latency, until it has *arrived*).
     pub fn recv(&self) -> Result<T, RecvError> {
-        let (kernel, me) = current();
-        loop {
-            let wait_until = {
-                let mut st = self.inner.state.lock().unwrap();
-                match st.queue.front() {
-                    Some((ready_at, _)) if *ready_at <= kernel.now() => {
-                        let (_, v) = st.queue.pop_front().unwrap();
-                        st.received += 1;
-                        let waiter = st.send_waiters.pop_front();
-                        drop(st);
-                        if let Some(w) = waiter {
-                            kernel.make_runnable(w);
-                        }
-                        return Ok(v);
-                    }
-                    Some((ready_at, _)) => Some(*ready_at),
-                    None => {
-                        if st.closed {
-                            return Err(RecvError::Closed);
-                        }
-                        st.recv_waiters.push_back(me);
-                        None
-                    }
+        block_on(|| self.poll_recv())
+    }
+
+    /// The non-blocking core of [`SimChannel::recv`]: the next message if
+    /// one has arrived, `Closed` on a closed and empty channel; otherwise
+    /// what to wait for — the front message's arrival time, or (with the
+    /// caller registered as a receiver) a sender's wake-up.
+    pub fn poll_recv(&self) -> Polled<Result<T, RecvError>> {
+        with_current(|kernel, me| {
+            let mut st = self.inner.state.lock().unwrap();
+            if let Some(v) = self.pop_arrived(&mut st, kernel) {
+                return Polled::Ready(Ok(v));
+            }
+            let name = &self.inner.name;
+            match st.queue.front() {
+                Some((ready_at, _)) => {
+                    Polled::Wait(Wait::on("channel", name, " latency").until(*ready_at))
                 }
-            };
-            match wait_until {
-                Some(deadline) => {
-                    kernel.block_until(
-                        me,
-                        deadline,
-                        BlockReason::named_with("channel", &self.inner.name, " latency"),
-                    );
-                }
+                None if st.closed => Polled::Ready(Err(RecvError::Closed)),
                 None => {
-                    kernel.block(
-                        me,
-                        BlockReason::named_with("channel", &self.inner.name, " empty"),
-                    );
+                    st.recv_waiters.push_back(me);
+                    Polled::Wait(Wait::on("channel", name, " empty"))
                 }
             }
-        }
+        })
     }
 
     /// Receive without blocking. `None` if nothing has arrived yet.
     /// Never takes the scheduler lock unless a blocked sender must be
     /// woken.
     pub fn try_recv(&self) -> Option<T> {
-        with_current(|kernel, _| {
-            let mut st = self.inner.state.lock().unwrap();
-            match st.queue.front() {
-                Some((ready_at, _)) if *ready_at <= kernel.now() => {
-                    let (_, v) = st.queue.pop_front().unwrap();
-                    st.received += 1;
-                    let waiter = st.send_waiters.pop_front();
-                    drop(st);
-                    if let Some(w) = waiter {
-                        kernel.make_runnable(w);
-                    }
-                    Some(v)
-                }
-                _ => None,
-            }
-        })
+        with_current(|kernel, _| self.pop_arrived(&mut self.inner.state.lock().unwrap(), kernel))
+    }
+
+    /// Pop the front message if it has arrived, waking a sender blocked on
+    /// the slot it frees.
+    fn pop_arrived(&self, st: &mut ChanState<T>, kernel: &Kernel) -> Option<T> {
+        match st.queue.front() {
+            Some((ready_at, _)) if *ready_at <= kernel.now() => {}
+            _ => return None,
+        }
+        let (_, v) = st.queue.pop_front()?;
+        st.received += 1;
+        if let Some(w) = st.send_waiters.pop_front() {
+            kernel.make_runnable(w);
+        }
+        Some(v)
     }
 
     /// Close the channel: pending messages remain receivable; new sends

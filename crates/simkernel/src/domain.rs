@@ -80,10 +80,11 @@ use std::thread;
 
 use crate::channel::{RecvError, SendError};
 use crate::kernel::{
-    current, push_flight_tail, splitmix64, with_current, BlockReason, Kernel, SchedPolicy,
-    StepOutcome, Tid, TraceEvent,
+    current, push_flight_tail, splitmix64, with_current, Kernel, SchedPolicy, StepOutcome, Tid,
+    TraceEvent,
 };
 use crate::time::{SimDuration, SimTime};
+use crate::wait::Wait;
 
 /// Identifier of a time domain (dense, starting at 0).
 pub type DomainId = u32;
@@ -275,7 +276,7 @@ impl MultiKernel {
             "cross-domain port delay must be >= the lookahead"
         );
         let inner = Arc::new(PortInner {
-            name: name.into(),
+            name: name.into().into(),
             state: Mutex::new(PortState {
                 queue: VecDeque::new(),
                 waiters: Vec::new(),
@@ -588,7 +589,7 @@ struct PortState<T> {
 }
 
 struct PortInner<T> {
-    name: String,
+    name: Arc<str>,
     state: Mutex<PortState<T>>,
 }
 
@@ -733,19 +734,8 @@ impl<T: Send + 'static> PortRx<T> {
                 }
             };
             match wait_until {
-                Some(at) => {
-                    k.block_until(
-                        me,
-                        at,
-                        BlockReason::named_with("port", &self.inner.name, " latency"),
-                    );
-                }
-                None => {
-                    k.block(
-                        me,
-                        BlockReason::named_with("port", &self.inner.name, " empty"),
-                    );
-                }
+                Some(at) => k.wait(me, Wait::on("port", &self.inner.name, " latency").until(at)),
+                None => k.wait(me, Wait::on("port", &self.inner.name, " empty")),
             }
         }
     }
@@ -797,10 +787,9 @@ impl<T: Send + 'static> PortRx<T> {
                     }
                 }
             };
-            k.block_until(
+            k.wait(
                 me,
-                wait_until,
-                BlockReason::named_with("port", &self.inner.name, " timed"),
+                Wait::on("port", &self.inner.name, " timed").until(wait_until),
             );
         }
     }

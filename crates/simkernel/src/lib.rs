@@ -13,7 +13,9 @@
 //! * [`SimChannel`] — message channels with latency, capacity, and an
 //!   observable *drained* predicate;
 //! * [`BandwidthResource`] — FIFO-serialized transports with
-//!   latency + bandwidth cost models (PCIe links, disks).
+//!   latency + bandwidth cost models (PCIe links, disks);
+//! * [`Kernel::spawn_stepped`] and the `poll_*` cores of the primitives
+//!   ([`wait`]) — services that run on the dispatcher, with no OS thread.
 //!
 //! ## Example
 //!
@@ -48,6 +50,7 @@ pub mod kernel;
 pub mod resource;
 pub mod sync;
 pub mod time;
+pub mod wait;
 
 /// Deterministic observability: typed spans, metrics, and trace/summary
 /// exporters, stamped with this kernel's virtual clock.
@@ -72,3 +75,4 @@ pub use kernel::{
 pub use resource::{Bandwidth, BandwidthResource};
 pub use sync::{Barrier, Semaphore, SimCondvar, SimMutex, SimMutexGuard};
 pub use time::{ms, secs, us, SimDuration, SimTime};
+pub use wait::{block_on, Polled, Step, Wait};

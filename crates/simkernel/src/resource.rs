@@ -108,21 +108,11 @@ impl BandwidthResource {
     pub fn transfer_with_extra(&self, bytes: u64, extra: SimDuration) -> SimDuration {
         let (kernel, _) = current();
         let start = kernel.now();
-        let completion = {
-            let mut st = self.inner.state.lock();
-            let begin = st.available_at.max(start);
-            let service = self.inner.per_op_latency + self.inner.bandwidth.time_for(bytes) + extra;
-            let completion = begin + service;
-            st.available_at = completion;
-            st.total_bytes += bytes;
-            st.total_ops += 1;
-            completion
-        };
-        // The SimMutex queue makes contending users FIFO; the sleep below
-        // then charges each its own completion time.
-        let now = kernel.now();
-        if completion > now {
-            kernel.sleep(completion - now);
+        let completion = self.occupy(bytes, extra);
+        // Users are served in the order they occupied the resource; the
+        // sleep below then charges each its own completion time.
+        if completion > start {
+            kernel.sleep(completion - start);
         }
         kernel.now() - start
     }
@@ -138,15 +128,20 @@ impl BandwidthResource {
     /// in the background). Returns the virtual time at which the scheduled
     /// operation will complete.
     pub fn schedule(&self, bytes: u64) -> SimTime {
-        let (kernel, _) = current();
-        let now = kernel.now();
+        self.occupy(bytes, SimDuration::ZERO)
+    }
+
+    /// The one place the resource is occupied: queue one operation of
+    /// `bytes` (plus `extra` service time) behind whatever is scheduled
+    /// and return its completion time.
+    fn occupy(&self, bytes: u64, extra: SimDuration) -> SimTime {
         let mut st = self.inner.state.lock();
-        let begin = st.available_at.max(now);
-        let completion = begin + self.inner.per_op_latency + self.inner.bandwidth.time_for(bytes);
-        st.available_at = completion;
+        let begin = st.available_at.max(crate::kernel::now());
+        let service = self.inner.per_op_latency + self.inner.bandwidth.time_for(bytes) + extra;
+        st.available_at = begin + service;
         st.total_bytes += bytes;
         st.total_ops += 1;
-        completion
+        st.available_at
     }
 
     /// Block until all scheduled work has completed (an `fsync`).

@@ -19,7 +19,8 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::kernel::{current, current_tid, with_current, BlockReason, Tid};
+use crate::kernel::{current, current_tid, with_current, Tid};
+use crate::wait::{wait, Wait};
 
 #[derive(Default)]
 struct MutexState {
@@ -33,7 +34,7 @@ struct MutexState {
 /// longest-waiting thread, which both guarantees fairness and keeps the
 /// simulation deterministic.
 pub struct SimMutex<T> {
-    name: String,
+    name: Arc<str>,
     state: Mutex<MutexState>,
     data: Mutex<T>,
 }
@@ -42,7 +43,7 @@ impl<T> SimMutex<T> {
     /// Create a named mutex. The name appears in deadlock dumps.
     pub fn new(name: impl Into<String>, value: T) -> SimMutex<T> {
         SimMutex {
-            name: name.into(),
+            name: name.into().into(),
             state: Mutex::new(MutexState::default()),
             data: Mutex::new(value),
         }
@@ -70,7 +71,7 @@ impl<T> SimMutex<T> {
                 st.waiters.push_back(me);
             }
             let (kernel, _) = current();
-            kernel.block(me, BlockReason::named("mutex", &self.name));
+            kernel.wait(me, Wait::on("mutex", &self.name, ""));
             // On wake-up, unlock() has already transferred ownership to us.
             let st = self.state.lock().unwrap();
             if st.owner == Some(me) {
@@ -99,27 +100,6 @@ impl<T> SimMutex<T> {
         } else {
             None
         }
-    }
-
-    /// Whether the mutex is currently held.
-    pub fn is_locked(&self) -> bool {
-        self.state.lock().unwrap().owner.is_some()
-    }
-
-    /// Read the protected value without acquiring the simulated lock:
-    /// `Some(f(&value))` if no simulated thread holds it, `None` if one
-    /// does. Never blocks and never touches the scheduler, and — unlike
-    /// [`SimMutex::try_lock`] — does not need a simulated-thread context,
-    /// so a [`crate::Kernel::sleep_poll`] predicate may call it. `f` must
-    /// not use the mutex.
-    pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let st = self.state.lock().unwrap();
-        if st.owner.is_some() {
-            return None;
-        }
-        // Holding `state` keeps `lock`/`try_lock` out while `f` reads.
-        let data = self.data.lock().unwrap();
-        Some(f(&data))
     }
 
     fn unlock(&self) {
@@ -179,7 +159,7 @@ impl<T> Drop for SimMutexGuard<'_, T> {
 
 /// A condition variable that blocks in virtual time. Pair with [`SimMutex`].
 pub struct SimCondvar {
-    name: String,
+    name: Arc<str>,
     waiters: Mutex<VecDeque<Tid>>,
 }
 
@@ -187,7 +167,7 @@ impl SimCondvar {
     /// Create a named condition variable.
     pub fn new(name: impl Into<String>) -> SimCondvar {
         SimCondvar {
-            name: name.into(),
+            name: name.into().into(),
             waiters: Mutex::new(VecDeque::new()),
         }
     }
@@ -197,12 +177,18 @@ impl SimCondvar {
     /// single-token discipline: no other simulated thread can run between
     /// the release and the block.
     pub fn wait<'a, T>(&self, guard: SimMutexGuard<'a, T>) -> SimMutexGuard<'a, T> {
-        let (kernel, me) = current();
         let mutex = guard.mutex;
-        self.waiters.lock().unwrap().push_back(me);
-        drop(guard);
-        kernel.block(me, BlockReason::named("condvar", &self.name));
+        wait(self.park(guard));
         mutex.lock()
+    }
+
+    /// The non-blocking core of [`SimCondvar::wait`]: register the caller
+    /// for a notification, release `guard`'s mutex, and say what to wait
+    /// for. Once woken, the caller re-acquires the mutex itself.
+    pub fn park<T>(&self, guard: SimMutexGuard<'_, T>) -> Wait {
+        self.waiters.lock().unwrap().push_back(current_tid());
+        drop(guard);
+        Wait::on("condvar", &self.name, "")
     }
 
     /// Wait with a predicate: loops until `pred` is true.
@@ -386,21 +372,6 @@ mod tests {
     use crate::kernel::{now, sleep, spawn, Kernel};
     use crate::time::{ms, SimTime};
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn peek_reads_a_free_mutex_and_refuses_a_held_one() {
-        let m = Arc::new(SimMutex::new("m", 7u64));
-        // No simulated-thread context needed.
-        assert_eq!(m.peek(|v| *v + 1), Some(8));
-        let m2 = Arc::clone(&m);
-        Kernel::run_root(move || {
-            let g = m2.lock();
-            assert_eq!(m2.peek(|v| *v), None);
-            drop(g);
-            assert_eq!(m2.peek(|v| *v), Some(7));
-            assert!(!m2.is_locked(), "peek must not take the lock");
-        });
-    }
 
     #[test]
     fn mutex_provides_exclusion_in_virtual_time() {

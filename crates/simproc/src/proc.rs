@@ -19,7 +19,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use phi_platform::{MemPool, OutOfMemory, Payload, SimNode};
-use simkernel::{JoinHandle, SimCondvar, SimMutex};
+use simkernel::{block_on, JoinHandle, Polled, SimCondvar, SimMutex, Step};
 
 /// Process identifier, unique within one simulated world.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -359,6 +359,15 @@ impl SimProcess {
         kernel.spawn_daemon(format!("{}:{}", self.inner.name, name), f)
     }
 
+    /// Spawn a service of this process as a *stepped* thread: no OS thread,
+    /// `step` runs on the dispatcher each time the service's turn comes
+    /// (see [`simkernel::Kernel::spawn_stepped`]). For a service whose
+    /// body never blocks between one wait and the next.
+    pub fn spawn_stepped(&self, name: &str, step: impl FnMut() -> Step + Send + 'static) {
+        let (kernel, _) = simkernel::current();
+        kernel.spawn_stepped(format!("{}:{}", self.inner.name, name), true, step);
+    }
+
     /// Whether the process is still alive.
     pub fn is_alive(&self) -> bool {
         *self.inner.alive.lock()
@@ -380,9 +389,16 @@ impl SimProcess {
     /// Block until the process exits (used by the COI daemon to monitor
     /// its processes).
     pub fn wait_exit(&self) {
-        let mut alive = self.inner.alive.lock();
-        while *alive {
-            alive = self.inner.exit_cv.wait(alive);
+        block_on(|| self.poll_wait_exit());
+    }
+
+    /// The non-blocking core of [`SimProcess::wait_exit`]: `Ready` once
+    /// the process has exited.
+    pub fn poll_wait_exit(&self) -> Polled<()> {
+        let alive = self.inner.alive.lock();
+        match *alive {
+            true => Polled::Wait(self.inner.exit_cv.park(alive)),
+            false => Polled::Ready(()),
         }
     }
 }
