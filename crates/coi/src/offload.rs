@@ -188,11 +188,15 @@ impl OffloadRuntime {
                 proc,
             }),
         };
-        // The Snapify signal spawns the pipe handler (Fig 3 step 2).
-        let rt2 = rt.clone();
-        rt.inner
-            .signals
-            .register(signum::SIGSNAPIFY, move || rt2.spawn_pipe_handler(false));
+        // The Snapify signal spawns the pipe handler (Fig 3 step 2). The
+        // table lives in the runtime, so the handler holds it weakly: a
+        // strong clone is a cycle, and the process outlives its termination.
+        let weak = Arc::downgrade(&rt.inner);
+        rt.inner.signals.register(signum::SIGSNAPIFY, move || {
+            if let Some(inner) = weak.upgrade() {
+                OffloadRuntime { inner }.spawn_pipe_handler(false);
+            }
+        });
         rt
     }
 
@@ -958,4 +962,69 @@ fn read_all(storage: &dyn SnapshotStorage, node: NodeId, path: &str) -> Result<P
         out.append(chunk);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msgs::CtlMsg;
+    use crate::{CoiConfig, CoiWorld, DirectStorage, FunctionRegistry};
+    use phi_platform::{PhiServer, MB};
+    use simkernel::{ms, sleep, Kernel};
+    use std::sync::Weak;
+
+    /// Boot a world, create one offload process and hand back a weak
+    /// reference to its runtime.
+    fn launch() -> (CoiWorld, crate::CoiProcessHandle, Weak<Inner>) {
+        let server = PhiServer::default_server();
+        let registry = FunctionRegistry::new();
+        registry.register(DeviceBinary::new("test.so", 2 * MB, 16 * MB));
+        let storage = Arc::new(DirectStorage::new(&server));
+        let w = CoiWorld::boot(&server, CoiConfig::default(), registry, storage);
+        let host = w.create_host_process("app");
+        let h = w.create_process(&host, 0, "test.so").unwrap();
+        let rt = Arc::downgrade(&w.daemon(0).runtime(h.pid()).unwrap().inner);
+        (w, h, rt)
+    }
+
+    #[test]
+    fn a_destroyed_process_drops_its_runtime() {
+        Kernel::run_root(|| {
+            let (_w, h, rt) = launch();
+            assert!(rt.upgrade().is_some());
+            h.destroy().unwrap();
+            sleep(ms(10)); // its threads drain
+            assert!(rt.upgrade().is_none(), "the runtime outlived its process");
+        });
+    }
+
+    #[test]
+    fn a_swapped_out_process_drops_its_runtime() {
+        Kernel::run_root(|| {
+            let (_w, h, rt) = launch();
+            let (pid, path) = (h.pid(), "/snap/swap".to_string());
+            h.snapify_drain_host().unwrap();
+            let pause = CtlMsg::SnapifyPause {
+                pid,
+                path: path.clone(),
+            };
+            let paused = h.snapify_call(pause).unwrap();
+            assert!(matches!(paused, CtlMsg::SnapifyPauseComplete { ok: true }));
+            let terminate = true;
+            h.snapify_send_ctl(CtlMsg::SnapifyCapture {
+                pid,
+                path,
+                terminate,
+            })
+            .unwrap();
+            let captured = h.snapify_await_capture().unwrap();
+            assert!(matches!(
+                captured,
+                CtlMsg::SnapifyCaptureComplete { ok: true, .. }
+            ));
+            h.snapify_detach();
+            sleep(ms(10));
+            assert!(rt.upgrade().is_none(), "the runtime outlived its process");
+        });
+    }
 }

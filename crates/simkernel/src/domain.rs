@@ -448,6 +448,12 @@ impl MultiKernel {
             }
             panic!("simulation failed: {msg}");
         }
+        // A clean end: every domain frees its world — here and not in
+        // `step_until`, so none is torn down while another still runs.
+        let torn = (self.shared.kernels.iter()).filter_map(|k| k.teardown());
+        if let Some(msg) = torn.reduce(|first, _| first) {
+            panic!("simulation failed: {msg}");
+        }
     }
 
     /// Merged event trace: every domain's trace (drained), ordered by

@@ -4,7 +4,8 @@
 //!
 //! Every *simulated thread* runs on a real OS thread (a *worker*, which
 //! runs one simulated thread at a time and is handed the next one to be
-//! spawned when its current one finishes) — or, if it is a *stepped
+//! spawned when its current one finishes; `worker.rs` is that half of the
+//! kernel) — or, if it is a *stepped
 //! service* (below), on whichever OS thread is dispatching — but **exactly
 //! one simulated thread executes at any moment**. A single "token" is handed from thread to
 //! thread by the scheduler: a thread runs until it performs a blocking
@@ -59,9 +60,11 @@
 //!   costs no syscall and OS threads are bounded by the peak number of
 //!   simulated threads alive at once, not by the number ever spawned. When
 //!   the run ends the driver has the idle workers exit, joining each before
-//!   it releases the next. Workers are named `sim-worker-{n}`: dumps and the
-//!   `thread '…' panicked` failure carry the *simulated* thread's name,
-//!   std's own panic-hook line the worker's.
+//!   it releases the next — after a clean run, first dropping the steps and
+//!   unwinding the parked stacks of the threads that never finished
+//!   (`worker.rs`, "Teardown"). Workers are named `sim-worker-{n}`: dumps
+//!   and the `thread '…' panicked` failure carry the *simulated* thread's
+//!   name, std's own panic-hook line the worker's.
 //! * **Slab thread table.** `Tid`s are dense and monotonically assigned,
 //!   so thread metadata lives in a `Vec` indexed by `tid - 1`, not a
 //!   `HashMap` (no hashing on every dispatch).
@@ -112,12 +115,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 use crate::time::{SimDuration, SimTime};
 use crate::wait::{Step, StepFn, Wait};
+
+#[path = "worker.rs"]
+mod worker;
+use worker::{join_released, Job, SlotState, Worker};
 
 /// Identifier of a simulated thread.
 pub type Tid = u32;
@@ -209,122 +217,11 @@ enum TState {
     Finished,
 }
 
-/// A worker's private parking spot. A grant signals it to hand over the
-/// token; nothing else ever waits on it, so a grant wakes exactly one OS
-/// thread. The state is sticky: a grant that arrives before the owner is
-/// back in [`Slot::wait`] — the granter signals *after* releasing the
-/// scheduler lock, so on a second CPU the grantee can run, wake the
-/// granter and block again first — is found there when the owner parks.
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// No grant pending; the owner parks here.
-    Parked,
-    /// The scheduler granted the token; the owner should run.
-    Granted,
-    /// The simulation is over (completed or aborted); park forever.
-    Shutdown,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            state: Mutex::new(SlotState::Parked),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Hand the token to this slot's owner. Wakes at most one OS thread,
-    /// and only after the slot mutex is free again, so the woken thread
-    /// does not run straight into it. Never called under the scheduler
-    /// lock on the hand-off path (see [`Kernel::park`]).
-    fn grant(&self) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(*st != SlotState::Granted, "double grant");
-        if *st != SlotState::Shutdown {
-            *st = SlotState::Granted;
-        }
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    /// Tell the owner the simulation is over; it parks forever.
-    fn shutdown(&self) {
-        *self.state.lock().unwrap() = SlotState::Shutdown;
-        self.cv.notify_one();
-    }
-
-    /// Park until granted. On shutdown, never returns (parks the OS
-    /// thread forever: unwinding through arbitrary user code would run
-    /// destructors, which may touch the scheduler, concurrently with
-    /// other aborting threads).
-    fn wait(&self) {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            match *st {
-                SlotState::Granted => {
-                    *st = SlotState::Parked;
-                    return;
-                }
-                SlotState::Shutdown => {
-                    drop(st);
-                    loop {
-                        thread::park();
-                    }
-                }
-                SlotState::Parked => st = self.cv.wait(st).unwrap(),
-            }
-        }
-    }
-}
-
-/// An OS thread that runs simulated threads, one after another: when a
-/// simulated thread's closure returns, its worker goes onto the kernel's
-/// idle list ([`Sched::idle`]) instead of exiting, and the next
-/// [`Kernel::spawn`] hands it the new thread — no `clone`, no stack
-/// `mmap`/`munmap`, and no wake-up until that thread's first grant.
-struct Worker {
-    slot: Slot,
-    /// The simulated thread to run at the next grant, left here by
-    /// `spawn_inner`. A grant that finds it empty is the end-of-run
-    /// release of an idle worker: the OS thread exits.
-    job: Mutex<Option<Job>>,
-    /// This OS thread's handle, for the driver to join after the release.
-    os: Mutex<Option<thread::JoinHandle<()>>>,
-}
-
 /// What a spawned simulated thread runs: a closure on a worker OS thread
-/// (wrapped to store its result in the [`JoinHandle`]; returns the panic
-/// message if it panicked), or a step on the dispatcher.
+/// (see [`Job`]), or a step on the dispatcher.
 enum Body {
-    Thread(Box<dyn FnOnce() -> Option<String> + Send>),
+    Thread(Box<dyn FnOnce() -> thread::Result<()> + Send>),
     Step(StepFn),
-}
-
-/// What `spawn_inner` leaves in a worker's mailbox.
-struct Job {
-    tid: Tid,
-    body: Box<dyn FnOnce() -> Option<String> + Send>,
-}
-
-impl Worker {
-    /// The life of a worker OS thread: park until granted, run the
-    /// simulated thread found in the mailbox, go idle, repeat.
-    fn main(self: Arc<Worker>, kernel: Kernel) {
-        loop {
-            self.slot.wait();
-            let Some(job) = self.job.lock().unwrap().take() else {
-                return;
-            };
-            CTX.with(|c| *c.borrow_mut() = Some((kernel.clone(), job.tid)));
-            let panic_msg = (job.body)();
-            kernel.thread_exit(job.tid, panic_msg);
-        }
-    }
 }
 
 struct ThreadInfo {
@@ -364,7 +261,6 @@ struct Sched {
     running: Option<Tid>,
     live: usize,
     done: bool,
-    shutdown: bool,
     failure: Option<String>,
     trace: Trace,
     /// Workers whose simulated thread has exited, most recent last: the
@@ -427,6 +323,8 @@ struct Inner {
     driver_cv: Condvar,
     /// OS threads created so far (a statistic; also numbers the workers).
     os_threads_created: AtomicU64,
+    /// Teardown has begun: the obs clock reads "outside a simulation".
+    torn_down: AtomicBool,
     /// Domain id of this kernel in a multi-domain run (0 outside one),
     /// mixed into observability thread ids (`tid | domain << 24`) so
     /// per-domain event streams stay distinct in the shared flight
@@ -527,7 +425,6 @@ impl Kernel {
                     running: None,
                     live: 0,
                     done: false,
-                    shutdown: false,
                     failure: None,
                     trace: Trace {
                         on: false,
@@ -551,6 +448,7 @@ impl Kernel {
                 now_ns: AtomicU64::new(0),
                 driver_cv: Condvar::new(),
                 os_threads_created: AtomicU64::new(0),
+                torn_down: AtomicBool::new(false),
                 domain_tag: AtomicU32::new(0),
             }),
         }
@@ -637,7 +535,8 @@ impl Kernel {
     /// Spawn a *daemon* (service) thread: a loop that serves others and
     /// blocks indefinitely. Daemon threads do not keep the simulation
     /// alive — when the last non-daemon thread finishes, the run completes
-    /// and remaining daemons are parked.
+    /// and the remaining daemons are unwound before [`Kernel::run`] returns;
+    /// a destructor that blocks there leaks the rest of its stack.
     pub fn spawn_daemon<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -678,12 +577,8 @@ impl Kernel {
         let name = name.into();
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let result2 = Arc::clone(&result);
-        let body = Box::new(move || match panic::catch_unwind(AssertUnwindSafe(f)) {
-            Ok(v) => {
-                *result2.lock().unwrap() = Some(v);
-                None
-            }
-            Err(payload) => Some(payload_to_string(payload.as_ref())),
+        let body = Box::new(move || {
+            panic::catch_unwind(AssertUnwindSafe(|| *result2.lock().unwrap() = Some(f())))
         });
         let tid = self.spawn_inner(&name, daemon, Body::Thread(body));
         JoinHandle {
@@ -734,27 +629,6 @@ impl Kernel {
         tid
     }
 
-    /// Create a worker OS thread, parked on its slot until the simulated
-    /// thread it is about to be given is first granted the token.
-    fn new_worker(&self) -> Arc<Worker> {
-        let n = self
-            .inner
-            .os_threads_created
-            .fetch_add(1, Ordering::Relaxed);
-        let worker = Arc::new(Worker {
-            slot: Slot::new(),
-            job: Mutex::new(None),
-            os: Mutex::new(None),
-        });
-        let (w, kernel) = (Arc::clone(&worker), self.clone());
-        let os = thread::Builder::new()
-            .name(format!("sim-worker-{n}"))
-            .spawn(move || w.main(kernel))
-            .expect("failed to spawn OS thread for simulated thread");
-        *worker.os.lock().unwrap() = Some(os);
-        worker
-    }
-
     /// How many OS threads this kernel has created. Workers are recycled,
     /// so this is the peak number of simulated threads that were alive at
     /// once, not the number ever spawned.
@@ -763,11 +637,13 @@ impl Kernel {
     }
 
     /// Run the simulation to completion. Blocks the calling (real) thread
-    /// until every simulated thread has finished.
+    /// until every non-daemon simulated thread has finished, then frees
+    /// what the kernel still holds (`worker.rs`, "Teardown").
     ///
     /// # Panics
-    /// Panics if any simulated thread panicked, or if the simulation
-    /// deadlocked (every live thread blocked with no pending wake-up).
+    /// Panics if any simulated thread — or a destructor teardown runs on
+    /// the driver — panicked, or if the simulation deadlocked (every live
+    /// thread blocked with no pending wake-up).
     pub fn run(&self) {
         let mut s = self.inner.sched.lock().unwrap();
         assert!(s.running.is_none(), "Kernel::run called re-entrantly");
@@ -779,9 +655,12 @@ impl Kernel {
         while !s.done {
             s = self.inner.driver_cv.wait(s).unwrap();
         }
-        let failure = s.failure.clone();
-        join_released(s);
-        if let Some(msg) = failure {
+        if let Some(msg) = s.failure.clone() {
+            join_released(s);
+            panic!("simulation failed: {msg}");
+        }
+        drop(s);
+        if let Some(msg) = self.teardown() {
             panic!("simulation failed: {msg}");
         }
     }
@@ -834,6 +713,9 @@ impl Kernel {
             drop(s);
             panic!("{msg}");
         }
+        if s.done {
+            self.blocked_in_teardown(s, me, &w);
+        }
         s.info_mut(me).step = step;
         release_token(&mut s, me, w);
         let (s, next) = self.dispatch(s);
@@ -845,6 +727,9 @@ impl Kernel {
     /// bookkeeping bug in a primitive).
     pub(crate) fn make_runnable(&self, tid: Tid) {
         let mut s = self.inner.sched.lock().unwrap();
+        if s.done {
+            return; // teardown's destructors: nobody to wake, nothing to record
+        }
         let (now, seq) = (s.now, s.seq);
         s.seq += 1;
         let info = s.info_mut(tid);
@@ -937,27 +822,6 @@ impl Kernel {
         self.inner.sched.lock().unwrap().live
     }
 
-    /// The second half of every hand-off: release the scheduler lock,
-    /// *then* signal the thread `dispatch` chose, then park on our own
-    /// slot until granted. Signalling with the lock released is what makes
-    /// a hand-off one OS context switch: the woken thread finds both the
-    /// scheduler mutex and its slot mutex free, so it is never put back to
-    /// sleep just for the granter to be switched in to unlock.
-    fn park(&self, s: MutexGuard<'_, Sched>, me: Tid, next: Option<Arc<Worker>>) {
-        let mine = s.info(me).worker.clone();
-        drop(s);
-        let mine = mine.expect("a thread that blocks runs on an OS thread");
-        if let Some(next) = next {
-            if Arc::ptr_eq(&next, &mine) {
-                // Our own turn came up again (e.g. the only runnable
-                // thread sleeping): keep the token, signal nobody.
-                return;
-            }
-            next.slot.grant();
-        }
-        mine.slot.wait();
-    }
-
     /// Hand the token on: pick the next runnable thread, advance the
     /// clock, mark it `Running` — and, while the pick is a stepped thread,
     /// run its step right here (module docs, "Stepped services") and pick
@@ -980,29 +844,26 @@ impl Kernel {
             };
             s.in_step = true;
             drop(s);
-            let mine = self.enter(tid);
-            let out = panic::catch_unwind(AssertUnwindSafe(&mut step));
-            // A step that will not run again is dropped here: off the
-            // scheduler lock, under the context it ran in.
-            let step = matches!(out, Ok(Step::Wait(_))).then_some(step);
-            match mine {
-                Ok(me) => drop(self.enter(me)),
-                Err(ctx) => CTX.with(|c| *c.borrow_mut() = ctx),
-            }
+            // A step that will not run again is dropped in there too: off
+            // the scheduler lock, under the context it ran in.
+            let out = self.within(tid, move || match step() {
+                Step::Wait(w) => (Step::Wait(w), Some(step)),
+                last => (last, None),
+            });
             s = self.inner.sched.lock().unwrap();
             s.in_step = false;
             match out {
-                Ok(Step::Wait(w)) => {
+                Ok((Step::Wait(w), step)) => {
                     s.info_mut(tid).step = step;
                     s.inline_polls += 1;
                     release_token(&mut s, tid, w);
                 }
-                Ok(Step::Exit) => {
+                Ok((Step::Exit, _)) => {
                     if !self.retire(&mut s, tid, None) {
                         return (s, None);
                     }
                 }
-                Ok(Step::Wake) => {
+                Ok((Step::Wake, _)) => {
                     let worker = s.info(tid).worker.clone();
                     if worker.is_none() {
                         self.fail_thread_panicked(&mut s, tid, "Step::Wake without an OS thread");
@@ -1029,6 +890,18 @@ impl Kernel {
                 _ => Err(ctx.replace((self.clone(), tid))),
             }
         })
+    }
+
+    /// Run `f` on this OS thread as simulated thread `tid`: its context
+    /// entered, a panic caught, the caller's context restored.
+    fn within<R>(&self, tid: Tid, f: impl FnOnce() -> R) -> thread::Result<R> {
+        let mine = self.enter(tid);
+        let out = panic::catch_unwind(AssertUnwindSafe(f));
+        match mine {
+            Ok(me) => drop(self.enter(me)),
+            Err(ctx) => CTX.with(|c| *c.borrow_mut() = ctx),
+        }
+        out
     }
 
     /// [`Kernel::dispatch`] for a driver (`run`, `step_until`), which has
@@ -1121,11 +994,13 @@ impl Kernel {
         self.shutdown_all(s);
     }
 
-    /// Park every simulated thread forever and wake the driver.
+    /// Wake the driver of a finished run. A failed one's survivors park
+    /// forever; a clean one's stay on their slots for [`Kernel::teardown`].
     fn shutdown_all(&self, s: &mut Sched) {
-        s.shutdown = true;
-        for worker in s.threads.iter().filter_map(|info| info.worker.as_ref()) {
-            worker.slot.shutdown();
+        if s.failure.is_some() {
+            for worker in s.threads.iter().filter_map(|info| info.worker.as_ref()) {
+                worker.slot.set(SlotState::Shutdown);
+            }
         }
         self.inner.driver_cv.notify_all();
     }
@@ -1179,11 +1054,11 @@ impl Kernel {
             self.fail_thread_panicked(s, me, &msg);
         } else if !daemon && s.live == 0 {
             // Last non-daemon thread finished: the simulation is complete.
-            // Remaining daemon (service) threads are parked via shutdown.
+            // Remaining daemon (service) threads are left to `teardown`.
             s.done = true;
             self.shutdown_all(s);
         }
-        !s.shutdown
+        !s.done
     }
 
     /// Join on a thread: block until it finishes.
@@ -1280,7 +1155,7 @@ impl Kernel {
             s.running.is_none(),
             "external wake while the domain is running"
         );
-        if s.done || s.shutdown {
+        if s.done {
             return;
         }
         let t = s.now.max(at);
@@ -1371,36 +1246,16 @@ pub(crate) enum StepOutcome {
     Failed(String),
 }
 
-/// Release the idle workers (a grant with an empty mailbox: the OS thread
-/// exits) once the run is done, joining each before the next is woken: the
-/// order they exit in is the order the allocator hands their arenas and
-/// stacks to the next kernel's threads, and left to the host scheduler it
-/// moved a process's peak RSS by ±1.3 MiB from run to run.
-/// Simulated threads that had not finished — parked daemons at completion,
-/// every survivor of an abort — are parked forever (see [`Slot::wait`]:
-/// unwinding them would run user destructors against a dead scheduler) and
-/// cannot be joined; their workers are not on the idle list.
-fn join_released(mut s: MutexGuard<'_, Sched>) {
-    debug_assert!(s.done);
-    let idle = std::mem::take(&mut s.idle);
-    drop(s);
-    for worker in idle {
-        worker.slot.grant();
-        if let Some(os) = worker.os.lock().unwrap().take() {
-            let _ = os.join();
-        }
-    }
-}
-
 /// Observability timestamp source: virtual time + simulated thread id
-/// of the caller, or `(0, 0)` outside a simulated thread.
+/// of the caller, or `(0, 0)` outside a simulated thread — as which a
+/// destructor run by teardown counts: a span it closes is not recorded.
 fn obs_clock() -> (u64, u32) {
     CTX.with(|c| match c.borrow().as_ref() {
-        Some((k, tid)) => {
+        Some((k, tid)) if !k.inner.torn_down.load(Ordering::Relaxed) => {
             let domain = k.inner.domain_tag.load(Ordering::Relaxed);
             (k.now().as_nanos(), *tid | (domain << 24))
         }
-        None => (0, 0),
+        _ => (0, 0),
     })
 }
 

@@ -80,9 +80,17 @@ impl<T> SimMutex<T> {
             // Spurious (should not happen with direct hand-off, but loop
             // defensively rather than corrupting ownership).
         }
+        self.guard()
+    }
+
+    /// The guard of a lock just acquired. Poison is ignored: the one unwind
+    /// other threads outlive is teardown's, which is not a panic — a real
+    /// one ends the run before anyone else can lock.
+    fn guard(&self) -> SimMutexGuard<'_, T> {
+        let data = self.data.lock().unwrap_or_else(|e| e.into_inner());
         SimMutexGuard {
             mutex: self,
-            data: Some(self.data.lock().unwrap()),
+            data: Some(data),
         }
     }
 
@@ -93,10 +101,7 @@ impl<T> SimMutex<T> {
         if st.owner.is_none() {
             st.owner = Some(me);
             drop(st);
-            Some(SimMutexGuard {
-                mutex: self,
-                data: Some(self.data.lock().unwrap()),
-            })
+            Some(self.guard())
         } else {
             None
         }
@@ -117,7 +122,7 @@ impl<T> SimMutex<T> {
 
     /// Consume the mutex and return the inner value.
     pub fn into_inner(self) -> T {
-        self.data.into_inner().unwrap()
+        self.data.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 

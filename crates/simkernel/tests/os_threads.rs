@@ -1,9 +1,12 @@
 //! An OS thread that finishes a simulated thread is handed the next one
 //! to be spawned, so a kernel creates as many OS threads as it has
 //! simulated threads alive at once — not as many as it ever spawns — and
-//! the idle ones are told to exit and joined when the run completes.
+//! every one of them has exited and been joined when a clean run returns:
+//! the idle ones released, the ones still parked mid-body unwound.
 
-use simkernel::{current, ms, sleep, spawn, yield_now, Kernel, Semaphore};
+use simkernel::{
+    current, ms, sleep, spawn, yield_now, Kernel, Polled, Semaphore, SimChannel, Step,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
@@ -127,32 +130,69 @@ fn os_threads() -> usize {
     line["Threads:".len()..].trim().parse().unwrap()
 }
 
+/// Run 100 kernels that each hold `workers` OS threads at once; `Threads:`
+/// must end where it began.
 #[cfg(target_os = "linux")]
-#[test]
-fn finished_runs_leave_no_os_thread_behind() {
-    const WORKERS: usize = 1 + 8;
+fn a_hundred_runs_leave_no_os_thread_behind(workers: usize, run: impl Fn() -> usize) {
     let _serial = serial();
     let before = os_threads();
     for _ in 0..100 {
-        let seen = Kernel::run_root(|| {
-            let children: Vec<_> = (0..WORKERS - 1)
-                .map(|_| spawn("child", os_threads))
-                .collect();
-            children.into_iter().map(|c| c.join()).max().unwrap()
-        });
-        assert!(seen >= WORKERS, "{seen}");
+        let seen = run();
+        assert!(seen >= workers, "{seen}");
     }
-    // 900 OS threads were created and joined. The count may be off by the
-    // test harness's own threads coming and going, and `join` returns when
-    // the kernel clears the exiting thread's tid, a moment before the
-    // thread is gone from the count — but not by one run's worth.
+    // 100 × `workers` OS threads were created and joined. The count may be
+    // off by the test harness's own threads coming and going, and `join`
+    // returns when the kernel clears the exiting thread's tid, a moment
+    // before the thread is gone from the count — but not by one run's worth.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while os_threads() >= before + WORKERS && std::time::Instant::now() < deadline {
+    while os_threads() >= before + workers && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
     let after = os_threads();
     assert!(
-        after < before + WORKERS,
-        "idle workers must exit and be joined: {before} -> {after} OS threads"
+        after < before + workers,
+        "every worker must exit and be joined: {before} -> {after} OS threads"
     );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_runs_leave_no_os_thread_behind() {
+    const WORKERS: usize = 1 + 8;
+    a_hundred_runs_leave_no_os_thread_behind(WORKERS, || {
+        Kernel::run_root(|| {
+            let children: Vec<_> = (0..WORKERS - 1)
+                .map(|_| spawn("child", os_threads))
+                .collect();
+            children.into_iter().map(|c| c.join()).max().unwrap()
+        })
+    });
+}
+
+/// The same with threads that never finish: eight daemons parked for good
+/// and eight stepped services, unwound and dropped when the run ends.
+#[cfg(target_os = "linux")]
+#[test]
+fn finished_runs_leave_no_daemon_os_thread_behind() {
+    const WORKERS: usize = 1 + 8;
+    a_hundred_runs_leave_no_os_thread_behind(WORKERS, || {
+        let k = Kernel::new();
+        for i in 0..WORKERS - 1 {
+            let never = SimChannel::<()>::unbounded("never");
+            let rx = never.clone();
+            k.spawn_daemon(format!("daemon-{i}"), move || rx.recv());
+            k.spawn_stepped(format!("service-{i}"), true, move || {
+                match never.poll_recv() {
+                    Polled::Wait(w) => Step::Wait(w),
+                    Polled::Ready(_) => Step::Exit,
+                }
+            });
+        }
+        let root = k.spawn("root", || {
+            sleep(ms(1)); // every daemon is parked mid-body
+            os_threads()
+        });
+        k.run();
+        root.take_result().unwrap()
+    });
 }
