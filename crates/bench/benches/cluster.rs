@@ -157,6 +157,9 @@ fn main() {
             .field("saved_fraction", fixed(rep.warm_saved_fraction(), 4))
             .field("digest", rep.digest())
             .field("virtual_ns", rep.virtual_ns);
+        if rep.barrier_rounds > 0 {
+            out.field("barrier_rounds", rep.barrier_rounds);
+        }
     }
     out.finish("BENCH_cluster.json")
 }

@@ -18,8 +18,8 @@
 //! * `timer_churn_64` — 64 threads sleeping staggered durations;
 //!   measures the timed run-queue path (`block_until`).
 //! * `idle_pollers_64` — 64 threads in `sleep_poll` on a 200 µs grid whose
-//!   predicate stays false until the last tick (the COI daemon's Snapify
-//!   monitor, idle); measures the dispatcher's threadless tick path.
+//!   predicate answers `Tick::Idle` until the last tick (the COI daemon's
+//!   Snapify monitor, idle); measures ticks answered at the pick.
 //! * `spawn_join_1000` — spawn/join of 1000 simulated threads alive at
 //!   once (so 1000 OS threads); measures thread-table and startup costs.
 //! * `spawn_join_seq_1000` — 1000 times spawn one thread and join it, the
@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use coi_sim::FunctionRegistry;
 use simkernel::time::{ms, us};
-use simkernel::{Kernel, Polled, Semaphore, SimChannel, SimMutex, Step};
+use simkernel::{Kernel, Polled, Semaphore, SimChannel, SimMutex, Step, Tick};
 use snapify::{checkpoint_application, SnapifyWorld};
 use snapify_bench::report::{fixed, Report};
 use workloads::{by_name, register_suite, WorkloadRun};
@@ -200,7 +200,10 @@ fn idle_pollers_64(ticks: u64) -> u64 {
         for p in 0..64u32 {
             let raised = Arc::clone(&raised);
             handles.push(simkernel::spawn(format!("p{p}"), move || {
-                simkernel::sleep_poll(us(200), move |_| raised.load(Ordering::SeqCst));
+                simkernel::sleep_poll(us(200), move |_| match raised.load(Ordering::SeqCst) {
+                    true => Tick::Ready,
+                    false => Tick::Idle { until: None },
+                });
             }));
         }
         simkernel::sleep(us(200 * ticks - 100));

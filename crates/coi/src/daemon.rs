@@ -11,9 +11,9 @@
 //! (re)created when the active-request list becomes non-empty and exits
 //! when the list drains. It still polls on the paper's `poll_interval`
 //! (200 µs) grid, but a tick on which every pipe is empty and no watchdog
-//! window has elapsed — over 99% of them — is evaluated by the simkernel
-//! dispatcher ([`simkernel::sleep_poll`]) instead of waking the thread:
-//! same virtual schedule, no OS-thread hand-off.
+//! window has elapsed — over 99% of them — is answered at the pick by the
+//! simkernel scheduler ([`simkernel::sleep_poll`], `Tick::Idle`): same
+//! virtual schedule, no OS-thread hand-off, not even a call.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use phi_platform::{NodeId, SimNode};
 use scif_sim::{ports, ScifEndpoint};
 use simkernel::obs;
-use simkernel::{Polled, SimMutex, Step};
+use simkernel::{Polled, SimMutex, Step, Tick};
 use simproc::{signum, SimProcess};
 
 use crate::msgs::{serve, CtlMsg, PipeMsg};
@@ -433,14 +433,20 @@ impl CoiDaemon {
     /// only looks: an empty list (the thread must wake to exit and clear
     /// `running`), a pipe message, an elapsed watchdog window, or a held
     /// monitor lock (the pass would queue behind it) all wake the thread.
-    fn monitor_pass_due(&self, now: simkernel::SimTime) -> bool {
-        self.inner.monitor.try_lock().is_none_or(|mon| {
-            mon.requests.is_empty()
-                || mon
-                    .requests
-                    .iter()
-                    .any(|r| !r.pipe.to_daemon.is_empty() || self.watchdog_due(r, now))
-        })
+    /// Otherwise nothing will until the earliest watchdog window ends,
+    /// unless other code runs first: all of this changes only when it does.
+    fn monitor_pass_due(&self, now: simkernel::SimTime) -> Tick {
+        let Some(mon) = self.inner.monitor.try_lock() else {
+            return Tick::Ready;
+        };
+        if mon.requests.is_empty() || mon.requests.iter().any(|r| !r.pipe.to_daemon.is_empty()) {
+            return Tick::Ready;
+        }
+        let deadlines = (mon.requests.iter()).filter_map(|r| self.watchdog_deadline(r));
+        match deadlines.min() {
+            Some(deadline) if now >= deadline => Tick::Ready,
+            until => Tick::Idle { until },
+        }
     }
 
     /// Poll one request's pipe; returns true when the request completed
@@ -491,15 +497,13 @@ impl CoiDaemon {
         }
     }
 
-    /// Whether `req`'s current no-progress window — `watchdog_timeout`
-    /// doubled per extension already granted — has elapsed at `now`.
+    /// When `req`'s current no-progress window — `watchdog_timeout`
+    /// doubled per extension already granted — ends.
     /// A zero `watchdog_timeout` disables the watchdog.
-    fn watchdog_due(&self, req: &ActiveRequest, now: simkernel::SimTime) -> bool {
+    fn watchdog_deadline(&self, req: &ActiveRequest) -> Option<simkernel::SimTime> {
         let timeout = self.inner.env.config.watchdog_timeout;
-        if timeout == simkernel::SimDuration::ZERO {
-            return false;
-        }
-        now.since(req.last_progress) >= timeout * (1u64 << req.extensions.min(10))
+        (timeout != simkernel::SimDuration::ZERO)
+            .then(|| req.last_progress + timeout * (1u64 << req.extensions.min(10)))
     }
 
     /// Watchdog: a request whose stage has made no progress for the
@@ -511,7 +515,7 @@ impl CoiDaemon {
     /// given up on.
     fn watchdog_check(&self, req: &mut ActiveRequest) -> bool {
         let cfg = &self.inner.env.config;
-        if !self.watchdog_due(req, simkernel::now()) {
+        if (self.watchdog_deadline(req)).is_none_or(|deadline| simkernel::now() < deadline) {
             return false;
         }
         if req.extensions < cfg.watchdog_retries {

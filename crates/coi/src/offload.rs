@@ -573,6 +573,8 @@ impl OffloadRuntime {
             } else {
                 (&i.event_q, &i.event_lock)
             };
+            // Only a turn that begins at the lock does nothing but look.
+            let (looked_only, every) = (matches!(at, At::Lock(_)), i.env.config.poll_interval);
             loop {
                 match &mut at {
                     At::Queue => match q.poll_recv() {
@@ -587,7 +589,8 @@ impl OffloadRuntime {
                         }
                     }
                     At::Lock(_) if rt.is_terminated() => return Step::Exit,
-                    At::Lock(_) => return Step::Wait(Wait::sleep(i.env.config.poll_interval)),
+                    At::Lock(_) if looked_only => return Step::Idle { every, until: None },
+                    At::Lock(_) => return Step::Wait(Wait::sleep(every)),
                     At::Charged(rec) => {
                         let record = StreamMsg::Record(std::mem::take(rec));
                         at = At::Sending(ep.begin_send(record.encode()));

@@ -184,6 +184,9 @@ pub struct FleetReport {
     pub pool_live_manifests: usize,
     /// Merged deterministic trace fingerprint (event count, hash).
     pub fingerprint: (usize, u64),
+    /// Window barriers the domains met at (`MultiKernel::rounds`; 0 at one
+    /// domain): coordination cost, exact; not part of [`FleetReport::digest`].
+    pub barrier_rounds: u64,
     /// Virtual end-of-run time in nanoseconds.
     pub virtual_ns: u64,
     /// Per-agent counters, sorted by node.
@@ -1315,6 +1318,7 @@ impl FleetScheduler {
             pool_live_chunks: pool.live_chunks(),
             pool_live_manifests: pool.live_manifests(),
             fingerprint: cluster.fingerprint(),
+            barrier_rounds: cluster.kernel().rounds(),
             virtual_ns: ctl.end_ns,
             agents,
         }

@@ -422,11 +422,11 @@ impl MultiKernel {
                 if done[dst] {
                     self.shared.dropped_to_done.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    // The delivery may schedule a wake at `en.time`;
-                    // fold it into the estimate (at worst one no-op
-                    // window early if the receiver was not yet waiting).
-                    next_est[dst] = Some(next_est[dst].map_or(en.time, |t| t.min(en.time)));
+                    // The delivery may schedule a wake at `en.time`, and
+                    // it voids the idle promises the estimate skipped
+                    // ticks by: take the domain's earliest event afresh.
                     (en.deliver)(&self.shared.kernels[dst]);
+                    next_est[dst] = self.shared.kernels[dst].next_pending_time();
                 }
             }
             if done.iter().all(|&f| f) {
@@ -676,9 +676,7 @@ impl<T: Send + 'static> PortTx<T> {
                         dst: self.dst,
                         deliver: Box::new(move |dst_kernel: &Kernel| {
                             let waiter = deliver(&inner, at, item);
-                            if let Some(w) = waiter {
-                                dst_kernel.wake_external_at(w, at);
-                            }
+                            dst_kernel.wake_external_at(waiter, at);
                         }),
                     });
             }

@@ -98,8 +98,22 @@
 //!   may *except block*: the primitives' `poll_*` cores ([`crate::wait`])
 //!   say what to wait for instead of waiting, and a step that reaches a
 //!   blocking call fails the run by name. [`Kernel::sleep_poll`] is one:
-//!   the sleeping thread leaves a step that re-queues its tick, or returns
+//!   the sleeping thread leaves a step that answers [`Step::Idle`], or
 //!   [`Step::Wake`] to have its OS thread granted.
+//! * **Tickless idle.** A poller's turn that finds nothing is still a
+//!   turn — unlock, context swap, the step, re-lock — and most turns of a
+//!   serving run are one monitor's empty ticks. [`Step::Idle`] is a sleep
+//!   to the next tick plus a promise: the turn changed nothing, and every
+//!   turn before `until` would end the same *as long as nothing else
+//!   happens in this domain* — a thread granted the token, a step answering
+//!   anything but `Idle`, a window barrier delivering into it: each clears
+//!   the promises in force. The pick is untouched — pop, horizon check,
+//!   livelock streak, tie-break draw, clock advance — and *then* a thread
+//!   picked under its promise has its answer performed right there, under
+//!   the lock (`inline_polls += 1`, `release_token` to the next tick):
+//!   trace, `seq`, generations and draws are the step's by construction. A
+//!   debug build runs the step instead and fails the run by name on another
+//!   answer. A pausing domain reports `next_effective`, not its next tick.
 //!
 //! # Deadlock detection
 //!
@@ -121,10 +135,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 use crate::time::{SimDuration, SimTime};
-use crate::wait::{Step, StepFn, Wait};
+use crate::wait::{Step, StepFn, Tick, Wait};
 
+#[path = "dumps.rs"]
+mod dumps;
 #[path = "worker.rs"]
 mod worker;
+pub(crate) use dumps::push_flight_tail;
+use dumps::{deadlock_dump, livelock_dump, payload_to_string, push_blocked_threads};
 use worker::{join_released, Job, SlotState, Worker};
 
 /// Identifier of a simulated thread.
@@ -248,6 +266,8 @@ struct ThreadInfo {
     /// Generation counter: incremented every time the thread blocks, so
     /// stale run-queue entries (from cancelled timed waits) can be skipped.
     generation: u64,
+    /// Index of its entry in `Sched::idlers` while it has one; was padding.
+    idle: u32,
 }
 
 struct Sched {
@@ -283,6 +303,10 @@ struct Sched {
     /// A step is running (scheduler lock released, `running` set): the
     /// only simulated code executing is that step, and it may not block.
     in_step: bool,
+    /// The idle promises in force (module docs), cleared by what they do not
+    /// cover: a thread granted, a step answering anything but `Idle`, a
+    /// delivery. Not in [`ThreadInfo`]: tens of thousands of those a run.
+    idlers: Vec<Idler>,
     /// Free-form context (e.g. the active fault schedule) appended to
     /// deadlock/livelock dumps.
     dump_note: Option<String>,
@@ -297,12 +321,38 @@ struct Sched {
     /// Set when dispatch stops at the horizon (or on an empty queue in
     /// bounded mode); cleared by the next `step_until`.
     paused: bool,
-    /// Wake time of the earliest pending entry at pause (`None` = this
-    /// domain has no pending events at all).
+    /// [`next_effective`] at pause (`None` = this domain has no pending
+    /// events at all).
     paused_next: Option<SimTime>,
 }
 
+/// A [`Step::Idle`] in force: `tid`'s answer, nothing having happened since.
+#[derive(Clone, Copy, PartialEq)]
+struct Idler {
+    tid: Tid,
+    every: SimDuration,
+    until: Option<SimTime>,
+}
+
 impl Sched {
+    /// The idle promise that answers `tid`'s tick at `t`, if one holds.
+    fn promise(&self, tid: Tid, t: SimTime) -> Option<Idler> {
+        let idle = *self.idlers.get(self.info(tid).idle as usize)?;
+        (idle.tid == tid && idle.until.is_none_or(|u| t < u)).then_some(idle)
+    }
+
+    /// `idle.tid` answered [`Step::Idle`]: its promise is in force.
+    fn promised(&mut self, idle: Idler) {
+        let slot = self.info(idle.tid).idle as usize;
+        match self.idlers.get_mut(slot) {
+            Some(mine) if mine.tid == idle.tid => *mine = idle,
+            _ => {
+                self.info_mut(idle.tid).idle = self.idlers.len() as u32;
+                self.idlers.push(idle);
+            }
+        }
+    }
+
     #[inline]
     fn info(&self, tid: Tid) -> &ThreadInfo {
         &self.threads[(tid - 1) as usize]
@@ -439,6 +489,7 @@ impl Kernel {
                     same_time_streak: 0,
                     inline_polls: 0,
                     in_step: false,
+                    idlers: Vec::new(),
                     dump_note: None,
                     bounded: false,
                     horizon: None,
@@ -618,6 +669,7 @@ impl Kernel {
             block_since: now,
             joiners: Vec::new(),
             generation: 0,
+            idle: 0,
         });
         if !daemon {
             s.live += 1;
@@ -766,53 +818,52 @@ impl Kernel {
         debug_assert!(self.now() >= deadline);
     }
 
-    /// Sleep in steps of `interval` until `ready` returns `true` at the end
-    /// of a step — observably identical to
+    /// Sleep in steps of `every` until `ready` answers [`Tick::Ready`] at
+    /// the end of a step — observably identical to
     ///
     /// ```text
-    /// loop { sleep(interval); if ready(now()) { break } }
+    /// loop { sleep(every); if ready(now()) is Ready { break } }
     /// ```
     ///
     /// (same virtual times, same sequence numbers, same trace, under every
     /// [`SchedPolicy`] and domain count) but an idle step costs no OS-thread
     /// hand-off: the caller parks once and leaves the loop body behind as a
-    /// step (see the module docs), which the dispatcher runs when each tick
-    /// comes up and which has the caller granted once `ready` says `true`.
+    /// step (see the module docs) that answers [`Step::Idle`] or has the
+    /// caller granted, and a tick under its promise costs no call at all.
     ///
     /// # Contract for `ready`
     ///
     /// `ready(now)` runs **on whichever OS thread is dispatching**, with
     /// the scheduler lock released and the caller as [`current()`]: it may
-    /// do what a step may — read the clock, `try_lock`, wake threads — but
-    /// not block. Returning `true` is always safe — the caller wakes and
-    /// looks for itself, as a plain `sleep` loop would; returning `false`
-    /// is a promise that the caller's pass at this instant would have
-    /// changed nothing. A panic in `ready` fails the run as a panic of the
-    /// calling thread.
+    /// look — read the clock, `try_lock`, `is_empty` — but not block.
+    /// `Ready` is always safe: the caller wakes and looks for itself, as a
+    /// plain `sleep` loop would. [`Tick::Idle`] is [`Step::Idle`]'s promise:
+    /// neither the caller's pass at this instant nor `ready` changes a thing,
+    /// and `ready` read only what that promise allows. A panic in `ready`
+    /// fails the run as a panic of the calling thread.
     ///
     /// # Panics
-    /// Panics if `interval` is zero (an idle zero-length step would spin
-    /// inside the scheduler).
+    /// Panics if `every` is zero (idle steps would spin inside the scheduler).
     pub fn sleep_poll(
         &self,
-        interval: SimDuration,
-        mut ready: impl FnMut(SimTime) -> bool + Send + 'static,
+        every: SimDuration,
+        mut ready: impl FnMut(SimTime) -> Tick + Send + 'static,
     ) {
         assert!(
-            interval > SimDuration::ZERO,
+            every > SimDuration::ZERO,
             "sleep_poll needs a positive interval"
         );
-        let tick = move || match now() {
-            t if ready(t) => Step::Wake,
-            t => Step::Wait(Wait::fixed("sleep", Some(t + interval))),
+        let tick = move || match ready(now()) {
+            Tick::Ready => Step::Wake,
+            Tick::Idle { until } => Step::Idle { every, until },
         };
-        let first = Wait::fixed("sleep", Some(self.now() + interval));
+        let first = Wait::fixed("sleep", Some(self.now() + every));
         self.wait_leaving(current_tid(), first, Some(Box::new(tick)));
     }
 
-    /// How many steps ended in [`Step::Wait`] — e.g. the ticks of
-    /// [`Kernel::sleep_poll`] on which `ready` returned `false`: turns the
-    /// dispatcher completed itself, without waking an OS thread.
+    /// How many turns ended in [`Step::Wait`] or [`Step::Idle`] — e.g. the
+    /// idle ticks of [`Kernel::sleep_poll`], answered at the pick or not:
+    /// turns the dispatcher completed itself, without waking an OS thread.
     pub fn inline_polls(&self) -> u64 {
         self.inner.sched.lock().unwrap().inline_polls
     }
@@ -842,17 +893,38 @@ impl Kernel {
                 Next::Grant(worker) => return (s, worker),
                 Next::Step(tid, step) => (tid, step),
             };
+            // Under a promise only in a debug build, which elides nothing.
+            let promised = s.promise(tid, s.now);
             s.in_step = true;
             drop(s);
             // A step that will not run again is dropped in there too: off
             // the scheduler lock, under the context it ran in.
             let out = self.within(tid, move || match step() {
-                Step::Wait(w) => (Step::Wait(w), Some(step)),
+                again @ (Step::Wait(_) | Step::Idle { .. }) => (again, Some(step)),
                 last => (last, None),
             });
             s = self.inner.sched.lock().unwrap();
             s.in_step = false;
+            let idle = match out {
+                Ok((Step::Idle { every, until }, _)) => Some(Idler { tid, every, until }),
+                _ => None,
+            };
+            if out.is_ok() && promised.is_some_and(|p| idle != Some(p)) {
+                let (name, now) = (&s.info(tid).name, s.now);
+                s.failure = Some(format!("step of '{name}' broke its idle promise at {now}"));
+                s.done = true;
+                self.shutdown_all(&mut s);
+                return (s, None);
+            }
+            match idle {
+                Some(idle) => s.promised(idle),
+                None => s.idlers.clear(),
+            }
             match out {
+                Ok((Step::Idle { every, .. }, step)) => {
+                    s.info_mut(tid).step = step;
+                    release_idle(&mut s, tid, every);
+                }
                 Ok((Step::Wait(w), step)) => {
                     s.info_mut(tid).step = step;
                     s.inline_polls += 1;
@@ -921,67 +993,81 @@ impl Kernel {
     /// accounting, the tie-break and the clock advance, the same whether
     /// the thread picked runs on an OS thread or as a step.
     fn pick_next(&self, s: &mut Sched) -> Next {
-        let next = match s.policy {
-            SchedPolicy::Fifo => pop_valid(s),
-            SchedPolicy::Random(_) => pop_random_tie(s),
-        };
-        match next {
-            Picked::Run(t, tid) => {
-                debug_assert!(t >= s.now, "time went backwards");
-                if t > s.now {
-                    s.same_time_streak = 0;
-                } else {
-                    s.same_time_streak += 1;
-                    if let Some(limit) = s.livelock_threshold {
-                        if s.same_time_streak >= limit {
-                            s.failure = Some(livelock_dump(s, limit));
-                            s.done = true;
-                            self.shutdown_all(s);
-                            return Next::Grant(None);
+        loop {
+            let next = match s.policy {
+                SchedPolicy::Fifo => pop_valid(s),
+                SchedPolicy::Random(_) => pop_random_tie(s),
+            };
+            match next {
+                Picked::Run(t, tid) => {
+                    debug_assert!(t >= s.now, "time went backwards");
+                    if t > s.now {
+                        s.same_time_streak = 0;
+                    } else {
+                        s.same_time_streak += 1;
+                        if let Some(limit) = s.livelock_threshold {
+                            if s.same_time_streak >= limit {
+                                s.failure = Some(livelock_dump(s, limit));
+                                s.done = true;
+                                self.shutdown_all(s);
+                                return Next::Grant(None);
+                            }
                         }
                     }
+                    s.now = s.now.max(t);
+                    self.inner.now_ns.store(s.now.as_nanos(), Ordering::Relaxed);
+                    s.running = Some(tid);
+                    let info = s.info_mut(tid);
+                    info.state = TState::Running;
+                    info.wait = None;
+                    // Tickless idle: a promised tick is answered here, as its step
+                    // would have (a debug build runs the step, and compares).
+                    if let Some(idle) = s.promise(tid, s.now).filter(|_| !cfg!(debug_assertions)) {
+                        release_idle(s, tid, idle.every);
+                        continue;
+                    }
+                    let info = s.info_mut(tid);
+                    return match info.step.take() {
+                        Some(step) => Next::Step(tid, step),
+                        None => {
+                            let worker = info.worker.clone();
+                            s.idlers.clear();
+                            Next::Grant(worker)
+                        }
+                    };
                 }
-                s.now = s.now.max(t);
-                self.inner.now_ns.store(s.now.as_nanos(), Ordering::Relaxed);
-                s.running = Some(tid);
-                let info = s.info_mut(tid);
-                info.state = TState::Running;
-                info.wait = None;
-                return match info.step.take() {
-                    Some(step) => Next::Step(tid, step),
-                    None => Next::Grant(info.worker.clone()),
-                };
-            }
-            Picked::Horizon(t) => {
-                // The earliest pending event is at or past the safe
-                // horizon: park this domain at the window barrier. The
-                // entry stays queued with its original ordering keys,
-                // so resuming with a larger horizon replays exactly the
-                // schedule an unbounded run would have produced.
-                s.paused = true;
-                s.paused_next = Some(t);
-                self.inner.driver_cv.notify_all();
-            }
-            Picked::Empty => {
-                if s.live == 0 {
-                    s.done = true;
-                } else if s.bounded {
-                    // Not yet a deadlock: a cross-domain delivery may
-                    // arrive at the next window barrier. The coordinator
-                    // escalates when every domain stalls with nothing
-                    // in flight (see `crate::domain`).
+                Picked::Horizon(t) => {
+                    // The earliest pending event is at or past the safe
+                    // horizon: park this domain at the window barrier. The
+                    // entry stays queued with its original ordering keys,
+                    // so resuming with a larger horizon replays exactly the
+                    // schedule an unbounded run would have produced.
                     s.paused = true;
-                    s.paused_next = None;
+                    s.paused_next = next_effective(s);
+                    debug_assert!(s.paused_next >= Some(t));
                     self.inner.driver_cv.notify_all();
-                    return Next::Grant(None);
-                } else {
-                    s.failure = Some(deadlock_dump(s));
-                    s.done = true;
                 }
-                self.shutdown_all(s);
+                Picked::Empty => {
+                    if s.live == 0 {
+                        s.done = true;
+                    } else if s.bounded {
+                        // Not yet a deadlock: a cross-domain delivery may
+                        // arrive at the next window barrier. The coordinator
+                        // escalates when every domain stalls with nothing
+                        // in flight (see `crate::domain`).
+                        s.paused = true;
+                        s.paused_next = None;
+                        self.inner.driver_cv.notify_all();
+                        return Next::Grant(None);
+                    } else {
+                        s.failure = Some(deadlock_dump(s));
+                        s.done = true;
+                    }
+                    self.shutdown_all(s);
+                }
             }
+            return Next::Grant(None);
         }
-        Next::Grant(None)
     }
 
     /// Fail the run because thread `tid`'s code panicked with `msg`, and
@@ -1141,23 +1227,25 @@ impl Kernel {
         }
     }
 
-    /// Wake a thread at virtual time `at` on behalf of a cross-domain
-    /// delivery performed at a window barrier (no thread of this domain
-    /// is running). The receiver resumes exactly at `max(now, at)`, so
+    /// A cross-domain delivery performed at a window barrier (no thread of
+    /// this domain is running): every idle promise in the domain is void, and
+    /// `tid` — a thread the delivery found waiting — is woken at virtual
+    /// time `at`. The receiver resumes exactly at `max(now, at)`, so
     /// it can never observe a clock earlier than the message timestamp.
     /// For a thread in a timed wait, the earlier of the delivery time
     /// and its deadline wins; if the deadline is earlier the delivery
     /// does not wake it (the timeout fires first and the message stays
     /// queued for a later receive).
-    pub(crate) fn wake_external_at(&self, tid: Tid, at: SimTime) {
+    pub(crate) fn wake_external_at(&self, tid: Option<Tid>, at: SimTime) {
         let mut s = self.inner.sched.lock().unwrap();
         debug_assert!(
             s.running.is_none(),
             "external wake while the domain is running"
         );
-        if s.done {
+        s.idlers.clear();
+        let Some(tid) = tid.filter(|_| !s.done) else {
             return;
-        }
+        };
         let t = s.now.max(at);
         let seq = s.seq;
         s.seq += 1;
@@ -1189,25 +1277,14 @@ impl Kernel {
         }
     }
 
-    /// Earliest valid pending wake time, discarding superseded entries.
-    /// Used by the multi-domain coordinator to size the next window;
-    /// only meaningful while the domain is paused or not yet started.
+    /// [`next_effective`] of a domain that is paused or not yet started:
+    /// what the multi-domain coordinator sizes the next window by.
     pub(crate) fn next_pending_time(&self) -> Option<SimTime> {
         let mut s = self.inner.sched.lock().unwrap();
         if s.done {
             return None;
         }
-        loop {
-            let (t, tid, generation) = match s.runq.peek() {
-                Some(&Reverse((t, _, tid, g))) => (t, tid, g),
-                None => return None,
-            };
-            let info = s.info(tid);
-            if info.generation == generation && info.state == TState::Runnable {
-                return Some(t);
-            }
-            s.runq.pop();
-        }
+        next_effective(&mut s)
     }
 
     /// Abort a paused domain from outside the simulation (e.g. the
@@ -1240,7 +1317,7 @@ pub(crate) enum StepOutcome {
     /// The last non-daemon thread finished; the domain is complete.
     Done,
     /// Every event before the horizon executed; `next` is the earliest
-    /// pending wake time (`None` = nothing pending in this domain).
+    /// pending one that can do something (`None` = nothing pending here).
     Paused { next: Option<SimTime> },
     /// The domain aborted (thread panic or livelock dump).
     Failed(String),
@@ -1290,6 +1367,14 @@ fn release_token(s: &mut Sched, me: Tid, w: Wait) {
     s.info_mut(me).wait = Some(w);
 }
 
+/// What [`Step::Idle`] asks for, from the step's turn or in its place: a
+/// turn that woke no thread, asleep to the next tick.
+fn release_idle(s: &mut Sched, tid: Tid, every: SimDuration) {
+    s.inline_polls += 1;
+    let tick = s.now + every;
+    release_token(s, tid, Wait::fixed("sleep", Some(tick)));
+}
+
 fn trace(s: &mut Sched, tid: Tid, label: fmt::Arguments<'_>) {
     let (now, tr) = (s.now, &mut s.trace);
     if !tr.on {
@@ -1327,6 +1412,30 @@ enum Picked {
     Horizon(SimTime),
     /// No valid entry pending.
     Empty,
+}
+
+/// The earliest pending event *that can do something*, superseded entries
+/// discarded: a tick under an idle promise counts from the promise's
+/// `until` — not at all without one — unless only such ticks are pending,
+/// when it is the first: an all-idle domain ticks on (DESIGN.md §14).
+fn next_effective(s: &mut Sched) -> Option<SimTime> {
+    let (mut ticks, mut next) = (Vec::new(), None::<SimTime>);
+    while let Some(&Reverse((t, _, tid, generation))) = s.runq.peek() {
+        let info = s.info(tid);
+        if info.generation != generation || info.state != TState::Runnable {
+            s.runq.pop();
+            continue;
+        }
+        let Some(idle) = s.promise(tid, t) else {
+            next = Some(next.map_or(t, |n| n.min(t)));
+            break;
+        };
+        next = next.into_iter().chain(idle.until).min();
+        ticks.extend(s.runq.pop());
+    }
+    let first_tick = ticks.first().map(|&Reverse((t, ..))| t);
+    s.runq.extend(ticks);
+    next.or(first_tick)
 }
 
 /// Pop the earliest valid run-queue entry (FIFO tie-break), skipping
@@ -1400,99 +1509,6 @@ fn pop_random_tie(s: &mut Sched) -> Picked {
     Picked::Run(chosen.0, chosen.2)
 }
 
-fn deadlock_dump(s: &Sched) -> String {
-    let mut out = format!(
-        "deadlock at {}: {} live thread(s) blocked with no pending wake-up:\n",
-        s.now, s.live
-    );
-    push_blocked_threads(&mut out, s);
-    push_dump_note(&mut out, s);
-    out
-}
-
-/// Append one line per blocked thread (shared between the local
-/// deadlock dump and the cross-domain stall dump in `crate::domain`).
-fn push_blocked_threads(out: &mut String, s: &Sched) {
-    for (i, info) in s.threads.iter().enumerate() {
-        let (TState::Blocked, Some(w)) = (info.state, &info.wait) else {
-            continue;
-        };
-        out.push_str(&format!(
-            "  [{}] '{}'{} parked for {} blocked on: {w}\n",
-            i + 1,
-            info.name,
-            if info.daemon { " (daemon)" } else { "" },
-            s.now.since(info.block_since),
-        ));
-    }
-}
-
-/// Like [`deadlock_dump`], but for the complementary failure: the run
-/// queue never empties, yet virtual time stops advancing (threads
-/// hand the token around at a frozen clock — e.g. a retry loop that
-/// yields instead of backing off).
-fn livelock_dump(s: &Sched, limit: u64) -> String {
-    let mut out = format!(
-        "livelock at {}: {limit} consecutive dispatches without virtual-time progress (policy {:?}); runnable/running threads:\n",
-        s.now, s.policy
-    );
-    for (i, info) in s.threads.iter().enumerate() {
-        if !matches!(info.state, TState::Runnable | TState::Running) {
-            continue;
-        }
-        // A runnable thread in a timed wait shows what it waits for.
-        let wait = match info.wait.as_ref().and_then(|w| Some((w, w.deadline?))) {
-            Some((w, d)) => format!(": {w} (until {d})"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "  [{}] '{}'{} {:?} since {}{}\n",
-            i + 1,
-            info.name,
-            if info.daemon { " (daemon)" } else { "" },
-            info.state,
-            info.block_since,
-            wait,
-        ));
-    }
-    push_dump_note(&mut out, s);
-    out
-}
-
-fn push_dump_note(out: &mut String, s: &Sched) {
-    if let Some(note) = &s.dump_note {
-        out.push_str("  context: ");
-        out.push_str(note);
-        out.push('\n');
-    }
-    push_flight_tail(out);
-}
-
-/// Append the observability flight-recorder tail (the last events that
-/// led up to the failure) so every deadlock/livelock dump doubles as a
-/// black-box recording. Empty (and silent) when recording is off.
-pub(crate) fn push_flight_tail(out: &mut String) {
-    let tail = snapify_obs::flight_tail(32);
-    if !tail.is_empty() {
-        out.push_str("  ");
-        out.push_str(&tail.replace('\n', "\n  "));
-        // replace() leaves two trailing spaces after the final newline.
-        while out.ends_with(' ') {
-            out.pop();
-        }
-    }
-}
-
-fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Handle returned by [`Kernel::spawn`]; allows joining the thread and
 /// retrieving its result.
 pub struct JoinHandle<T> {
@@ -1544,11 +1560,11 @@ pub fn sleep(d: SimDuration) {
 }
 
 /// [`Kernel::sleep_poll`] on the calling simulated thread's kernel: sleep
-/// in steps of `interval` until `ready(now)` holds at the end of a step.
+/// in steps of `every` until `ready(now)` is `Ready` at the end of a step.
 /// See the method for the contract `ready` must keep.
-pub fn sleep_poll(interval: SimDuration, ready: impl FnMut(SimTime) -> bool + Send + 'static) {
+pub fn sleep_poll(every: SimDuration, ready: impl FnMut(SimTime) -> Tick + Send + 'static) {
     let (k, _) = current();
-    k.sleep_poll(interval, ready);
+    k.sleep_poll(every, ready);
 }
 
 /// Yield the token to other threads runnable at the current time.
@@ -1679,23 +1695,6 @@ mod tests {
             k2.wait(me, Wait::fixed("waiting for godot", None));
         });
         k.run();
-    }
-
-    #[test]
-    fn deadlock_dump_reports_time_and_parked_duration() {
-        let k = Kernel::new();
-        let k2 = k.clone();
-        k.spawn("stuck", move || {
-            sleep(ms(7));
-            let (_, me) = current();
-            k2.wait(me, Wait::on("mutex", &"godot".into(), ""));
-        });
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| k.run()))
-            .expect_err("deadlock must abort the run");
-        let msg = payload_to_string(err.as_ref());
-        assert!(msg.contains("deadlock at t+7.000ms"), "{msg}");
-        assert!(msg.contains("parked for 0ns"), "{msg}");
-        assert!(msg.contains("mutex 'godot'"), "{msg}");
     }
 
     #[test]
@@ -1883,24 +1882,6 @@ mod tests {
     }
 
     #[test]
-    fn livelock_is_detected_and_reports_note() {
-        let k = Kernel::new_with_policy(SchedPolicy::Random(7));
-        k.set_livelock_threshold(Some(500));
-        k.set_dump_note("faults=[t+1ms bus0 error]");
-        for i in 0..2 {
-            k.spawn(format!("spin{i}"), || loop {
-                yield_now();
-            });
-        }
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| k.run()))
-            .expect_err("livelock must abort the run");
-        let msg = payload_to_string(err.as_ref());
-        assert!(msg.contains("livelock at t+0ns"), "{msg}");
-        assert!(msg.contains("500 consecutive dispatches"), "{msg}");
-        assert!(msg.contains("context: faults=[t+1ms bus0 error]"), "{msg}");
-    }
-
-    #[test]
     fn livelock_threshold_tolerates_progressing_runs() {
         // A run that yields a lot but keeps advancing time never trips.
         let k = Kernel::new_with_policy(SchedPolicy::Random(3));
@@ -1917,37 +1898,11 @@ mod tests {
         assert!(k.now() > SimTime::ZERO);
     }
 
+    /// A run has tens of thousands of thread-table entries: what only a
+    /// handful of threads need (an idle promise) is kept beside the table.
     #[test]
-    fn deadlock_dump_includes_note_when_set() {
-        let k = Kernel::new();
-        k.set_dump_note("schedule=S1");
-        let k2 = k.clone();
-        k.spawn("stuck", move || {
-            let (_, me) = current();
-            k2.wait(me, Wait::fixed("waiting", None));
-        });
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| k.run()))
-            .expect_err("deadlock must abort the run");
-        let msg = payload_to_string(err.as_ref());
-        assert!(msg.contains("context: schedule=S1"), "{msg}");
-    }
-
-    #[test]
-    fn deadlock_dump_includes_flight_recorder_tail() {
-        let k = Kernel::new();
-        snapify_obs::enable();
-        let k2 = k.clone();
-        k.spawn("stuck", move || {
-            snapify_obs::instant("last breadcrumb before hang");
-            let (_, me) = current();
-            k2.wait(me, Wait::fixed("waiting", None));
-        });
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| k.run()))
-            .expect_err("deadlock must abort the run");
-        snapify_obs::disable();
-        let msg = payload_to_string(err.as_ref());
-        assert!(msg.contains("flight recorder (last"), "{msg}");
-        assert!(msg.contains("last breadcrumb before hang"), "{msg}");
+    fn thread_table_entries_do_not_grow() {
+        assert_eq!(std::mem::size_of::<ThreadInfo>(), 160);
     }
 
     #[test]
@@ -1955,7 +1910,10 @@ mod tests {
         let k = Kernel::new();
         let h = k.spawn("poller", || {
             let until = now() + ms(1);
-            sleep_poll(crate::time::us(300), move |now| now >= until);
+            sleep_poll(crate::time::us(300), move |now| match now >= until {
+                true => Tick::Ready,
+                false => Tick::Idle { until: Some(until) },
+            });
             now()
         });
         k.run();
@@ -1983,15 +1941,5 @@ mod tests {
         assert!(!k.inner.sched.is_poisoned());
         assert_eq!(k.now(), SimTime::ZERO + ms(1));
         assert_eq!(k.live_threads(), 2);
-    }
-
-    #[test]
-    fn block_reason_renders_like_the_legacy_strings() {
-        assert_eq!(Wait::fixed("sleep", None).to_string(), "sleep");
-        assert_eq!(Wait::on("mutex", &"m".into(), "").to_string(), "mutex 'm'");
-        assert_eq!(
-            Wait::on("channel", &"c".into(), " empty").to_string(),
-            "channel 'c' empty"
-        );
     }
 }

@@ -75,4 +75,4 @@ pub use kernel::{
 pub use resource::{Bandwidth, BandwidthResource};
 pub use sync::{Barrier, Semaphore, SimCondvar, SimMutex, SimMutexGuard};
 pub use time::{ms, secs, us, SimDuration, SimTime};
-pub use wait::{block_on, Polled, Step, Wait};
+pub use wait::{block_on, Polled, Step, Tick, Wait};

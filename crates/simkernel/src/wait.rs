@@ -79,10 +79,35 @@ pub enum Polled<T> {
     Wait(Wait),
 }
 
+/// What the predicate of [`crate::Kernel::sleep_poll`] found at a tick.
+pub enum Tick {
+    /// Wake the sleeper: a pass of its own could do something.
+    Ready,
+    /// Nothing to do — [`Step::Idle`]'s promise, with its `until`.
+    Idle {
+        /// The first instant the answer may change on its own.
+        until: Option<SimTime>,
+    },
+}
+
 /// How one turn of a stepped service ended (see [`crate::Kernel::spawn_stepped`]).
 pub enum Step {
     /// Run the step again when this wait is over.
     Wait(Wait),
+    /// `Wait(Wait::sleep(every))`, plus a promise: this turn did nothing
+    /// observable — sent nothing, woke nobody, changed no state — and every
+    /// turn at a tick strictly before `until` (`None`: never on its own)
+    /// would end the same, as long as nothing else happens in this domain:
+    /// the scheduler answers those ticks at the pick ([`crate::kernel`],
+    /// "Tickless idle"). The step may have read only what changes when
+    /// simulated code runs, plus the clock through `until`: `is_empty` of a
+    /// channel qualifies (in flight is queued), what has *arrived* does not.
+    Idle {
+        /// The tick: how long to sleep before the next turn.
+        every: SimDuration,
+        /// The first instant the answer may change on its own.
+        until: Option<SimTime>,
+    },
     /// The service is finished; its joiners are released.
     Exit,
     /// Grant the OS thread parked behind this step — how a thread in
@@ -111,5 +136,20 @@ pub fn block_on<T>(mut poll: impl FnMut() -> Polled<T>) -> T {
             Polled::Ready(r) => return r,
             Polled::Wait(w) => wait(w),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_reason_renders_like_the_legacy_strings() {
+        assert_eq!(Wait::fixed("sleep", None).to_string(), "sleep");
+        assert_eq!(Wait::on("mutex", &"m".into(), "").to_string(), "mutex 'm'");
+        assert_eq!(
+            Wait::on("channel", &"c".into(), " empty").to_string(),
+            "channel 'c' empty"
+        );
     }
 }

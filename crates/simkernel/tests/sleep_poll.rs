@@ -1,23 +1,28 @@
 //! `sleep_poll(interval, ready)` must be observably identical to
-//! `loop { sleep(interval); if ready(now()) { break } }`: same trace, same
-//! clocks, same wake-up instants — under both tie-break policies, with the
-//! livelock counter armed, and across domain counts. The only permitted
-//! difference is that idle ticks no longer wake the polling thread, which
-//! `Kernel::inline_polls` counts.
+//! `loop { sleep(interval); if ready(now()) is Ready { break } }`: same
+//! trace, same clocks, same wake-up instants — under both tie-break
+//! policies, with the livelock counter armed, and across domain counts —
+//! whether its idle answers promise nothing (every tick is evaluated) or
+//! as much as they can (the ticks are answered at the pick). The only
+//! permitted difference is that idle ticks no longer wake the polling
+//! thread, which `Kernel::inline_polls` counts. The second half holds the
+//! promise itself to its contract.
 
 use simkernel::{
-    ms, now, sleep, sleep_poll, us, yield_now, Kernel, MultiDomainConfig, MultiKernel, SchedPolicy,
-    SimChannel, SimDuration, SimTime,
+    ms, now, secs, sleep, sleep_poll, us, yield_now, Kernel, MultiDomainConfig, MultiKernel,
+    SchedPolicy, SimChannel, SimDuration, SimTime, Tick,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// How a poller waits: the reference loop, or the kernel primitive.
+/// How a poller waits: the reference loop, the kernel primitive with every
+/// promise cut down to "not even the next tick", or with the promise whole.
 #[derive(Clone, Copy)]
 enum Form {
     Loop,
     Poll,
+    Idle,
 }
 
 /// Per-run bookkeeping shared by the pollers.
@@ -30,27 +35,39 @@ struct Log {
 }
 
 impl Log {
-    /// Wait in steps of `interval` until `ready(now)` holds at a tick.
+    /// Wait in steps of `interval` until `ready(now)` is `Ready` at a tick.
     fn wait(
         &self,
         form: Form,
         interval: SimDuration,
-        mut ready: impl FnMut(SimTime) -> bool + Send + 'static,
+        mut ready: impl FnMut(SimTime) -> Tick + Send + 'static,
     ) {
         match form {
             Form::Loop => loop {
                 sleep(interval);
-                if ready(now()) {
+                if matches!(ready(now()), Tick::Ready) {
                     break;
                 }
                 self.idle_ticks.fetch_add(1, Ordering::SeqCst);
             },
-            Form::Poll => sleep_poll(interval, ready),
+            Form::Poll => sleep_poll(interval, move |t| match ready(t) {
+                Tick::Idle { .. } => Tick::Idle { until: Some(t) },
+                Tick::Ready => Tick::Ready,
+            }),
+            Form::Idle => sleep_poll(interval, ready),
         }
     }
 
     fn woke(&self, poller: usize) {
         self.wakes.lock().unwrap().push((poller, now()));
+    }
+}
+
+/// `Ready` if `ready`, else idle with the given promise.
+fn idle_unless(ready: bool, until: Option<SimTime>) -> Tick {
+    match ready {
+        true => Tick::Ready,
+        false => Tick::Idle { until },
     }
 }
 
@@ -67,7 +84,9 @@ fn token_poller(
     move || {
         for _ in 0..rounds {
             let p = Arc::clone(&pending);
-            log.wait(form, interval, move |_| p.load(Ordering::SeqCst) > 0);
+            log.wait(form, interval, move |_| {
+                idle_unless(p.load(Ordering::SeqCst) > 0, None)
+            });
             pending.fetch_sub(1, Ordering::SeqCst);
             log.woke(id);
             sleep(us(30)); // act on the token
@@ -120,7 +139,9 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy, livelock: Option<
         d0.spawn("p2", move || {
             for _ in 0..2 {
                 let deadline = now() + ms(1);
-                log.wait(form, us(70), move |now| now >= deadline);
+                log.wait(form, us(70), move |now| {
+                    idle_unless(now >= deadline, Some(deadline))
+                });
                 log.woke(2);
             }
         });
@@ -175,27 +196,25 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy, livelock: Option<
     }
 }
 
-/// Both forms of one configuration must agree on everything observable,
-/// and the poll form must have kept every idle tick off the pollers.
+/// All forms of one configuration must agree on everything observable,
+/// and both primitive forms must have kept every idle tick off the pollers.
 fn assert_equivalent(domains: u32, policy: SchedPolicy, livelock: Option<u64>) -> Outcome {
     let reference = run_scenario(Form::Loop, domains, policy, livelock);
-    let polled = run_scenario(Form::Poll, domains, policy, livelock);
-    let what = format!("domains={domains} {policy:?} livelock={livelock:?}");
-    assert_eq!(reference.fingerprint, polled.fingerprint, "trace: {what}");
-    assert_eq!(reference.clocks, polled.clocks, "clocks: {what}");
-    assert_eq!(reference.wakes, polled.wakes, "wake instants: {what}");
-    assert_eq!(
-        reference.wakes.len(),
-        3 + 2 + 2 + 2,
-        "every wait ended: {what}"
-    );
-    assert_eq!(reference.inline_polls, 0, "{what}");
-    assert!(reference.idle_ticks > 20, "scenario too quiet: {what}");
-    assert_eq!(
-        polled.inline_polls, reference.idle_ticks,
-        "every idle tick, and only those, must run inline: {what}"
-    );
-    polled
+    assert_eq!(reference.wakes.len(), 3 + 2 + 2 + 2, "every wait ended");
+    assert_eq!(reference.inline_polls, 0);
+    assert!(reference.idle_ticks > 20, "scenario too quiet");
+    for (form, name) in [(Form::Poll, "poll"), (Form::Idle, "idle")] {
+        let polled = run_scenario(form, domains, policy, livelock);
+        let what = format!("{name}: domains={domains} {policy:?} livelock={livelock:?}");
+        assert_eq!(reference.fingerprint, polled.fingerprint, "trace: {what}");
+        assert_eq!(reference.clocks, polled.clocks, "clocks: {what}");
+        assert_eq!(reference.wakes, polled.wakes, "wake instants: {what}");
+        assert_eq!(
+            polled.inline_polls, reference.idle_ticks,
+            "every idle tick, and only those, must run inline: {what}"
+        );
+    }
+    reference
 }
 
 #[test]
@@ -247,7 +266,9 @@ fn livelock_dump(form: Form) -> String {
     let k = Kernel::new();
     k.set_livelock_threshold(Some(100));
     let log = Log::default();
-    k.spawn("poller", move || log.wait(form, us(200), |_| false));
+    k.spawn("poller", move || {
+        log.wait(form, us(200), |_| Tick::Idle { until: None })
+    });
     for i in 0..2 {
         k.spawn(format!("spin{i}"), || {
             sleep(us(500));
@@ -269,4 +290,112 @@ fn livelock_dump_lists_the_poller_as_sleeping() {
         "{reference}"
     );
     assert_eq!(reference, livelock_dump(Form::Poll));
+    assert_eq!(reference, livelock_dump(Form::Idle));
+}
+
+// ---------------------------------------------------------------------
+// The promise: what it saves, what voids it, what breaking it costs.
+// ---------------------------------------------------------------------
+
+/// The watchdog shape alone in its kernel: 70 µs grid, deadline 1 ms off.
+/// Returns when the waiter woke and how often its predicate was called.
+fn lone_watchdog(form: Form) -> (SimTime, u64) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let k = Kernel::new();
+    let h = {
+        let calls = Arc::clone(&calls);
+        k.spawn("watchdog", move || {
+            let deadline = now() + ms(1);
+            Log::default().wait(form, us(70), move |now| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                idle_unless(now >= deadline, Some(deadline))
+            });
+            now()
+        })
+    };
+    k.run();
+    assert_eq!(
+        k.inline_polls(),
+        if matches!(form, Form::Loop) { 0 } else { 14 }
+    );
+    (h.take_result().unwrap(), calls.load(Ordering::SeqCst))
+}
+
+#[test]
+fn a_promised_tick_costs_no_predicate_call() {
+    // 14 idle ticks, then 1050 µs: the first tick at or past the deadline.
+    assert_eq!(lone_watchdog(Form::Loop), (SimTime::ZERO + us(1050), 15));
+    assert_eq!(lone_watchdog(Form::Poll), (SimTime::ZERO + us(1050), 15));
+    // The first tick promises the rest up to the deadline; the tick past
+    // it is evaluated again. A debug build audits the thirteen between.
+    let calls = if cfg!(debug_assertions) { 15 } else { 2 };
+    assert_eq!(lone_watchdog(Form::Idle), (SimTime::ZERO + us(1050), calls));
+}
+
+#[test]
+fn a_barrier_delivery_that_wakes_nobody_voids_the_promise() {
+    let run = |form: Form| {
+        let mk = MultiKernel::new(MultiDomainConfig::new(2, us(50)));
+        let (tx, rx) = mk.port::<u64>("mail", 0, 1, ms(1));
+        mk.domain(0).spawn("sender", move || {
+            sleep(us(500));
+            tx.send(7).unwrap();
+        });
+        // Nobody is in `recv`: the delivery at the barrier of the window
+        // [500, 550) µs queues the message and wakes no thread. A promise
+        // that survived it would hold the poller to its 5 ms.
+        let h = mk.domain(1).spawn("poller", move || {
+            let until = Some(now() + ms(5));
+            Log::default().wait(form, us(200), move |_| idle_unless(!rx.is_empty(), until));
+            now()
+        });
+        mk.run();
+        h.take_result().unwrap()
+    };
+    for form in [Form::Loop, Form::Poll, Form::Idle] {
+        assert_eq!(run(form), SimTime::ZERO + us(600));
+    }
+}
+
+#[test]
+fn idle_ticks_open_no_windows() {
+    // Two domains, each a poller idle for the next second beside a worker
+    // with one real event per 10 ms: the windows follow the workers.
+    let mk = MultiKernel::new(MultiDomainConfig::new(2, us(50)));
+    for d in 0..2 {
+        mk.domain(d).spawn_daemon(format!("poller-{d}"), || {
+            let until = now() + secs(1);
+            sleep_poll(us(200), move |now| idle_unless(now >= until, Some(until)));
+        });
+        mk.domain(d).spawn(format!("worker-{d}"), || {
+            for _ in 0..20 {
+                sleep(ms(10));
+            }
+        });
+    }
+    mk.run();
+    assert_eq!(mk.clock(0), SimTime::ZERO + ms(200));
+    let ticks: u64 = (0..2).map(|d| mk.domain(d).inline_polls()).sum();
+    assert!(ticks >= 2 * 999, "the pollers stopped ticking: {ticks}");
+    // One window per tick would be about a thousand.
+    assert!(mk.rounds() <= 3 * 40, "{} rounds", mk.rounds());
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn a_lying_predicate_fails_a_debug_run_by_name() {
+    let k = Kernel::new();
+    k.spawn("liar", || {
+        let mut asked = 0;
+        sleep_poll(us(100), move |_| {
+            asked += 1;
+            idle_unless(asked == 3, None)
+        });
+    });
+    let err = catch_unwind(AssertUnwindSafe(|| k.run())).expect_err("the lie must fail the run");
+    let msg = err.downcast_ref::<String>().expect("string panic");
+    assert!(
+        msg.contains("step of 'liar' broke its idle promise at t+300.000us"),
+        "{msg}"
+    );
 }

@@ -3,21 +3,26 @@
 //! results — under both tie-break policies and across domain counts. Each
 //! scenario below is written twice, once as a thread over the blocking
 //! forms (`recv`, `transfer`, `SimCondvar::wait`) and once as a step over
-//! their cores (`poll_recv`, `schedule`, `park`). The second half holds a
-//! misbehaving step to a typed failure.
+//! their cores (`poll_recv`, `schedule`, `park`) — and a third time with
+//! the one service that polls on a grid answering `Step::Idle` instead of
+//! `Step::Wait(sleep)`. The second half holds a misbehaving step to a
+//! typed failure.
 
 use simkernel::{
     ms, now, sleep, spawn, us, BandwidthResource, Kernel, MultiDomainConfig, MultiKernel, Polled,
     SchedPolicy, SimChannel, SimCondvar, SimDuration, SimMutex, SimTime, Step, Wait,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// How a service is written.
+/// How a service is written: `Idle` is `Step`, with the grid poller's
+/// empty turns promised idle.
 #[derive(Clone, Copy)]
 enum Form {
     Thread,
     Step,
+    Idle,
 }
 
 /// What the scenario's threads observed: `(who, what, when)`.
@@ -39,7 +44,7 @@ fn spawn_echo(k: &Kernel, form: Form, req: Chan, resp: Chan) {
                 }
             });
         }
-        Form::Step => {
+        Form::Step | Form::Idle => {
             k.spawn_stepped("echo", true, move || loop {
                 match req.poll_recv() {
                     Polled::Wait(w) => return Step::Wait(w),
@@ -68,7 +73,7 @@ fn spawn_link_server(
                 resp.send(v).unwrap();
             }
         }),
-        Form::Step => {
+        Form::Step | Form::Idle => {
             let (mut served, mut crossing) = (0, None);
             k.spawn_stepped("link-server", false, move || loop {
                 if let Some(v) = crossing.take() {
@@ -106,7 +111,7 @@ fn spawn_flag_watcher(k: &Kernel, form: Form, flag: Arc<(SimMutex<bool>, SimCond
                 note(&log, "watcher", 0);
             });
         }
-        Form::Step => {
+        Form::Step | Form::Idle => {
             k.spawn_stepped("watcher", true, move || {
                 let set = flag.0.lock();
                 if !*set {
@@ -138,7 +143,7 @@ fn spawn_acceptor(k: &Kernel, form: Form, doors: Vec<Chan>, work: Chan, log: Log
                 start(sum);
             });
         }
-        Form::Step => {
+        Form::Step | Form::Idle => {
             let mut got = Vec::new();
             k.spawn_stepped("acceptor", true, move || {
                 while got.len() < doors.len() {
@@ -164,12 +169,40 @@ fn spawn_sink(k: &Kernel, form: Form, work: Chan, log: Log) {
                 }
             });
         }
-        Form::Step => {
+        Form::Step | Form::Idle => {
             k.spawn_stepped("sink", true, move || loop {
                 match work.poll_recv() {
                     Polled::Wait(w) => return Step::Wait(w),
                     Polled::Ready(Err(_)) => return Step::Exit,
                     Polled::Ready(Ok(v)) => note(&log, "sink", v),
+                }
+            });
+        }
+    }
+}
+
+/// The drain-lock shape (`OffloadRuntime::stream_client`): look at a flag
+/// every 40 µs, act once it is up.
+fn spawn_grid_poller(k: &Kernel, form: Form, flag: Arc<AtomicBool>, log: Log) {
+    let every = us(40);
+    match form {
+        Form::Thread => {
+            k.spawn_daemon("grid-poller", move || {
+                while !flag.load(Ordering::SeqCst) {
+                    sleep(every);
+                }
+                note(&log, "grid-poller", 0);
+            });
+        }
+        Form::Step | Form::Idle => {
+            k.spawn_stepped("grid-poller", true, move || {
+                if flag.load(Ordering::SeqCst) {
+                    note(&log, "grid-poller", 0);
+                    return Step::Exit;
+                }
+                match form {
+                    Form::Idle => Step::Idle { every, until: None },
+                    _ => Step::Wait(Wait::sleep(every)),
                 }
             });
         }
@@ -188,7 +221,7 @@ fn spawn_ticker(k: &Kernel, form: Form, ticks: u64, log: Log) {
                 }
             });
         }
-        Form::Step => {
+        Form::Step | Form::Idle => {
             let mut i = 0;
             k.spawn_stepped("ticker", false, move || {
                 if i > 0 {
@@ -245,6 +278,8 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy) -> Outcome {
     {
         let flag = Arc::new((SimMutex::new("flag", false), SimCondvar::new("flag")));
         spawn_flag_watcher(d0, form, Arc::clone(&flag), log.clone());
+        let up = Arc::new(AtomicBool::new(false));
+        spawn_grid_poller(d0, form, Arc::clone(&up), log.clone());
         d0.spawn("opener", move || {
             for (i, door) in [2usize, 0, 3, 1].into_iter().enumerate() {
                 sleep(us(100));
@@ -254,6 +289,7 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy) -> Outcome {
                 sleep(us(100));
                 work.send(v).unwrap();
             }
+            up.store(true, Ordering::SeqCst);
             *flag.0.lock() = true;
             flag.1.notify_all();
         });
@@ -314,12 +350,16 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy) -> Outcome {
 fn assert_equivalent(domains: u32, policy: SchedPolicy) -> Outcome {
     let threads = run_scenario(Form::Thread, domains, policy);
     let stepped = run_scenario(Form::Step, domains, policy);
+    let idle = run_scenario(Form::Idle, domains, policy);
     let what = format!("domains={domains} {policy:?}");
-    assert_eq!(threads.fingerprint, stepped.fingerprint, "trace: {what}");
-    assert_eq!(threads.clocks, stepped.clocks, "clocks: {what}");
-    assert_eq!(threads.log, stepped.log, "observations: {what}");
     assert_eq!(threads.inline_steps, 0, "{what}");
     assert!(stepped.inline_steps > 50, "scenario too quiet: {what}");
+    assert_eq!(stepped.inline_steps, idle.inline_steps, "{what}");
+    for other in [&stepped, &idle] {
+        assert_eq!(threads.fingerprint, other.fingerprint, "trace: {what}");
+        assert_eq!(threads.clocks, other.clocks, "clocks: {what}");
+        assert_eq!(threads.log, other.log, "observations: {what}");
+    }
     stepped
 }
 
@@ -332,6 +372,7 @@ fn fifo_trace_is_identical() {
     assert_eq!(count("sink"), 5);
     assert_eq!(count("started-thread"), 1);
     assert_eq!(count("watcher"), 1);
+    assert_eq!(count("grid-poller"), 1);
     assert_eq!(count("joiner"), 1);
     // The non-daemon ticker outlives every other thread and holds the run
     // open to its last tick; the daemons still parked then do not.

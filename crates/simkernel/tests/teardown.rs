@@ -6,7 +6,7 @@
 
 use simkernel::{
     current, ms, now, obs, sleep, sleep_poll, spawn, us, Kernel, MultiDomainConfig, MultiKernel,
-    Polled, SchedPolicy, SimChannel, SimMutex, Step, Tid,
+    Polled, SchedPolicy, SimChannel, SimMutex, Step, Tick, Tid,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,7 +63,7 @@ fn populate(k: &Kernel, sentinel: &Arc<()>, drops: &Arc<Mutex<Vec<Tid>>>) -> Vec
             let _untaken = spawn("result", move || s2);
             sleep_poll(ms(1), move |_| {
                 let _ = &h;
-                false
+                Tick::Idle { until: None }
             });
         })
         .tid(),

@@ -115,3 +115,36 @@ fn fleet_migrate_replays_byte_identically_via_simchaos_seed() {
     );
     assert_eq!(first.faults_fired, second.faults_fired);
 }
+
+/// Coordination cost follows the fleet's events, not the monitors' poll
+/// grid: the domains meet at a barrier for fewer than one kernel event in
+/// four (an idle 200 µs tick used to open a window of its own, and rounds
+/// were over half the events), and what the fleet observed is what one
+/// domain observes.
+#[test]
+fn barrier_rounds_stay_a_fraction_of_kernel_events() {
+    let run = |domains: u32| {
+        let cfg = FleetConfig {
+            nodes: 4,
+            tenants: 12,
+            base_bytes: 8 << 20,
+            unique_bytes: 1 << 20,
+            max_migrations: 3,
+            domains,
+            ..FleetConfig::default()
+        };
+        FleetScheduler::new(cfg).run()
+    };
+    let one = run(1);
+    assert_eq!(one.barrier_rounds, 0);
+    for domains in [2, 4] {
+        let report = run(domains);
+        assert_eq!(report.digest(), one.digest(), "domains={domains}");
+        let (events, rounds) = (report.fingerprint.0 as u64, report.barrier_rounds);
+        assert!(
+            rounds > 0 && rounds * 4 < events,
+            "domains={domains}: {rounds} rounds for {events} events"
+        );
+        println!("domains={domains}: {rounds} rounds, {events} events");
+    }
+}
