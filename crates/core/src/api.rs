@@ -138,20 +138,24 @@ pub fn snapify_pause(snapshot: &SnapifyT) -> Result<(), SnapifyError> {
         pid: handle.pid(),
         path: snapshot.snapshot_path.clone(),
     };
-    match handle.snapify_call(request)? {
-        CtlMsg::SnapifyPauseComplete { ok: true } => Ok(()),
-        CtlMsg::SnapifyPauseComplete { ok: false } => {
+    let failure = match handle.snapify_call(request) {
+        Ok(CtlMsg::SnapifyPauseComplete { ok: true }) => return Ok(()),
+        Ok(CtlMsg::SnapifyPauseComplete { ok: false }) => {
             // The offload side failed partway through its drain and may
             // hold locks / leave the barrier up. Best-effort resume so
             // the application is runnable again before the error
-            // surfaces (the release calls are idempotent).
+            // surfaces.
             let _ = snapify_resume(snapshot);
-            Err(SnapifyError::Protocol("offload pause failed".into()))
+            SnapifyError::Protocol("offload pause failed".into())
         }
-        other => Err(SnapifyError::Protocol(format!(
-            "unexpected reply {other:?}"
-        ))),
-    }
+        Ok(other) => SnapifyError::Protocol(format!("unexpected reply {other:?}")),
+        Err(e) => e.into(),
+    };
+    // No pause stands, whatever the daemon or the wire did: the drain
+    // above succeeded, and its locks must not outlive the error
+    // (idempotent after a resume that already released them).
+    handle.snapify_release_host();
+    Err(failure)
 }
 
 /// Capture a snapshot of the (paused) offload process. **Non-blocking**:

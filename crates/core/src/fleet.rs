@@ -21,7 +21,8 @@
 //! * Each **agent** boots a full [`SnapifyWorld`] (COI + Snapify-IO +
 //!   dedup store) attached to the shared [`ClusterPool`], admits its
 //!   tenants to a local [`SwapScheduler`], and executes control
-//!   commands serially from its command link.
+//!   commands serially from its command link — each has exactly one
+//!   reply, sent from one place and read by one rule (`Rep::expect`).
 //!
 //! Cross-node migration reuses the paper's own building blocks
 //! end-to-end: the source pauses the tenant, takes a host BLCR
@@ -497,11 +498,25 @@ impl Rep {
         })
     }
 
-    /// Receive and decode the next reply. Both ends of the link are this
-    /// process, so a closed link or an undecodable frame is a bug.
-    fn recv(rx: &ClusterRx, what: &str) -> Rep {
-        Rep::decode(&rx.recv().expect(what)).expect(what)
+    /// The controller's one reply rule: take node `node`'s next reply and
+    /// let `pick` read what this phase expects out of it. Both ends of
+    /// the link are this process, so a closed link, an undecodable frame
+    /// or a reply `pick` has no use for is a bug.
+    fn expect<T>(
+        rx: &ClusterRx,
+        node: usize,
+        what: &str,
+        pick: impl FnOnce(Rep) -> Option<T>,
+    ) -> T {
+        let reply = Rep::decode(&rx.recv().expect(what)).expect(what);
+        pick(reply).unwrap_or_else(|| panic!("expected a {what} from n{node}"))
     }
+}
+
+/// Put one frame (or the raw payload that follows one) on a link; both
+/// ends of every link are this process, so a closed link is a bug.
+fn send(tx: &ClusterTx, frame: Payload) {
+    tx.send(frame).expect("fleet link closed mid-run");
 }
 
 // ---------------------------------------------------------------------
@@ -568,9 +583,8 @@ struct AgentTenant {
 /// whether the destination committed.
 struct PendingOut {
     snap: SnapifyT,
-    host: simproc::SimProcess,
-    handle: CoiProcessHandle,
-    device: usize,
+    /// The tenant's entry as it left the table (its job is retired).
+    at: AgentTenant,
     /// Resident job parked to free the device for the capture.
     bumped: Option<JobId>,
     path: String,
@@ -627,10 +641,6 @@ impl Agent {
         }
     }
 
-    fn tenant_tag(tenant: u64) -> String {
-        format!("t{tenant}")
-    }
-
     fn launch(&mut self, tenant: u64, device: usize, park: bool) -> Result<(), SnapifyError> {
         let _span = obs::span!("fleet.launch", tenant = tenant, node = self.node);
         let host = self
@@ -645,25 +655,39 @@ impl Agent {
             &uniq,
             Payload::synthetic(UNIQ_TAG | tenant, self.cfg.unique_bytes),
         )?;
-        handle.run_sync("touch", Vec::new(), &[&base, &uniq])?;
-        let job = self
-            .sched
-            .admit_tagged(&handle, device, &Self::tenant_tag(tenant));
+        let job = self.adopt(tenant, host, handle, device)?;
         if park {
             self.sched.park(job)?;
             self.stats.parked_at_launch += 1;
         }
-        self.tenants.insert(
-            tenant,
-            AgentTenant {
-                job,
-                host,
-                handle,
-                device,
-            },
-        );
         self.stats.launched += 1;
         Ok(())
+    }
+
+    /// Take a tenant that is live on `device` under this agent: admit it
+    /// to the local scheduler, prove it runs — one touch over every
+    /// buffer it holds — and enter it in the tenant table.
+    fn adopt(
+        &mut self,
+        tenant: u64,
+        host: simproc::SimProcess,
+        handle: CoiProcessHandle,
+        device: usize,
+    ) -> Result<JobId, SnapifyError> {
+        let job = self
+            .sched
+            .admit_tagged(&handle, device, &format!("t{tenant}"));
+        let bufs = handle.buffers();
+        let refs: Vec<&CoiBuffer> = bufs.iter().map(|b| b.as_ref()).collect();
+        handle.run_sync("touch", Vec::new(), &refs)?;
+        let at = AgentTenant {
+            job,
+            host,
+            handle,
+            device,
+        };
+        self.tenants.insert(tenant, at);
+        Ok(job)
     }
 
     /// One full swap cycle of a resident tenant: park it and bring it
@@ -708,15 +732,7 @@ impl Agent {
         let device = at.device;
         // Vacate the device (its resident is usually a seed tenant),
         // then bring the migrating tenant back one last time.
-        let bumped = self
-            .sched
-            .resident_jobs()
-            .iter()
-            .find(|(d, _)| *d == device)
-            .map(|(_, j)| *j);
-        if let Some(job) = bumped {
-            self.sched.park(job)?;
-        }
+        let bumped = self.sched.vacate(device)?;
         self.sched.swap_in(at.job, device)?;
         // Detach from local scheduling; this also garbage-collects the
         // tenant's swap snapshots (the migration capture below is the
@@ -741,9 +757,7 @@ impl Agent {
             tenant,
             PendingOut {
                 snap,
-                host: at.host,
-                handle: at.handle,
-                device,
+                at,
                 bumped,
                 path: path.to_string(),
             },
@@ -769,11 +783,11 @@ impl Agent {
             .pending_out
             .remove(&tenant)
             .expect("cleanup of unknown pending migration");
-        p.host.exit();
+        p.at.host.exit();
         self.delete_snapshot_dir(&p.path);
         if let Some(job) = p.bumped {
             self.sched
-                .swap_in(job, p.device)
+                .swap_in(job, p.at.device)
                 .expect("restoring the bumped resident after migration");
         }
         self.stats.migrated_out += 1;
@@ -791,30 +805,15 @@ impl Agent {
             .pending_out
             .remove(&tenant)
             .expect("restore-back of unknown pending migration");
-        api::snapify_restore(&p.snap, p.device)?;
+        api::snapify_restore(&p.snap, p.at.device)?;
         api::snapify_resume(&p.snap)?;
-        let job = self
-            .sched
-            .admit_tagged(&p.handle, p.device, &Self::tenant_tag(tenant));
-        let bufs = p.handle.buffers();
-        {
-            let refs: Vec<&CoiBuffer> = bufs.iter().map(|b| b.as_ref()).collect();
-            p.handle.run_sync("touch", Vec::new(), &refs)?;
-        }
+        let device = p.at.device;
+        let job = self.adopt(tenant, p.at.host, p.at.handle, device)?;
         self.sched.park(job)?;
         if let Some(seed) = p.bumped {
-            self.sched.swap_in(seed, p.device)?;
+            self.sched.swap_in(seed, device)?;
         }
         self.delete_snapshot_dir(&p.path);
-        self.tenants.insert(
-            tenant,
-            AgentTenant {
-                job,
-                host: p.host,
-                handle: p.handle,
-                device: p.device,
-            },
-        );
         self.stats.restored_back += 1;
         Ok(())
     }
@@ -834,16 +833,9 @@ impl Agent {
         host_snapshot: Payload,
     ) -> Result<(), SnapifyError> {
         let _span = obs::span!("fleet.restore_in", tenant = tenant, node = self.node);
-        let bumped = self
-            .sched
-            .resident_jobs()
-            .iter()
-            .find(|(d, _)| *d == device)
-            .map(|(_, j)| *j);
+        let mut bumped = None;
         let attempt = (|| -> Result<cr::RestartedApp, SnapifyError> {
-            if let Some(job) = bumped {
-                self.sched.park(job)?;
-            }
+            bumped = self.sched.vacate(device)?;
             let storage: &dyn SnapshotStorage = self.world.io();
             let mut sink = storage.sink(NodeId::HOST, &format!("{path}/host_snapshot"))?;
             sink.write(host_snapshot)?;
@@ -865,24 +857,8 @@ impl Agent {
         })();
         match attempt {
             Ok(app) => {
-                let job = self
-                    .sched
-                    .admit_tagged(&app.handle, device, &Self::tenant_tag(tenant));
-                let bufs = app.handle.buffers();
-                {
-                    let refs: Vec<&CoiBuffer> = bufs.iter().map(|b| b.as_ref()).collect();
-                    app.handle.run_sync("touch", Vec::new(), &refs)?;
-                }
+                self.adopt(tenant, app.host_proc, app.handle, device)?;
                 self.imported.push(path.to_string());
-                self.tenants.insert(
-                    tenant,
-                    AgentTenant {
-                        job,
-                        host: app.host_proc,
-                        handle: app.handle,
-                        device,
-                    },
-                );
                 self.stats.migrated_in += 1;
                 Ok(())
             }
@@ -917,7 +893,9 @@ impl Agent {
     }
 }
 
-/// Agent main loop: serially execute commands until shutdown.
+/// Agent main loop: serially execute commands until shutdown. Every
+/// command has exactly one reply (the migrate-out's host snapshot rides
+/// behind its frame as a raw payload), sent from one place.
 fn run_agent(
     node: usize,
     cfg: FleetConfig,
@@ -927,7 +905,8 @@ fn run_agent(
 ) -> AgentStats {
     let mut agent = Agent::boot(node, cfg, &pool);
     while let Ok(msg) = ctl.recv() {
-        match Ctl::decode(&msg).expect("fleet control frame") {
+        let mut trailer = None;
+        let reply = match Ctl::decode(&msg).expect("fleet control frame") {
             Ctl::Launch {
                 tenant,
                 device,
@@ -936,41 +915,29 @@ fn run_agent(
                 agent
                     .launch(tenant, device as usize, park)
                     .unwrap_or_else(|e| panic!("n{node}: launch t{tenant}: {e}"));
-                rep.send(Rep::Launched { tenant }.encode()).unwrap();
+                Rep::Launched { tenant }
             }
             Ctl::Cycle { tenant } => {
                 let bytes = agent
                     .cycle(tenant)
                     .unwrap_or_else(|e| panic!("n{node}: cycle t{tenant}: {e}"));
-                rep.send(Rep::Cycled { tenant, bytes }.encode()).unwrap();
+                Rep::Cycled { tenant, bytes }
             }
-            Ctl::Report => {
-                rep.send(agent.load().encode()).unwrap();
-            }
+            Ctl::Report => agent.load(),
             Ctl::MigrateOut { tenant, path } => match agent.migrate_out(tenant, &path) {
                 Ok((host_snapshot, dev_bytes, host_bytes)) => {
-                    rep.send(
-                        Rep::MigratedOut {
-                            tenant,
-                            dev_bytes,
-                            host_bytes,
-                            binary: "fleet.so".to_string(),
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-                    rep.send(host_snapshot).unwrap();
+                    trailer = Some(host_snapshot);
+                    Rep::MigratedOut {
+                        tenant,
+                        dev_bytes,
+                        host_bytes,
+                        binary: "fleet.so".to_string(),
+                    }
                 }
-                Err(e) => {
-                    rep.send(
-                        Rep::MigrateFailed {
-                            tenant,
-                            error: e.to_string(),
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-                }
+                Err(e) => Rep::MigrateFailed {
+                    tenant,
+                    error: e.to_string(),
+                },
             },
             Ctl::RestoreIn {
                 tenant,
@@ -981,37 +948,35 @@ fn run_agent(
                 let host_snapshot = ctl.recv().expect("host snapshot follows RestoreIn");
                 let outcome =
                     agent.restore_in(tenant, device as usize, &path, &binary, host_snapshot);
-                rep.send(
-                    Rep::Restored {
-                        tenant,
-                        ok: outcome.is_ok(),
-                        error: outcome.err().map(|e| e.to_string()).unwrap_or_default(),
-                    }
-                    .encode(),
-                )
-                .unwrap();
+                Rep::Restored {
+                    tenant,
+                    ok: outcome.is_ok(),
+                    error: outcome.err().map(|e| e.to_string()).unwrap_or_default(),
+                }
             }
             Ctl::Cleanup { tenant } => {
                 agent.cleanup_committed(tenant);
-                rep.send(Rep::Cleaned { tenant }.encode()).unwrap();
+                Rep::Cleaned { tenant }
             }
             Ctl::RestoreBack { tenant } => {
                 agent
                     .restore_back(tenant)
                     .unwrap_or_else(|e| panic!("n{node}: restore-back t{tenant}: {e}"));
-                rep.send(Rep::RestoredBack { tenant }.encode()).unwrap();
+                Rep::RestoredBack { tenant }
             }
             Ctl::Shutdown => {
                 agent.shutdown();
-                rep.send(
-                    Rep::Done {
-                        tenants: agent.stats.final_tenants,
-                    }
-                    .encode(),
-                )
-                .unwrap();
-                break;
+                Rep::Done {
+                    tenants: agent.stats.final_tenants,
+                }
             }
+        };
+        send(&rep, reply.encode());
+        if let Some(payload) = trailer {
+            send(&rep, payload);
+        }
+        if matches!(reply, Rep::Done { .. }) {
+            break;
         }
     }
     rep.close();
@@ -1029,90 +994,82 @@ struct CtlResult {
     end_ns: u64,
 }
 
-fn collect_loads(reps: &mut [ClusterRx]) -> Vec<NodeLoad> {
-    let mut out = Vec::with_capacity(reps.len());
-    for (node, rx) in reps.iter_mut().enumerate() {
-        match Rep::recv(rx, "load report") {
-            Rep::Load {
-                resident,
-                parked,
-                swaps,
-            } => out.push(NodeLoad {
-                node,
-                resident,
-                parked,
-                swaps,
-            }),
-            _ => panic!("expected a load report from n{node}"),
-        }
+/// Send `command(node)` to every node — all proceed in parallel — then
+/// drain one reply per node in fixed node order, for determinism.
+fn broadcast<T>(
+    ctls: &[ClusterTx],
+    reps: &[ClusterRx],
+    what: &str,
+    command: impl Fn(usize) -> Ctl,
+    pick: impl Fn(usize, Rep) -> Option<T>,
+) -> Vec<T> {
+    for (node, tx) in ctls.iter().enumerate() {
+        send(tx, command(node).encode());
     }
-    out
+    let reply = |(node, rx)| Rep::expect(rx, node, what, |r| pick(node, r));
+    reps.iter().enumerate().map(reply).collect()
 }
 
-fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterRx>) -> CtlResult {
+fn collect_loads(ctls: &[ClusterTx], reps: &[ClusterRx]) -> Vec<NodeLoad> {
+    let load = |node, r| match r {
+        Rep::Load {
+            resident,
+            parked,
+            swaps,
+        } => Some(NodeLoad {
+            node,
+            resident,
+            parked,
+            swaps,
+        }),
+        _ => None,
+    };
+    broadcast(ctls, reps, "load report", |_| Ctl::Report, load)
+}
+
+fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, reps: Vec<ClusterRx>) -> CtlResult {
     let slots = plan_placement(&cfg);
     let devices = cfg.params.num_devices;
 
     // Phase 1: launch everything; all nodes proceed in parallel, and
     // replies are drained in fixed node order for determinism.
-    let mut expected = vec![0usize; cfg.nodes];
     for s in &slots {
-        ctls[s.node]
-            .send(
-                Ctl::Launch {
-                    tenant: s.tenant,
-                    device: s.device as u64,
-                    park: s.park,
-                }
-                .encode(),
-            )
-            .unwrap();
-        expected[s.node] += 1;
+        let launch = Ctl::Launch {
+            tenant: s.tenant,
+            device: s.device as u64,
+            park: s.park,
+        };
+        send(&ctls[s.node], launch.encode());
     }
-    for (node, rx) in reps.iter_mut().enumerate() {
-        for _ in 0..expected[node] {
-            match Rep::recv(rx, "launch reply") {
-                Rep::Launched { .. } => {}
-                _ => panic!("expected a launch reply from n{node}"),
-            }
+    for (node, rx) in reps.iter().enumerate() {
+        for _ in slots.iter().filter(|s| s.node == node) {
+            Rep::expect(rx, node, "launch reply", |r| {
+                matches!(r, Rep::Launched { .. }).then_some(())
+            });
         }
     }
 
     // Phase 2: one swap cycle of each node's device-0 seed tenant, so
     // every node's local chunk index holds the fleet's shared base
     // content — the warm substrate cross-node restores dedup against.
-    for (node, tx) in ctls.iter().enumerate() {
-        tx.send(
-            Ctl::Cycle {
-                tenant: node as u64,
-            }
-            .encode(),
-        )
-        .unwrap();
-    }
-    for (node, rx) in reps.iter_mut().enumerate() {
-        match Rep::recv(rx, "cycle reply") {
-            Rep::Cycled { .. } => {}
-            _ => panic!("expected a cycle reply from n{node}"),
-        }
-    }
+    let cycle = |node| Ctl::Cycle {
+        tenant: node as u64,
+    };
+    broadcast(&ctls, &reps, "cycle reply", cycle, |_, r| {
+        matches!(r, Rep::Cycled { .. }).then_some(())
+    });
 
     // Phase 3: load reports before rebalancing.
-    for tx in &ctls {
-        tx.send(Ctl::Report.encode()).unwrap();
-    }
-    let loads_before = collect_loads(&mut reps);
+    let loads_before = collect_loads(&ctls, &reps);
 
     // Phase 4: proactive rebalancing. The load signal drives a greedy
     // plan: repeatedly move the newest parked tenant from the most
     // loaded node to the least loaded one, serially, each through the
     // full capture → pool → restart protocol.
     let mut counts = vec![0i64; cfg.nodes];
-    let mut owner: BTreeMap<u64, usize> = BTreeMap::new();
     let mut parked_on: Vec<Vec<u64>> = vec![Vec::new(); cfg.nodes];
     for s in &slots {
         counts[s.node] += 1;
-        owner.insert(s.tenant, s.node);
         if s.park {
             parked_on[s.node].push(s.tenant);
         }
@@ -1131,113 +1088,83 @@ fn run_controller(cfg: FleetConfig, ctls: Vec<ClusterTx>, mut reps: Vec<ClusterR
             break;
         }
         let tenant = parked_on[src].pop().unwrap();
-        let device = mig % devices;
+        let device = (mig % devices) as u64;
         let path = format!("{MIGRATE_DIR}/t{tenant}");
+        let mut outcome = MigrationOutcome {
+            tenant,
+            from: src,
+            to: dst,
+            committed: false,
+            dev_bytes: 0,
+            host_bytes: 0,
+            error: None,
+        };
 
-        ctls[src]
-            .send(
-                Ctl::MigrateOut {
-                    tenant,
-                    path: path.clone(),
-                }
-                .encode(),
-            )
-            .unwrap();
-        match Rep::recv(&reps[src], "migrate-out reply") {
+        let migrate = Ctl::MigrateOut {
+            tenant,
+            path: path.clone(),
+        };
+        send(&ctls[src], migrate.encode());
+        let captured = Rep::expect(&reps[src], src, "migrate-out reply", |r| match r {
             Rep::MigratedOut {
                 dev_bytes,
                 host_bytes,
                 binary,
                 ..
-            } => {
+            } => Some(Ok((dev_bytes, host_bytes, binary))),
+            Rep::MigrateFailed { error, .. } => Some(Err(error)),
+            _ => None,
+        });
+        match captured {
+            Ok((dev_bytes, host_bytes, binary)) => {
+                (outcome.dev_bytes, outcome.host_bytes) = (dev_bytes, host_bytes);
                 let host_snapshot = reps[src].recv().expect("host snapshot payload");
-                ctls[dst]
-                    .send(
-                        Ctl::RestoreIn {
-                            tenant,
-                            device: device as u64,
-                            path: path.clone(),
-                            binary,
-                        }
-                        .encode(),
-                    )
-                    .unwrap();
-                ctls[dst].send(host_snapshot).unwrap();
-                match Rep::recv(&reps[dst], "restore reply") {
-                    Rep::Restored { ok: true, .. } => {
-                        ctls[src].send(Ctl::Cleanup { tenant }.encode()).unwrap();
-                        match Rep::recv(&reps[src], "cleanup reply") {
-                            Rep::Cleaned { .. } => {}
-                            _ => panic!("expected a cleanup reply from n{src}"),
-                        }
-                        counts[src] -= 1;
-                        counts[dst] += 1;
-                        owner.insert(tenant, dst);
-                        migrations.push(MigrationOutcome {
-                            tenant,
-                            from: src,
-                            to: dst,
-                            committed: true,
-                            dev_bytes,
-                            host_bytes,
-                            error: None,
-                        });
-                    }
-                    Rep::Restored {
-                        ok: false, error, ..
-                    } => {
-                        ctls[src]
-                            .send(Ctl::RestoreBack { tenant }.encode())
-                            .unwrap();
-                        match Rep::recv(&reps[src], "restore-back reply") {
-                            Rep::RestoredBack { .. } => {}
-                            _ => panic!("expected a restore-back reply from n{src}"),
-                        }
-                        parked_on[src].push(tenant);
-                        migrations.push(MigrationOutcome {
-                            tenant,
-                            from: src,
-                            to: dst,
-                            committed: false,
-                            dev_bytes,
-                            host_bytes,
-                            error: Some(error),
-                        });
-                    }
-                    _ => panic!("expected a restore reply from n{dst}"),
+                let restore = Ctl::RestoreIn {
+                    tenant,
+                    device,
+                    path,
+                    binary,
+                };
+                send(&ctls[dst], restore.encode());
+                send(&ctls[dst], host_snapshot);
+                outcome.error = Rep::expect(&reps[dst], dst, "restore reply", |r| match r {
+                    Rep::Restored { ok, error, .. } => Some((!ok).then_some(error)),
+                    _ => None,
+                });
+                outcome.committed = outcome.error.is_none();
+                // The verdict goes back to the source: drop its copy, or
+                // restore the tenant in place (parked, as it was).
+                if outcome.committed {
+                    send(&ctls[src], Ctl::Cleanup { tenant }.encode());
+                    Rep::expect(&reps[src], src, "cleanup reply", |r| {
+                        matches!(r, Rep::Cleaned { .. }).then_some(())
+                    });
+                    counts[src] -= 1;
+                    counts[dst] += 1;
+                } else {
+                    send(&ctls[src], Ctl::RestoreBack { tenant }.encode());
+                    Rep::expect(&reps[src], src, "restore-back reply", |r| {
+                        matches!(r, Rep::RestoredBack { .. }).then_some(())
+                    });
+                    parked_on[src].push(tenant);
                 }
             }
-            Rep::MigrateFailed { error, .. } => {
-                migrations.push(MigrationOutcome {
-                    tenant,
-                    from: src,
-                    to: dst,
-                    committed: false,
-                    dev_bytes: 0,
-                    host_bytes: 0,
-                    error: Some(error),
-                });
-            }
-            _ => panic!("expected a migrate-out reply from n{src}"),
+            Err(error) => outcome.error = Some(error),
         }
+        migrations.push(outcome);
     }
 
     // Phase 5: load reports after rebalancing.
-    for tx in &ctls {
-        tx.send(Ctl::Report.encode()).unwrap();
-    }
-    let loads_after = collect_loads(&mut reps);
+    let loads_after = collect_loads(&ctls, &reps);
 
     // Phase 6: shutdown.
-    for tx in &ctls {
-        tx.send(Ctl::Shutdown.encode()).unwrap();
-    }
-    for (node, rx) in reps.iter_mut().enumerate() {
-        match Rep::recv(rx, "shutdown reply") {
-            Rep::Done { .. } => {}
-            _ => panic!("expected a shutdown reply from n{node}"),
-        }
-    }
+    broadcast(
+        &ctls,
+        &reps,
+        "shutdown reply",
+        |_| Ctl::Shutdown,
+        |_, r| matches!(r, Rep::Done { .. }).then_some(()),
+    );
     for tx in &ctls {
         tx.close();
     }

@@ -4,9 +4,12 @@
 //! Phi's physical memory puts a hard limit on the number of processes
 //! that can concurrently run on the coprocessor" (§1), and defers
 //! placement policy to "a job scheduler like COSMIC" (§5 Remark). This
-//! module provides that scheduler as a library extension: a round-robin
-//! time-slicer that keeps at most one tenant resident per coprocessor and
-//! swaps the others out to host storage.
+//! module provides that scheduler as a library extension: a time-slicer
+//! that keeps at most one tenant resident per coprocessor and swaps the
+//! others out to host storage. There is one swap-out transition and one
+//! swap-in transition (`swap_out`, `swap_in_as`: claim under the state
+//! lock, transport with it released, commit or roll back); `park`,
+//! `vacate`, `swap_in` and `rotate` are callers of those two.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -14,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use coi_sim::CoiProcessHandle;
 use simkernel::obs;
 use simkernel::obs::{SloBreach, SloMonitor, SloSpec};
-use simkernel::SimMutex;
+use simkernel::{SimMutex, SimMutexGuard, SimTime};
 use snapstore::Dedup;
 
 use crate::api::{snapify_swapin, snapify_swapout, SnapifyT};
@@ -46,7 +49,6 @@ impl JobState {
 }
 
 struct Job {
-    id: JobId,
     handle: CoiProcessHandle,
     state: JobState,
     /// Tenant name for dimensional telemetry (`tenant` label); defaults
@@ -58,6 +60,7 @@ struct Job {
     snapshot_bytes: Option<u64>,
 }
 
+#[derive(Default)]
 struct SchedState {
     jobs: HashMap<JobId, Job>,
     /// Jobs waiting for a turn, FIFO.
@@ -98,11 +101,8 @@ impl SwapScheduler {
             state: Arc::new(SimMutex::new(
                 "swap-scheduler",
                 SchedState {
-                    jobs: HashMap::new(),
-                    ready: VecDeque::new(),
-                    resident: HashMap::new(),
                     next_id: 1,
-                    swaps: 0,
+                    ..SchedState::default()
                 },
             )),
         }
@@ -136,7 +136,6 @@ impl SwapScheduler {
         st.jobs.insert(
             id,
             Job {
-                id,
                 handle: handle.clone(),
                 state: JobState::Resident { device },
                 tenant,
@@ -182,9 +181,10 @@ impl SwapScheduler {
         }
     }
 
-    /// Record one swap latency observation: a labeled latency sketch
+    /// Record the latency of a swap that began at `t0`: a labeled sketch
     /// (`tenant`/`device`/`op`) plus, for swap-ins, the SLO monitor.
-    fn observe_swap(&self, metric: &str, op: &str, tenant: &str, device: usize, dur_ns: u64) {
+    fn observe_swap(&self, metric: &str, op: &str, tenant: &str, device: usize, t0: SimTime) {
+        let dur_ns = (simkernel::now() - t0).as_nanos();
         if obs::is_enabled() {
             let dev = device.to_string();
             obs::sketch_observe_labeled(
@@ -202,28 +202,35 @@ impl SwapScheduler {
         }
     }
 
+    /// The state lock, taken once `id` is in no transition: an in-flight
+    /// swap is waited out, never yanked from under its caller. Every
+    /// entry point that names a job starts here.
+    fn settled(&self, id: JobId) -> Result<SimMutexGuard<'_, SchedState>, SnapifyError> {
+        loop {
+            let st = self.state.lock();
+            match st.jobs.get(&id).map(|j| j.state.in_transition()) {
+                None => return Err(SnapifyError::Protocol(format!("unknown job {id}"))),
+                Some(false) => return Ok(st),
+                Some(true) => {
+                    drop(st);
+                    simkernel::sleep(simkernel::time::ms(1));
+                }
+            }
+        }
+    }
+
     /// Remove a finished job from the scheduler (the caller destroys the
     /// process). A job that finished while parked is retired too: its
     /// entry leaves the ready queue and, with a dedup store attached,
     /// the swap snapshots under `{swap_dir}/job{id}/` are released so
     /// chunks no other tenant references are reclaimed.
     pub fn retire(&self, id: JobId) -> Result<(), SnapifyError> {
-        // Wait out an in-flight swap on this job rather than yanking the
-        // state from under it.
-        loop {
-            let mut st = self.state.lock();
-            let job = st.jobs.get(&id).expect("unknown job");
-            if job.state.in_transition() {
-                drop(st);
-                simkernel::sleep(simkernel::time::ms(1));
-                continue;
-            }
-            let job = st.jobs.remove(&id).unwrap();
-            if let JobState::Resident { device } = job.state {
+        {
+            let mut st = self.settled(id)?;
+            if let Some(JobState::Resident { device }) = st.jobs.remove(&id).map(|j| j.state) {
                 st.resident.remove(&device);
             }
             st.ready.retain(|j| *j != id);
-            break;
         }
         if let Some(store) = &self.store {
             let prefix = format!("{}/job{id}/", self.swap_dir);
@@ -252,117 +259,143 @@ impl SwapScheduler {
         self.state.lock().swaps
     }
 
+    /// The swap-out transition, the only caller of `snapify_swapout`:
+    /// claim the resident job under the state lock, ship it with the
+    /// lock released, then commit (queued at the back) or — the failed
+    /// swap-out resumed the job — release the claim. A job that is
+    /// already swapped out is left alone.
+    fn swap_out(&self, id: JobId, op: &str) -> Result<(), SnapifyError> {
+        let (handle, device, tenant) = {
+            let mut st = self.settled(id)?;
+            let job = st.jobs.get_mut(&id).expect("settled");
+            let JobState::Resident { device } = job.state else {
+                return Ok(());
+            };
+            job.state = JobState::SwappingOut;
+            (job.handle.clone(), device, Arc::clone(&job.tenant))
+        };
+        let path = format!("{}/job{id}", self.swap_dir);
+        let t0 = simkernel::now();
+        let shipped = snapify_swapout(&handle, &path);
+        if shipped.is_ok() {
+            self.observe_swap("swap.swapout_ns", op, &tenant, device, t0);
+        }
+        let mut st = self.state.lock();
+        let job = st.jobs.get_mut(&id).expect("claimed");
+        match shipped {
+            Ok(snapshot) => {
+                job.snapshot_bytes = snapshot.snapshot_bytes();
+                job.state = JobState::SwappedOut(snapshot);
+                st.resident.remove(&device);
+                st.ready.push_back(id);
+                st.swaps += 1;
+                Ok(())
+            }
+            Err(e) => {
+                job.state = JobState::Resident { device };
+                Err(e)
+            }
+        }
+    }
+
+    /// The swap-in transition, the only caller of `snapify_swapin`:
+    /// claim the parked job *and reserve the device* under the state
+    /// lock — so no two swap-ins can target one device, and the
+    /// reservation shows in [`resident_jobs`](SwapScheduler::resident_jobs)
+    /// while the transport runs — restore with the lock released, then
+    /// commit or roll both back: the job keeps its snapshot and rejoins
+    /// the queue at the front (it lost no turn) or at the back.
+    fn swap_in_as(
+        &self,
+        id: JobId,
+        device: usize,
+        op: &str,
+        requeue_front: bool,
+    ) -> Result<(), SnapifyError> {
+        let (snapshot, tenant) = {
+            let mut st = self.settled(id)?;
+            if let JobState::Resident { device: d } = st.jobs[&id].state {
+                if d == device {
+                    return Ok(());
+                }
+                return Err(SnapifyError::Protocol(format!(
+                    "job {id} is resident on device {d}, not {device}"
+                )));
+            }
+            if let Some(occupant) = st.resident.get(&device) {
+                return Err(SnapifyError::Protocol(format!(
+                    "device {device} is occupied by job {occupant}"
+                )));
+            }
+            st.resident.insert(device, id);
+            st.ready.retain(|j| *j != id);
+            let job = st.jobs.get_mut(&id).expect("settled");
+            let JobState::SwappedOut(snapshot) =
+                std::mem::replace(&mut job.state, JobState::SwappingIn)
+            else {
+                unreachable!("a settled job is resident or swapped out")
+            };
+            (snapshot, Arc::clone(&job.tenant))
+        };
+        let t0 = simkernel::now();
+        let restored = snapify_swapin(&snapshot, device);
+        if restored.is_ok() {
+            self.observe_swap("swap.swapin_ns", op, &tenant, device, t0);
+        }
+        let mut st = self.state.lock();
+        let job = st.jobs.get_mut(&id).expect("claimed");
+        match restored {
+            Ok(()) => {
+                job.state = JobState::Resident { device };
+                st.swaps += 1;
+            }
+            Err(_) => {
+                job.state = JobState::SwappedOut(snapshot);
+                st.resident.remove(&device);
+                if requeue_front {
+                    st.ready.push_front(id);
+                } else {
+                    st.ready.push_back(id);
+                }
+            }
+        }
+        restored
+    }
+
+    /// Park whoever is resident on (or being restored onto) `device` and
+    /// say who; `None` when the device was free.
+    pub fn vacate(&self, device: usize) -> Result<Option<JobId>, SnapifyError> {
+        self.vacate_as(device, "park")
+    }
+
+    fn vacate_as(&self, device: usize, op: &str) -> Result<Option<JobId>, SnapifyError> {
+        let Some(id) = self.state.lock().resident.get(&device).copied() else {
+            return Ok(None);
+        };
+        self.swap_out(id, op).map(|()| Some(id))
+    }
+
     /// Give every waiting job a turn: for each device in turn, swap the
     /// resident job out and the longest-waiting job in. Jobs keep
     /// executing while resident; their host threads simply block (on the
-    /// drain locks) while swapped out.
+    /// drain locks) while swapped out. A failed swap-out leaves both jobs
+    /// where they were; a failed swap-in leaves the device free and the
+    /// job at the head of the line.
     ///
     /// Returns the number of context switches performed.
     pub fn rotate(&self) -> Result<usize, SnapifyError> {
         let rotate_t0 = simkernel::now();
         let mut switches = 0;
         for device in 0..self.devices {
-            // Pick the next waiting job and claim both ends of the
-            // switch under one lock hold.
-            let (incoming, in_snapshot, outgoing) = {
-                let mut st = self.state.lock();
-                let Some(incoming) = st.ready.pop_front() else {
-                    continue;
-                };
-                let outgoing = st.resident.get(&device).copied();
-                if let Some(out_id) = outgoing {
-                    let state = &mut st.jobs.get_mut(&out_id).unwrap().state;
-                    match state {
-                        JobState::Resident { .. } => {
-                            *state = JobState::SwappingOut;
-                        }
-                        // The resident job is mid-transition (a
-                        // concurrent park): give the incoming job its
-                        // turn back and leave this device alone.
-                        _ => {
-                            st.ready.push_front(incoming);
-                            continue;
-                        }
-                    }
-                }
-                let job = st.jobs.get_mut(&incoming).unwrap();
-                let snapshot = match std::mem::replace(&mut job.state, JobState::SwappingIn) {
-                    JobState::SwappedOut(s) => s,
-                    JobState::Resident { .. } => {
-                        panic!("ready job {} was already resident", job.id)
-                    }
-                    _ => panic!("ready job {} was mid-transition", job.id),
-                };
-                (incoming, snapshot, outgoing)
+            if self.state.lock().ready.is_empty() {
+                continue;
+            }
+            self.vacate_as(device, "rotate")?;
+            let Some(incoming) = self.state.lock().ready.front().copied() else {
+                continue;
             };
-            // Swap the resident job out.
-            if let Some(out_id) = outgoing {
-                let (handle, out_tenant) = {
-                    let st = self.state.lock();
-                    let job = &st.jobs[&out_id];
-                    (job.handle.clone(), Arc::clone(&job.tenant))
-                };
-                let path = format!("{}/job{}", self.swap_dir, out_id);
-                let t0 = simkernel::now();
-                match snapify_swapout(&handle, &path) {
-                    Ok(snapshot) => {
-                        self.observe_swap(
-                            "swap.swapout_ns",
-                            "rotate",
-                            &out_tenant,
-                            device,
-                            (simkernel::now() - t0).as_nanos(),
-                        );
-                        let size = snapshot.snapshot_bytes();
-                        let mut st = self.state.lock();
-                        let job = st.jobs.get_mut(&out_id).unwrap();
-                        job.state = JobState::SwappedOut(snapshot);
-                        job.snapshot_bytes = size;
-                        st.resident.remove(&device);
-                        st.ready.push_back(out_id);
-                        st.swaps += 1;
-                    }
-                    Err(e) => {
-                        // Unwind both claims: the outgoing job stays
-                        // resident (snapify_swapout resumed it), and the
-                        // incoming job goes back to the front of the
-                        // queue — it lost no turn and must not leak.
-                        let mut st = self.state.lock();
-                        st.jobs.get_mut(&out_id).unwrap().state = JobState::Resident { device };
-                        st.jobs.get_mut(&incoming).unwrap().state =
-                            JobState::SwappedOut(in_snapshot);
-                        st.ready.push_front(incoming);
-                        return Err(e);
-                    }
-                }
-            }
-            // Swap the waiting job in.
-            let in_tenant = Arc::clone(&self.state.lock().jobs[&incoming].tenant);
-            let t0 = simkernel::now();
-            match snapify_swapin(&in_snapshot, device) {
-                Ok(_) => {
-                    self.observe_swap(
-                        "swap.swapin_ns",
-                        "rotate",
-                        &in_tenant,
-                        device,
-                        (simkernel::now() - t0).as_nanos(),
-                    );
-                    let mut st = self.state.lock();
-                    st.jobs.get_mut(&incoming).unwrap().state = JobState::Resident { device };
-                    st.resident.insert(device, incoming);
-                    st.swaps += 1;
-                    switches += 1;
-                }
-                Err(e) => {
-                    // The device is left free; the job keeps its
-                    // snapshot and its place in line.
-                    let mut st = self.state.lock();
-                    st.jobs.get_mut(&incoming).unwrap().state = JobState::SwappedOut(in_snapshot);
-                    st.ready.push_front(incoming);
-                    return Err(e);
-                }
-            }
+            self.swap_in_as(incoming, device, "rotate", true)?;
+            switches += 1;
         }
         if obs::is_enabled() && switches > 0 {
             obs::sketch_observe("swap.rotate_ns", (simkernel::now() - rotate_t0).as_nanos());
@@ -371,57 +404,10 @@ impl SwapScheduler {
     }
 
     /// Voluntarily park a resident job (swap it out and queue it), e.g.
-    /// when it blocks on host-side work for a long time.
+    /// when it blocks on host-side work for a long time. Parking a
+    /// parked job is a no-op.
     pub fn park(&self, id: JobId) -> Result<(), SnapifyError> {
-        let (handle, device, tenant) = loop {
-            let mut st = self.state.lock();
-            let job = st.jobs.get_mut(&id).expect("unknown job");
-            match &job.state {
-                JobState::Resident { device } => {
-                    let device = *device;
-                    let handle = job.handle.clone();
-                    let tenant = Arc::clone(&job.tenant);
-                    job.state = JobState::SwappingOut;
-                    break (handle, device, tenant);
-                }
-                JobState::SwappedOut(_) => return Ok(()), // already parked
-                // Another caller is mid-swap on this job; wait for the
-                // state to settle rather than swapping it out twice.
-                _ => {
-                    drop(st);
-                    simkernel::sleep(simkernel::time::ms(1));
-                }
-            }
-        };
-        let path = format!("{}/job{id}", self.swap_dir);
-        let t0 = simkernel::now();
-        match snapify_swapout(&handle, &path) {
-            Ok(snapshot) => {
-                self.observe_swap(
-                    "swap.swapout_ns",
-                    "park",
-                    &tenant,
-                    device,
-                    (simkernel::now() - t0).as_nanos(),
-                );
-                let size = snapshot.snapshot_bytes();
-                let mut st = self.state.lock();
-                let job = st.jobs.get_mut(&id).unwrap();
-                job.state = JobState::SwappedOut(snapshot);
-                job.snapshot_bytes = size;
-                st.resident.remove(&device);
-                st.ready.push_back(id);
-                st.swaps += 1;
-                Ok(())
-            }
-            Err(e) => {
-                // The job is still resident (the failed swap-out
-                // resumed it); release the claim and surface the error.
-                let mut st = self.state.lock();
-                st.jobs.get_mut(&id).unwrap().state = JobState::Resident { device };
-                Err(e)
-            }
-        }
+        self.swap_out(id, "park")
     }
 
     /// Swap a specific parked job back in on `device`, on demand — the
@@ -429,87 +415,17 @@ impl SwapScheduler {
     /// longest-waiting job the next turn, `swap_in` restores exactly
     /// the job a request arrived for: it leaves the FIFO queue and
     /// lands on the named device, which must be free (evict a resident
-    /// job first with [`park`]). A job already resident on `device` is
-    /// a no-op; resident elsewhere, or a busy device, is a protocol
-    /// error. An in-flight swap on the same job is waited out.
-    ///
-    /// The device is reserved under the claim lock, so concurrent
-    /// `swap_in` calls can never target the same device; the
-    /// reservation shows up in [`resident_jobs`] while the transport
-    /// runs and is rolled back if the restore fails.
+    /// job first with [`park`] or [`vacate`]). A job already resident on
+    /// `device` is a no-op; resident elsewhere, or a busy device, is a
+    /// protocol error; a failed restore sends the job to the back of
+    /// the queue.
     ///
     /// [`rotate`]: SwapScheduler::rotate
     /// [`park`]: SwapScheduler::park
-    /// [`resident_jobs`]: SwapScheduler::resident_jobs
+    /// [`vacate`]: SwapScheduler::vacate
     pub fn swap_in(&self, id: JobId, device: usize) -> Result<(), SnapifyError> {
         assert!(device < self.devices, "device {device} out of range");
-        enum Step {
-            AlreadyThere,
-            Elsewhere(usize),
-            Ready,
-            Wait,
-        }
-        let (snapshot, tenant) = loop {
-            let mut st = self.state.lock();
-            let step = match &st.jobs.get(&id).expect("unknown job").state {
-                JobState::Resident { device: d } if *d == device => Step::AlreadyThere,
-                JobState::Resident { device: d } => Step::Elsewhere(*d),
-                JobState::SwappedOut(_) => Step::Ready,
-                _ => Step::Wait,
-            };
-            match step {
-                Step::AlreadyThere => return Ok(()),
-                Step::Elsewhere(d) => {
-                    return Err(SnapifyError::Protocol(format!(
-                        "job {id} is resident on device {d}, not {device}"
-                    )))
-                }
-                Step::Ready => {
-                    if let Some(occupant) = st.resident.get(&device) {
-                        return Err(SnapifyError::Protocol(format!(
-                            "device {device} is occupied by job {occupant}"
-                        )));
-                    }
-                    st.resident.insert(device, id);
-                    st.ready.retain(|j| *j != id);
-                    let job = st.jobs.get_mut(&id).unwrap();
-                    let snapshot = match std::mem::replace(&mut job.state, JobState::SwappingIn) {
-                        JobState::SwappedOut(s) => s,
-                        _ => unreachable!("state re-checked under the same lock"),
-                    };
-                    break (snapshot, Arc::clone(&job.tenant));
-                }
-                Step::Wait => {
-                    drop(st);
-                    simkernel::sleep(simkernel::time::ms(1));
-                }
-            }
-        };
-        let t0 = simkernel::now();
-        match snapify_swapin(&snapshot, device) {
-            Ok(_) => {
-                self.observe_swap(
-                    "swap.swapin_ns",
-                    "demand",
-                    &tenant,
-                    device,
-                    (simkernel::now() - t0).as_nanos(),
-                );
-                let mut st = self.state.lock();
-                st.jobs.get_mut(&id).unwrap().state = JobState::Resident { device };
-                st.swaps += 1;
-                Ok(())
-            }
-            Err(e) => {
-                // Roll back both the claim and the device reservation;
-                // the job keeps its snapshot and rejoins the queue.
-                let mut st = self.state.lock();
-                st.jobs.get_mut(&id).unwrap().state = JobState::SwappedOut(snapshot);
-                st.resident.remove(&device);
-                st.ready.push_back(id);
-                Err(e)
-            }
-        }
+        self.swap_in_as(id, device, "demand", false)
     }
 
     /// Number of coprocessors this scheduler manages.
@@ -526,12 +442,6 @@ impl SwapScheduler {
         let mut v: Vec<(usize, JobId)> = st.resident.iter().map(|(d, j)| (*d, *j)).collect();
         v.sort_unstable();
         v
-    }
-
-    /// Lowest-numbered device with no resident (or reserved) job.
-    pub fn free_device(&self) -> Option<usize> {
-        let st = self.state.lock();
-        (0..self.devices).find(|d| !st.resident.contains_key(d))
     }
 
     /// Size of the job's last captured swap snapshot — the cost a
@@ -554,7 +464,7 @@ mod tests {
     use phi_platform::{
         FaultKind, FaultSchedule, FaultTarget, NodeId, Payload, PlatformParams, GB, MB,
     };
-    use simkernel::{Kernel, SchedPolicy, SimTime};
+    use simkernel::{time::ms, Kernel, SchedPolicy, SimTime};
     use snapstore::DedupConfig;
 
     fn registry() -> FunctionRegistry {
@@ -829,7 +739,6 @@ mod tests {
             // t0 parked, t1 resident on device 0; device 1 is free.
             assert_eq!(sched.devices(), 2);
             assert_eq!(sched.resident_jobs(), vec![(0, ids[1])]);
-            assert_eq!(sched.free_device(), Some(1));
             assert!(sched.swap_size_estimate(ids[0]).unwrap() > 0);
             assert_eq!(sched.swap_size_estimate(ids[1]), None);
 
@@ -841,7 +750,6 @@ mod tests {
             // Demand-restore t0 onto the free device.
             sched.swap_in(ids[0], 1).unwrap();
             assert_eq!(sched.resident_jobs(), vec![(0, ids[1]), (1, ids[0])]);
-            assert_eq!(sched.free_device(), None);
             // Re-requesting the same placement is a no-op; a different
             // device for a resident job is an error.
             sched.swap_in(ids[0], 1).unwrap();
@@ -857,6 +765,10 @@ mod tests {
                 Payload::synthetic(0, 64 * MB).digest(),
                 "tenant state corrupted by demand swap-in"
             );
+            // `vacate` parks whoever holds the device and says who.
+            assert!(matches!(sched.vacate(1), Ok(Some(id)) if id == ids[0]));
+            assert!(matches!(sched.vacate(1), Ok(None)));
+            assert_eq!(sched.resident_jobs(), vec![(0, ids[1])]);
             for id in ids {
                 sched.retire(id).unwrap();
             }
@@ -957,7 +869,7 @@ mod tests {
                     .clone()
                     .spawn_thread("park1", move || s1.park(id));
                 let t2 = h.host_proc().clone().spawn_thread("park2", move || {
-                    simkernel::sleep(simkernel::time::ms(1));
+                    simkernel::sleep(ms(1));
                     s2.park(id)
                 });
                 t1.join().unwrap();
@@ -970,6 +882,71 @@ mod tests {
                 );
             });
         }
+    }
+
+    /// One card, A resident, B and C parked. `rotate` parks A and
+    /// restores B; a `swap_in(C, 0)` landing inside B's restore must find
+    /// the card reserved. (`rotate` once booked the device only after the
+    /// transport: both calls returned `Ok`, both tenants ran on the card
+    /// and the scheduler tracked one of them.)
+    #[test]
+    fn rotate_reserves_the_device_while_it_restores() {
+        Kernel::run_root(|| {
+            let world = SnapifyWorld::boot(registry());
+            let sched = SwapScheduler::new(1, "/swap/book");
+            let host = world.coi().create_host_process("t");
+            let mut ids = Vec::new();
+            for i in 0..3 {
+                let h = world.coi().create_process(&host, 0, "tenant.so").unwrap();
+                ids.push(sched.admit(&h, 0));
+                if i < 2 {
+                    sched.park(ids[i]).unwrap();
+                }
+            }
+            let (b, c, a) = (ids[0], ids[1], ids[2]);
+            let parks = sched.swap_count();
+            let rotating = sched.clone();
+            let rotation = host.spawn_thread("rotate", move || rotating.rotate());
+            // A's swap-out is the next swap counted; B's restore begins in
+            // the same instant and outlasts a millisecond many times over.
+            while sched.swap_count() == parks {
+                simkernel::sleep(ms(1));
+            }
+            match sched.swap_in(c, 0) {
+                Err(SnapifyError::Protocol(why)) => {
+                    assert_eq!(why, format!("device 0 is occupied by job {b}"))
+                }
+                other => panic!("swap_in onto a card mid-restore: {other:?}"),
+            }
+            assert_eq!(rotation.join().unwrap(), 1);
+            assert_eq!(sched.resident_jobs(), vec![(0, b)]);
+            assert!(!sched.is_resident(a) && !sched.is_resident(c));
+            // C kept its snapshot and its place at the head of the line.
+            assert_eq!(sched.rotate().unwrap(), 1);
+            assert_eq!(sched.resident_jobs(), vec![(0, c)]);
+        });
+    }
+
+    #[test]
+    fn an_unknown_job_is_a_typed_error_at_every_entry_point() {
+        Kernel::run_root(|| {
+            let world = SnapifyWorld::boot(registry());
+            let sched = SwapScheduler::new(1, "/swap/unknown");
+            let host = world.coi().create_host_process("t");
+            let h = world.coi().create_process(&host, 0, "tenant.so").unwrap();
+            let retired = sched.admit(&h, 0);
+            sched.retire(retired).unwrap();
+            for id in [retired, 99] {
+                for outcome in [sched.retire(id), sched.park(id), sched.swap_in(id, 0)] {
+                    match outcome {
+                        Err(SnapifyError::Protocol(why)) => {
+                            assert_eq!(why, format!("unknown job {id}"))
+                        }
+                        other => panic!("job {id}: {other:?}"),
+                    }
+                }
+            }
+        });
     }
 
     #[test]

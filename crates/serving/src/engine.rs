@@ -15,6 +15,9 @@
 //!   request that arrived while the tenant was away is recorded
 //!   against that first compute.
 //!
+//! What those threads share is one private `Engine` value; whoever
+//! accounts for the last request closes the miss queue.
+//!
 //! Time-to-first-compute lands in engine-local latency sketches (cold
 //! and warm, per tenant class), per-class `SloMonitor`s, and — when the
 //! global recorder is on — `serving.ttfc_ns` labeled sketches with
@@ -26,14 +29,14 @@ use coi_sim::{CoiBuffer, CoiConfig, CoiProcessHandle, DeviceBinary, FunctionRegi
 use phi_platform::{FaultSchedule, Payload, PlatformParams};
 use simkernel::obs;
 use simkernel::obs::{LatencySketch, SloMonitor, SloSpec};
-use simkernel::{now, sleep, SimChannel, SimMutex};
+use simkernel::{now, sleep, SimChannel, SimMutex, SimMutexGuard};
 use snapify::{JobId, SnapifyWorld, SwapScheduler};
 use snapstore::DedupConfig;
 use workloads::WorkloadSpec;
 
 use crate::policy::{choose_victim, EvictionPolicy, VictimInfo};
 use crate::report::{ClassReport, ServingReport, StartStats};
-use crate::traffic::{generate, TrafficConfig};
+use crate::traffic::{generate, Arrival, TrafficConfig};
 
 /// One tenant class: a function-sized workload image, its share of the
 /// population, and an optional per-class time-to-first-compute SLO.
@@ -140,6 +143,7 @@ struct Tenant {
     requests: u64,
 }
 
+#[derive(Default)]
 struct Shared {
     tenants: Vec<Tenant>,
     /// Device → resident tenant.
@@ -163,7 +167,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// Record one served request and return whether it was the last.
+    /// Record one served request.
     fn record(&mut self, class: usize, class_name: &str, tenant: &str, lat_ns: u64, warm: bool) {
         if warm {
             self.warm.observe(lat_ns);
@@ -185,10 +189,6 @@ impl Shared {
         }
         self.recorded += 1;
     }
-
-    fn all_done(&self, total: u64) -> bool {
-        self.recorded + self.rejected == total
-    }
 }
 
 /// How often a stuck placement rechecks for an eligible victim, and how
@@ -197,16 +197,19 @@ impl Shared {
 const RETRY_PAUSE_MS: u64 = 10;
 const MAX_SWAP_RETRIES: usize = 50;
 
-fn retry<T>(what: &str, tenant: &str, mut f: impl FnMut() -> Result<T, String>) -> T {
+fn retry<T, E: std::fmt::Debug>(
+    what: &str,
+    tenant: &str,
+    mut f: impl FnMut() -> Result<T, E>,
+) -> T {
     for attempt in 0..MAX_SWAP_RETRIES {
         match f() {
             Ok(v) => return v,
-            Err(e) if attempt + 1 < MAX_SWAP_RETRIES => {
+            Err(_) if attempt + 1 < MAX_SWAP_RETRIES => {
                 obs::counter_add("serving.swap_retries", 1);
-                let _ = e;
                 sleep(simkernel::time::ms(RETRY_PAUSE_MS));
             }
-            Err(e) => panic!("serving: {what} for {tenant} kept failing: {e}"),
+            Err(e) => panic!("serving: {what} for {tenant} kept failing: {e:?}"),
         }
     }
     unreachable!()
@@ -229,154 +232,180 @@ pub fn run_scenario_with_faults(
     assert!(!cfg.classes.is_empty(), "need at least one tenant class");
     assert!(cfg.swap_workers >= 1, "need at least one swap worker");
     let arrivals = generate(&cfg.traffic);
-    let total = arrivals.len() as u64;
+    let (world, engine) = Engine::boot(cfg, faults, arrivals.len() as u64);
+    engine.serve(cfg, &arrivals);
+    let fired = world.server().faults().fired_count();
+    (engine.report(cfg, &world), fired)
+}
 
-    // One device binary per class; the touch function is the class's
-    // per-step compute.
-    let registry = FunctionRegistry::new();
-    for class in &cfg.classes {
-        let w = &class.workload;
-        let flops = w.flops_per_step;
-        registry.register(
-            DeviceBinary::new(w.binary_name(), w.binary_bytes, w.device_resident_bytes)
-                .simple_function("touch", move |ctx| {
-                    ctx.compute(flops, 60);
-                    Vec::new()
-                }),
-        );
-    }
-    let mut params = cfg.params.clone();
-    params.num_devices = cfg.devices;
-    let world = SnapifyWorld::boot_with(
-        params,
-        CoiConfig::default(),
-        registry,
-        faults,
-        Some(DedupConfig {
-            restore_cache_bytes: cfg.restore_cache_bytes,
-            cache_policy: cfg.policy,
-            ..DedupConfig::default()
-        }),
-    );
-    let store = world.store().expect("dedup world").clone();
-    let sched = SwapScheduler::new(cfg.devices, "/swap/serving").with_store(&store);
+/// What one serving run's threads share: the dispatcher (the caller's
+/// thread), the swap workers and every warm request hold one of these.
+struct Engine {
+    shared: SimMutex<Shared>,
+    sched: SwapScheduler,
+    /// Tenants waiting for a swap worker; closed by whoever accounts for
+    /// the last request.
+    miss: SimChannel<usize>,
+    class_names: Vec<String>,
+    policy: EvictionPolicy,
+    devices: usize,
+    admission_limit: Option<usize>,
+    /// Requests in the arrival schedule.
+    total: u64,
+}
 
-    // Create the population: each tenant is admitted on device 0 and
-    // parked before the next is created, so setup never holds more than
-    // one tenant resident.
-    let total_shares: u32 = cfg.classes.iter().map(|c| c.share.max(1)).sum();
-    let class_of = |i: usize| -> usize {
-        let mut slot = (i as u32) % total_shares;
-        for (c, class) in cfg.classes.iter().enumerate() {
-            let share = class.share.max(1);
-            if slot < share {
-                return c;
-            }
-            slot -= share;
+impl Engine {
+    /// Boot the world and create the population: each tenant is admitted
+    /// on device 0 and parked before the next is created, so setup never
+    /// holds more than one tenant resident.
+    fn boot(cfg: &ServingConfig, faults: FaultSchedule, total: u64) -> (SnapifyWorld, Arc<Engine>) {
+        // One device binary per class; the touch function is the class's
+        // per-step compute.
+        let registry = FunctionRegistry::new();
+        for class in &cfg.classes {
+            let w = &class.workload;
+            let flops = w.flops_per_step;
+            registry.register(
+                DeviceBinary::new(w.binary_name(), w.binary_bytes, w.device_resident_bytes)
+                    .simple_function("touch", move |ctx| {
+                        ctx.compute(flops, 60);
+                        Vec::new()
+                    }),
+            );
         }
-        unreachable!()
-    };
-    let mut tenants = Vec::with_capacity(cfg.traffic.tenants);
-    for i in 0..cfg.traffic.tenants {
-        let c = class_of(i);
-        let w = &cfg.classes[c].workload;
-        let host = world.coi().create_host_process(&format!("t{i}"));
-        let handle = world
-            .coi()
-            .create_process(&host, 0, &w.binary_name())
-            .expect("tenant process creation");
-        let buf = handle.create_buffer(w.in_bytes).expect("tenant buffer");
-        handle
-            .buffer_write(&buf, Payload::synthetic(i as u64, w.in_bytes))
-            .expect("tenant buffer seed");
-        let job = sched.admit_tagged(&handle, 0, &format!("t{i}"));
-        sched.park(job).expect("initial park");
-        tenants.push(Tenant {
-            job,
-            handle,
-            _buf: buf,
-            class: c,
-            name: Arc::from(format!("t{i}").as_str()),
-            state: TState::Parked,
-            pins: 0,
-            pending: Vec::new(),
-            last_tick: 0,
-            requests: 0,
-        });
-    }
+        let mut params = cfg.params.clone();
+        params.num_devices = cfg.devices;
+        let world = SnapifyWorld::boot_with(
+            params,
+            CoiConfig::default(),
+            registry,
+            faults,
+            Some(DedupConfig {
+                restore_cache_bytes: cfg.restore_cache_bytes,
+                cache_policy: cfg.policy,
+                ..DedupConfig::default()
+            }),
+        );
+        let store = world.store().expect("dedup world");
+        let sched = SwapScheduler::new(cfg.devices, "/swap/serving").with_store(store);
 
-    let class_names: Arc<Vec<String>> = Arc::new(
-        cfg.classes
-            .iter()
-            .map(|c| c.workload.name.to_string())
-            .collect(),
-    );
-    let shared = Arc::new(SimMutex::new(
-        "serving-state",
-        Shared {
+        // Tenant `i` belongs to the class owning slot `i mod total shares`.
+        let slots: Vec<usize> = (0..cfg.classes.len())
+            .flat_map(|c| std::iter::repeat_n(c, cfg.classes[c].share.max(1) as usize))
+            .collect();
+        let mut tenants = Vec::with_capacity(cfg.traffic.tenants);
+        for i in 0..cfg.traffic.tenants {
+            let c = slots[i % slots.len()];
+            let w = &cfg.classes[c].workload;
+            let host = world.coi().create_host_process(&format!("t{i}"));
+            let handle = world
+                .coi()
+                .create_process(&host, 0, &w.binary_name())
+                .expect("tenant process creation");
+            let buf = handle.create_buffer(w.in_bytes).expect("tenant buffer");
+            handle
+                .buffer_write(&buf, Payload::synthetic(i as u64, w.in_bytes))
+                .expect("tenant buffer seed");
+            let job = sched.admit_tagged(&handle, 0, &format!("t{i}"));
+            sched.park(job).expect("initial park");
+            tenants.push(Tenant {
+                job,
+                handle,
+                _buf: buf,
+                class: c,
+                name: Arc::from(format!("t{i}").as_str()),
+                state: TState::Parked,
+                pins: 0,
+                pending: Vec::new(),
+                last_tick: 0,
+                requests: 0,
+            });
+        }
+
+        let sketches = || vec![LatencySketch::new(); cfg.classes.len()];
+        let shared = Shared {
             tenants,
             device_owner: vec![None; cfg.devices],
             claimed: vec![false; cfg.devices],
-            tick: 0,
-            queued: 0,
-            rejected: 0,
-            recorded: 0,
-            resident_now: 0,
-            max_resident: 0,
-            closed: false,
-            cold: LatencySketch::new(),
-            warm: LatencySketch::new(),
-            class_cold: vec![LatencySketch::new(); cfg.classes.len()],
-            class_warm: vec![LatencySketch::new(); cfg.classes.len()],
+            class_cold: sketches(),
+            class_warm: sketches(),
             monitors: cfg
                 .classes
                 .iter()
                 .map(|c| c.slo.clone().map(SloMonitor::new))
                 .collect(),
-        },
-    ));
-    let miss: SimChannel<usize> = SimChannel::unbounded("serving-miss");
+            ..Shared::default()
+        };
+        let engine = Engine {
+            shared: SimMutex::new("serving-state", shared),
+            sched,
+            miss: SimChannel::unbounded("serving-miss"),
+            class_names: cfg
+                .classes
+                .iter()
+                .map(|c| c.workload.name.to_string())
+                .collect(),
+            policy: cfg.policy,
+            devices: cfg.devices,
+            admission_limit: cfg.admission_limit,
+            total,
+        };
+        (world, Arc::new(engine))
+    }
 
-    // Swap workers: drain the miss queue, place tenants, run their
-    // first compute.
-    let workers: Vec<_> = (0..cfg.swap_workers)
-        .map(|wi| {
-            let shared = Arc::clone(&shared);
-            let sched = sched.clone();
-            let miss = miss.clone();
-            let class_names = Arc::clone(&class_names);
-            let policy = cfg.policy;
-            let devices = cfg.devices;
-            simkernel::spawn(format!("swap-worker-{wi}"), move || {
-                while let Ok(t) = miss.recv() {
-                    place(
-                        t,
-                        &shared,
-                        &sched,
-                        &miss,
-                        &class_names,
-                        policy,
-                        devices,
-                        total,
-                    );
-                }
-            })
-        })
-        .collect();
-
-    // The open-loop dispatcher: this thread IS the arrival process.
-    let t0 = now();
-    let mut warm_joins = Vec::new();
-    for a in &arrivals {
-        let target = t0 + simkernel::SimDuration::from_nanos(a.at_ns);
-        if now() < target {
-            sleep(target - now());
+    /// The one completion rule: whoever accounts for the last request —
+    /// a record, a rejection, or the dispatcher finding nothing left —
+    /// closes the miss queue, once, with the state lock released.
+    fn finish_if_done(&self, mut s: SimMutexGuard<'_, Shared>) {
+        let done = s.recorded + s.rejected == self.total && !s.closed;
+        s.closed |= done;
+        drop(s);
+        if done {
+            self.miss.close();
         }
-        let mut s = shared.lock();
+    }
+
+    /// Replay the arrival schedule: swap workers drain the miss queue,
+    /// place tenants and run their first compute; this thread IS the
+    /// open-loop arrival process.
+    fn serve(self: &Arc<Self>, cfg: &ServingConfig, arrivals: &[Arrival]) {
+        let workers: Vec<_> = (0..cfg.swap_workers)
+            .map(|wi| {
+                let engine = Arc::clone(self);
+                simkernel::spawn(format!("swap-worker-{wi}"), move || {
+                    while let Ok(t) = engine.miss.recv() {
+                        engine.place(t);
+                    }
+                })
+            })
+            .collect();
+        let t0 = now();
+        let mut warm_joins = Vec::new();
+        for a in arrivals {
+            let target = t0 + simkernel::SimDuration::from_nanos(a.at_ns);
+            if now() < target {
+                sleep(target - now());
+            }
+            warm_joins.extend(self.dispatch(a.tenant));
+        }
+        for j in warm_joins {
+            j.join();
+        }
+        // All-rejected (or zero-request) runs never hit a record path.
+        self.finish_if_done(self.shared.lock());
+        for w in workers {
+            w.join();
+        }
+    }
+
+    /// One arrival: serve it warm on a thread of its own (returned), turn
+    /// it away, or queue it behind the tenant's next swap-in.
+    fn dispatch(self: &Arc<Self>, tenant: usize) -> Option<simkernel::JoinHandle<()>> {
+        let mut s = self.shared.lock();
         s.tick += 1;
         let tick = s.tick;
-        let over_limit = cfg.admission_limit.is_some_and(|l| s.queued >= l);
-        let t = &mut s.tenants[a.tenant];
+        let over_limit = self.admission_limit.is_some_and(|l| s.queued >= l);
+        let t = &mut s.tenants[tenant];
         t.last_tick = tick;
         t.requests += 1;
         match t.state {
@@ -384,52 +413,32 @@ pub fn run_scenario_with_faults(
                 t.pins += 1;
                 let handle = t.handle.clone();
                 let name = Arc::clone(&t.name);
-                let tenant = a.tenant;
                 let class = t.class;
-                let class_name = class_names[class].clone();
                 let at_ns = now().as_nanos();
                 drop(s);
-                let shared = Arc::clone(&shared);
-                let miss = miss.clone();
-                warm_joins.push(simkernel::spawn(format!("warm-{}", name), move || {
+                let engine = Arc::clone(self);
+                return Some(simkernel::spawn(format!("warm-{name}"), move || {
                     retry("warm touch", &name, || {
-                        handle
-                            .run_sync("touch", Vec::new(), &[])
-                            .map(|_| ())
-                            .map_err(|e| format!("{e:?}"))
+                        handle.run_sync("touch", Vec::new(), &[])
                     });
                     let lat = now().as_nanos() - at_ns;
-                    let mut s = shared.lock();
-                    s.record(class, &class_name, &name, lat, true);
+                    let mut s = engine.shared.lock();
+                    s.record(class, &engine.class_names[class], &name, lat, true);
                     s.tenants[tenant].pins -= 1;
-                    let done = s.all_done(total) && !s.closed;
-                    if done {
-                        s.closed = true;
-                    }
-                    drop(s);
-                    if done {
-                        miss.close();
-                    }
+                    engine.finish_if_done(s);
                 }));
             }
             _ if over_limit => {
                 s.rejected += 1;
-                let done = s.all_done(total) && !s.closed;
-                if done {
-                    s.closed = true;
-                }
-                drop(s);
-                if done {
-                    miss.close();
-                }
+                self.finish_if_done(s);
             }
             TState::Parked => {
                 t.pending.push(now().as_nanos());
                 t.state = TState::Enqueued;
-                let tenant = a.tenant;
                 s.queued += 1;
                 drop(s);
-                miss.send(tenant)
+                self.miss
+                    .send(tenant)
                     .expect("miss queue open while dispatching");
             }
             TState::Enqueued | TState::SwappingIn | TState::Evicting => {
@@ -437,212 +446,156 @@ pub fn run_scenario_with_faults(
                 s.queued += 1;
             }
         }
-    }
-    for j in warm_joins {
-        j.join();
-    }
-    // All-rejected (or zero-request) runs never hit a record path.
-    {
-        let mut s = shared.lock();
-        let done = s.all_done(total) && !s.closed;
-        if done {
-            s.closed = true;
-        }
-        drop(s);
-        if done {
-            miss.close();
-        }
-    }
-    for w in workers {
-        w.join();
+        None
     }
 
-    // Assemble the report.
-    let mut s = shared.lock();
-    let breaches: Vec<String> = s
-        .monitors
-        .iter_mut()
-        .flatten()
-        .flat_map(|m| {
-            m.flush();
-            m.breaches().iter().map(|b| b.render()).collect::<Vec<_>>()
-        })
-        .collect();
-    let classes = (0..cfg.classes.len())
-        .map(|c| ClassReport {
-            class: class_names[c].clone(),
-            cold: StartStats::from_sketch(&s.class_cold[c]),
-            warm: StartStats::from_sketch(&s.class_warm[c]),
-            slo: cfg.classes[c].slo.as_ref().map(|spec| spec.render()),
-            breaches: s.monitors[c].as_ref().map_or(0, |m| m.breaches().len()),
-        })
-        .collect();
-    let stats = store.stats();
-    let fired = world.server().faults().fired_count();
-    let overall = {
-        let mut merged = s.cold.clone();
-        merged.merge(&s.warm);
-        StartStats::from_sketch(&merged)
-    };
-    let report = ServingReport {
-        policy: cfg.policy.label().to_string(),
-        seed: cfg.traffic.seed,
-        tenants: cfg.traffic.tenants,
-        devices: cfg.devices,
-        requests: total,
-        admitted: total - s.rejected,
-        rejected: s.rejected,
-        cold: StartStats::from_sketch(&s.cold),
-        warm: StartStats::from_sketch(&s.warm),
-        overall,
-        classes,
-        breaches,
-        swaps: sched.swap_count(),
-        max_resident: s.max_resident,
-        restore_chunks_warm: stats.restore_chunks_warm,
-        restore_chunks_cold: stats.restore_chunks_cold,
-        restore_bytes_avoided: stats.restore_bytes_avoided,
-        capture_dirty_bytes: stats.capture_dirty_bytes,
-        capture_clean_bytes: stats.capture_clean_bytes,
-    };
-    (report, fired)
-}
-
-/// One cold placement: find a device (evicting a policy victim if none
-/// is free), demand-swap the tenant in, run its first compute, and
-/// record every request that was waiting on it.
-#[allow(clippy::too_many_arguments)]
-fn place(
-    tenant: usize,
-    shared: &Arc<SimMutex<Shared>>,
-    sched: &SwapScheduler,
-    miss: &SimChannel<usize>,
-    class_names: &[String],
-    policy: EvictionPolicy,
-    devices: usize,
-    total: u64,
-) {
-    // Phase 1: claim a device.
-    let device = loop {
-        enum Plan {
-            Free(usize),
-            Evict { victim: usize, device: usize },
-            Wait,
-        }
-        let plan = {
-            let mut s = shared.lock();
-            if let Some(d) = (0..devices).find(|&d| s.device_owner[d].is_none() && !s.claimed[d]) {
-                s.claimed[d] = true;
-                Plan::Free(d)
-            } else {
-                let candidates: Vec<VictimInfo> = s
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| match t.state {
-                        TState::Resident(d) if t.pins == 0 && !s.claimed[d] => Some(VictimInfo {
-                            tenant: i,
-                            last_tick: t.last_tick,
-                            requests: t.requests,
-                            swap_cost: sched.swap_size_estimate(t.job).unwrap_or(u64::MAX),
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                match choose_victim(policy, &candidates) {
-                    Some(v) => {
-                        let TState::Resident(d) = s.tenants[v].state else {
-                            unreachable!("candidates are resident")
-                        };
-                        s.claimed[d] = true;
-                        s.tenants[v].state = TState::Evicting;
-                        Plan::Evict {
-                            victim: v,
-                            device: d,
-                        }
-                    }
-                    None => Plan::Wait,
-                }
-            }
+    /// Assemble the report once every thread has been joined.
+    fn report(&self, cfg: &ServingConfig, world: &SnapifyWorld) -> ServingReport {
+        let mut s = self.shared.lock();
+        let breaches: Vec<String> = s
+            .monitors
+            .iter_mut()
+            .flatten()
+            .flat_map(|m| {
+                m.flush();
+                m.breaches().iter().map(|b| b.render()).collect::<Vec<_>>()
+            })
+            .collect();
+        let classes = (0..cfg.classes.len())
+            .map(|c| ClassReport {
+                class: self.class_names[c].clone(),
+                cold: StartStats::from_sketch(&s.class_cold[c]),
+                warm: StartStats::from_sketch(&s.class_warm[c]),
+                slo: cfg.classes[c].slo.as_ref().map(|spec| spec.render()),
+                breaches: s.monitors[c].as_ref().map_or(0, |m| m.breaches().len()),
+            })
+            .collect();
+        let stats = world.store().expect("dedup world").stats();
+        let overall = {
+            let mut merged = s.cold.clone();
+            merged.merge(&s.warm);
+            StartStats::from_sketch(&merged)
         };
-        match plan {
-            Plan::Free(d) => break d,
-            Plan::Evict { victim, device } => {
-                let (job, name) = {
-                    let s = shared.lock();
-                    (s.tenants[victim].job, Arc::clone(&s.tenants[victim].name))
-                };
-                retry("evicting park", &name, || {
-                    sched.park(job).map_err(|e| format!("{e:?}"))
-                });
-                let requeue = {
-                    let mut s = shared.lock();
-                    s.device_owner[device] = None;
-                    s.resident_now -= 1;
-                    let t = &mut s.tenants[victim];
-                    if t.pending.is_empty() {
-                        t.state = TState::Parked;
-                        false
-                    } else {
-                        // Requests arrived mid-eviction: back in line.
-                        t.state = TState::Enqueued;
-                        true
-                    }
-                };
-                if requeue {
-                    let _ = miss.send(victim);
-                }
-                break device;
-            }
-            Plan::Wait => sleep(simkernel::time::ms(RETRY_PAUSE_MS)),
+        ServingReport {
+            policy: cfg.policy.label().to_string(),
+            seed: cfg.traffic.seed,
+            tenants: cfg.traffic.tenants,
+            devices: cfg.devices,
+            requests: self.total,
+            admitted: self.total - s.rejected,
+            rejected: s.rejected,
+            cold: StartStats::from_sketch(&s.cold),
+            warm: StartStats::from_sketch(&s.warm),
+            overall,
+            classes,
+            breaches,
+            swaps: self.sched.swap_count(),
+            max_resident: s.max_resident,
+            restore_chunks_warm: stats.restore_chunks_warm,
+            restore_chunks_cold: stats.restore_chunks_cold,
+            restore_bytes_avoided: stats.restore_bytes_avoided,
+            capture_dirty_bytes: stats.capture_dirty_bytes,
+            capture_clean_bytes: stats.capture_clean_bytes,
         }
-    };
-
-    // Phase 2: demand swap-in onto the claimed device, then the first
-    // compute. The pin covers the compute so a concurrent placement
-    // cannot evict the tenant before it serves its waiters.
-    let (job, handle, name, class) = {
-        let mut s = shared.lock();
-        let t = &mut s.tenants[tenant];
-        t.state = TState::SwappingIn;
-        (t.job, t.handle.clone(), Arc::clone(&t.name), t.class)
-    };
-    retry("demand swap-in", &name, || {
-        sched.swap_in(job, device).map_err(|e| format!("{e:?}"))
-    });
-    {
-        let mut s = shared.lock();
-        s.tenants[tenant].state = TState::Resident(device);
-        s.tenants[tenant].pins += 1;
-        s.device_owner[device] = Some(tenant);
-        s.claimed[device] = false;
-        s.resident_now += 1;
-        s.max_resident = s.max_resident.max(s.resident_now);
     }
-    retry("first compute", &name, || {
-        handle
-            .run_sync("touch", Vec::new(), &[])
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}"))
-    });
-    let now_ns = now().as_nanos();
-    let done = {
-        let mut s = shared.lock();
+
+    /// First half of a placement: claim a free device, or park the
+    /// policy's victim to free one; with every resident pinned, wait and
+    /// look again. The device stays `claimed` until the swap-in commits.
+    fn claim_device(&self) -> usize {
+        loop {
+            let mut s = self.shared.lock();
+            let free = |d: &usize| s.device_owner[*d].is_none() && !s.claimed[*d];
+            if let Some(d) = (0..self.devices).find(free) {
+                s.claimed[d] = true;
+                return d;
+            }
+            let candidates: Vec<VictimInfo> = s
+                .tenants
+                .iter()
+                .enumerate()
+                .filter_map(|(i, t)| match t.state {
+                    TState::Resident(d) if t.pins == 0 && !s.claimed[d] => Some(VictimInfo {
+                        tenant: i,
+                        last_tick: t.last_tick,
+                        requests: t.requests,
+                        swap_cost: self.sched.swap_size_estimate(t.job).unwrap_or(u64::MAX),
+                    }),
+                    _ => None,
+                })
+                .collect();
+            let Some(victim) = choose_victim(self.policy, &candidates) else {
+                drop(s);
+                sleep(simkernel::time::ms(RETRY_PAUSE_MS));
+                continue;
+            };
+            let t = &mut s.tenants[victim];
+            let TState::Resident(device) = t.state else {
+                unreachable!("candidates are resident")
+            };
+            t.state = TState::Evicting;
+            let (job, name) = (t.job, Arc::clone(&t.name));
+            s.claimed[device] = true;
+            drop(s);
+            retry("evicting park", &name, || self.sched.park(job));
+            let mut s = self.shared.lock();
+            s.device_owner[device] = None;
+            s.resident_now -= 1;
+            let t = &mut s.tenants[victim];
+            // Requests that arrived mid-eviction put it back in line.
+            let requeue = !t.pending.is_empty();
+            t.state = if requeue {
+                TState::Enqueued
+            } else {
+                TState::Parked
+            };
+            drop(s);
+            if requeue {
+                let _ = self.miss.send(victim);
+            }
+            return device;
+        }
+    }
+
+    /// One cold placement: find a device, demand-swap the tenant in, run
+    /// its first compute, and record every request that was waiting on
+    /// it. The claim spans retries and the victim is re-queued between
+    /// the two halves — which is why this is not `SwapScheduler`'s own
+    /// switch.
+    fn place(&self, tenant: usize) {
+        let device = self.claim_device();
+
+        // Phase 2: demand swap-in onto the claimed device, then the first
+        // compute. The pin covers the compute so a concurrent placement
+        // cannot evict the tenant before it serves its waiters.
+        let (job, handle, name, class) = {
+            let mut s = self.shared.lock();
+            let t = &mut s.tenants[tenant];
+            t.state = TState::SwappingIn;
+            (t.job, t.handle.clone(), Arc::clone(&t.name), t.class)
+        };
+        retry("demand swap-in", &name, || self.sched.swap_in(job, device));
+        {
+            let mut s = self.shared.lock();
+            s.tenants[tenant].state = TState::Resident(device);
+            s.tenants[tenant].pins += 1;
+            s.device_owner[device] = Some(tenant);
+            s.claimed[device] = false;
+            s.resident_now += 1;
+            s.max_resident = s.max_resident.max(s.resident_now);
+        }
+        retry("first compute", &name, || {
+            handle.run_sync("touch", Vec::new(), &[])
+        });
+        let now_ns = now().as_nanos();
+        let mut s = self.shared.lock();
         let waiters = std::mem::take(&mut s.tenants[tenant].pending);
         s.queued -= waiters.len();
-        let class_name = class_names[class].clone();
         for at in waiters {
-            s.record(class, &class_name, &name, now_ns - at, false);
+            s.record(class, &self.class_names[class], &name, now_ns - at, false);
         }
         s.tenants[tenant].pins -= 1;
-        let done = s.all_done(total) && !s.closed;
-        if done {
-            s.closed = true;
-        }
-        done
-    };
-    if done {
-        miss.close();
+        self.finish_if_done(s);
     }
 }
 

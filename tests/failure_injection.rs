@@ -186,6 +186,48 @@ fn failed_pause_of_a_crashed_process_holds_no_locks() {
     });
 }
 
+/// A pause that fails *after* its host drain succeeded — here the reply
+/// is not a pause reply: a stray resume's answer was still queued on the
+/// ctl channel, the same path a transport error takes — leaves no drain
+/// lock behind either (it once kept the lifecycle, RDMA, cmd and
+/// run-send locks, so the tenant's next offload call blocked for good
+/// and a second pause never got past the lifecycle lock).
+#[test]
+fn failed_pause_after_a_good_drain_holds_no_locks() {
+    use snapify_repro::coi_sim::msgs::CtlMsg;
+    Kernel::run_root(|| {
+        let (world, spec) = boot("KM");
+        let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
+        let handle = run.handle().clone();
+        let unexpected = |r: Result<(), SnapifyError>| match r {
+            Err(SnapifyError::Protocol(why)) if why.starts_with("unexpected reply") => {}
+            other => panic!("wanted an unexpected reply, got {other:?}"),
+        };
+
+        // A resume nobody asked for: the daemon answers at once (no pipe
+        // is open) and nobody is waiting for the answer.
+        let pid = handle.pid();
+        handle
+            .snapify_send_ctl(CtlMsg::SnapifyResume { pid })
+            .unwrap();
+        simkernel::sleep(simkernel::time::ms(1));
+        let snap = SnapifyT::new(&handle, "/snap/stale");
+        unexpected(snapify_pause(&snap));
+
+        // The daemon did carry the pause out. Let it finish, then undo it:
+        // every reply is one behind now, so the resume reads the pause's
+        // and fails too — after the daemon has acted on it.
+        simkernel::sleep(simkernel::time::secs(1));
+        unexpected(snapify_resume(&snap));
+        simkernel::sleep(simkernel::time::secs(1));
+
+        // The tenant still takes offload calls, and a second pause gets
+        // through its drain to the same typed error.
+        assert!(run.run_to_completion().unwrap().verified);
+        unexpected(snapify_pause(&SnapifyT::new(&handle, "/snap/stale2")));
+    });
+}
+
 /// Restoring from a directory that was never written fails cleanly.
 #[test]
 fn missing_snapshot_is_rejected() {
