@@ -64,12 +64,6 @@ fn bench_payload() {
         black_box(rechunked.digest());
     });
 
-    let data: Vec<u8> = (0..(1 << 20)).map(|i| (i % 251) as u8).collect();
-    let real = Payload::bytes(data);
-    bench("payload/digest_real_1mib", || {
-        black_box(real.digest());
-    });
-
     let big = Payload::synthetic(7, 1 << 30);
     bench("payload/chunk_1gib_at_4mib", || {
         black_box(big.chunks(4 << 20).len());

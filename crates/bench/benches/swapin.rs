@@ -8,11 +8,16 @@
 //! BLCR stream replay. Per tenant size: cold swap-in (cache disabled),
 //! warm swap-in of the unchanged tenant, byte reduction from the
 //! store's restore counters, and the pipelined-vs-serial restore gain
-//! on a cache-disabled store.
+//! on a cache-disabled store. Beside those virtual-time rows, two host
+//! rates of the data path's own kernels — `Payload::digest` over real
+//! bytes and warm-cache eviction — recorded as floored wall-clock fields.
 //!
 //! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
 //! Ends by holding its rows against the committed `BENCH_swapin.json`
 //! (`snapify_bench::report`).
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use coi_sim::{DeviceBinary, FunctionRegistry};
 use phi_platform::{FaultSchedule, NodeId, Payload, PhiServer, PlatformParams, GB, MB};
@@ -22,7 +27,7 @@ use snapify::{SnapifyWorld, SwapScheduler};
 use snapify_bench::report::{fixed, Report};
 use snapify_bench::{bytes, header, secs, Table};
 use snapify_io::SnapifyIo;
-use snapstore::{Dedup, DedupConfig};
+use snapstore::{CachePolicy, Dedup, DedupConfig};
 
 struct Row {
     name: String,
@@ -115,6 +120,15 @@ fn swapin_once(buffer_bytes: u64, cache_bytes: u64) -> (simkernel::SimDuration, 
     })
 }
 
+/// Capture `data` from device 0 to `path`, `step` bytes a write.
+fn capture(store: &Dedup, path: &str, data: &Payload, step: u64) {
+    let mut sink = store.sink(NodeId::device(0), path).unwrap();
+    for chunk in data.chunks(step) {
+        sink.write(chunk).unwrap();
+    }
+    sink.close().unwrap();
+}
+
 /// Restore-pipeline overlap isolated from the swap machinery: the same
 /// image read back through a cache-disabled store with the prefetcher
 /// on vs. off (cold fetch of chunk k+1 overlapping replay of chunk k).
@@ -134,11 +148,7 @@ fn restore_pipeline_compare(
             },
         );
         let data = Payload::synthetic(7, size);
-        let mut sink = store.sink(NodeId::device(0), path).unwrap();
-        for chunk in data.chunks(8 * MB) {
-            sink.write(chunk).unwrap();
-        }
-        sink.close().unwrap();
+        capture(&store, path, &data, 8 * MB);
         let t0 = simkernel::now();
         let mut src = store.source(NodeId::device(0), path).unwrap();
         let mut total = 0;
@@ -152,6 +162,59 @@ fn restore_pipeline_compare(
         time_one(true, "/bench/restore-piped"),
         time_one(false, "/bench/restore-serial"),
     )
+}
+
+/// Host rate of `Payload::digest` over real bytes: one 1 MiB run, the
+/// fastest of six batches of sixteen passes.
+fn digest_real_mib_per_s() -> f64 {
+    let data: Vec<u8> = (0..(1 << 20)).map(|i| (i % 251) as u8).collect();
+    let real = Payload::bytes(data);
+    let batch = |_| {
+        let t0 = Instant::now();
+        for _ in 0..16 {
+            black_box(black_box(&real).digest());
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    16.0 / (0..6).map(batch).fold(f64::INFINITY, f64::min)
+}
+
+/// Host rate of warm-cache evictions, through the store: a 4,096-chunk
+/// cache under `Popularity`, filled by the capture of one image, then
+/// another image of 4,096 chunks read back through it. Every chunk of
+/// the read arrives cold and evicts one resident, so the timed region is
+/// 4,096 evictions from a full cache plus the serial restore path that
+/// carries them.
+fn warm_evictions_per_s() -> f64 {
+    const CHUNK: u64 = 4 * MB; // the store's cut
+    const RESIDENT: u64 = 4096;
+    Kernel::run_root(|| {
+        let server = PhiServer::new(PlatformParams::default());
+        let backend = std::sync::Arc::new(SnapifyIo::new_default(&server));
+        let config = DedupConfig {
+            restore_cache_bytes: RESIDENT * CHUNK,
+            cache_policy: CachePolicy::Popularity,
+            restore_pipelined: false,
+            ..DedupConfig::default()
+        };
+        let store = Dedup::new(&server, backend, config);
+        for (tag, path) in [(1, "/bench/evicted"), (2, "/bench/resident")] {
+            capture(
+                &store,
+                path,
+                &Payload::synthetic(tag, RESIDENT * CHUNK),
+                CHUNK,
+            );
+        }
+        let t0 = Instant::now();
+        let mut src = store.source(NodeId::device(0), "/bench/evicted").unwrap();
+        while src.read(CHUNK).unwrap().is_some() {}
+        let secs = t0.elapsed().as_secs_f64();
+        let stats = store.stats();
+        let restored = (stats.restore_chunks_cold, stats.restore_chunks_warm);
+        assert_eq!(restored, (RESIDENT, 0), "every chunk must arrive cold");
+        RESIDENT as f64 / secs
+    })
 }
 
 fn swapin_row(name: &str, buffer_bytes: u64) -> Row {
@@ -261,5 +324,18 @@ fn main() {
             .field("serial_secs", fixed(r.serial.as_secs_f64(), 6))
             .field("overlap_gain", fixed(r.overlap_gain(), 4));
     }
+    // The data path's two host kernels, measured the same in either
+    // mode: a collapse of either (a per-byte digest, a cache that scans
+    // itself to evict) fails the floor.
+    let (digest, evictions) = (digest_real_mib_per_s(), warm_evictions_per_s());
+    println!();
+    println!(
+        "host rates: digest of real bytes {digest:.0} MiB/s, warm-cache evictions {evictions:.0}/s"
+    );
+    report
+        .wall_clock("digest_real_mib_per_s", Some(0.35))
+        .wall_clock("warm_evictions_per_s", Some(0.35))
+        .scalar("digest_real_mib_per_s", fixed(digest, 1))
+        .scalar("warm_evictions_per_s", fixed(evictions, 1));
     report.finish("BENCH_swapin.json")
 }

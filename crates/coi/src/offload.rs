@@ -894,29 +894,37 @@ impl OffloadRuntime {
         drop(blcr_span);
         let proc = restarted.proc;
 
-        // 5. Parse the runtime state.
-        let state = RuntimeState::decode(&Payload::bytes(restarted.runtime_state))?;
-        debug_assert_eq!(state.binary, manifest.binary);
+        // 5–6 run with the restarted process live on the node: a failure
+        // there gives its memory and windows back before it surfaces.
+        let remapped = (|| -> Result<_, CoiError> {
+            // 5. Parse the runtime state.
+            let state = RuntimeState::decode(&Payload::bytes(restarted.runtime_state))?;
+            debug_assert_eq!(state.binary, manifest.binary);
 
-        // 6. Re-map the local store and re-register the windows; the
-        //    re-registration returns *new* addresses, so build the
-        //    (old, new) lookup table.
-        let rereg_span = obs::span!("coi.restore.reregistration");
-        let t0 = simkernel::now();
-        let mut buffers = BTreeMap::new();
-        let mut addr_table = Vec::new();
-        for (id, size, old_addr, content) in stores {
-            proc.memory().map_region(&buf_region(id), content)?;
-            let addr = env.scif.register(&proc, &buf_region(id));
-            buffers.insert(id, BufMeta { size, addr });
-            addr_table.push((id, size, old_addr, addr.0));
-        }
-        // Every region now holds exactly what the snapshot holds (the
-        // BLCR image and the re-mapped local store both came from it),
-        // so a warm capture right after restore starts from all-clean.
-        proc.memory().mark_captured();
-        breakdown.reregistration_ns = (simkernel::now() - t0).as_nanos();
-        drop(rereg_span);
+            // 6. Re-map the local store and re-register the windows; the
+            //    re-registration returns *new* addresses, so build the
+            //    (old, new) lookup table.
+            let _s = obs::span!("coi.restore.reregistration");
+            let t0 = simkernel::now();
+            let mut buffers = BTreeMap::new();
+            let mut addr_table = Vec::new();
+            for (id, size, old_addr, content) in stores {
+                proc.memory().map_region(&buf_region(id), content)?;
+                let addr = env.scif.register(&proc, &buf_region(id));
+                buffers.insert(id, BufMeta { size, addr });
+                addr_table.push((id, size, old_addr, addr.0));
+            }
+            // Every region now holds exactly what the snapshot holds (the
+            // BLCR image and the re-mapped local store both came from it),
+            // so a warm capture right after restore starts from all-clean.
+            proc.memory().mark_captured();
+            breakdown.reregistration_ns = (simkernel::now() - t0).as_nanos();
+            Ok((state, buffers, addr_table))
+        })();
+        let (state, buffers, addr_table) = remapped.inspect_err(|_| {
+            env.scif.unregister_process(&proc);
+            proc.exit();
+        })?;
 
         // 7. Build the runtime, initially paused (barrier up) until
         //    snapify_resume (§4.3: "not fully active after restore").

@@ -140,29 +140,71 @@ impl fmt::Debug for Payload {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+const DIGEST_SEED: u64 = 0xcbf29ce484222325;
+/// An odd 64-bit multiplier (2⁶⁴ / φ).
+const DIGEST_MUL: u64 = 0x9e3779b97f4a7c15;
 
+/// One step of [`Payload::digest`]: the 128-bit product of
+/// `state ^ word` and [`DIGEST_MUL`], its halves folded together. Every
+/// bit of `word` reaches both halves — the low half alone would let
+/// bit 63 of two different words cancel.
 #[inline]
-fn fnv_byte(state: u64, b: u8) -> u64 {
-    (state ^ b as u64).wrapping_mul(FNV_PRIME)
+fn fold(state: u64, word: u64) -> u64 {
+    let product = u128::from(state ^ word) * u128::from(DIGEST_MUL);
+    product as u64 ^ (product >> 64) as u64
 }
 
-fn fnv_u64(mut state: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        state = fnv_byte(state, b);
+/// `bytes` (at most eight) as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// A run of real bytes being digested as little-endian 64-bit words:
+/// `word` holds the `len % 8` bytes no full word has claimed yet (its
+/// other bytes zero), carried from one window of the run to the next so
+/// that where the windows split never shows.
+#[derive(Default)]
+struct Run {
+    word: u64,
+    len: u64,
+}
+
+impl Run {
+    fn absorb(&mut self, mut h: u64, bytes: &[u8]) -> u64 {
+        // Top the carried word up, then whole words, then carry the rest.
+        let held = (self.len % 8) as usize;
+        let (head, rest) = bytes.split_at(bytes.len().min((8 - held) % 8));
+        self.word |= le_word(head) << (8 * held);
+        self.len += bytes.len() as u64;
+        if held + head.len() == 8 {
+            h = fold(h, std::mem::take(&mut self.word));
+        }
+        let mut words = rest.chunks_exact(8);
+        for word in &mut words {
+            h = fold(h, le_word(word));
+        }
+        self.word |= le_word(words.remainder());
+        h
     }
-    state
+
+    /// End the run, if one is open: its tail word (zero-padded), then
+    /// its length — a run and the same run plus zero bytes differ.
+    fn close(&mut self, h: u64) -> u64 {
+        match std::mem::take(self) {
+            Run { len: 0, .. } => h,
+            Run { word, len } => fold(fold(h, word), len),
+        }
+    }
 }
 
 /// One piece of a payload's canonical segment stream
 /// ([`Payload::canonical`]).
 enum Canonical<'a> {
-    /// A byte window; `continues` if the previous piece was one too.
-    Bytes {
-        window: &'a ByteWindow,
-        continues: bool,
-    },
+    /// A (non-empty) byte window; consecutive ones form one run.
+    Bytes(&'a ByteWindow),
     /// A maximal synthetic extent `(tag, offset, len)`.
     Extent((u64, u64, u64)),
 }
@@ -312,15 +354,13 @@ impl Payload {
     /// Walk the canonical segment stream — what the payload *is*,
     /// whatever its segmentation: empty segments dropped, adjacent
     /// synthetic extents with the same tag and contiguous offsets merged
-    /// into one, and each byte window marked with whether it continues
-    /// the run of byte windows before it. The one place the merge rule
+    /// into one, byte windows as they come. The one place the merge rule
     /// lives; [`Payload::normalize`] builds this stream and
     /// [`Payload::digest`] hashes it.
     fn canonical<'a>(&'a self, mut visit: impl FnMut(Canonical<'a>)) {
         // The extent still open to merging, if the last non-empty segment
-        // was synthetic; `in_run` if it was bytes.
+        // was synthetic.
         let mut open: Option<(u64, u64, u64)> = None;
-        let mut in_run = false;
         for seg in &self.segments {
             if seg.is_empty() {
                 continue;
@@ -330,23 +370,16 @@ impl Payload {
                     if let Some(extent) = open.take() {
                         visit(Canonical::Extent(extent));
                     }
-                    visit(Canonical::Bytes {
-                        window,
-                        continues: in_run,
-                    });
-                    in_run = true;
+                    visit(Canonical::Bytes(window));
                 }
-                Segment::Synthetic { tag, offset, len } => {
-                    in_run = false;
-                    match &mut open {
-                        Some((t, o, l)) if *t == *tag && *o + *l == *offset => *l += *len,
-                        _ => {
-                            if let Some(extent) = open.replace((*tag, *offset, *len)) {
-                                visit(Canonical::Extent(extent));
-                            }
+                Segment::Synthetic { tag, offset, len } => match &mut open {
+                    Some((t, o, l)) if *t == *tag && *o + *l == *offset => *l += *len,
+                    _ => {
+                        if let Some(extent) = open.replace((*tag, *offset, *len)) {
+                            visit(Canonical::Extent(extent));
                         }
                     }
-                }
+                },
             }
         }
         if let Some(extent) = open {
@@ -364,7 +397,7 @@ impl Payload {
         let mut out: Vec<Segment> = Vec::new();
         let mut run: Vec<&ByteWindow> = Vec::new();
         self.canonical(|piece| match piece {
-            Canonical::Bytes { window, .. } => run.push(window),
+            Canonical::Bytes(window) => run.push(window),
             Canonical::Extent((tag, offset, len)) => {
                 out.extend(join_windows(&mut run));
                 out.push(Segment::Synthetic { tag, offset, len });
@@ -377,30 +410,31 @@ impl Payload {
         }
     }
 
-    /// Chunking-invariant content digest: FNV-1a over the canonical
-    /// segment stream, hashed as it is walked — nothing is built first.
-    /// A run of byte segments is `0x01` then its bytes, an extent is
-    /// `0x02` then `(tag, offset, len)`. Equal digests ⇒ same logical
-    /// content, with overwhelming probability.
+    /// Chunking-invariant content digest: a multiply-fold hash ([`fold`])
+    /// over the canonical segment stream, hashed as it is walked —
+    /// nothing is built first. A run of byte segments is `0x01`, its
+    /// bytes as little-endian 64-bit words, its zero-padded tail word
+    /// and its length; an extent is `0x02` then `(tag, offset, len)`.
+    /// Equal digests ⇒ same logical content, with overwhelming
+    /// probability.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = DIGEST_SEED;
+        let mut run = Run::default();
         self.canonical(|piece| match piece {
-            Canonical::Bytes { window, continues } => {
-                if !continues {
-                    h = fnv_byte(h, 0x01);
+            Canonical::Bytes(window) => {
+                if run.len == 0 {
+                    h = fold(h, 0x01);
                 }
-                for &byte in window.iter() {
-                    h = fnv_byte(h, byte);
-                }
+                h = run.absorb(h, window);
             }
             Canonical::Extent((tag, offset, len)) => {
-                h = fnv_byte(h, 0x02);
-                h = fnv_u64(h, tag);
-                h = fnv_u64(h, offset);
-                h = fnv_u64(h, len);
+                h = run.close(h);
+                for word in [0x02, tag, offset, len] {
+                    h = fold(h, word);
+                }
             }
         });
-        h
+        run.close(h)
     }
 
     /// Replace the byte range `[offset, offset + replacement.len())` with

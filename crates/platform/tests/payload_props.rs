@@ -71,30 +71,82 @@ fn reference_canon(p: &Payload) -> Vec<Canon> {
     out
 }
 
-/// FNV-1a over a canonical form, segment by segment: what `digest()`
-/// computed when it materialised `normalize()` first.
+/// One step of the digest: the 128-bit product of `h ^ word` and the
+/// multiplier, low half xor high half.
+fn reference_fold(h: u64, word: u64) -> u64 {
+    let product = (h ^ word) as u128 * 0x9e3779b97f4a7c15_u128;
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// The digest's definition over a materialised canonical form. A run is
+/// `0x01`, its bytes zero-padded to the next word boundary *past* its
+/// end (so the tail word is there even when it is empty) and read as
+/// little-endian words byte by byte, then its length; an extent is
+/// `0x02`, tag, offset, length.
 fn reference_digest(canon: &[Canon]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    };
     for seg in canon {
         match seg {
             Canon::Bytes(b) => {
-                mix(&[0x01]);
-                mix(b);
+                h = reference_fold(h, 0x01);
+                let mut padded = b.clone();
+                padded.resize(b.len() / 8 * 8 + 8, 0);
+                for word in padded.chunks(8) {
+                    let mut w = 0u64;
+                    for (i, &byte) in word.iter().enumerate() {
+                        w += (byte as u64) << (8 * i);
+                    }
+                    h = reference_fold(h, w);
+                }
+                h = reference_fold(h, b.len() as u64);
             }
             Canon::Extent(tag, offset, len) => {
-                mix(&[0x02]);
-                for v in [tag, offset, len] {
-                    mix(&v.to_le_bytes());
+                for word in [0x02, *tag, *offset, *len] {
+                    h = reference_fold(h, word);
                 }
             }
         }
     }
     h
+}
+
+/// The carry path: wherever one run of real bytes is cut into windows —
+/// two at every offset, or one per byte — the digest is that of the
+/// whole. Lengths 0–40 put the cut at every residue mod 8, before and
+/// after whole words.
+#[test]
+fn splitting_a_run_anywhere_leaves_the_digest_alone() {
+    for len in 0..=40usize {
+        let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+        let want = reference_digest(&reference_canon(&Payload::bytes(data.clone())));
+        assert_eq!(Payload::bytes(data.clone()).digest(), want, "len {len}");
+        for cut in 0..=len {
+            let (a, b) = data.split_at(cut);
+            let split = Payload::concat([Payload::bytes(a), Payload::bytes(b)]);
+            assert_eq!(split.digest(), want, "len {len} cut at {cut}");
+        }
+        let bytewise = Payload::concat(data.iter().map(|&b| Payload::bytes(vec![b])));
+        assert_eq!(bytewise.digest(), want, "len {len} one window per byte");
+    }
+}
+
+/// A run closes with its length: trailing zero bytes, which leave every
+/// word's value alone, still change the digest.
+#[test]
+fn trailing_zero_bytes_change_the_digest() {
+    for len in 0..=24usize {
+        let data: Vec<u8> = (0..len).map(|i| i as u8 + 1).collect();
+        let base = Payload::bytes(data.clone()).digest();
+        for zeros in 1..=16 {
+            let mut longer = data.clone();
+            longer.resize(len + zeros, 0);
+            assert_ne!(
+                Payload::bytes(longer).digest(),
+                base,
+                "{len} + {zeros} zeros"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -188,6 +240,55 @@ proptest! {
             Payload::synthetic(tag1, len).digest(),
             Payload::synthetic(tag2, len).digest()
         );
+    }
+
+    /// Every bit of a run reaches the digest.
+    #[test]
+    fn any_flipped_bit_changes_the_digest(
+        data in prop::collection::vec(any::<u8>(), 1..4097),
+        at in any::<prop::sample::Index>(),
+    ) {
+        let bit = at.index(data.len() * 8);
+        let mut flipped = data.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_ne!(Payload::bytes(flipped).digest(), Payload::bytes(data).digest());
+    }
+
+    /// Flipping the top bit of two different words changes the digest.
+    /// Word-at-a-time FNV (`(h ^ w).wrapping_mul(PRIME)`) does not see
+    /// it: bit 63 of a word only ever moves bit 63 of the state, so the
+    /// second flip undoes the first.
+    #[test]
+    fn top_bits_of_two_words_do_not_cancel(
+        words in prop::collection::vec(any::<u64>(), 2..64),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+    ) {
+        let (i, j) = (a.index(words.len()), b.index(words.len()));
+        prop_assume!(i != j);
+        let mut flipped = words.clone();
+        flipped[i] ^= 1 << 63;
+        flipped[j] ^= 1 << 63;
+        let naive = |ws: &[u64]| ws.iter().fold(0xcbf29ce484222325u64, |h, w| {
+            (h ^ w).wrapping_mul(0x100000001b3)
+        });
+        prop_assert_eq!(naive(&flipped), naive(&words));
+        let run = |ws: &[u64]| {
+            Payload::bytes(ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>())
+        };
+        prop_assert_ne!(run(&flipped).digest(), run(&words).digest());
+    }
+
+    /// Real bytes never pass for a synthetic extent of their length.
+    #[test]
+    fn a_run_never_equals_an_extent_of_its_length(
+        data in prop::collection::vec(any::<u8>(), 1..64),
+        tag in any::<u64>(),
+        offset in 0u64..1000,
+    ) {
+        let len = data.len() as u64;
+        let extent = Payload::synthetic(tag, offset + len).slice(offset, len);
+        prop_assert_ne!(Payload::bytes(data).digest(), extent.digest());
     }
 
     /// normalize() is idempotent and digest-preserving.

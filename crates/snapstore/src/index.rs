@@ -3,7 +3,7 @@
 //! event is counted: a method that records an event updates
 //! [`StoreStats`] and emits the matching obs counter together.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use phi_platform::{NodeId, Payload};
 use simkernel::obs;
@@ -48,7 +48,7 @@ struct Ledger {
 
 /// One warm chunk's bookkeeping: recency for LRU, touch count for the
 /// popularity/cost policies.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct WarmEntry {
     tick: u64,
     hits: u64,
@@ -58,38 +58,49 @@ struct WarmEntry {
 /// captured or restored them. Holds *keys only* (plus per-entry ticks
 /// and touch counts) — the content lives in the refcounted chunk index,
 /// and no node memory is charged for cache membership.
+///
+/// Invariant: `order` holds exactly one `(policy.score(hits, len,
+/// tick), key)` per entry of `chunks`. A score ends in the entry's
+/// tick and every touch takes a fresh one, so no two elements compare
+/// equal on the score alone: the order is total, and its first element
+/// is the policy's one victim (ties break toward least-recently-used).
 #[derive(Default)]
 struct WarmCache {
     chunks: HashMap<ChunkKey, WarmEntry>,
+    order: BTreeSet<((u128, u64), ChunkKey)>,
     bytes: u64,
     tick: u64,
 }
 
 impl WarmCache {
     /// Touch or insert `key`, then evict the policy's victims until the
-    /// cache fits `cap`. Ticks are unique, so every policy's eviction
-    /// order is deterministic (ties break toward least-recently-used).
+    /// cache fits `cap`. The newcomer is admitted *before* the victims
+    /// are picked, so a first-touch chunk can be the victim of its own
+    /// insert when every resident outscores it.
     fn insert(&mut self, key: ChunkKey, cap: u64, policy: CachePolicy) {
         if key.1 > cap {
             return;
         }
         self.tick += 1;
-        let entry = self.chunks.entry(key).or_insert_with(|| {
-            self.bytes += key.1;
-            WarmEntry { tick: 0, hits: 0 }
-        });
-        entry.tick = self.tick;
-        entry.hits += 1;
+        let tick = self.tick;
+        let hits = self.remove(&key, policy).map_or(0, |e| e.hits) + 1;
+        self.chunks.insert(key, WarmEntry { tick, hits });
+        self.order.insert((policy.score(hits, key.1, tick), key));
+        self.bytes += key.1;
         while self.bytes > cap {
-            let victim = *self
-                .chunks
-                .iter()
-                .min_by_key(|(key, e)| policy.score(e.hits, key.1, e.tick))
-                .expect("bytes > 0 implies entries")
-                .0;
+            let (_, victim) = self.order.pop_first().expect("bytes > 0 implies entries");
             self.chunks.remove(&victim);
             self.bytes -= victim.1;
         }
+    }
+
+    /// Take `key` out of the cache — entry, score and bytes together.
+    fn remove(&mut self, key: &ChunkKey, policy: CachePolicy) -> Option<WarmEntry> {
+        let entry = self.chunks.remove(key)?;
+        self.order
+            .remove(&(policy.score(entry.hits, key.1, entry.tick), *key));
+        self.bytes -= key.1;
+        Some(entry)
     }
 }
 
@@ -402,9 +413,7 @@ impl Index {
             }
             let entry = self.chunks.remove(key).unwrap();
             for cache in self.warm.values_mut() {
-                if cache.chunks.remove(key).is_some() {
-                    cache.bytes -= key.1;
-                }
+                cache.remove(key, self.policy);
             }
             self.stats.bytes_stored -= key.1;
             self.stats.chunks_freed += 1;
@@ -429,6 +438,7 @@ mod tests {
     use crate::tests::*;
     use crate::Dedup;
     use phi_platform::PhiServer;
+    use proptest::prelude::*;
     use simproc::SnapshotStorage;
 
     impl Index {
@@ -626,13 +636,14 @@ mod tests {
         });
     }
 
+    fn keys(c: &WarmCache) -> Vec<ChunkKey> {
+        let mut v: Vec<ChunkKey> = c.chunks.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn cache_policies_pick_distinct_deterministic_victims() {
-        let keys = |c: &WarmCache| {
-            let mut v: Vec<ChunkKey> = c.chunks.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
         // Three 4-byte chunks under a 8-byte budget: A touched three
         // times long ago, B touched once recently, then C arrives.
         let fill = |policy: CachePolicy| {
@@ -672,5 +683,116 @@ mod tests {
             keys(&fill(CachePolicy::Popularity)),
             keys(&fill(CachePolicy::Popularity))
         );
+    }
+
+    /// The cache as it was before the ordered set — one scan of every
+    /// entry per victim — kept as the oracle.
+    #[derive(Default)]
+    struct ScanCache {
+        chunks: HashMap<ChunkKey, WarmEntry>,
+        bytes: u64,
+        tick: u64,
+    }
+
+    impl ScanCache {
+        fn victim(&self, policy: CachePolicy) -> Option<ChunkKey> {
+            let score = |(key, e): &(&ChunkKey, &WarmEntry)| policy.score(e.hits, key.1, e.tick);
+            self.chunks.iter().min_by_key(score).map(|(key, _)| *key)
+        }
+
+        fn evict(&mut self, key: &ChunkKey) {
+            if self.chunks.remove(key).is_some() {
+                self.bytes -= key.1;
+            }
+        }
+
+        fn insert(&mut self, key: ChunkKey, cap: u64, policy: CachePolicy) {
+            if key.1 > cap {
+                return;
+            }
+            self.tick += 1;
+            let entry = self.chunks.entry(key).or_insert_with(|| {
+                self.bytes += key.1;
+                WarmEntry { tick: 0, hits: 0 }
+            });
+            entry.tick = self.tick;
+            entry.hits += 1;
+            while self.bytes > cap {
+                let victim = self.victim(policy).expect("bytes > 0 implies entries");
+                self.evict(&victim);
+            }
+        }
+    }
+
+    proptest! {
+        /// Any history of inserts, re-touches and GC releases leaves the
+        /// ordered cache with the scan's members, bytes and — emptied
+        /// one victim at a time — the scan's eviction order.
+        #[test]
+        fn ordered_eviction_matches_the_scan(
+            ops in prop::collection::vec((0u8..5, 0u64..64), 0..200),
+            cap in 1u64..160,
+        ) {
+            const LENS: [u64; 7] = [1, 2, 3, 5, 8, 21, 55];
+            for policy in CachePolicy::ALL {
+                let (mut cache, mut scan) = (WarmCache::default(), ScanCache::default());
+                for &(op, id) in &ops {
+                    let key = (id, LENS[(id % 7) as usize]);
+                    if op == 0 {
+                        cache.remove(&key, policy);
+                        scan.evict(&key);
+                    } else {
+                        cache.insert(key, cap, policy);
+                        scan.insert(key, cap, policy);
+                    }
+                    prop_assert_eq!(&cache.chunks, &scan.chunks);
+                    prop_assert_eq!(cache.bytes, scan.bytes);
+                    prop_assert_eq!(cache.order.len(), cache.chunks.len());
+                }
+                for (_, next) in &cache.order {
+                    prop_assert_eq!(Some(*next), scan.victim(policy));
+                    scan.evict(next);
+                }
+                prop_assert_eq!(scan.bytes, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn one_big_chunk_evicts_several_residents_in_policy_order() {
+        // Five 2-byte residents under a 10-byte budget, touched 1, 1, 3,
+        // 2 and 1 times in that order (equal sizes: cost-aware ranks them
+        // as popularity does); a 6-byte chunk then needs three gone.
+        let survivors = |policy: CachePolicy| {
+            let mut c = WarmCache::default();
+            for (id, touches) in [(1, 1), (2, 1), (3, 3), (4, 2), (5, 1)] {
+                for _ in 0..touches {
+                    c.insert((id, 2), 10, policy);
+                }
+            }
+            c.insert((9, 6), 10, policy);
+            assert_eq!((c.bytes, c.order.len()), (10, 3));
+            keys(&c).iter().map(|k| k.0).collect::<Vec<u64>>()
+        };
+        // The three least recent go...
+        assert_eq!(survivors(CachePolicy::Lru), vec![4, 5, 9]);
+        // ...or the three touched once, the newcomer (latest tick) spared.
+        assert_eq!(survivors(CachePolicy::Popularity), vec![3, 4, 9]);
+        assert_eq!(survivors(CachePolicy::CostAware), vec![3, 4, 9]);
+    }
+
+    #[test]
+    fn a_first_touch_chunk_can_be_the_victim_of_its_own_insert() {
+        for policy in [CachePolicy::Popularity, CachePolicy::CostAware] {
+            let mut c = WarmCache::default();
+            for key in [(0xa, 4), (0xb, 4), (0xa, 4), (0xb, 4)] {
+                c.insert(key, 8, policy);
+            }
+            // Both residents were touched twice; the newcomer's one
+            // touch scores lowest and it is admitted before the victims.
+            c.insert((0xc, 4), 8, policy);
+            assert_eq!(keys(&c), vec![(0xa, 4), (0xb, 4)]);
+            assert_eq!((c.bytes, c.order.len()), (8, 2));
+        }
     }
 }

@@ -98,8 +98,8 @@ impl CachePolicy {
 /// the frame writer cut shorter chunks early, keeping regions aligned
 /// across snapshots).
 const CHUNK_SIZE: u64 = 4 << 20;
-/// Digest throughput of one capture-side core (the FNV pass the store
-/// pays per chunk): 2 GB/s.
+/// Digest throughput of one capture-side core (the digest pass the
+/// store pays per chunk): 2 GB/s.
 const HASH_BW: Bandwidth = Bandwidth(2e9);
 /// Bounded depth of a [`Stage`]'s queue: capture → shipper and prefetch
 /// → replay alike.

@@ -88,6 +88,43 @@ fn restore_onto_full_device_is_clean() {
     });
 }
 
+/// A device with room for the BLCR image but not for the local store
+/// fails the restore *after* the process restarted there: the restarted
+/// process is exited and its memory returned before the error surfaces.
+#[test]
+fn restore_failing_after_blcr_restart_is_clean() {
+    Kernel::run_root(|| {
+        let (world, spec) = boot("SS");
+        let dev0 = world.server().device(0).mem();
+        let idle = dev0.used();
+        let run = WorkloadRun::launch(world.coi(), &spec, 0).unwrap();
+        let handle = run.handle().clone();
+        let footprint = dev0.used() - idle;
+        let snap = snapify_swapout(&handle, "/snap/half").unwrap();
+        let fs = world.server().host().fs();
+        let store: u64 = fs
+            .list("/snap/half/local_store/buf_")
+            .iter()
+            .map(|f| fs.read_all(f).unwrap().len())
+            .sum();
+        assert!(store > 2 * MB && footprint > store);
+
+        // Leave device 1 the process's footprint less half its store.
+        let dev1 = world.server().device(1).mem();
+        let room = footprint - store / 2;
+        dev1.alloc(dev1.available() - room).unwrap();
+        let err = snapify_swapin(&snap, 1).unwrap_err();
+        assert!(matches!(err, SnapifyError::RestoreFailed(_)), "got {err:?}");
+        assert_eq!(dev1.available(), room, "the restarted process must go");
+
+        // The snapshot is still usable on the original device.
+        snapify_swapin(&snap, 0).unwrap();
+        let result = run.run_to_completion().unwrap();
+        assert!(result.verified);
+        run.destroy().unwrap();
+    });
+}
+
 /// A corrupted snapshot file is rejected at restore time.
 #[test]
 fn corrupt_snapshot_is_rejected() {
