@@ -12,14 +12,13 @@
 //! * **Domain-count invariance** — the fleet's observable digest is
 //!   byte-identical whether the simulation ran on 1 domain or several.
 //!
-//! `--quick` (or `BENCH_QUICK=1`) runs only a smaller fleet under
-//! distinct row names; a full run emits those rows too, so both sets
-//! sit in the committed `BENCH_cluster.json` and either mode ends by
-//! holding its rows against it (`snapify_bench::report`).
+//! `--quick` runs only a smaller fleet under distinct row names; a full
+//! run emits those rows too, so both sets sit in the committed
+//! `BENCH_cluster.json` and either mode ends by holding its rows against
+//! it (`snapify_bench::report`).
 
 use snapify::{FleetConfig, FleetReport, FleetScheduler};
 use snapify_bench::report::{fixed, Report};
-use snapify_bench::{header, Table};
 
 struct Row {
     name: String,
@@ -52,16 +51,6 @@ fn fleet_cfg(nodes: usize, tenants: usize, max_migrations: usize, domains: u32) 
 
 fn main() {
     let quick = snapify_bench::quick();
-    let cfg = FleetConfig::default();
-    header(
-        "BENCH_cluster: fleet control plane over the shared pool",
-        &cfg.params,
-    );
-    println!(
-        "mode: {} (quick rows keep their own names; a full run emits both)",
-        if quick { "quick" } else { "full" }
-    );
-
     // (prefix, nodes, tenants, migrations, parallel domain count)
     let fleets: &[(&str, usize, usize, usize, u32)] = if quick {
         &[("fleet-quick", 4, 24, 3, 2)]
@@ -80,39 +69,6 @@ fn main() {
             ));
         }
     }
-
-    let mut t = Table::new(vec![
-        "scenario",
-        "nodes",
-        "tenants",
-        "domains",
-        "committed",
-        "failed",
-        "fetched",
-        "avoided",
-        "saved",
-        "digest",
-    ]);
-    for r in &rows {
-        let rep = &r.report;
-        t.row(vec![
-            r.name.clone(),
-            rep.nodes.to_string(),
-            rep.tenants.to_string(),
-            r.name[r.name.rfind("-d").unwrap() + 2..].to_string(),
-            rep.committed().to_string(),
-            rep.failed_back().to_string(),
-            snapify_bench::bytes(rep.pool.bytes_fetched_remote),
-            snapify_bench::bytes(rep.pool.bytes_avoided_remote),
-            format!("{:.1}%", rep.warm_saved_fraction() * 100.0),
-            format!("{:016x}", rep.digest()),
-        ]);
-    }
-    t.print();
-    println!();
-    println!("shape checks: every planned migration commits, warm cross-node restores");
-    println!("ship >=80% fewer bytes than cold, the observable digest is identical at");
-    println!("every domain count, and a clean shutdown leaves the pool empty.");
 
     for r in &rows {
         let rep = &r.report;

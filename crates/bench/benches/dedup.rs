@@ -9,7 +9,7 @@
 //! simulated-time gain from overlapping chunk digesting with chunk
 //! shipping (pipelined vs. serial capture of the same image).
 //!
-//! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
+//! Pass `--quick` for a fast smoke run (CI).
 //! Ends by holding its rows against the committed `BENCH_dedup.json`
 //! (`snapify_bench::report`).
 
@@ -19,7 +19,6 @@ use simkernel::Kernel;
 use simproc::SnapshotStorage;
 use snapify::{SnapifyWorld, SwapScheduler};
 use snapify_bench::report::{fixed, Report};
-use snapify_bench::{bytes, header, secs, Table};
 use snapify_io::SnapifyIo;
 use snapstore::{Dedup, DedupConfig};
 
@@ -143,16 +142,6 @@ fn pipeline_compare(
 
 fn main() {
     let quick = snapify_bench::quick();
-    let params = PlatformParams::default();
-    header(
-        if quick {
-            "Dedup store: cold vs warm swap-out (quick)"
-        } else {
-            "Dedup store: cold vs warm swap-out"
-        },
-        &params,
-    );
-
     let sizes: &[(&str, u64)] = if quick {
         &[("tenant-512M", 512 * MB)]
     } else {
@@ -163,31 +152,6 @@ fn main() {
         ]
     };
     let rows: Vec<Row> = sizes.iter().map(|(n, s)| swap_cycle(n, *s)).collect();
-
-    let mut t = Table::new(vec![
-        "tenant",
-        "cold out",
-        "warm out",
-        "cold shipped",
-        "warm shipped",
-        "dedup",
-        "overlap gain",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.name.clone(),
-            secs(r.cold),
-            secs(r.warm),
-            bytes(r.cold_shipped),
-            bytes(r.warm_shipped),
-            format!("{:.1}%", r.dedup_ratio() * 100.0),
-            format!("{:.2}x", r.overlap_gain()),
-        ]);
-    }
-    t.print();
-    println!();
-    println!("shape checks: warm swap-out ships >=80% fewer bytes than cold; pipelined");
-    println!("capture beats serial (digest of chunk k+1 overlaps shipping of chunk k).");
 
     for r in &rows {
         assert!(

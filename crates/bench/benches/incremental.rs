@@ -10,7 +10,7 @@
 //! (`incremental_rebase_every = 0`), the resulting virtual-time speedup,
 //! and the fraction of the image that entered the hash pipeline.
 //!
-//! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
+//! Pass `--quick` for a fast smoke run (CI).
 //! Ends by holding its rows against the committed
 //! `BENCH_incremental.json` (`snapify_bench::report`).
 
@@ -19,7 +19,6 @@ use phi_platform::{FaultSchedule, Payload, PlatformParams, MB};
 use simkernel::Kernel;
 use snapify::{SnapifyWorld, SwapScheduler};
 use snapify_bench::report::{fixed, Report};
-use snapify_bench::{bytes, header, secs, Table};
 use snapstore::DedupConfig;
 
 struct Row {
@@ -144,16 +143,6 @@ fn cycle(name: &str, bufs: u64, buf_bytes: u64, dirty: u64) -> Row {
 
 fn main() {
     let quick = snapify_bench::quick();
-    let params = PlatformParams::default();
-    header(
-        if quick {
-            "Incremental warm capture: delta vs full swap-out (quick)"
-        } else {
-            "Incremental warm capture: delta vs full swap-out"
-        },
-        &params,
-    );
-
     // (name, buffers, buffer bytes, dirty buffers between parks)
     let shapes: &[(&str, u64, u64, u64)] = if quick {
         &[("tenant-5G-20x256M-1dirty", 20, 256 * MB, 1)]
@@ -168,31 +157,6 @@ fn main() {
         .iter()
         .map(|(n, b, s, d)| cycle(n, *b, *s, *d))
         .collect();
-
-    let mut t = Table::new(vec![
-        "tenant",
-        "full warm park",
-        "incr warm park",
-        "speedup",
-        "hashed",
-        "replayed",
-        "hashed frac",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.name.clone(),
-            secs(r.full),
-            secs(r.incremental),
-            format!("{:.2}x", r.speedup()),
-            bytes(r.dirty_bytes),
-            bytes(r.clean_bytes),
-            format!("{:.1}%", r.hashed_fraction() * 100.0),
-        ]);
-    }
-    t.print();
-    println!();
-    println!("shape checks: a tenant with <=10% dirty buffers re-parks >=5x faster than");
-    println!("the always-full baseline and hashes <=20% of its image bytes.");
 
     for r in &rows {
         assert!(

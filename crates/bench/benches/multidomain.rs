@@ -12,7 +12,7 @@
 //! not gated, and `host_cores` lands in the JSON so downstream tooling
 //! can tell the difference.
 //!
-//! Pass `--quick` (or `BENCH_QUICK=1`) for a fast smoke run (CI).
+//! Pass `--quick` for a fast smoke run (CI).
 //! Ends by holding its rows against the committed
 //! `BENCH_multidomain.json` (`snapify_bench::report`): `events` must
 //! reproduce; the rates and `host_cores` are this host's and are only
@@ -129,13 +129,6 @@ fn measure(domains: u32, rounds: u64, warmups: u32, batches: u32) -> Row {
             };
         }
     }
-    println!(
-        "domains={:<2} {:>12} events {:>9.3} ms {:>12.0} events/sec",
-        best.domains,
-        best.events,
-        best.secs * 1e3,
-        best.events_per_sec()
-    );
     best
 }
 
@@ -147,26 +140,12 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    println!();
-    println!(
-        "multi-domain parallel simkernel scaling{} — {NODES} nodes, {host_cores} host cores",
-        if quick { " (quick)" } else { "" }
-    );
-    println!("{}", "-".repeat(70));
-
     let rows: Vec<Row> = [1u32, 2, 4, 8]
         .iter()
         .map(|&d| measure(d, rounds, warmups, batches))
         .collect();
 
     let serial = rows[0].events_per_sec();
-    for r in &rows[1..] {
-        println!(
-            "domains={:<2} speedup over serial: {:.2}x",
-            r.domains,
-            r.events_per_sec() / serial
-        );
-    }
 
     let mut report = Report::default();
     for key in ["wall_secs", "events_per_sec", "speedup", "host_cores"] {

@@ -15,7 +15,7 @@
 //!   makes (`counter_add_labeled` + `sketch_observe_labeled`, three
 //!   labels each), reporting ns/op for one fully-labeled observation.
 //!
-//! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI);
+//! Pass `--quick` for a fast smoke run (CI);
 //! quick runs are too short for a tight relative bound, so the gate
 //! loosens to 25% there. Ends by writing `BENCH_obs.json`
 //! (`snapify_bench::report`); every number in it is this host's wall
@@ -106,13 +106,6 @@ fn main() {
     // enforced on full runs, CI smoke keeps a generous margin.
     let gate_pct = if quick { 25.0 } else { 5.0 };
 
-    println!();
-    println!(
-        "telemetry pipeline overhead benchmarks{}",
-        if quick { " (quick)" } else { "" }
-    );
-    println!("{}", "-".repeat(70));
-
     // Interleave off/on batches so machine drift hits both sides alike.
     let mut off = f64::INFINITY;
     let mut on = f64::INFINITY;
@@ -133,15 +126,7 @@ fn main() {
     obs::reset();
 
     let overhead_pct = (on - off) / off * 100.0;
-    println!("{:<28} {:>9.3} ms", "swap_rotate_obs_off", off * 1e3);
-    println!("{:<28} {:>9.3} ms", "swap_rotate_obs_on", on * 1e3);
-    println!(
-        "{:<28} {:>8.2} %  (gate: < {gate_pct}%)",
-        "labeled overhead", overhead_pct
-    );
-
     let ns_per_op = labeled_hot_path_ns(hot_ops);
-    println!("{:<28} {:>8.1} ns/op", "labeled_hot_path", ns_per_op);
 
     let mut report = Report::default();
     for key in ["wall_secs", "ns_per_op", "overhead_pct"] {
@@ -164,5 +149,4 @@ fn main() {
         "telemetry overhead {overhead_pct:.2}% exceeds the {gate_pct}% gate \
          (obs-off {off:.4}s, obs-on {on:.4}s)"
     );
-    println!("overhead gate passed");
 }

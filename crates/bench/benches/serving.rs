@@ -16,17 +16,14 @@
 //!   throughput with a 2-deep admission limit: the limiter must shed
 //!   load instead of letting the cold queue grow without bound.
 //!
-//! Quick mode (`--quick` / `BENCH_QUICK=1`) runs only a shorter `zipf1k`
-//! schedule under distinct row names (`zipf1k-quick-*`); a full run
-//! emits those rows too, so both sets sit in the committed
-//! `BENCH_serving.json` and either mode ends by holding its rows
-//! against it (`snapify_bench::report`).
+//! Quick mode (`--quick`) runs only a shorter `zipf1k` schedule under
+//! distinct row names (`zipf1k-quick-*`); a full run emits those rows
+//! too, so both sets sit in the committed `BENCH_serving.json` and either
+//! mode ends by holding its rows against it (`snapify_bench::report`).
 
-use phi_platform::PlatformParams;
 use serving::{run_scenario, EvictionPolicy, ServingConfig, ServingReport, TrafficConfig};
 use simkernel::Kernel;
 use snapify_bench::report::{fixed, quote, Report};
-use snapify_bench::{header, Table};
 
 struct Row {
     name: String,
@@ -99,16 +96,6 @@ fn run(name: &str, cfg: ServingConfig) -> Row {
 
 fn main() {
     let quick = snapify_bench::quick();
-    let params = PlatformParams::default();
-    header(
-        if quick {
-            "FaaS-style serving: cold vs warm time-to-first-compute (quick)"
-        } else {
-            "FaaS-style serving: cold vs warm time-to-first-compute"
-        },
-        &params,
-    );
-
     let sweeps: &[(&str, usize)] = if quick {
         &[("zipf1k-quick", 600)]
     } else {
@@ -124,40 +111,6 @@ fn main() {
         }
     }
     rows.push(run("overload-limit2", overload()));
-
-    let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
-    let mut t = Table::new(vec![
-        "scenario",
-        "cold n",
-        "cold p50 ms",
-        "cold p99 ms",
-        "warm n",
-        "warm p50 ms",
-        "warm p99 ms",
-        "overall p99 ms",
-        "speedup p99",
-        "breaches",
-    ]);
-    for r in &rows {
-        let rep = &r.report;
-        t.row(vec![
-            r.name.clone(),
-            rep.cold.count.to_string(),
-            ms(rep.cold.p50_ns),
-            ms(rep.cold.p99_ns),
-            rep.warm.count.to_string(),
-            ms(rep.warm.p50_ns),
-            ms(rep.warm.p99_ns),
-            ms(rep.overall.p99_ns),
-            format!("{:.1}x", r.warm_speedup_p99()),
-            rep.breaches.len().to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-    println!("shape checks: at 1k tenants with Zipf skew, warm p99 time-to-first-compute");
-    println!("beats cold p99 by >=2x for every policy, popularity-aware eviction beats");
-    println!("LRU on overall p99, and uniform overload trips the admission limiter.");
 
     for r in rows.iter().filter(|r| r.name.starts_with("zipf1k")) {
         assert!(

@@ -36,7 +36,7 @@
 //! unpinned on a 2-core host the same binary lands at ≈50 k or ≈300–590 k
 //! events/sec per row, pinned the rows repeat within ±15%.
 //!
-//! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
+//! Pass `--quick` for a fast smoke run (CI).
 //! Ends by holding its rows against the committed
 //! `BENCH_simkernel.json` (`snapify_bench::report`): `events` must
 //! reproduce, and `events_per_sec` must stay above 0.35× the committed
@@ -89,13 +89,6 @@ fn measure(name: &'static str, warmups: u32, batches: u32, mut f: impl FnMut() -
             best = Row { name, events, secs };
         }
     }
-    println!(
-        "{:<28} {:>12} events {:>9.3} ms {:>12.0} events/sec",
-        best.name,
-        best.events,
-        best.secs * 1e3,
-        best.events_per_sec()
-    );
     best
 }
 
@@ -310,13 +303,6 @@ fn main() {
     let mx_iters: u64 = if quick { 50 } else { 400 };
     let tm_iters: u64 = if quick { 50 } else { 400 };
     let poll_ticks: u64 = if quick { 500 } else { 5000 };
-
-    println!();
-    println!(
-        "simkernel hot-path wall-clock benchmarks{}",
-        if quick { " (quick)" } else { "" }
-    );
-    println!("{}", "-".repeat(70));
 
     let rows = vec![
         measure("ping_pong_64", warmups, batches, || {

@@ -12,7 +12,7 @@
 //! rates of the data path's own kernels — `Payload::digest` over real
 //! bytes and warm-cache eviction — recorded as floored wall-clock fields.
 //!
-//! Pass `--quick` (or set `BENCH_QUICK=1`) for a fast smoke run (CI).
+//! Pass `--quick` for a fast smoke run (CI).
 //! Ends by holding its rows against the committed `BENCH_swapin.json`
 //! (`snapify_bench::report`).
 
@@ -25,7 +25,6 @@ use simkernel::Kernel;
 use simproc::SnapshotStorage;
 use snapify::{SnapifyWorld, SwapScheduler};
 use snapify_bench::report::{fixed, Report};
-use snapify_bench::{bytes, header, secs, Table};
 use snapify_io::SnapifyIo;
 use snapstore::{CachePolicy, Dedup, DedupConfig};
 
@@ -238,16 +237,6 @@ fn swapin_row(name: &str, buffer_bytes: u64) -> Row {
 
 fn main() {
     let quick = snapify_bench::quick();
-    let params = PlatformParams::default();
-    header(
-        if quick {
-            "Restore fast path: cold vs warm swap-in (quick)"
-        } else {
-            "Restore fast path: cold vs warm swap-in"
-        },
-        &params,
-    );
-
     let sizes: &[(&str, u64)] = if quick {
         &[("tenant-512M", 512 * MB)]
     } else {
@@ -258,35 +247,6 @@ fn main() {
         ]
     };
     let rows: Vec<Row> = sizes.iter().map(|(n, s)| swapin_row(n, *s)).collect();
-
-    let mut t = Table::new(vec![
-        "tenant",
-        "cold in",
-        "warm in",
-        "cold fetched",
-        "warm fetched",
-        "bytes avoided",
-        "reduction",
-        "speedup",
-        "overlap gain",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.name.clone(),
-            secs(r.cold),
-            secs(r.warm),
-            bytes(r.cold_fetched),
-            bytes(r.warm_fetched),
-            bytes(r.warm_avoided),
-            format!("{:.1}%", r.byte_reduction() * 100.0),
-            format!("{:.2}x", r.speedup()),
-            format!("{:.2}x", r.overlap_gain()),
-        ]);
-    }
-    t.print();
-    println!();
-    println!("shape checks: warm swap-in ships >=80% fewer bytes and runs >=2x faster than");
-    println!("cold; pipelined restore beats serial (fetch of chunk k+1 overlaps replay of k).");
 
     for r in &rows {
         assert!(
@@ -328,10 +288,6 @@ fn main() {
     // mode: a collapse of either (a per-byte digest, a cache that scans
     // itself to evict) fails the floor.
     let (digest, evictions) = (digest_real_mib_per_s(), warm_evictions_per_s());
-    println!();
-    println!(
-        "host rates: digest of real bytes {digest:.0} MiB/s, warm-cache evictions {evictions:.0}/s"
-    );
     report
         .wall_clock("digest_real_mib_per_s", Some(0.35))
         .wall_clock("warm_evictions_per_s", Some(0.35))

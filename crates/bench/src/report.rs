@@ -6,7 +6,9 @@
 //! virtual-time or byte-count answer of the model, which a re-run at the
 //! same commit must reproduce token for token — unless the file's
 //! `"wall_clock": {key: floor-or-null}` marks it as a host measurement.
-//! Every JSON bench ends `main` in [`Report::finish`].
+//! Every bench ends `main` in [`Report::finish`], which also prints its
+//! rows as one markdown table — the rendering EXPERIMENTS.md's tables are
+//! held to (`render_tables`).
 
 use std::fmt::{self, Display};
 
@@ -93,7 +95,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// One value, as written. `BENCH_fig9.json`'s obs summary nests five
+    /// One value, as written. `BENCH_paper.json`'s obs summary nests five
     /// deep; the cap only keeps hostile input off the end of the stack.
     fn value(&mut self, depth: usize) -> Result<&'a str, ParseError> {
         let first = self.token()?;
@@ -198,6 +200,35 @@ const QUICK: &str = "\"quick\"";
 /// A row's leading `name`, which rows are matched and merged by.
 fn name(row: &Members) -> &str {
     &row[0].1
+}
+
+/// A string token without its quotes; any other token as written.
+fn unquote(token: &str) -> &str {
+    let inner = token.strip_prefix('"').and_then(|t| t.strip_suffix('"'));
+    inner.unwrap_or(token)
+}
+
+/// `rows` as one markdown table: `name`, then the union of the rows'
+/// other keys in the order they first appear. Strings lose their
+/// quotes, numbers print as written, and a key a row lacks reads `—`.
+fn markdown(rows: &[&Members]) -> String {
+    let mut keys: Vec<&str> = Vec::new();
+    for (key, _) in rows.iter().flat_map(|row| row.iter()) {
+        if !keys.contains(&key.as_str()) {
+            keys.push(key);
+        }
+    }
+    let line = |cells: Vec<&str>| format!("| {} |\n", cells.join(" | "));
+    let mut out = line(keys.iter().map(|k| unquote(k)).collect());
+    out += &format!("|{}\n", "---|".repeat(keys.len()));
+    for row in rows {
+        out += &line(
+            keys.iter()
+                .map(|k| get(row, k).map_or("—", unquote))
+                .collect(),
+        );
+    }
+    out
 }
 
 /// A bench record: see the module docs.
@@ -335,12 +366,17 @@ impl Report {
         Report { benches, ..self }
     }
 
-    /// End a bench: [`check`](Report::check) against the committed
-    /// `path` (a missing file holds no rows), write the
+    /// End a bench: print the fresh rows as one markdown table and the
+    /// flat scalars beneath it, [`check`](Report::check) them against the
+    /// committed `path` (a missing file holds no rows), write the
     /// [merged](Report::merged_over) rows back so a `--quick` subset
     /// never drops the full rows and `git diff` is the review surface,
     /// then fail the process if anything mismatched.
     pub fn finish(self, path: &str) {
+        print!("{}", markdown(&self.benches.iter().collect::<Vec<_>>()));
+        for (key, value) in self.scalars.iter().filter(|(_, v)| !v.starts_with('{')) {
+            println!("{}: {value}", unquote(key));
+        }
         let committed = match std::fs::read_to_string(path) {
             Ok(text) => Report::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}")),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Report::default(),
@@ -384,6 +420,43 @@ impl Display for Report {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    const OPEN: &str = "<!-- table ";
+    const CLOSE: &str = "<!-- /table -->";
+
+    /// `doc` with every region between `<!-- table FILE [PREFIX] -->` and
+    /// `<!-- /table -->` rendered afresh from the rows of `read(FILE)` whose
+    /// name starts with `PREFIX`, and the `FILE PREFIX` of each region that
+    /// was not already that rendering.
+    fn render_tables(doc: &str, read: impl Fn(&str) -> Report) -> (String, Vec<String>) {
+        let (mut out, mut stale) = (String::new(), Vec::new());
+        let mut rest = doc;
+        while let Some(at) = rest.find(OPEN) {
+            let (head, tail) = rest.split_at(at);
+            let (marker, body) = tail.split_at(tail.find("-->\n").expect("an unclosed marker") + 4);
+            let what = marker[OPEN.len()..marker.len() - 4].trim();
+            let end = body
+                .find(CLOSE)
+                .unwrap_or_else(|| panic!("{what}: no {CLOSE}"));
+            let (file, prefix) = what.split_once(' ').unwrap_or((what, ""));
+            let report = read(file);
+            let rows: Vec<&Members> = report
+                .benches
+                .iter()
+                .filter(|row| unquote(name(row)).starts_with(prefix))
+                .collect();
+            assert!(!rows.is_empty(), "{what}: no row is named {prefix}…");
+            let table = markdown(&rows);
+            if body[..end] != table {
+                stale.push(what.to_string());
+            }
+            out += head;
+            out += marker;
+            out += &table;
+            rest = &body[end..];
+        }
+        (out + rest, stale)
+    }
 
     /// Rows as the benches write them: a `u64` above 2^53, a decimal
     /// with a trailing zero, one floored and one recorded wall-clock key.
@@ -570,5 +643,90 @@ mod tests {
         let merged = run.merged_over(committed()).to_string();
         let added = ("}\n  ]", "},\n    {\"name\": \"fleet-d8\"}\n  ]");
         assert_eq!(merged, rerun(&[("0.2", "0.3"), added]).to_string());
+    }
+
+    /// Three rows: two share a prefix and half their keys, one string.
+    fn fleet() -> Report {
+        let mut report = Report::default();
+        report
+            .row("fleet-d1")
+            .field("saved", "0.9330")
+            .field("digest", 10346015804843313725u64)
+            .field("policy", quote("lru"))
+            .row("fleet-d4")
+            .field("saved", "0.9399")
+            .field("barrier_rounds", 7499)
+            .row("other")
+            .field("x", 1);
+        report
+    }
+
+    const FLEET: &str = "\
+| name | saved | digest | policy | barrier_rounds |
+|---|---|---|---|---|
+| fleet-d1 | 0.9330 | 10346015804843313725 | lru | — |
+| fleet-d4 | 0.9399 | — | — | 7499 |
+";
+
+    #[test]
+    fn a_table_is_the_union_of_its_rows_keys_with_tokens_as_written() {
+        let report = fleet();
+        assert_eq!(
+            markdown(&report.benches.iter().take(2).collect::<Vec<_>>()),
+            FLEET
+        );
+    }
+
+    #[test]
+    fn a_marked_region_is_rewritten_from_its_prefix_rows_and_named() {
+        let doc = "# t\n<!-- table BENCH_x.json fleet -->\n| stale |\n<!-- /table -->\n\
+                   text\n<!-- table BENCH_x.json o -->\n| name | x |\n|---|---|\n| other | 1 |\n\
+                   <!-- /table -->\n";
+        let read = |file: &str| {
+            assert_eq!(file, "BENCH_x.json");
+            fleet()
+        };
+        let (fresh, stale) = render_tables(doc, read);
+        assert_eq!(stale, ["BENCH_x.json fleet"]);
+        assert_eq!(fresh, doc.replace("| stale |\n", FLEET));
+        assert_eq!(render_tables(&fresh, read), (fresh.clone(), vec![]));
+        // Without a prefix a region holds every row.
+        let every = "<!-- table BENCH_x.json -->\n<!-- /table -->\n";
+        let table = "\
+| name | saved | digest | policy | barrier_rounds | x |
+|---|---|---|---|---|---|
+| fleet-d1 | 0.9330 | 10346015804843313725 | lru | — | — |
+| fleet-d4 | 0.9399 | — | — | 7499 | — |
+| other | — | — | — | — | 1 |
+";
+        let rendered = every.replace("-->\n<", &format!("-->\n{table}<"));
+        assert_eq!(
+            render_tables(every, read),
+            (rendered, vec!["BENCH_x.json".into()])
+        );
+    }
+
+    /// EXPERIMENTS.md's tables are the committed records, rendered. A
+    /// region that differs is rewritten from its record and fails this
+    /// test by name — `Report::finish`'s hold-and-rewrite rule, for the
+    /// docs.
+    #[test]
+    fn experiments_md_tables_are_the_committed_records() {
+        let dir = env!("CARGO_MANIFEST_DIR");
+        let path = format!("{dir}/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let (fresh, stale) = render_tables(&doc, |file| {
+            let text = std::fs::read_to_string(format!("{dir}/{file}"));
+            let text = text.unwrap_or_else(|e| panic!("{file}: {e}"));
+            Report::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
+        });
+        if !stale.is_empty() {
+            std::fs::write(&path, fresh).unwrap();
+        }
+        assert!(
+            stale.is_empty(),
+            "EXPERIMENTS.md is rewritten: these tables differed from their records: {}",
+            stale.join("; ")
+        );
     }
 }
