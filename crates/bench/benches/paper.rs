@@ -13,13 +13,14 @@ use std::sync::Arc;
 use blcr_sim::{BlcrConfig, BlcrError};
 use coi_sim::{CoiConfig, FunctionRegistry};
 use phi_platform::{FaultSchedule, FsError, NodeId, Payload, PhiServer, PlatformParams, GB, MB};
-use simkernel::{ms, obs, JoinHandle, Kernel, SimDuration};
+use simkernel::obs::{self, Json};
+use simkernel::{ms, JoinHandle, Kernel, SimDuration};
 use simproc::{ByteSink, IoError, PidAllocator, SimProcess, SnapshotStorage};
 use snapify::{
     checkpoint_application, restart_application, snapify_capture, snapify_pause, snapify_swapin,
     snapify_wait, SnapifyError, SnapifyT, SnapifyWorld,
 };
-use snapify_bench::report::{fixed, quote, Report};
+use snapify_bench::report::{fixed, Report};
 use snapify_io::{
     LocalStorage, Nfs, NfsConfig, NfsMode, Scp, ScpConfig, SnapifyIo, SnapifyIoConfig,
 };
@@ -27,17 +28,17 @@ use workloads::nas::{nas_suite, run_mz_cr_experiment};
 use workloads::{by_name, register_suite, suite, WorkloadResult, WorkloadRun, WorkloadSpec};
 
 /// Seconds, to the millisecond every figure is read at.
-fn s(d: SimDuration) -> String {
+fn s(d: SimDuration) -> Json {
     fixed(d.as_secs_f64(), 3)
 }
 
 /// How many times faster `fast` is than `slow`.
-fn times(slow: SimDuration, fast: SimDuration) -> String {
+fn times(slow: SimDuration, fast: SimDuration) -> Json {
     fixed(slow.as_secs_f64() / fast.as_secs_f64(), 1)
 }
 
 /// MiB, to a tenth.
-fn mib(bytes: u64) -> String {
+fn mib(bytes: u64) -> Json {
     fixed(bytes as f64 / MB as f64, 1)
 }
 
@@ -184,12 +185,12 @@ fn table4(report: &mut Report) {
             let time = |m: usize| cells[i][m][p];
             report.row(&format!("table4/{phase}/{label}"));
             for (m, method) in STORAGE.iter().enumerate() {
-                let cell = time(m).map_or(quote("OOM"), s);
+                let cell = time(m).map_or("OOM".into(), s);
                 report.field(&format!("{method}_s"), cell);
             }
             report.field("sio_vs_nfs", times(time(1).unwrap(), time(4).unwrap()));
             if let (Some(x), "restart") = (paper, phase) {
-                report.field("paper_sio_vs_nfs", x);
+                report.field("paper_sio_vs_nfs", *x);
             }
         }
     }
@@ -239,9 +240,7 @@ fn fig9(report: &mut Report) {
         .row("fig9-mean")
         .field("overhead_pct", fixed(sum / suite().len() as f64, 4))
         .field("paper_overhead_pct", 1.5);
-    // Indented to sit under the top level.
-    let summary = obs::summary_json();
-    report.scalar("summary", summary.trim_end().replace('\n', "\n  "));
+    report.scalar("summary", obs::summary_json());
 }
 
 /// The application's result, once its driver thread ends.

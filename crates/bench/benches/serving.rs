@@ -23,7 +23,7 @@
 
 use serving::{run_scenario, EvictionPolicy, ServingConfig, ServingReport, TrafficConfig};
 use simkernel::Kernel;
-use snapify_bench::report::{fixed, quote, Report};
+use snapify_bench::report::{fixed, Report};
 
 struct Row {
     name: String,
@@ -147,7 +147,7 @@ fn main() {
     for r in &rows {
         let rep = &r.report;
         out.row(&r.name)
-            .field("policy", quote(&rep.policy))
+            .field("policy", rep.policy.as_str())
             .field("requests", rep.requests)
             .field("admitted", rep.admitted)
             .field("cold_count", rep.cold.count)

@@ -1,211 +1,51 @@
-//! The one writer and one reader of `BENCH_*.json`, and the one rule
-//! that holds a fresh run against the committed copy.
+//! The one record every bench ends in, and the one rule that holds a
+//! fresh run against the committed copy.
 //!
 //! A [`Report`] is `benches` rows of ordered `(key, value)` fields led
-//! by a `name`, plus top-level scalars. A key is *deterministic* — a
-//! virtual-time or byte-count answer of the model, which a re-run at the
-//! same commit must reproduce token for token — unless the file's
+//! by a `name`, plus top-level scalars, written and read as one
+//! `simkernel::obs::Json`. A key is *deterministic* — a virtual-time or
+//! byte-count answer of the model, which a re-run at the same commit
+//! must reproduce token for token — unless the file's
 //! `"wall_clock": {key: floor-or-null}` marks it as a host measurement.
 //! Every bench ends `main` in [`Report::finish`], which also prints its
 //! rows as one markdown table — the rendering EXPERIMENTS.md's tables are
 //! held to (`render_tables`).
 
-use std::fmt::{self, Display};
+use simkernel::obs::Json;
 
-/// `(key, value)` pairs in file order, each side its JSON text as
-/// written — keys and strings with their quotes and escapes, numbers
-/// with their digits, nested values whole — so `0.9330` and a `u64`
-/// above 2^53 survive read → write unchanged and "equal" means
-/// textually equal.
-type Members = Vec<(String, String)>;
+/// `(key, value)` pairs in file order.
+type Members = Vec<(String, Json)>;
 
 /// `x` as a number token with exactly `decimals` fractional digits.
-pub fn fixed(x: f64, decimals: usize) -> String {
+pub fn fixed(x: f64, decimals: usize) -> Json {
     assert!(x.is_finite(), "{x} has no JSON number token");
-    format!("{x:.decimals$}")
+    Json::Number(format!("{x:.decimals$}"))
 }
 
-/// `s` as a JSON string token.
-pub fn quote(s: &str) -> String {
-    let mut out = String::from('"');
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => out.extend(['\\', c]),
-            c if c < ' ' => out += &format!("\\u{:04x}", c as u32),
-            c => out.push(c),
-        }
-    }
-    out + "\""
-}
-
-/// Why a text is not a bench report: what is wrong, at which byte.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ParseError {
-    /// `truncated`, `unexpected byte`, `bad escape`, `bad token`, `nested
-    /// too deep`, `trailing garbage`, or why JSON is `not a report: …`.
-    what: &'static str,
-    /// Byte offset into the text.
-    at: usize,
-}
-
-impl Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.what, self.at)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// A recursive-descent pass that checks JSON syntax and hands back each
-/// value's extent instead of building a tree.
-struct Scanner<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    /// An error `back` bytes behind the cursor.
-    fn err(&self, what: &'static str, back: usize) -> ParseError {
-        let at = self.pos - back;
-        ParseError { what, at }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Result<u8, ParseError> {
-        let b = self.peek().ok_or(self.err("truncated", 0))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// The next byte after any white space.
-    fn token(&mut self) -> Result<u8, ParseError> {
-        while matches!(self.peek(), Some(b' ' | b'\n' | b'\r' | b'\t')) {
-            self.pos += 1;
-        }
-        self.next()
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), ParseError> {
-        match self.token()? {
-            b if b == want => Ok(()),
-            _ => Err(self.err("unexpected byte", 1)),
-        }
-    }
-
-    /// One value, as written. `BENCH_paper.json`'s obs summary nests five
-    /// deep; the cap only keeps hostile input off the end of the stack.
-    fn value(&mut self, depth: usize) -> Result<&'a str, ParseError> {
-        let first = self.token()?;
-        let at = self.pos - 1;
-        match first {
-            _ if depth > 32 => return Err(self.err("nested too deep", 1)),
-            b'"' => self.string()?,
-            b'[' => self.items(b']', |p| p.value(depth + 1).map(drop))?,
-            b'{' => self.items(b'}', |p| p.key().and_then(|_| p.value(depth + 1)).map(drop))?,
-            _ => {
-                self.pos = at;
-                while self
-                    .peek()
-                    .is_some_and(|b| b.is_ascii_alphanumeric() || b"+-.".contains(&b))
-                {
-                    self.pos += 1;
-                }
-                match &self.src[at..self.pos] {
-                    "" => return Err(self.err("unexpected byte", 0)),
-                    "null" | "true" | "false" => {}
-                    // `str::parse` alone would also take `inf` and `+1`.
-                    t if t.starts_with(|c: char| c == '-' || c.is_ascii_digit())
-                        && t.parse::<f64>().is_ok_and(f64::is_finite) => {}
-                    t => return Err(self.err("bad token", t.len())),
-                }
-            }
-        }
-        Ok(&self.src[at..self.pos])
-    }
-
-    /// The `"key":` of a member, as written.
-    fn key(&mut self) -> Result<&'a str, ParseError> {
-        self.expect(b'"')?;
-        let at = self.pos - 1;
-        self.string()?;
-        self.expect(b':')?;
-        Ok(&self.src[at..self.pos - 1])
-    }
-
-    /// `{"key": value, …}` with each side as written.
-    fn object(&mut self) -> Result<Members, ParseError> {
-        let mut out = Vec::new();
-        self.expect(b'{')?;
-        self.items(b'}', |p| {
-            out.push((p.key()?.to_string(), p.value(1)?.to_string()));
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// The comma-separated items after an opener, up to `close`.
-    fn items(
-        &mut self,
-        close: u8,
-        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
-    ) -> Result<(), ParseError> {
-        if self.token()? == close {
-            return Ok(());
-        }
-        self.pos -= 1;
-        loop {
-            item(self)?;
-            match self.token()? {
-                b',' => {}
-                b if b == close => return Ok(()),
-                _ => return Err(self.err("unexpected byte", 1)),
-            }
-        }
-    }
-
-    /// The rest of a string whose opening quote is consumed.
-    fn string(&mut self) -> Result<(), ParseError> {
-        let hex4 = |p: &Self| {
-            let digits = p.src.as_bytes().get(p.pos..p.pos + 4);
-            digits.is_some_and(|d| d.iter().all(u8::is_ascii_hexdigit))
-        };
-        loop {
-            match self.next()? {
-                b'"' => return Ok(()),
-                b'\\' => match self.next()? {
-                    b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
-                    b'u' if hex4(self) => self.pos += 4,
-                    _ => return Err(self.err("bad escape", 2)),
-                },
-                b if b < b' ' => return Err(self.err("unexpected byte", 1)),
-                _ => {}
-            }
-        }
-    }
-}
-
-fn get<'a>(members: &'a Members, key: &str) -> Option<&'a str> {
+fn get<'a>(members: &'a Members, key: &str) -> Option<&'a Json> {
     let found = members.iter().find(|(k, _)| k == key);
-    found.map(|(_, v)| v.as_str())
+    found.map(|(_, v)| v)
 }
 
-const NAME: &str = "\"name\"";
+const NAME: &str = "name";
 /// `true` when the rows were sized by `--quick`; only benches whose
 /// same-named rows differ by mode set it.
-const QUICK: &str = "\"quick\"";
+const QUICK: &str = "quick";
 
 /// A row's leading `name`, which rows are matched and merged by.
 fn name(row: &Members) -> &str {
-    &row[0].1
+    match &row[0].1 {
+        Json::Str(name) => name,
+        _ => unreachable!("a row is led by its name"),
+    }
 }
 
-/// A string token without its quotes; any other token as written.
-fn unquote(token: &str) -> &str {
-    let inner = token.strip_prefix('"').and_then(|t| t.strip_suffix('"'));
-    inner.unwrap_or(token)
+/// A number's value; `None` for anything else.
+fn number(value: &Json) -> Option<f64> {
+    match value {
+        Json::Number(token) => token.parse().ok(),
+        _ => None,
+    }
 }
 
 /// `rows` as one markdown table: `name`, then the union of the rows'
@@ -218,15 +58,16 @@ fn markdown(rows: &[&Members]) -> String {
             keys.push(key);
         }
     }
-    let line = |cells: Vec<&str>| format!("| {} |\n", cells.join(" | "));
-    let mut out = line(keys.iter().map(|k| unquote(k)).collect());
+    let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+    let mut out = line(keys.iter().map(|k| k.to_string()).collect());
     out += &format!("|{}\n", "---|".repeat(keys.len()));
     for row in rows {
-        out += &line(
-            keys.iter()
-                .map(|k| get(row, k).map_or("—", unquote))
-                .collect(),
-        );
+        let cell = |key: &&str| match get(row, key) {
+            None => "—".to_string(),
+            Some(Json::Str(s)) => s.clone(),
+            Some(value) => value.to_string(),
+        };
+        out += &line(keys.iter().map(cell).collect());
     }
     out
 }
@@ -242,22 +83,22 @@ pub struct Report {
 impl Report {
     /// Start the row `name`; its [`field`](Report::field)s follow.
     pub fn row(&mut self, name: &str) -> &mut Report {
-        self.benches.push(vec![(NAME.to_string(), quote(name))]);
+        self.benches.push(vec![(NAME.to_string(), name.into())]);
         self
     }
 
-    /// Append a field to the row started last. `value` prints as a JSON
-    /// value: an integer, a `bool`, [`fixed`] or [`quote`].
-    pub fn field(&mut self, key: &str, value: impl Display) -> &mut Report {
+    /// Append a field to the row started last: an integer, a `bool`, a
+    /// string, or [`fixed`].
+    pub fn field(&mut self, key: &str, value: impl Into<Json>) -> &mut Report {
         let row = self.benches.last_mut().expect("a field follows a row");
-        row.push((quote(key), value.to_string()));
+        row.push((key.to_string(), value.into()));
         self
     }
 
     /// Set a top-level scalar; `value` as for [`field`](Report::field),
-    /// or a whole nested JSON value.
-    pub fn scalar(&mut self, key: &str, value: impl Display) -> &mut Report {
-        self.scalars.push((quote(key), value.to_string()));
+    /// or a whole nested value.
+    pub fn scalar(&mut self, key: &str, value: impl Into<Json>) -> &mut Report {
+        self.scalars.push((key.to_string(), value.into()));
         self
     }
 
@@ -265,73 +106,80 @@ impl Report {
     /// a `floor`, a fresh value must reach `floor ×` the committed one;
     /// without, it is recorded and never compared.
     pub fn wall_clock(&mut self, key: &str, floor: Option<f64>) -> &mut Report {
-        let floor = floor.map_or("null".to_string(), |x| x.to_string());
-        self.wall_clock.push((quote(key), floor));
+        let floor = floor.map_or(Json::Null, Json::from);
+        self.wall_clock.push((key.to_string(), floor));
         self
     }
 
-    /// Read a report; the inverse of `to_string`.
-    fn parse(text: &str) -> Result<Report, ParseError> {
-        let mut p = Scanner { src: text, pos: 0 };
+    /// Read a report; the inverse of [`to_json`](Report::to_json).
+    fn parse(text: &str) -> Result<Report, String> {
+        let refuse = |why: &str| Err(format!("not a report: {why}"));
+        let Json::Object(members) = Json::parse(text).map_err(|e| e.to_string())? else {
+            return refuse("not an object");
+        };
         let mut report = Report::default();
-        p.expect(b'{')?;
-        p.items(b'}', |p| {
-            match p.key()? {
-                "\"wall_clock\"" => report.wall_clock = p.object()?,
-                "\"benches\"" => {
-                    p.expect(b'[')?;
-                    p.items(b']', |p| {
-                        let row = p.object()?;
-                        if !matches!(&row[..], [(k, v), ..] if k == NAME && v.starts_with('"')) {
-                            return Err(p.err("not a report: this row is not led by a name", 1));
+        for (key, value) in members {
+            match (key.as_str(), value) {
+                ("wall_clock", Json::Object(marks)) => report.wall_clock = marks,
+                ("benches", Json::Array(rows)) => {
+                    for row in rows {
+                        let Json::Object(row) = row else {
+                            return refuse("a row is not an object");
+                        };
+                        if !matches!(&row[..], [(k, Json::Str(_)), ..] if k == NAME) {
+                            return refuse("a row is not led by a name");
                         }
                         report.benches.push(row);
-                        Ok(())
-                    })?
+                    }
                 }
-                key => report
-                    .scalars
-                    .push((key.to_string(), p.value(1)?.to_string())),
+                ("wall_clock" | "benches", _) => return refuse(&format!("{key} is misshapen")),
+                (_, value) => report.scalars.push((key, value)),
             }
-            Ok(())
-        })?;
-        match p.token() {
-            Err(_) => Ok(report),
-            Ok(_) => Err(p.err("trailing garbage", 1)),
         }
+        Ok(report)
+    }
+
+    /// The record as one value: `benches`, the marks if any, then the
+    /// scalars.
+    fn to_json(&self) -> Json {
+        let rows = self.benches.iter().map(|row| Json::Object(row.clone()));
+        let mut top = vec![(String::from("benches"), Json::Array(rows.collect()))];
+        if !self.wall_clock.is_empty() {
+            let marks = Json::Object(self.wall_clock.clone());
+            top.push(("wall_clock".to_string(), marks));
+        }
+        top.extend(self.scalars.iter().cloned());
+        Json::Object(top)
     }
 
     /// Every way this fresh report fails to reproduce `committed`, each
     /// naming row, field, old and new; empty means it does. Each fresh
     /// row needs a same-named committed row (an empty or renamed run
     /// never passes vacuously), every deterministic field and scalar
-    /// must be textually equal, and a floored wall-clock field must not
-    /// collapse. Wall-clock rates depend on workload size, so when the
-    /// two `quick` scalars differ only the row names are held.
+    /// must be equal token for token, and a floored wall-clock field must
+    /// not collapse. Wall-clock rates depend on workload size, so when
+    /// the two `quick` scalars differ only the row names are held.
     fn check(&self, committed: &Report) -> Vec<String> {
         let mut out = Vec::new();
-        let mut hold = |row: &str, key: &str, old: Option<&str>, new: &str| {
-            let floor = get(&self.wall_clock, key).map(str::parse::<f64>);
-            let rule = match floor {
+        let mut hold = |row: &str, key: &str, old: Option<&Json>, new: &Json| {
+            let rule = match get(&self.wall_clock, key).map(number) {
                 None if old == Some(new) => return,
                 None => String::new(),
-                Some(Err(_)) => return,
-                Some(Ok(floor)) => match (old.map(str::parse::<f64>), new.parse::<f64>()) {
-                    (Some(Ok(old)), Ok(new)) if new >= old * floor => return,
+                Some(None) => return,
+                Some(Some(floor)) => match (old.and_then(number), number(new)) {
+                    (Some(old), Some(new)) if new >= old * floor => return,
                     _ => format!(" (floor {floor}x committed)"),
                 },
             };
-            let old = old.unwrap_or("(absent)");
+            let old = old.map_or("(absent)".to_string(), Json::to_string);
             out.push(format!(
                 "row {row} field {key}: committed {old} -> fresh {new}{rule}"
             ));
         };
-        let same_mode = match (get(&self.scalars, QUICK), get(&committed.scalars, QUICK)) {
-            (Some(fresh), Some(old)) => fresh == old,
-            _ => true,
-        };
+        let modes = get(&self.scalars, QUICK).zip(get(&committed.scalars, QUICK));
+        let same_mode = modes.is_none_or(|(fresh, old)| fresh == old);
         if self.benches.is_empty() {
-            hold("(top level)", "\"benches\"", None, "[]");
+            hold("(top level)", "benches", None, &Json::Array(Vec::new()));
         }
         if same_mode {
             for (key, new) in &self.scalars {
@@ -340,7 +188,7 @@ impl Report {
         }
         for row in &self.benches {
             match committed.benches.iter().find(|r| name(r) == name(row)) {
-                None => hold(name(row), NAME, None, name(row)),
+                None => hold(name(row), NAME, None, &row[0].1),
                 Some(old) if same_mode => {
                     for (key, new) in row {
                         hold(name(row), key, get(old, key), new);
@@ -374,8 +222,10 @@ impl Report {
     /// then fail the process if anything mismatched.
     pub fn finish(self, path: &str) {
         print!("{}", markdown(&self.benches.iter().collect::<Vec<_>>()));
-        for (key, value) in self.scalars.iter().filter(|(_, v)| !v.starts_with('{')) {
-            println!("{}: {value}", unquote(key));
+        for (key, value) in &self.scalars {
+            if !matches!(value, Json::Object(_)) {
+                println!("{key}: {value}");
+            }
         }
         let committed = match std::fs::read_to_string(path) {
             Ok(text) => Report::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}")),
@@ -383,11 +233,7 @@ impl Report {
             Err(e) => panic!("cannot read {path}: {e}"),
         };
         let mismatches = self.check(&committed);
-        let merged = self.merged_over(committed);
-        let text = merged.to_string();
-        // A bench that passed `field` something other than a JSON value
-        // stops here, not at the next run's read.
-        assert_eq!(Report::parse(&text).as_ref(), Ok(&merged), "{path}");
+        let text = self.merged_over(committed).to_json().render();
         std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         assert!(
             mismatches.is_empty(),
@@ -398,28 +244,9 @@ impl Report {
     }
 }
 
-impl Display for Report {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let object = |members: &Members| {
-            let members = members.iter().map(|(k, v)| format!("{k}: {v}"));
-            format!("{{{}}}", members.collect::<Vec<_>>().join(", "))
-        };
-        let rows: Vec<String> = self.benches.iter().map(object).collect();
-        write!(f, "{{\n  \"benches\": [\n    {}\n  ]", rows.join(",\n    "))?;
-        if !self.wall_clock.is_empty() {
-            write!(f, ",\n  \"wall_clock\": {}", object(&self.wall_clock))?;
-        }
-        for (key, value) in &self.scalars {
-            write!(f, ",\n  {key}: {value}")?;
-        }
-        f.write_str("\n}\n")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     const OPEN: &str = "<!-- table ";
     const CLOSE: &str = "<!-- /table -->";
@@ -443,7 +270,7 @@ mod tests {
             let rows: Vec<&Members> = report
                 .benches
                 .iter()
-                .filter(|row| unquote(name(row)).starts_with(prefix))
+                .filter(|row| name(row).starts_with(prefix))
                 .collect();
             assert!(!rows.is_empty(), "{what}: no row is named {prefix}…");
             let table = markdown(&rows);
@@ -490,14 +317,14 @@ mod tests {
     }
 
     fn miss(row: &str, field: &str, old: &str, new: &str) -> String {
-        format!("row \"{row}\" field \"{field}\": committed {old} -> fresh {new}")
+        format!("row {row} field {field}: committed {old} -> fresh {new}")
     }
 
-    /// Nobody hand-merged a committed artifact: each is the writer's
+    /// Nobody hand-merged a committed artifact: each is the one writer's
     /// own output, number tokens and all.
     #[test]
     fn committed_artifacts_read_and_write_back_verbatim() {
-        assert_eq!(committed().to_string(), COMMITTED);
+        assert_eq!(committed().to_json().render(), COMMITTED);
         let here = std::fs::read_dir(env!("CARGO_MANIFEST_DIR")).unwrap();
         let paths = here.map(|entry| entry.unwrap().path());
         let jsons: Vec<_> = paths
@@ -506,84 +333,33 @@ mod tests {
         assert_eq!(jsons.len(), 9);
         for path in jsons {
             let text = std::fs::read_to_string(&path).unwrap();
+            let json = Json::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            assert_eq!(json.render(), text, "{path:?}");
             let report = Report::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-            assert_eq!(report.to_string(), text, "{path:?}");
-        }
-    }
-
-    fn text() -> impl Strategy<Value = String> {
-        prop::collection::vec(any::<u8>(), 0..12)
-            .prop_map(|bytes| bytes.iter().map(|&b| (b % 0x90) as char).collect())
-    }
-
-    proptest! {
-        /// Strings with quotes, backslashes, control and non-ASCII
-        /// characters; any `u64`; a nested object; both kinds of mark.
-        #[test]
-        fn write_then_read_is_identity_and_any_cut_is_an_error(
-            names in prop::collection::vec(text(), 1..4),
-            key in text(),
-            n in any::<u64>(),
-            flag in any::<bool>(),
-        ) {
-            let mut report = Report::default();
-            for name in &names {
-                let nested = format!("{{{}: [{n}, null, {{}}],\n \"\": {flag}}}", quote(name));
-                report
-                    .row(name)
-                    .field(&key, n)
-                    .field("ratio", fixed(n as f64 / 1e19, 4))
-                    .field("label", quote(&key))
-                    .field("nested", nested);
-            }
-            report
-                .wall_clock(&key, flag.then_some(n as f64 / 8.0))
-                .scalar("quick", flag)
-                .scalar(&key, u64::MAX);
-            let written = report.to_string();
-            prop_assert_eq!(Report::parse(&written), Ok(report));
-            let cut = (n % (written.len() as u64 - 2)) as usize;
-            if written.is_char_boundary(cut) {
-                prop_assert!(Report::parse(&written[..cut]).is_err());
-            }
-        }
-
-        #[test]
-        fn arbitrary_text_never_panics_the_reader(picks in prop::collection::vec(0usize..32, 0..48)) {
-            let alphabet: Vec<char> = "{}[]\",:\\u0123456789aeEdD.-+ tfné".chars().collect();
-            let text: String = picks.iter().map(|&i| alphabet[i]).collect();
-            let _ = Report::parse(&text);
+            assert_eq!(report.to_json(), json, "{path:?}");
         }
     }
 
     #[test]
-    fn malformed_input_is_a_typed_error() {
-        let trailing = format!("{COMMITTED}x");
-        let deep = format!("{{\"a\": {}", "[".repeat(99));
-        let unnamed = "not a report: this row is not led by a name";
-        for (text, what, at) in [
-            ("{\"benches\": [", "truncated", 13),
-            ("{\"a\": \"abc", "truncated", 10),
-            (trailing.as_str(), "trailing garbage", COMMITTED.len()),
-            (r#"{"a\qb": 1}"#, "bad escape", 3),
-            (r#"{"a": "\u12g4"}"#, "bad escape", 7),
-            ("{\"a\": [01x]}", "bad token", 7),
-            ("{\"a\": [-]}", "bad token", 7),
-            ("{\"a\": [1e]}", "bad token", 7),
-            ("{\"a\": [-inf]}", "bad token", 7),
-            ("{\"a\": [+1]}", "bad token", 7),
-            ("{\"a\": [nul]}", "bad token", 7),
-            ("{\"a\": [1 2]}", "unexpected byte", 9),
-            ("[]", "unexpected byte", 0),
-            (deep.as_str(), "nested too deep", 38),
-            (r#"{"benches": [{"x": 1}]}"#, unnamed, 20),
-            (r#"{"benches": [{"name": 1}]}"#, unnamed, 23),
-            (r#"{"benches": {}}"#, "unexpected byte", 12),
-            (r#"{"wall_clock": []}"#, "unexpected byte", 15),
+    fn a_value_that_is_not_a_report_is_named() {
+        let unnamed = "not a report: a row is not led by a name";
+        for (text, why) in [
+            ("{\"benches\": [", "truncated at byte 13"),
+            ("[]", "not a report: not an object"),
+            (r#"{"benches": [{"x": 1}]}"#, unnamed),
+            (r#"{"benches": [{"name": 1}]}"#, unnamed),
+            (
+                r#"{"benches": [[]]}"#,
+                "not a report: a row is not an object",
+            ),
+            (r#"{"benches": {}}"#, "not a report: benches is misshapen"),
+            (
+                r#"{"wall_clock": []}"#,
+                "not a report: wall_clock is misshapen",
+            ),
         ] {
-            assert_eq!(Report::parse(text), Err(ParseError { what, at }), "{text}");
+            assert_eq!(Report::parse(text), Err(why.to_string()), "{text}");
         }
-        assert!(Report::parse(r#"{"é\né😀": "\"\\\/\b\f\r\té"}"#).is_ok());
     }
 
     /// `perf_gate`'s cases, and the ones it could not express.
@@ -640,9 +416,9 @@ mod tests {
         let mut run = rerun(&[("0.2", "0.3")]);
         run.benches.remove(0);
         run.row("fleet-d8");
-        let merged = run.merged_over(committed()).to_string();
+        let merged = run.merged_over(committed()).to_json().render();
         let added = ("}\n  ]", "},\n    {\"name\": \"fleet-d8\"}\n  ]");
-        assert_eq!(merged, rerun(&[("0.2", "0.3"), added]).to_string());
+        assert_eq!(merged, rerun(&[("0.2", "0.3"), added]).to_json().render());
     }
 
     /// Three rows: two share a prefix and half their keys, one string.
@@ -650,11 +426,11 @@ mod tests {
         let mut report = Report::default();
         report
             .row("fleet-d1")
-            .field("saved", "0.9330")
+            .field("saved", fixed(0.933, 4))
             .field("digest", 10346015804843313725u64)
-            .field("policy", quote("lru"))
+            .field("policy", "lru")
             .row("fleet-d4")
-            .field("saved", "0.9399")
+            .field("saved", fixed(0.9399, 4))
             .field("barrier_rounds", 7499)
             .row("other")
             .field("x", 1);

@@ -1056,9 +1056,13 @@ mod tests {
             );
 
             let json = obs::summary_json();
-            assert!(json.contains("\"tenant_breakdown\""));
-            assert!(json.contains("\"small-tenant\""));
-            assert!(json.contains("\"large-tenant\""));
+            let obs::Json::Object(tenants) = &json["tenant_breakdown"] else {
+                panic!("no tenant breakdown: {json}")
+            };
+            // Other tests in this binary may record while this one does.
+            for tenant in ["small-tenant", "large-tenant"] {
+                assert!(tenants.iter().any(|(t, _)| t == tenant), "{json}");
+            }
 
             // The 10us SLO is impossible for real swap-ins: both tenants
             // breach, the slow tenant burning hotter.

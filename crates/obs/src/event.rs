@@ -72,7 +72,7 @@ impl Event {
     /// Render the event as one human-readable line:
     /// `t=<ns> tid=<tid> <kind> <name> [fields]`. Used by the flight
     /// recorder's dump tail.
-    pub fn one_line(&self) -> String {
+    pub(crate) fn one_line(&self) -> String {
         use std::fmt::Write as _;
         match self {
             Event::SpanBegin {

@@ -2,17 +2,18 @@
 //!
 //! Both exports are pure functions of the recorder state, which is
 //! itself a deterministic function of the simulation — so identical runs
-//! yield byte-identical output. All JSON is hand-emitted (sorted keys,
-//! fixed formatting); no serialization library, no float formatting
-//! surprises (timestamps stay integral nanoseconds split manually into
-//! microsecond ticks). Labeled metrics are exported in sorted
-//! rendered-key order (`name{k=v}`), independent of interning order, so
-//! summaries diff byte-for-byte across identical runs.
+//! yield byte-identical output. Each builds one [`Json`] value (sorted
+//! keys; timestamps stay integral nanoseconds split into microsecond
+//! ticks, no float formatting) for the one writer to lay out. Labeled
+//! metrics are exported in sorted rendered-key order (`name{k=v}`),
+//! independent of interning order, so summaries diff byte-for-byte
+//! across identical runs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::event::Event;
+use crate::json::Json;
 use crate::labels::{render_key, LabeledMetric, MetricValue};
 use crate::recorder::{recorder, DurationStat, Histogram, Recorder};
 use crate::sketch::LatencySketch;
@@ -31,30 +32,12 @@ const PHASE_ORDER: [&str; 9] = [
     "snapify.migrate",
 ];
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Nanoseconds rendered as (possibly fractional) microseconds, the unit
-/// the Chrome trace-event format expects for `ts`.
-fn micros(ns: u64, out: &mut String) {
-    let frac = ns % 1000;
-    if frac == 0 {
-        let _ = write!(out, "{}", ns / 1000);
-    } else {
-        let _ = write!(out, "{}.{:03}", ns / 1000, frac);
+/// Nanoseconds as (possibly fractional) microseconds, the unit the
+/// Chrome trace-event format expects for `ts`.
+fn micros(ns: u64) -> Json {
+    match (ns / 1000, ns % 1000) {
+        (us, 0) => Json::from(us),
+        (us, frac) => Json::Number(format!("{us}.{frac:03}")),
     }
 }
 
@@ -65,77 +48,52 @@ fn micros(ns: u64, out: &mut String) {
 /// ([`crate::set_meta`] — e.g. the chaos seed and fault schedule) is
 /// stamped into the `otherData` block so exported traces are
 /// self-identifying. Only the flight-recorder tail is exported (the
-/// ring is bounded); iteration happens under the recorder lock without
-/// cloning the buffer.
-pub fn chrome_trace() -> String {
+/// ring is bounded), built under the recorder lock.
+pub fn chrome_trace() -> Json {
     chrome_trace_of(&recorder())
 }
 
-fn chrome_trace_of(rec: &Recorder) -> String {
-    let mut out = String::with_capacity(64 + rec.flight.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    for (i, ev) in rec.flight.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{");
-        match ev {
+fn chrome_trace_of(rec: &Recorder) -> Json {
+    // A wrapped ring can start with the end of a span whose begin was
+    // evicted, which Perfetto flags as unmatched; a begin without its
+    // end is a span still open, which the format allows.
+    let mut begun = HashSet::new();
+    let events = rec.flight.iter().filter_map(|ev| {
+        let (name, ph, args) = match ev {
             Event::SpanBegin {
                 id,
                 parent,
-                tid,
-                t_ns,
                 name,
                 fields,
+                ..
             } => {
-                out.push_str("\"name\":\"");
-                json_escape(name, &mut out);
-                let _ = write!(out, "\",\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":");
-                micros(*t_ns, &mut out);
-                let _ = write!(out, ",\"args\":{{\"span\":{id},\"parent\":{parent}");
-                for (k, v) in fields {
-                    out.push_str(",\"");
-                    json_escape(k, &mut out);
-                    out.push_str("\":\"");
-                    json_escape(v, &mut out);
-                    out.push('"');
-                }
-                out.push_str("}}");
+                begun.insert(*id);
+                let ids = [("span", Json::from(*id)), ("parent", Json::from(*parent))];
+                let fields = fields.iter().map(|(k, v)| (*k, Json::from(v.as_str())));
+                (*name, "B", Some(ids.into_iter().chain(fields).collect()))
             }
-            Event::SpanEnd {
-                tid, t_ns, name, ..
-            } => {
-                out.push_str("\"name\":\"");
-                json_escape(name, &mut out);
-                let _ = write!(out, "\",\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":");
-                micros(*t_ns, &mut out);
-                out.push('}');
-            }
-            Event::Instant { tid, t_ns, label } => {
-                out.push_str("\"name\":\"");
-                json_escape(label, &mut out);
-                let _ = write!(
-                    out,
-                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":"
-                );
-                micros(*t_ns, &mut out);
-                out.push('}');
-            }
+            Event::SpanEnd { id, name, .. } if begun.contains(id) => (*name, "E", None),
+            Event::SpanEnd { .. } => return None,
+            Event::Instant { label, .. } => (label.as_str(), "i", None),
+        };
+        let mut event = vec![("name", Json::from(name)), ("ph", ph.into())];
+        if ph == "i" {
+            event.push(("s", "t".into()));
         }
-    }
-    out.push_str("\n],\"otherData\":{");
-    for (i, (k, v)) in rec.meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json_escape(k, &mut out);
-        out.push_str("\":\"");
-        json_escape(v, &mut out);
-        out.push('"');
-    }
-    out.push_str("},\"displayTimeUnit\":\"ms\"}\n");
-    out
+        event.extend([
+            ("pid", 1.into()),
+            ("tid", ev.tid().into()),
+            ("ts", micros(ev.t_ns())),
+        ]);
+        event.extend(args.map(|args| ("args", args)));
+        Some(event.into_iter().collect())
+    });
+    let meta = rec.meta.iter().map(|(k, v)| (k, Json::from(v.as_str())));
+    Json::from_iter([
+        ("traceEvents", Json::Array(events.collect())),
+        ("otherData", meta.collect()),
+        ("displayTimeUnit", "ms".into()),
+    ])
 }
 
 /// An aggregated view of the recording: per-phase durations plus the
@@ -193,7 +151,7 @@ impl Summary {
 
     /// The paper-figure phase rows (canonical order, only phases that
     /// actually occurred): `(phase, stat)`.
-    pub fn phase_breakdown(&self) -> Vec<(&str, DurationStat)> {
+    fn phase_breakdown(&self) -> Vec<(&str, DurationStat)> {
         PHASE_ORDER
             .iter()
             .filter_map(|p| self.durations.get(*p).map(|s| (*p, *s)))
@@ -204,7 +162,7 @@ impl Summary {
     /// (sorted), the metrics carrying that tenant label, keyed by their
     /// rendered key **without** the tenant pair (sorted). Metrics with
     /// no `tenant` label are absent.
-    pub fn tenant_breakdown(&self) -> BTreeMap<String, Vec<(String, &LabeledMetric)>> {
+    fn tenant_breakdown(&self) -> BTreeMap<String, Vec<(String, &LabeledMetric)>> {
         let mut out: BTreeMap<String, Vec<(String, &LabeledMetric)>> = BTreeMap::new();
         for m in &self.labeled {
             if let Some(tenant) = m.label("tenant") {
@@ -238,182 +196,75 @@ fn ms(ns: u64) -> String {
     format!("{}.{:06}", ns / 1_000_000, ns % 1_000_000)
 }
 
-fn write_histogram_json(h: &Histogram, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-        h.count, h.sum, h.min, h.max
-    );
-    // Emit only non-empty buckets as [index, count] pairs to stay
-    // compact while remaining a fixed function of the data.
-    let mut first = true;
-    for (idx, c) in h.buckets.iter().enumerate() {
-        if *c > 0 {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "[{idx},{c}]");
-        }
-    }
-    out.push_str("]}");
+/// Only the non-empty buckets, as `[index, count]` pairs: compact, and
+/// still a fixed function of the data.
+fn histogram(h: &Histogram) -> Json {
+    let buckets = h.buckets.iter().enumerate().filter(|(_, c)| **c > 0);
+    let buckets = buckets.map(|(i, c)| Json::Array(vec![i.into(), (*c).into()]));
+    let stats = [h.count, h.sum, h.min, h.max].map(Json::from);
+    let stats = ["count", "sum", "min", "max"].into_iter().zip(stats);
+    let buckets = ("buckets", Json::Array(buckets.collect()));
+    stats.chain([buckets]).collect()
 }
 
-fn write_metric_value_json(v: &MetricValue, out: &mut String) {
-    match v {
-        MetricValue::Counter(c) => {
-            let _ = write!(out, "{{\"type\": \"counter\", \"value\": {c}}}");
-        }
-        MetricValue::Histogram(h) => {
-            out.push_str("{\"type\": \"histogram\", \"value\": ");
-            write_histogram_json(h, out);
-            out.push('}');
-        }
+fn metric(v: &MetricValue) -> Json {
+    let (kind, value) = match v {
+        MetricValue::Counter(c) => ("counter", vec![("value", Json::from(*c))]),
+        MetricValue::Histogram(h) => ("histogram", vec![("value", histogram(h))]),
         MetricValue::Sketch(s) => {
-            let _ = write!(
-                out,
-                "{{\"type\": \"sketch\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p99\": {}, \"p999\": {}}}",
-                s.count(),
-                s.sum(),
-                s.min(),
-                s.max(),
-                s.p50(),
-                s.p99(),
-                s.p999()
-            );
+            let keys = ["count", "sum", "min", "max", "p50", "p99", "p999"];
+            let stats = [s.count(), s.sum(), s.min(), s.max()];
+            let stats = stats.into_iter().chain([s.p50(), s.p99(), s.p999()]);
+            let stats = keys.into_iter().zip(stats.map(Json::from));
+            ("sketch", stats.collect())
         }
-    }
+    };
+    let kind = ("type", Json::from(kind));
+    [kind].into_iter().chain(value).collect()
+}
+
+fn duration(st: &DurationStat) -> Json {
+    let keys = ["count", "total", "min", "max"];
+    let stats = [st.count, st.total_ns, st.min_ns, st.max_ns];
+    keys.into_iter().zip(stats).collect()
 }
 
 /// Export the summary as deterministic JSON: phase breakdown, all span
 /// durations, counter totals, histograms, labeled metrics, the
 /// per-tenant breakdown, and run metadata — every map in sorted key
 /// order.
-pub fn summary_json() -> String {
+pub fn summary_json() -> Json {
     json_of(&Summary::capture())
 }
 
-fn json_of(s: &Summary) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"phase_breakdown_ns\": {");
-    let phases = s.phase_breakdown();
-    for (i, (name, st)) in phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    \"{name}\": {{\"count\": {}, \"total\": {}, \"min\": {}, \"max\": {}}}",
-            st.count, st.total_ns, st.min_ns, st.max_ns
-        );
-    }
-    out.push_str(if phases.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
+fn json_of(s: &Summary) -> Json {
+    let phases = s
+        .phase_breakdown()
+        .into_iter()
+        .map(|(p, st)| (p, duration(&st)));
+    let durations = s.durations.iter().map(|(k, st)| (k, duration(st)));
+    let histograms = s.histograms.iter().map(|(k, h)| (k, histogram(h)));
+    let labeled = s.labeled.iter().map(|m| (m.key(), metric(&m.value)));
+    let tenants = s.tenant_breakdown().into_iter().map(|(tenant, metrics)| {
+        let metrics = metrics.iter().map(|(key, m)| (key, metric(&m.value)));
+        (tenant, metrics.collect::<Json>())
     });
-    out.push_str("  \"durations_ns\": {");
-    for (i, (name, st)) in s.durations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(name, &mut out);
-        let _ = write!(
-            out,
-            "\": {{\"count\": {}, \"total\": {}, \"min\": {}, \"max\": {}}}",
-            st.count, st.total_ns, st.min_ns, st.max_ns
-        );
-    }
-    out.push_str(if s.durations.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"counters\": {");
-    for (i, (name, v)) in s.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(name, &mut out);
-        let _ = write!(out, "\": {v}");
-    }
-    out.push_str(if s.counters.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"histograms\": {");
-    for (i, (name, h)) in s.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(name, &mut out);
-        out.push_str("\": ");
-        write_histogram_json(h, &mut out);
-    }
-    out.push_str(if s.histograms.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"labeled\": {");
-    for (i, m) in s.labeled.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(&m.key(), &mut out);
-        out.push_str("\": ");
-        write_metric_value_json(&m.value, &mut out);
-    }
-    out.push_str(if s.labeled.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"tenant_breakdown\": {");
-    let breakdown = s.tenant_breakdown();
-    for (i, (tenant, metrics)) in breakdown.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(tenant, &mut out);
-        out.push_str("\": {");
-        for (j, (key, m)) in metrics.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("\n      \"");
-            json_escape(key, &mut out);
-            out.push_str("\": ");
-            write_metric_value_json(&m.value, &mut out);
-        }
-        out.push_str("\n    }");
-    }
-    out.push_str(if breakdown.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"meta\": {");
-    for (i, (k, v)) in s.meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    \"");
-        json_escape(k, &mut out);
-        out.push_str("\": \"");
-        json_escape(v, &mut out);
-        out.push('"');
-    }
-    out.push_str(if s.meta.is_empty() { "}\n" } else { "\n  }\n" });
-    out.push_str("}\n");
-    out
+    let sections: [(&str, Json); 7] = [
+        ("phase_breakdown_ns", phases.collect()),
+        ("durations_ns", durations.collect()),
+        (
+            "counters",
+            s.counters.iter().map(|(k, v)| (k, *v)).collect(),
+        ),
+        ("histograms", histograms.collect()),
+        ("labeled", labeled.collect()),
+        ("tenant_breakdown", tenants.collect()),
+        (
+            "meta",
+            s.meta.iter().map(|(k, v)| (k, v.as_str())).collect(),
+        ),
+    ];
+    Json::from_iter(sections)
 }
 
 /// Export the summary as a plain-text report: the paper-style stacked
@@ -541,8 +392,32 @@ fn text_of(s: &Summary) -> String {
 #[cfg(test)]
 mod tests {
     use super::{chrome_trace_of, json_of, text_of, Summary};
+    use crate::json::Json;
     use crate::labels::Registry;
     use crate::recorder::Recorder;
+
+    fn parse(text: &str) -> Json {
+        Json::parse(text).unwrap()
+    }
+
+    fn keys(value: &Json) -> Vec<&str> {
+        match value {
+            Json::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    /// Each exported event's `ph`, in order.
+    fn phases(trace: &Json) -> Vec<&str> {
+        let Json::Array(events) = &trace["traceEvents"] else {
+            panic!("no event array")
+        };
+        let ph = events.iter().map(|event| match &event["ph"] {
+            Json::Str(ph) => ph.as_str(),
+            other => panic!("ph {other}"),
+        });
+        ph.collect()
+    }
 
     #[test]
     fn chrome_trace_is_valid_shape_and_deterministic() {
@@ -553,18 +428,39 @@ mod tests {
         rec.span_end((2_250, 1), a);
         rec.instant((3_000, 1), "checkpoint done");
         rec.meta.insert("chaos.seed".into(), "7".into());
-        let t1 = chrome_trace_of(&rec);
-        assert_eq!(t1, chrome_trace_of(&rec));
-        assert!(t1.starts_with("{\"traceEvents\":["));
-        assert!(
-            t1.contains("\"name\":\"snapify.pause\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":1,")
+        let trace = chrome_trace_of(&rec);
+        assert_eq!(trace.render(), chrome_trace_of(&rec).render());
+        assert_eq!(
+            keys(&trace),
+            ["traceEvents", "otherData", "displayTimeUnit"]
         );
-        assert!(t1.contains("\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":2.250}"));
-        assert!(t1.contains("\"ph\":\"i\""));
-        assert!(t1.contains("\"otherData\":{\"chaos.seed\":\"7\"}"));
-        // Balanced B/E.
-        assert_eq!(t1.matches("\"ph\":\"B\"").count(), 2);
-        assert_eq!(t1.matches("\"ph\":\"E\"").count(), 2);
+        assert_eq!(phases(&trace), ["B", "B", "E", "E", "i"]);
+        let Json::Array(events) = &trace["traceEvents"] else {
+            panic!("no event array")
+        };
+        let begin = r#"{"name": "snapify.pause", "ph": "B", "pid": 1, "tid": 1, "ts": 1,
+                        "args": {"span": 1, "parent": 0, "device": "0"}}"#;
+        assert_eq!(events[0], parse(begin));
+        let end = r#"{"name": "snapify.pause", "ph": "E", "pid": 1, "tid": 1, "ts": 2.250}"#;
+        assert_eq!(events[3], parse(end));
+        let instant = r#"{"name": "checkpoint done", "ph": "i", "s": "t", "pid": 1, "tid": 1,
+                          "ts": 3}"#;
+        assert_eq!(events[4], parse(instant));
+        assert_eq!(trace["otherData"], parse(r#"{"chaos.seed": "7"}"#));
+    }
+
+    #[test]
+    fn a_wrapped_ring_exports_no_end_without_its_begin() {
+        let mut rec = Recorder::new(2);
+        let evicted = rec.span_begin((0, 1), "evicted", Vec::new());
+        rec.instant((1, 1), "one");
+        rec.instant((2, 1), "two");
+        rec.span_end((3, 1), evicted);
+        // The ring holds `two` and the end of a span whose begin is gone.
+        assert_eq!(phases(&chrome_trace_of(&rec)), ["i"]);
+        // A begin whose end has not happened is a span still open.
+        rec.span_begin((4, 1), "open", Vec::new());
+        assert_eq!(phases(&chrome_trace_of(&rec)), ["B"]);
     }
 
     #[test]
@@ -581,13 +477,14 @@ mod tests {
         assert!(text.contains("snapify.pause"));
         assert!(text.contains("io.nfs.rpc_ops"));
         let json = json_of(&s);
-        assert!(json.contains("\"io.nfs.rpc_ops\": 7"));
-        assert!(json.contains("\"blcr.region_bytes\""));
-        // Canonical phase order, not recording order: pause before
-        // resume in the breakdown section.
-        let pause = json.find("\"snapify.pause\"").unwrap();
-        let resume = json.find("\"snapify.resume\"").unwrap();
-        assert!(pause < resume);
+        assert_eq!(json["counters"]["io.nfs.rpc_ops"], Json::from(7));
+        let region = r#"{"count": 1, "sum": 4096, "min": 4096, "max": 4096, "buckets": [[13,1]]}"#;
+        assert_eq!(json["histograms"]["blcr.region_bytes"], parse(region));
+        // Canonical phase order, not recording order.
+        let phases = ["snapify.pause", "snapify.resume"];
+        assert_eq!(keys(&json["phase_breakdown_ns"]), phases);
+        let pause = r#"{"count": 1, "total": 4, "min": 4, "max": 4}"#;
+        assert_eq!(json["durations_ns"]["snapify.pause"], parse(pause));
     }
 
     /// `counters[name]` is a view: the sum of `name{…}` over every label
@@ -612,20 +509,17 @@ mod tests {
         assert_eq!(s.counters.len(), 3);
         // The labeled view keeps each series; unlabeled counters are
         // only their total.
-        let keys: Vec<String> = s.labeled.iter().map(|m| m.key()).collect();
-        assert_eq!(
-            keys,
-            [
-                "only.labeled{tenant=a}",
-                "only.labeled{tenant=b}",
-                "x",
-                "x{node=mic0,op=w}",
-                "x{node=mic0}",
-                "x{node=mic1}",
-            ]
-        );
+        let labeled = [
+            "only.labeled{tenant=a}",
+            "only.labeled{tenant=b}",
+            "x",
+            "x{node=mic0,op=w}",
+            "x{node=mic0}",
+            "x{node=mic1}",
+        ];
         let json = json_of(&s);
-        assert!(json.contains("\"only.labeled\": 7"));
+        assert_eq!(keys(&json["labeled"]), labeled);
+        assert_eq!(json["counters"]["only.labeled"], Json::from(7));
     }
 
     #[test]
@@ -640,58 +534,78 @@ mod tests {
         m.counter_add("node.bytes", &[("node", "mic0")], 9);
         let s = Summary::of(&rec);
         let json = json_of(&s);
-        assert!(
-            json.contains("\"swap.bytes{op=out,tenant=a}\": {\"type\": \"counter\", \"value\": 7}")
+        let counter = parse(r#"{"type": "counter", "value": 7}"#);
+        assert_eq!(json["labeled"]["swap.bytes{op=out,tenant=a}"], counter);
+        // Tenants sorted; their groups strip the tenant label from inner
+        // keys, and a metric without one stays out.
+        let tenants = &json["tenant_breakdown"];
+        assert_eq!(keys(tenants), ["a", "b"]);
+        assert_eq!(
+            keys(&tenants["a"]),
+            ["swap.bytes{op=out}", "swap.swapin_ns"]
         );
-        assert!(json.contains("\"tenant_breakdown\""));
-        // Tenant groups strip the tenant label from inner keys.
-        let a = json.find("\"a\": {").expect("tenant a group");
-        let b = json.find("\"b\": {").expect("tenant b group");
-        assert!(a < b, "tenants sorted");
-        assert!(json.contains("\"swap.bytes{op=out}\""));
-        assert!(json.contains("\"p99\": 2000"));
-        // Unlabeled-by-tenant metric stays out of the breakdown.
-        let breakdown_at = json.find("\"tenant_breakdown\"").unwrap();
-        assert!(!json[breakdown_at..].contains("node.bytes"));
+        assert_eq!(keys(&tenants["b"]), ["swap.bytes{op=out}"]);
+        assert_eq!(tenants["a"]["swap.bytes{op=out}"], counter);
+        let sketch = r#"{"type": "sketch", "count": 2, "sum": 3000, "min": 1000, "max": 2000,
+                         "p50": 1007, "p99": 2000, "p999": 2000}"#;
+        assert_eq!(tenants["a"]["swap.swapin_ns"], parse(sketch));
         let sk = s.tenant_sketch("swap.swapin_ns", "a").unwrap();
         assert_eq!(sk.count(), 2);
         assert!(s.tenant_sketch("swap.swapin_ns", "b").is_none());
     }
 
+    /// Same observations, interned in opposite orders.
+    fn run(flip: bool) -> Recorder {
+        let mut steps: [fn(&mut Registry); 5] = [
+            |m| m.counter_add("m", &[("tenant", "z")], 1),
+            |m| m.counter_add("m", &[("tenant", "a")], 2),
+            |m| m.counter_add("plain", &[], 3),
+            |m| m.histogram_observe("h", 17),
+            |m| m.sketch_observe("lat", &[("tenant", "a"), ("op", "in")], 40),
+        ];
+        if flip {
+            steps.reverse();
+        }
+        let mut rec = Recorder::new(8);
+        for step in steps {
+            step(&mut rec.metrics);
+        }
+        let id = rec.span_begin((0, 0), "snapify.pause", vec![("quote", "\"\\\n".into())]);
+        rec.span_end((3, 0), id);
+        rec.instant((1_234_567, 2), "tab\there");
+        rec.meta.insert("run".into(), "x".into());
+        rec
+    }
+
     #[test]
     fn identical_runs_serialize_identically() {
-        // Same observations, interned in opposite orders.
-        let run = |flip: bool| {
-            let mut steps: [fn(&mut Registry); 5] = [
-                |m| m.counter_add("m", &[("tenant", "z")], 1),
-                |m| m.counter_add("m", &[("tenant", "a")], 2),
-                |m| m.counter_add("plain", &[], 3),
-                |m| m.histogram_observe("h", 17),
-                |m| m.sketch_observe("lat", &[("tenant", "a"), ("op", "in")], 40),
-            ];
-            if flip {
-                steps.reverse();
-            }
-            let mut rec = Recorder::new(8);
-            for step in steps {
-                step(&mut rec.metrics);
-            }
-            let id = rec.span_begin((0, 0), "snapify.pause", Vec::new());
-            rec.span_end((3, 0), id);
-            rec.meta.insert("run".into(), "x".into());
-            let s = Summary::of(&rec);
-            (json_of(&s), text_of(&s))
+        let export = |rec: &Recorder| {
+            let s = Summary::of(rec);
+            (json_of(&s).render(), text_of(&s))
         };
-        assert_eq!(run(false), run(true), "exports depend on interning order");
+        assert_eq!(
+            export(&run(false)),
+            export(&run(true)),
+            "exports depend on interning order"
+        );
+    }
+
+    /// Both exports are the one writer's output: read back and written
+    /// again, the text is unchanged.
+    #[test]
+    fn exports_read_back_verbatim() {
+        let rec = run(false);
+        for text in [
+            chrome_trace_of(&rec).render(),
+            json_of(&Summary::of(&rec)).render(),
+        ] {
+            assert_eq!(parse(&text).render(), text);
+        }
     }
 
     #[test]
     fn micros_formatting() {
-        let mut s = String::new();
-        super::micros(1_234_567, &mut s);
-        assert_eq!(s, "1234.567");
-        s.clear();
-        super::micros(5_000, &mut s);
-        assert_eq!(s, "5");
+        assert_eq!(super::micros(1_234_567), Json::Number("1234.567".into()));
+        assert_eq!(super::micros(5_000), Json::from(5));
     }
 }

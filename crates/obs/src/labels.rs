@@ -181,14 +181,13 @@ impl Registry {
 }
 
 /// Render the canonical export key: `name{k=v,k2=v2}` (label keys
-/// sorted; `name` alone when the label set is empty). When
-/// `skip_label` is given, that label is omitted from the rendering
-/// (used by the per-tenant breakdown, which groups by the skipped
-/// label instead).
-pub fn render_key(name: &str, labels: &[(String, String)], skip_label: Option<&str>) -> String {
+/// sorted; `name` alone when the label set is empty). When `skip` is
+/// given, that label is omitted from the rendering (used by the
+/// per-tenant breakdown, which groups by the skipped label instead).
+pub(crate) fn render_key(name: &str, labels: &[(String, String)], skip: Option<&str>) -> String {
     let kept: Vec<&(String, String)> = labels
         .iter()
-        .filter(|(k, _)| Some(k.as_str()) != skip_label)
+        .filter(|(k, _)| Some(k.as_str()) != skip)
         .collect();
     if kept.is_empty() {
         return name.to_string();

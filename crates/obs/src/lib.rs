@@ -7,7 +7,7 @@
 //!
 //! * **structured spans** ([`span!`]) — typed begin/end events stamped
 //!   with the *virtual* clock, nested parent/child per simulated thread;
-//! * one **metrics registry** ([`labels`]) — counters, fixed-bucket
+//! * one **metrics registry** — counters, fixed-bucket
 //!   (power-of-two) histograms and bounded-error percentile sketches
 //!   ([`LatencySketch`]) keyed by `(name, labels)` with interned label
 //!   sets; an unlabeled metric is the empty label set, and a counter's
@@ -19,7 +19,9 @@
 //!   checks in virtual time, emitting typed [`SloBreach`] records;
 //! * **exporters** — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`) and a plain-text / JSON summary reproducing the
-//!   paper's stacked-bar phase breakdowns and per-backend I/O tables.
+//!   paper's stacked-bar phase breakdowns and per-backend I/O tables;
+//! * one **JSON value** ([`Json`]) — the workspace's one JSON writer and
+//!   reader, which the exporters and every `BENCH_*.json` record use.
 //!
 //! ## Determinism
 //!
@@ -38,18 +40,20 @@
 //! This crate is re-exported as `simkernel::obs`, which is how the rest
 //! of the workspace uses it.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod event;
-pub mod export;
-pub mod labels;
-pub mod recorder;
-pub mod sketch;
-pub mod slo;
+mod event;
+mod export;
+mod json;
+mod labels;
+mod recorder;
+mod sketch;
+mod slo;
 
 pub use event::{Event, SpanId};
 pub use export::{chrome_trace, summary_json, summary_text, Summary};
-pub use labels::{render_key, LabeledMetric, MetricValue};
+pub use json::{Json, ParseError};
+pub use labels::{LabeledMetric, MetricValue};
 pub use recorder::{
     counter_add, counter_add_labeled, disable, enable, events, events_total, flight_tail,
     histogram_observe, install_clock, instant, is_enabled, meta, reset, set_meta, sketch_observe,

@@ -77,10 +77,15 @@ fn free_functions_forward_to_the_one_process_recorder() {
     assert!(!s.durations.contains_key("dangling"));
     assert_eq!(s.tenant_sketch("lat", "a").unwrap().count(), 1);
     let trace = obs::chrome_trace();
-    assert_eq!(trace.matches("\"ph\":\"B\"").count(), 3);
-    assert_eq!(trace.matches("\"ph\":\"E\"").count(), 2);
-    assert!(trace.contains("\"otherData\":{\"chaos.seed\":\"42\"}"));
-    assert!(obs::summary_json().contains("\"bytes{node=mic0}\""));
+    let obs::Json::Array(events) = &trace["traceEvents"] else {
+        panic!("no event array: {trace}")
+    };
+    let phases: Vec<obs::Json> = events.iter().map(|e| e["ph"].clone()).collect();
+    assert_eq!(phases, ["B", "B", "i", "E", "E", "B"].map(obs::Json::from));
+    let meta = obs::Json::from_iter([("chaos.seed", "42")]);
+    assert_eq!(trace["otherData"], meta);
+    let summary = obs::summary_json();
+    assert_eq!(summary["labeled"]["bytes{node=mic0}"]["value"], 32.into());
     assert!(obs::summary_text().contains("rotate"));
 
     // reset() clears everything, metadata included.

@@ -61,8 +61,8 @@ fn traced_checkpoint_run() -> (String, String, String) {
         resumed.destroy().unwrap();
     });
     let artifacts = (
-        obs::chrome_trace(),
-        obs::summary_json(),
+        obs::chrome_trace().render(),
+        obs::summary_json().render(),
         obs::summary_text(),
     );
     obs::disable();
@@ -83,8 +83,16 @@ fn identical_runs_export_byte_identical_artifacts() {
     assert_eq!(text_a, text_b, "metrics summary text diverged between runs");
 
     // The trace is the Chrome trace-event object form...
-    assert!(trace_a.starts_with("{\"traceEvents\":["));
-    assert!(trace_a.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"));
+    let trace = obs::Json::parse(&trace_a).unwrap();
+    assert_eq!(trace["displayTimeUnit"], "ms".into());
+    let obs::Json::Array(events) = &trace["traceEvents"] else {
+        panic!("no traceEvents array")
+    };
+    let named = |phase: &str, ph: &str| -> Vec<&obs::Json> {
+        let (phase, ph) = (obs::Json::from(phase), obs::Json::from(ph));
+        let hit = |e: &&obs::Json| e["name"] == phase && e["ph"] == ph;
+        events.iter().filter(hit).collect()
+    };
     // ...and contains the protocol-phase spans, each begin/end balanced.
     for phase in [
         "snapify.checkpoint",
@@ -96,39 +104,38 @@ fn identical_runs_export_byte_identical_artifacts() {
         "blcr.checkpoint",
         "coi.pause.drain",
     ] {
-        let begins = trace_a
-            .matches(&format!("\"name\":\"{phase}\",\"ph\":\"B\""))
-            .count();
+        let begins = named(phase, "B").len();
         assert!(begins > 0, "no begin event for span '{phase}'");
-        let ends = trace_a
-            .matches(&format!("\"name\":\"{phase}\",\"ph\":\"E\""))
-            .count();
+        let ends = named(phase, "E").len();
         assert_eq!(begins, ends, "unbalanced span '{phase}'");
     }
 
     // Nesting: snapify.pause is recorded under the snapify.checkpoint
     // span (a non-zero parent id).
-    let pause_begin = trace_a
-        .find("\"name\":\"snapify.pause\",\"ph\":\"B\"")
-        .expect("pause begin");
-    let args = &trace_a[pause_begin..trace_a[pause_begin..].find('}').unwrap() + pause_begin];
-    assert!(
-        args.contains("\"parent\":") && !args.contains("\"parent\":0"),
+    let args = &named("snapify.pause", "B")[0]["args"];
+    assert_ne!(
+        args["parent"],
+        0.into(),
         "snapify.pause should nest under snapify.checkpoint: {args}"
     );
 
     // The summary has per-phase durations and bytes-moved per transport.
-    for key in [
-        "\"snapify.pause\"",
-        "\"snapify.capture\"",
-        "\"snapify.transfer\"",
-        "\"snapify.resume\"",
-        "\"scif.bytes_sent\"",
-        "\"pcie.dma_bytes\"",
-        "\"blcr.snapshot_bytes\"",
-        "\"io.Snapify-IO.bytes_written\"",
+    let summary = obs::Json::parse(&json_a).unwrap();
+    for phase in [
+        "snapify.pause",
+        "snapify.capture",
+        "snapify.transfer",
+        "snapify.resume",
     ] {
-        assert!(json_a.contains(key), "summary missing {key}:\n{json_a}");
+        assert_ne!(summary["phase_breakdown_ns"][phase]["count"], 0.into());
+    }
+    for counter in [
+        "scif.bytes_sent",
+        "pcie.dma_bytes",
+        "blcr.snapshot_bytes",
+        "io.Snapify-IO.bytes_written",
+    ] {
+        assert_ne!(summary["counters"][counter], 0.into(), "{counter}");
     }
 }
 
