@@ -2,7 +2,7 @@
 //!
 //! A [`MultiKernel`] partitions a simulation into *time domains*: each
 //! domain is a full [`Kernel`] — its own run queue, timer wheel, virtual
-//! clock, and single-token scheduler — driven on its own OS thread, so
+//! clock, and single-token scheduler — carried by its own OS thread, so
 //! domains execute genuinely in parallel on a multi-core host while
 //! each domain individually keeps the serial kernel's determinism and
 //! data-race-freedom guarantees.
@@ -318,24 +318,26 @@ impl MultiKernel {
         }
         let lookahead = self.shared.lookahead;
 
-        // One driver OS thread per domain: it owns the blocking
-        // `step_until` calls so the coordinator can run all domains
-        // concurrently. Dropping `go_txs` shuts the drivers down.
+        // One driver OS thread per domain, the carrier of its kernel, so
+        // the coordinator can run all domains concurrently: it runs the
+        // domain up to each horizon it is sent, then, at `None`, finishes
+        // it — tears it down, or leaves a failed one alone — and exits.
         let mut go_txs = Vec::with_capacity(n);
         let mut out_rxs = Vec::with_capacity(n);
         let mut drivers = Vec::with_capacity(n);
         for (d, k) in self.shared.kernels.iter().enumerate() {
-            let (go_tx, go_rx) = mpsc::channel::<SimTime>();
+            let (go_tx, go_rx) = mpsc::channel::<Option<SimTime>>();
             let (out_tx, out_rx) = mpsc::channel::<StepOutcome>();
             let k = k.clone();
             let h = thread::Builder::new()
                 .name(format!("domain-{d}"))
                 .spawn(move || {
-                    while let Ok(horizon) = go_rx.recv() {
+                    while let Ok(Some(horizon)) = go_rx.recv() {
                         if out_tx.send(k.step_until(horizon)).is_err() {
                             break;
                         }
                     }
+                    k.finish();
                 })
                 .expect("failed to spawn domain driver thread");
             go_txs.push(go_tx);
@@ -383,7 +385,7 @@ impl MultiKernel {
             // Run every live domain up to the horizon, in parallel.
             for d in 0..n {
                 if !done[d] {
-                    let _ = go_txs[d].send(window_end);
+                    let _ = go_txs[d].send(Some(window_end));
                 }
             }
             let mut failures: Vec<(usize, String)> = Vec::new();
@@ -434,24 +436,25 @@ impl MultiKernel {
             }
         };
 
-        drop(go_txs);
-        for h in drivers {
-            let _ = h.join();
-        }
-        if let Err(msg) = result {
-            // Park every surviving domain's threads forever, matching
-            // the serial kernel's abort semantics.
-            for (d, k) in self.shared.kernels.iter().enumerate() {
-                if !done[d] {
-                    k.abort_external(&msg);
-                }
+        // A failed run is left alone in every domain: no context is resumed.
+        if let Err(msg) = &result {
+            for k in &self.shared.kernels {
+                k.abort_external(msg);
             }
-            panic!("simulation failed: {msg}");
         }
-        // A clean end: every domain frees its world — here and not in
-        // `step_until`, so none is torn down while another still runs.
-        let torn = (self.shared.kernels.iter()).filter_map(|k| k.teardown());
-        if let Some(msg) = torn.reduce(|first, _| first) {
+        // Every domain is finished on its own carrier, in domain order —
+        // here and not in `step_until`, so none is torn down while another
+        // still runs. A carrier abandoned mid-teardown cannot be joined.
+        let mut torn = None;
+        for ((k, go), driver) in self.shared.kernels.iter().zip(go_txs).zip(drivers) {
+            let _ = go.send(None);
+            let (failure, abandoned) = k.wait_finished();
+            torn = torn.or(failure);
+            if !abandoned {
+                let _ = driver.join();
+            }
+        }
+        if let Some(msg) = result.err().or(torn) {
             panic!("simulation failed: {msg}");
         }
     }

@@ -2,18 +2,18 @@
 //!
 //! # Execution model
 //!
-//! Every *simulated thread* runs on a real OS thread (a *worker*, which
-//! runs one simulated thread at a time and is handed the next one to be
-//! spawned when its current one finishes; `worker.rs` is that half of the
-//! kernel) — or, if it is a *stepped
-//! service* (below), on whichever OS thread is dispatching — but **exactly
-//! one simulated thread executes at any moment**. A single "token" is handed from thread to
-//! thread by the scheduler: a thread runs until it performs a blocking
-//! simulation operation (sleep, lock acquisition, channel receive, join, …),
-//! at which point it selects the next runnable thread — the one with the
-//! earliest pending wake-up time — advances the virtual clock to that time,
-//! marks it as the token holder, and then — scheduler lock released —
-//! signals it and parks itself.
+//! Every *simulated thread* runs on a stack of its own, a *context*
+//! (`context.rs` is that half of the kernel) — or, if it is a *stepped
+//! service* (below), on whichever stack is dispatching — and all of a
+//! kernel's contexts run on one OS thread, its *carrier*, so **exactly
+//! one simulated thread executes at any moment**. A single "token" is
+//! handed from thread to thread by the scheduler: a thread runs until it
+//! performs a blocking simulation operation (sleep, lock acquisition,
+//! channel receive, join, …), at which point it selects the next runnable
+//! thread — the one with the earliest pending wake-up time — advances the
+//! virtual clock to that time, marks it as the token holder, and switches
+//! stacks to it. The carrier's own loop gets the token back only when the
+//! run is over or paused at a window horizon.
 //!
 //! This "single token" discipline has two important consequences that the
 //! rest of the workspace relies on:
@@ -34,37 +34,15 @@
 //! # Hot-path design
 //!
 //! Dispatch is the wall-clock bottleneck of every test and bench in the
-//! workspace, so the token hand-off is engineered to touch as little
-//! shared state as possible:
+//! workspace, so a hand-off costs no host scheduling at all:
 //!
-//! * **Per-thread parking slots.** Each worker parks on its own
-//!   `Mutex<SlotState>` + `Condvar` pair. Granting the token signals
-//!   exactly that thread's slot — one `notify_one` on an uncontended
-//!   condvar — instead of broadcasting on a global condvar and waking all
-//!   N parked threads to re-check who was granted (the previous design's
-//!   thundering herd, O(N) wake-ups per event).
-//! * **Grant outside the lock.** Dispatch only *chooses* under the
-//!   scheduler lock: it marks the grantee `Running` and returns its worker.
-//!   The granter releases the scheduler lock, signals the grantee's slot
-//!   (releasing the slot mutex before `notify_one`), and parks on its own
-//!   slot. The woken thread therefore never runs into a mutex the granter
-//!   still holds, and a hand-off costs one OS context switch instead of
-//!   the 2.4 it cost when the wake-up was sent from inside both locks
-//!   (wake, preempt, block on the lock, switch back to unlock, switch
-//!   again). Nothing runs between the mark and the signal, and slot states
-//!   are sticky, so a grant that reaches a slot before its owner has
-//!   parked there — possible on a second CPU — is simply found on arrival.
-//! * **Recycled OS threads.** A worker whose simulated thread has exited
-//!   waits on the kernel's idle list; `spawn` hands it the new thread's
-//!   `(tid, closure)` instead of creating an OS thread, so a spawn
-//!   costs no syscall and OS threads are bounded by the peak number of
-//!   simulated threads alive at once, not by the number ever spawned. When
-//!   the run ends the driver has the idle workers exit, joining each before
-//!   it releases the next — after a clean run, first dropping the steps and
-//!   unwinding the parked stacks of the threads that never finished
-//!   (`worker.rs`, "Teardown"). Workers are named `sim-worker-{n}`: dumps
-//!   and the `thread '…' panicked` failure carry the *simulated* thread's
-//!   name, std's own panic-hook line the worker's.
+//! * **A stack switch, not a wake-up.** Dispatch *chooses* under the
+//!   scheduler lock — marks the pick `Running`, returns its tid — and the
+//!   blocking thread drops the lock and switches to the pick's stack:
+//!   callee-saved registers pushed, `rsp` swapped, no futex, no system
+//!   call. A pick of the blocking thread itself switches nothing. A
+//!   thread's stack is mapped at spawn, from a free list of warm ones, and
+//!   handed back by the context that runs after its last switch.
 //! * **Slab thread table.** `Tid`s are dense and monotonically assigned,
 //!   so thread metadata lives in a `Vec` indexed by `tid - 1`, not a
 //!   `HashMap` (no hashing on every dispatch).
@@ -72,48 +50,39 @@
 //!   `AtomicU64` updated at dispatch; [`Kernel::now`] is a relaxed load,
 //!   so channel sends, observability timestamps, and cost-model queries
 //!   never take the scheduler lock. This is sound because time only
-//!   advances in dispatch, which never runs concurrently with a simulated
-//!   thread that could observe the torn value (the grantee's slot mutex
-//!   provides the happens-before edge).
+//!   advances in dispatch, on the carrier every simulated thread runs on.
 //! * **Allocation-free blocking.** What a thread waits for is a [`Wait`]:
 //!   a static kind and suffix around the primitive's name, which the
 //!   primitive keeps as an `Arc<str>` — blocking clones a pointer. A trace
 //!   label is formatted straight into the trace's running digest and
 //!   becomes a `String` only under [`Kernel::keep_trace`].
 //! * **Stepped services.** A simulated thread whose body is `wait →
-//!   handle → wait` needs no OS thread. [`Kernel::spawn_stepped`] creates
-//!   one like any other — tid, name, `spawn` event, run-queue entry,
-//!   joiners, a line in deadlock dumps — around a *step*: a closure that
-//!   does what the body would do between two blocking points and returns
-//!   what it would then block on ([`Step::Wait`]) or that it is finished
-//!   ([`Step::Exit`]). When its turn comes, dispatch marks it `Running`,
-//!   **releases the scheduler lock**, points the dispatching OS thread's
-//!   context at the service — so [`current()`], [`now()`], wake-ups,
-//!   uncontended locks, `spawn` and the obs clock behave as on a thread of
-//!   its own — runs the step, and carries out what it returned through the
-//!   code a blocking thread runs (`release_token`, `retire`) before picking
-//!   again: sequence numbers, generations, tie-break draws, the livelock
-//!   streak and every trace event are those of the OS-thread body; only
-//!   the two hand-offs per turn are gone. A step may do anything a thread
-//!   may *except block*: the primitives' `poll_*` cores ([`crate::wait`])
-//!   say what to wait for instead of waiting, and a step that reaches a
-//!   blocking call fails the run by name. [`Kernel::sleep_poll`] is one:
-//!   the sleeping thread leaves a step that answers [`Step::Idle`], or
-//!   [`Step::Wake`] to have its OS thread granted.
-//! * **Tickless idle.** A poller's turn that finds nothing is still a
-//!   turn — unlock, context swap, the step, re-lock — and most turns of a
-//!   serving run are one monitor's empty ticks. [`Step::Idle`] is a sleep
-//!   to the next tick plus a promise: the turn changed nothing, and every
-//!   turn before `until` would end the same *as long as nothing else
-//!   happens in this domain* — a thread granted the token, a step answering
-//!   anything but `Idle`, a window barrier delivering into it: each clears
-//!   the promises in force. The pick is untouched — pop, horizon check,
-//!   livelock streak, tie-break draw, clock advance — and *then* a thread
-//!   picked under its promise has its answer performed right there, under
-//!   the lock (`inline_polls += 1`, `release_token` to the next tick):
-//!   trace, `seq`, generations and draws are the step's by construction. A
-//!   debug build runs the step instead and fails the run by name on another
-//!   answer. A pausing domain reports `next_effective`, not its next tick.
+//!   handle → wait` needs no stack. [`Kernel::spawn_stepped`] creates one
+//!   like any other — tid, name, `spawn` event, run-queue entry, joiners, a
+//!   line in deadlock dumps — around a *step*: a closure that does what the
+//!   body would do between two blocking points and returns what it would
+//!   then block on ([`Step::Wait`]) or that it is finished ([`Step::Exit`]).
+//!   When its turn comes, dispatch marks it `Running`, **releases the
+//!   scheduler lock**, makes it the carrier's current thread, runs the step
+//!   on the dispatching stack, and carries out what it returned through the
+//!   code a blocking thread runs (`release_token`, `retire`): sequence
+//!   numbers, generations, tie-break draws, the livelock streak and every
+//!   trace event are those of the thread body. A step may do anything a
+//!   thread may *except block*: the primitives' `poll_*` cores
+//!   ([`crate::wait`]) say what to wait for, and a step that reaches a
+//!   blocking call fails the run by name. [`Kernel::sleep_poll`] leaves a
+//!   step that answers [`Step::Idle`], or [`Step::Wake`] to be switched to.
+//! * **Tickless idle.** [`Step::Idle`] is a sleep to the next tick plus a
+//!   promise: the turn changed nothing, and every turn before `until` would
+//!   end the same *as long as nothing else happens in this domain* — a
+//!   thread switched to, a step answering anything but `Idle`, a window
+//!   barrier delivering into it: each clears the promises in force. The
+//!   pick is untouched — pop, horizon check, livelock streak, tie-break
+//!   draw, clock advance — and *then* a thread picked under its promise has
+//!   its answer performed right there, under the lock (`inline_polls += 1`,
+//!   `release_token` to the next tick). A debug build runs the step instead
+//!   and fails the run by name on another answer. A pausing domain reports
+//!   `next_effective`, not its next tick.
 //!
 //! # Deadlock detection
 //!
@@ -129,21 +98,20 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
 use crate::time::{SimDuration, SimTime};
 use crate::wait::{Step, StepFn, Tick, Wait};
 
+#[path = "context.rs"]
+mod context;
 #[path = "dumps.rs"]
 mod dumps;
-#[path = "worker.rs"]
-mod worker;
+use context::Context;
 pub(crate) use dumps::push_flight_tail;
 use dumps::{deadlock_dump, livelock_dump, payload_to_string, push_blocked_threads};
-use worker::{join_released, Job, SlotState, Worker};
 
 /// Identifier of a simulated thread.
 pub type Tid = u32;
@@ -235,29 +203,25 @@ enum TState {
     Finished,
 }
 
-/// What a spawned simulated thread runs: a closure on a worker OS thread
-/// (see [`Job`]), or a step on the dispatcher.
-enum Body {
-    Thread(Box<dyn FnOnce() -> thread::Result<()> + Send>),
-    Step(StepFn),
-}
+/// A simulated thread's closure, wrapped to store its result in the
+/// [`JoinHandle`]; run on a [`Context`] of its own.
+type Job = Box<dyn FnOnce() + Send>;
 
 struct ThreadInfo {
-    name: String,
+    name: Arc<str>,
     state: TState,
     /// Daemon threads (service loops) do not keep the simulation alive:
     /// the run ends when the last non-daemon thread finishes.
     daemon: bool,
-    /// The OS thread running this simulated thread; the token is handed
-    /// over through its slot. `None` for a stepped service, which runs on
-    /// the dispatching thread, and once the thread has finished (its
-    /// worker has moved on).
-    worker: Option<Arc<Worker>>,
+    /// The stack this simulated thread runs on; the token is handed over
+    /// by switching to it. `None` for a stepped service, which runs on the
+    /// dispatching stack, and once the thread has finished.
+    ctx: Option<Box<Context>>,
     /// What dispatch runs in place when the thread's turn comes, instead
-    /// of granting `worker`: a stepped service's body, or the tick a
+    /// of switching to `ctx`: a stepped service's body, or the tick a
     /// thread in [`Kernel::sleep_poll`] left behind.
     step: Option<StepFn>,
-    /// What the thread is waiting for (for dumps); `None` once granted.
+    /// What the thread is waiting for (for dumps); `None` once picked.
     wait: Option<Wait>,
     /// Virtual time at which the thread last gave up the token.
     block_since: SimTime,
@@ -283,12 +247,11 @@ struct Sched {
     done: bool,
     failure: Option<String>,
     trace: Trace,
-    /// Workers whose simulated thread has exited, most recent last: the
-    /// next spawn takes one instead of creating an OS thread, so OS
-    /// threads are bounded by the peak number of concurrently live
-    /// simulated threads, not by the number ever spawned. Released (told
-    /// to exit) and joined by the driver, in `join_released`.
-    idle: Vec<Arc<Worker>>,
+    /// The carrier is done with this kernel: run over and torn down (or
+    /// left alone, if failed), or abandoned mid-teardown.
+    finished: bool,
+    /// A destructor blocked mid-teardown: the carrier is parked for good.
+    abandoned: bool,
     /// Tie-break policy; `rng` is the splitmix64 state for `Random`.
     policy: SchedPolicy,
     rng: u64,
@@ -298,13 +261,13 @@ struct Sched {
     /// Consecutive dispatches at an unchanged virtual time.
     same_time_streak: u64,
     /// Steps that ended in [`Step::Wait`]: turns dispatch completed itself,
-    /// with no OS thread granted the token.
+    /// switching to no thread's stack.
     inline_polls: u64,
     /// A step is running (scheduler lock released, `running` set): the
     /// only simulated code executing is that step, and it may not block.
     in_step: bool,
     /// The idle promises in force (module docs), cleared by what they do not
-    /// cover: a thread granted, a step answering anything but `Idle`, a
+    /// cover: a thread switched to, a step answering anything but `Idle`, a
     /// delivery. Not in [`ThreadInfo`]: tens of thousands of those a run.
     idlers: Vec<Idler>,
     /// Free-form context (e.g. the active fault schedule) appended to
@@ -362,6 +325,14 @@ impl Sched {
     fn info_mut(&mut self, tid: Tid) -> &mut ThreadInfo {
         &mut self.threads[(tid - 1) as usize]
     }
+
+    /// The stack `tid` runs on: it is switched to, or switches away.
+    fn context(&self, tid: Tid) -> &Context {
+        self.info(tid)
+            .ctx
+            .as_deref()
+            .expect("a thread with a stack")
+    }
 }
 
 struct Inner {
@@ -369,10 +340,12 @@ struct Inner {
     /// Mirror of `Sched::now`, updated at dispatch: clock reads are a
     /// relaxed load instead of a scheduler-lock round-trip.
     now_ns: AtomicU64,
-    /// The driver of `Kernel::run` parks here waiting for completion.
+    /// The caller of `Kernel::run` (or the multi-domain coordinator)
+    /// waits here for the carrier to finish.
     driver_cv: Condvar,
-    /// OS threads created so far (a statistic; also numbers the workers).
-    os_threads_created: AtomicU64,
+    /// The carrier's stack pointer, saved while a context runs; written
+    /// and read on the carrier only.
+    carrier: AtomicUsize,
     /// Teardown has begun: the obs clock reads "outside a simulation".
     torn_down: AtomicBool,
     /// Domain id of this kernel in a multi-domain run (0 outside one),
@@ -398,11 +371,7 @@ thread_local! {
 /// # Panics
 /// Panics if called from outside a simulated thread.
 pub fn current() -> (Kernel, Tid) {
-    CTX.with(|c| {
-        c.borrow()
-            .clone()
-            .expect("not inside a simulated thread: simkernel primitives may only be used from threads spawned via Kernel::spawn")
-    })
+    with_current(|k, t| (k.clone(), t))
 }
 
 /// Returns just the thread id of the calling simulated thread, without
@@ -411,8 +380,7 @@ pub fn current() -> (Kernel, Tid) {
 /// # Panics
 /// Panics if called from outside a simulated thread.
 pub(crate) fn current_tid() -> Tid {
-    CTX.with(|c| c.borrow().as_ref().map(|(_, t)| *t))
-        .expect("not inside a simulated thread: simkernel primitives may only be used from threads spawned via Kernel::spawn")
+    with_current(|_, t| t)
 }
 
 /// Runs `f` with the calling simulated thread's kernel and tid, without
@@ -428,7 +396,7 @@ pub(crate) fn with_current<R>(f: impl FnOnce(&Kernel, Tid) -> R) -> R {
     })
 }
 
-/// Returns `true` if the calling OS thread is a simulated thread.
+/// Returns `true` if the caller is a simulated thread.
 pub fn in_simulation() -> bool {
     CTX.with(|c| c.borrow().is_some())
 }
@@ -482,7 +450,8 @@ impl Kernel {
                         fnv: 0xcbf2_9ce4_8422_2325,
                         events: None,
                     },
-                    idle: Vec::new(),
+                    finished: false,
+                    abandoned: false,
                     policy,
                     rng,
                     livelock_threshold: None,
@@ -498,7 +467,7 @@ impl Kernel {
                 }),
                 now_ns: AtomicU64::new(0),
                 driver_cv: Condvar::new(),
-                os_threads_created: AtomicU64::new(0),
+                carrier: AtomicUsize::new(0),
                 torn_down: AtomicBool::new(false),
                 domain_tag: AtomicU32::new(0),
             }),
@@ -587,7 +556,7 @@ impl Kernel {
     /// blocks indefinitely. Daemon threads do not keep the simulation
     /// alive — when the last non-daemon thread finishes, the run completes
     /// and the remaining daemons are unwound before [`Kernel::run`] returns;
-    /// a destructor that blocks there leaks the rest of its stack.
+    /// a destructor that blocks there leaks the rest of the teardown.
     pub fn spawn_daemon<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -596,7 +565,7 @@ impl Kernel {
         self.spawn_thread(name, f, true)
     }
 
-    /// Spawn a *stepped service*: a simulated thread with no OS thread,
+    /// Spawn a *stepped service*: a simulated thread with no stack,
     /// whose body is `step`, run by the dispatcher each time the thread's
     /// turn comes (see the module docs). Each call does what the thread
     /// would do between two blocking points and returns the next one. It
@@ -610,8 +579,8 @@ impl Kernel {
         daemon: bool,
         step: impl FnMut() -> Step + Send + 'static,
     ) -> JoinHandle<()> {
-        let name = name.into();
-        let tid = self.spawn_inner(&name, daemon, Body::Step(Box::new(step)));
+        let name: Arc<str> = name.into().into();
+        let tid = self.spawn_inner(&name, daemon, None, Some(Box::new(step)));
         JoinHandle {
             kernel: self.clone(),
             tid,
@@ -625,13 +594,13 @@ impl Kernel {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let result2 = Arc::clone(&result);
-        let body = Box::new(move || {
-            panic::catch_unwind(AssertUnwindSafe(|| *result2.lock().unwrap() = Some(f())))
-        });
-        let tid = self.spawn_inner(&name, daemon, Body::Thread(body));
+        let job: Job = Box::new(move || *result2.lock().unwrap() = Some(f()));
+        // The thread's stack is mapped (or taken warm) outside the lock.
+        let ctx = Context::new(Arc::clone(&name), Box::into_raw(Box::new(job)) as usize);
+        let tid = self.spawn_inner(&name, daemon, Some(ctx), None);
         JoinHandle {
             kernel: self.clone(),
             tid,
@@ -641,29 +610,22 @@ impl Kernel {
     }
 
     /// Enter a simulated thread into the thread table and the run queue.
-    fn spawn_inner(&self, name: &str, daemon: bool, body: Body) -> Tid {
-        let (job, step) = match body {
-            Body::Thread(job) => (Some(job), None),
-            Body::Step(step) => (None, Some(step)),
-        };
-        // A closure needs an OS thread: the worker a finished simulated
-        // thread left behind, or a new one (created outside the lock).
-        let worker = job.is_some().then(|| {
-            let idle = self.inner.sched.lock().unwrap().idle.pop();
-            idle.unwrap_or_else(|| self.new_worker())
-        });
+    fn spawn_inner(
+        &self,
+        name: &Arc<str>,
+        daemon: bool,
+        ctx: Option<Box<Context>>,
+        step: Option<StepFn>,
+    ) -> Tid {
         let mut s = self.inner.sched.lock().unwrap();
         assert!(!s.done, "cannot spawn after the simulation finished");
         let tid = s.threads.len() as Tid + 1;
-        if let (Some(worker), Some(body)) = (&worker, job) {
-            *worker.job.lock().unwrap() = Some(Job { tid, body });
-        }
         let now = s.now;
         s.threads.push(ThreadInfo {
-            name: name.to_string(),
+            name: Arc::clone(name),
             state: TState::Runnable,
             daemon,
-            worker,
+            ctx,
             step,
             wait: None,
             block_since: now,
@@ -681,38 +643,36 @@ impl Kernel {
         tid
     }
 
-    /// How many OS threads this kernel has created. Workers are recycled,
-    /// so this is the peak number of simulated threads that were alive at
-    /// once, not the number ever spawned.
-    pub fn os_threads_created(&self) -> u64 {
-        self.inner.os_threads_created.load(Ordering::Relaxed)
-    }
-
-    /// Run the simulation to completion. Blocks the calling (real) thread
-    /// until every non-daemon simulated thread has finished, then frees
-    /// what the kernel still holds (`worker.rs`, "Teardown").
+    /// Run the simulation to completion on a carrier OS thread of its own
+    /// (module docs). Blocks the calling (real) thread until every
+    /// non-daemon simulated thread has finished and the carrier has freed
+    /// what the kernel still holds (`context.rs`, "Teardown").
     ///
     /// # Panics
-    /// Panics if any simulated thread — or a destructor teardown runs on
-    /// the driver — panicked, or if the simulation deadlocked (every live
-    /// thread blocked with no pending wake-up).
+    /// Panics if any simulated thread — or a destructor teardown runs —
+    /// panicked, or if the simulation deadlocked (every live thread blocked
+    /// with no pending wake-up).
     pub fn run(&self) {
-        let mut s = self.inner.sched.lock().unwrap();
-        assert!(s.running.is_none(), "Kernel::run called re-entrantly");
-        if s.live == 0 {
-            s.done = true;
-        } else {
-            s = self.dispatch_from_driver(s);
+        let k = self.clone();
+        let carrier = thread::Builder::new()
+            .name("sim-carrier".into())
+            .spawn(move || {
+                let run = || drop(k.dispatch_from_carrier(k.inner.sched.lock().unwrap()));
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
+                    // A kernel bug on the carrier: the run fails with it.
+                    k.inner.sched.clear_poison();
+                    k.abort_external(&payload_to_string(payload.as_ref()));
+                }
+                k.finish();
+            })
+            .expect("failed to spawn the carrier OS thread");
+        let (failure, abandoned) = self.wait_finished();
+        if !abandoned {
+            carrier
+                .join()
+                .expect("the carrier catches the run's panics");
         }
-        while !s.done {
-            s = self.inner.driver_cv.wait(s).unwrap();
-        }
-        if let Some(msg) = s.failure.clone() {
-            join_released(s);
-            panic!("simulation failed: {msg}");
-        }
-        drop(s);
-        if let Some(msg) = self.teardown() {
+        if let Some(msg) = failure {
             panic!("simulation failed: {msg}");
         }
     }
@@ -757,21 +717,21 @@ impl Kernel {
     fn wait_leaving(&self, me: Tid, w: Wait, step: Option<StepFn>) {
         let mut s = self.inner.sched.lock().unwrap();
         if s.in_step {
-            // A step runs on a borrowed OS thread, which has nowhere to
-            // park: fail the run by name (the lane turns the unwind into
-            // the failure) before any state is touched.
+            // A step runs on a borrowed stack, which it cannot leave:
+            // fail the run by name (the lane turns the unwind into the
+            // failure) before any state is touched.
             let msg = format!("service '{}' blocked on {w} inside a step", s.info(me).name);
             s.failure.get_or_insert_with(|| msg.clone());
             drop(s);
             panic!("{msg}");
         }
         if s.done {
-            self.blocked_in_teardown(s, me, &w);
+            self.blocked_in_teardown(s, &w);
         }
         s.info_mut(me).step = step;
         release_token(&mut s, me, w);
         let (s, next) = self.dispatch(s);
-        self.park(s, me, next);
+        self.switch_from(s, me, next);
     }
 
     /// Make `tid` runnable at the current virtual time. Panics if the
@@ -782,24 +742,11 @@ impl Kernel {
         if s.done {
             return; // teardown's destructors: nobody to wake, nothing to record
         }
-        let (now, seq) = (s.now, s.seq);
-        s.seq += 1;
-        let info = s.info_mut(tid);
-        match info.state {
-            TState::Blocked => {
-                info.state = TState::Runnable;
-                info.generation += 1;
-                let generation = info.generation;
-                s.runq.push(Reverse((now, seq, tid, generation)));
-            }
-            TState::Runnable => {
-                // The thread is in a timed wait and is being
-                // woken early: supersede the timer entry via the generation
-                // counter.
-                info.generation += 1;
-                let generation = info.generation;
-                s.runq.push(Reverse((now, seq, tid, generation)));
-            }
+        let now = s.now;
+        match s.info(tid).state {
+            // A thread in a timed wait is woken early: its timer entry is
+            // superseded through the generation counter.
+            TState::Blocked | TState::Runnable => requeue(&mut s, tid, now),
             other => panic!("make_runnable on thread {tid} in state {other:?}"),
         }
         trace(&mut s, tid, format_args!("wake"));
@@ -826,14 +773,14 @@ impl Kernel {
     /// ```
     ///
     /// (same virtual times, same sequence numbers, same trace, under every
-    /// [`SchedPolicy`] and domain count) but an idle step costs no OS-thread
-    /// hand-off: the caller parks once and leaves the loop body behind as a
+    /// [`SchedPolicy`] and domain count) but an idle step costs no stack
+    /// switch: the caller blocks once and leaves the loop body behind as a
     /// step (see the module docs) that answers [`Step::Idle`] or has the
-    /// caller granted, and a tick under its promise costs no call at all.
+    /// caller switched to, and a tick under its promise costs no call at all.
     ///
     /// # Contract for `ready`
     ///
-    /// `ready(now)` runs **on whichever OS thread is dispatching**, with
+    /// `ready(now)` runs **on whichever stack is dispatching**, with
     /// the scheduler lock released and the caller as [`current()`]: it may
     /// look — read the clock, `try_lock`, `is_empty` — but not block.
     /// `Ready` is always safe: the caller wakes and looks for itself, as a
@@ -863,7 +810,7 @@ impl Kernel {
 
     /// How many turns ended in [`Step::Wait`] or [`Step::Idle`] — e.g. the
     /// idle ticks of [`Kernel::sleep_poll`], answered at the pick or not:
-    /// turns the dispatcher completed itself, without waking an OS thread.
+    /// turns the dispatcher completed itself, without a stack switch.
     pub fn inline_polls(&self) -> u64 {
         self.inner.sched.lock().unwrap().inline_polls
     }
@@ -876,21 +823,19 @@ impl Kernel {
     /// Hand the token on: pick the next runnable thread, advance the
     /// clock, mark it `Running` — and, while the pick is a stepped thread,
     /// run its step right here (module docs, "Stepped services") and pick
-    /// again. Returns the worker of the first pick that needs an OS
-    /// thread, for the caller to signal **after releasing the scheduler
-    /// lock**, or `None` if there is nobody to grant (run over, or paused
-    /// at a window barrier). Must be called with no thread currently
-    /// granted. Between the mark and the signal no simulated thread runs —
-    /// the granter only unlocks and signals — so the single-token
-    /// discipline holds as if both happened at once.
+    /// again. Returns the first pick that has a stack, for the caller to
+    /// switch to **after releasing the scheduler lock**, or `None` if there
+    /// is nobody to run (run over, or paused at a window barrier): the
+    /// caller switches to the carrier's loop. Must be called with no thread
+    /// currently running.
     fn dispatch<'a>(
         &'a self,
         mut s: MutexGuard<'a, Sched>,
-    ) -> (MutexGuard<'a, Sched>, Option<Arc<Worker>>) {
+    ) -> (MutexGuard<'a, Sched>, Option<Tid>) {
         debug_assert!(s.running.is_none());
         loop {
             let (tid, mut step) = match self.pick_next(&mut s) {
-                Next::Grant(worker) => return (s, worker),
+                Next::Grant(next) => return (s, next),
                 Next::Step(tid, step) => (tid, step),
             };
             // Under a promise only in a debug build, which elides nothing.
@@ -913,7 +858,6 @@ impl Kernel {
                 let (name, now) = (&s.info(tid).name, s.now);
                 s.failure = Some(format!("step of '{name}' broke its idle promise at {now}"));
                 s.done = true;
-                self.shutdown_all(&mut s);
                 return (s, None);
             }
             match idle {
@@ -936,11 +880,11 @@ impl Kernel {
                     }
                 }
                 Ok((Step::Wake, _)) => {
-                    let worker = s.info(tid).worker.clone();
-                    if worker.is_none() {
-                        self.fail_thread_panicked(&mut s, tid, "Step::Wake without an OS thread");
+                    if s.info(tid).ctx.is_none() {
+                        self.fail_thread_panicked(&mut s, tid, "Step::Wake without a stack");
+                        return (s, None);
                     }
-                    return (s, worker);
+                    return (s, Some(tid));
                 }
                 Err(payload) => {
                     let msg = payload_to_string(payload.as_ref());
@@ -951,47 +895,47 @@ impl Kernel {
         }
     }
 
-    /// Make `tid` this OS thread's current simulated thread. A thread of
-    /// this kernel only swaps the tid (`Ok(its own)`); any other context
-    /// is replaced whole and handed back to be restored.
-    fn enter(&self, tid: Tid) -> Result<Tid, Option<(Kernel, Tid)>> {
+    /// Make `tid` the carrier's current simulated thread; returns the one
+    /// it replaces (`None`: the carrier's loop, which has none).
+    fn enter(&self, tid: Tid) -> Option<Tid> {
         CTX.with(|c| {
             let mut ctx = c.borrow_mut();
             match ctx.as_mut() {
-                Some((k, t)) if k.same_kernel(self) => Ok(std::mem::replace(t, tid)),
-                _ => Err(ctx.replace((self.clone(), tid))),
+                Some((_, t)) => Some(std::mem::replace(t, tid)),
+                None => ctx.replace((self.clone(), tid)).and(None),
             }
         })
     }
 
-    /// Run `f` on this OS thread as simulated thread `tid`: its context
+    /// Run `f` on the carrier as simulated thread `tid`: its context
     /// entered, a panic caught, the caller's context restored.
     fn within<R>(&self, tid: Tid, f: impl FnOnce() -> R) -> thread::Result<R> {
         let mine = self.enter(tid);
         let out = panic::catch_unwind(AssertUnwindSafe(f));
         match mine {
-            Ok(me) => drop(self.enter(me)),
-            Err(ctx) => CTX.with(|c| *c.borrow_mut() = ctx),
+            Some(me) => drop(self.enter(me)),
+            None => drop(CTX.with(|c| c.borrow_mut().take())),
         }
         out
     }
 
-    /// [`Kernel::dispatch`] for a driver (`run`, `step_until`), which has
-    /// no slot to park on: signal outside the lock like every hand-off,
-    /// then take the lock back to wait on `driver_cv`.
-    fn dispatch_from_driver<'a>(&'a self, s: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
-        let (mut s, next) = self.dispatch(s);
-        if let Some(next) = next {
-            drop(s);
-            next.slot.grant();
-            s = self.inner.sched.lock().unwrap();
+    /// [`Kernel::dispatch`] from the carrier's loop (`run`, `step_until`):
+    /// run what it picks until control is back here, the run over or
+    /// paused. Daemons alone do not keep a run going.
+    fn dispatch_from_carrier<'a>(&'a self, mut s: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
+        s.done |= s.live == 0;
+        if s.done {
+            return s;
         }
-        s
+        match self.dispatch(s) {
+            (s, Some(tid)) => self.run_context(s, tid),
+            (s, None) => s,
+        }
     }
 
     /// One pick of [`Kernel::dispatch`]: the horizon check, the livelock
     /// accounting, the tie-break and the clock advance, the same whether
-    /// the thread picked runs on an OS thread or as a step.
+    /// the thread picked runs on its own stack or as a step.
     fn pick_next(&self, s: &mut Sched) -> Next {
         loop {
             let next = match s.policy {
@@ -999,7 +943,7 @@ impl Kernel {
                 SchedPolicy::Random(_) => pop_random_tie(s),
             };
             match next {
-                Picked::Run(t, tid) => {
+                Picked::Run((t, _, tid, _)) => {
                     debug_assert!(t >= s.now, "time went backwards");
                     if t > s.now {
                         s.same_time_streak = 0;
@@ -1009,7 +953,6 @@ impl Kernel {
                             if s.same_time_streak >= limit {
                                 s.failure = Some(livelock_dump(s, limit));
                                 s.done = true;
-                                self.shutdown_all(s);
                                 return Next::Grant(None);
                             }
                         }
@@ -1030,9 +973,8 @@ impl Kernel {
                     return match info.step.take() {
                         Some(step) => Next::Step(tid, step),
                         None => {
-                            let worker = info.worker.clone();
                             s.idlers.clear();
-                            Next::Grant(worker)
+                            Next::Grant(Some(tid))
                         }
                     };
                 }
@@ -1045,7 +987,6 @@ impl Kernel {
                     s.paused = true;
                     s.paused_next = next_effective(s);
                     debug_assert!(s.paused_next >= Some(t));
-                    self.inner.driver_cv.notify_all();
                 }
                 Picked::Empty => {
                     if s.live == 0 {
@@ -1057,59 +998,29 @@ impl Kernel {
                         // in flight (see `crate::domain`).
                         s.paused = true;
                         s.paused_next = None;
-                        self.inner.driver_cv.notify_all();
-                        return Next::Grant(None);
                     } else {
                         s.failure = Some(deadlock_dump(s));
                         s.done = true;
                     }
-                    self.shutdown_all(s);
                 }
             }
             return Next::Grant(None);
         }
     }
 
-    /// Fail the run because thread `tid`'s code panicked with `msg`, and
-    /// shut every surviving thread down.
+    /// Fail the run because thread `tid`'s code panicked with `msg`.
     fn fail_thread_panicked(&self, s: &mut Sched, tid: Tid, msg: &str) {
         let name = &s.info(tid).name;
         let failure = format!("thread '{name}' panicked: {msg}");
         s.failure.get_or_insert(failure);
         s.done = true;
-        self.shutdown_all(s);
     }
 
-    /// Wake the driver of a finished run. A failed one's survivors park
-    /// forever; a clean one's stay on their slots for [`Kernel::teardown`].
-    fn shutdown_all(&self, s: &mut Sched) {
-        if s.failure.is_some() {
-            for worker in s.threads.iter().filter_map(|info| info.worker.as_ref()) {
-                worker.slot.set(SlotState::Shutdown);
-            }
-        }
-        self.inner.driver_cv.notify_all();
-    }
-
-    /// Exit protocol for a simulated thread finishing on its worker.
-    fn thread_exit(&self, me: Tid, panic_msg: Option<String>) {
-        let mut s = self.inner.sched.lock().unwrap();
-        let mut next = None;
-        if self.retire(&mut s, me, panic_msg) {
-            (s, next) = self.dispatch(s);
-        }
-        drop(s);
-        CTX.with(|c| *c.borrow_mut() = None);
-        if let Some(next) = next {
-            next.slot.grant();
-        }
-    }
-
-    /// The bookkeeping of a finished simulated thread — one that returned
-    /// on its worker, or a step that returned [`Step::Exit`]: release the
-    /// worker and the joiners, then end the run if this was a panic or the
-    /// last non-daemon thread. Returns whether the run goes on, i.e. the
-    /// caller dispatches.
+    /// The bookkeeping of a finished simulated thread — one whose body
+    /// returned, or a step that returned [`Step::Exit`]: release the
+    /// joiners, then end the run if this was a panic or the last
+    /// non-daemon thread. Returns whether the run goes on, i.e. the caller
+    /// dispatches.
     fn retire(&self, s: &mut Sched, me: Tid, panic_msg: Option<String>) -> bool {
         let daemon = s.info(me).daemon;
         debug_assert_eq!(s.running, Some(me));
@@ -1120,29 +1031,17 @@ impl Kernel {
         let info = s.info_mut(me);
         info.state = TState::Finished;
         let joiners = std::mem::take(&mut info.joiners);
-        // The OS thread is free for the next spawn from here on; it parks
-        // on its slot as soon as it is back in `Worker::main`.
-        if let Some(worker) = info.worker.take() {
-            s.idle.push(worker);
-        }
         trace(s, me, format_args!("exit"));
         for j in joiners {
-            let (now, seq) = (s.now, s.seq);
-            s.seq += 1;
-            let info = s.info_mut(j);
-            debug_assert_eq!(info.state, TState::Blocked);
-            info.state = TState::Runnable;
-            info.generation += 1;
-            let generation = info.generation;
-            s.runq.push(Reverse((now, seq, j, generation)));
+            debug_assert_eq!(s.info(j).state, TState::Blocked);
+            requeue(s, j, s.now);
         }
         if let Some(msg) = panic_msg {
             self.fail_thread_panicked(s, me, &msg);
         } else if !daemon && s.live == 0 {
             // Last non-daemon thread finished: the simulation is complete.
-            // Remaining daemon (service) threads are left to `teardown`.
+            // Remaining daemon (service) threads are left to teardown.
             s.done = true;
-            self.shutdown_all(s);
         }
         !s.done
     }
@@ -1189,7 +1088,8 @@ impl Kernel {
     /// `horizon` has executed, then pause at the window barrier. Puts
     /// the kernel in bounded mode: an empty run queue with live threads
     /// pauses (reporting `next: None`) instead of declaring a local
-    /// deadlock, since a cross-domain delivery may still arrive.
+    /// deadlock, since a cross-domain delivery may still arrive. Called on
+    /// the domain's carrier.
     pub(crate) fn step_until(&self, horizon: SimTime) -> StepOutcome {
         let mut s = self.inner.sched.lock().unwrap();
         s.bounded = true;
@@ -1201,22 +1101,10 @@ impl Kernel {
             );
             s.paused = false;
             s.paused_next = None;
-            if s.live == 0 {
-                // Same contract as `run` on a threadless kernel: daemons
-                // alone do not keep a domain alive.
-                s.done = true;
-                self.shutdown_all(&mut s);
-            } else {
-                s = self.dispatch_from_driver(s);
-                while !s.done && !s.paused {
-                    s = self.inner.driver_cv.wait(s).unwrap();
-                }
-            }
+            s = self.dispatch_from_carrier(s);
         }
         if s.done {
-            let failure = s.failure.clone();
-            join_released(s);
-            match failure {
+            match s.failure.clone() {
                 Some(msg) => StepOutcome::Failed(msg),
                 None => StepOutcome::Done,
             }
@@ -1247,31 +1135,15 @@ impl Kernel {
             return;
         };
         let t = s.now.max(at);
-        let seq = s.seq;
-        s.seq += 1;
-        let info = s.info_mut(tid);
+        let info = s.info(tid);
+        // A timed wait's timer entry is superseded only when the delivery
+        // lands before the deadline.
+        let deadline = info.wait.as_ref().and_then(|w| w.deadline);
         match info.state {
-            TState::Blocked => {
-                info.state = TState::Runnable;
-                info.generation += 1;
-                let generation = info.generation;
-                s.runq.push(Reverse((t, seq, tid, generation)));
+            TState::Runnable if deadline.is_some_and(|d| t >= d) => s.seq += 1,
+            TState::Blocked | TState::Runnable => {
+                requeue(&mut s, tid, t);
                 trace(&mut s, tid, format_args!("wake"));
-            }
-            TState::Runnable => {
-                // Timed wait: supersede its timer entry
-                // only when the delivery lands before the deadline.
-                if info
-                    .wait
-                    .as_ref()
-                    .and_then(|w| w.deadline)
-                    .is_none_or(|d| t < d)
-                {
-                    info.generation += 1;
-                    let generation = info.generation;
-                    s.runq.push(Reverse((t, seq, tid, generation)));
-                    trace(&mut s, tid, format_args!("wake"));
-                }
             }
             other => panic!("wake_external_at on thread {tid} in state {other:?}"),
         }
@@ -1287,19 +1159,14 @@ impl Kernel {
         next_effective(&mut s)
     }
 
-    /// Abort a paused domain from outside the simulation (e.g. the
-    /// coordinator tearing down peers after another domain failed, or
-    /// declaring a cross-domain deadlock). Idempotent; does nothing on
-    /// a finished kernel.
+    /// Fail the run from outside its threads — the coordinator, after
+    /// another domain failed or at a cross-domain deadlock, or a carrier
+    /// that caught a kernel bug — so that the carrier leaves it alone
+    /// instead of tearing it down. Keeps a failure the run already has.
     pub(crate) fn abort_external(&self, msg: &str) {
         let mut s = self.inner.sched.lock().unwrap();
-        if s.done {
-            return;
-        }
-        s.failure = Some(msg.to_string());
+        s.failure.get_or_insert_with(|| msg.to_string());
         s.done = true;
-        self.shutdown_all(&mut s);
-        join_released(s);
     }
 
     /// Render this domain's blocked threads in deadlock-dump format
@@ -1337,7 +1204,7 @@ fn obs_clock() -> (u64, u32) {
 }
 
 /// `me` gives up the token to wait for `w` — the one place that happens,
-/// for a thread blocking on its own OS thread ([`Kernel::wait`]) and for a
+/// for a thread blocking on its own stack ([`Kernel::wait`]) and for a
 /// step that returned [`Step::Wait`]. Everything a later dispatch or the
 /// trace can observe of it happens here, in this order: an untimed wait
 /// leaves the thread `Blocked` until woken; a timed one leaves it
@@ -1365,6 +1232,18 @@ fn release_token(s: &mut Sched, me: Tid, w: Wait) {
         }
     }
     s.info_mut(me).wait = Some(w);
+}
+
+/// Make `tid` runnable at `t`, behind a run-queue entry that supersedes
+/// any it has (a timed wait's timer) through the generation counter.
+fn requeue(s: &mut Sched, tid: Tid, t: SimTime) {
+    let seq = s.seq;
+    s.seq += 1;
+    let info = s.info_mut(tid);
+    info.state = TState::Runnable;
+    info.generation += 1;
+    let generation = info.generation;
+    s.runq.push(Reverse((t, seq, tid, generation)));
 }
 
 /// What [`Step::Idle`] asks for, from the step's turn or in its place: a
@@ -1396,8 +1275,8 @@ fn trace(s: &mut Sched, tid: Tid, label: fmt::Arguments<'_>) {
 
 /// What [`Kernel::pick_next`] decided.
 enum Next {
-    /// Signal this worker — or nobody: the run is over or paused.
-    Grant(Option<Arc<Worker>>),
+    /// Switch to this thread — or to nobody: the run is over or paused.
+    Grant(Option<Tid>),
     /// The thread picked is stepped: run its step in place, pick again.
     Step(Tid, StepFn),
 }
@@ -1405,8 +1284,8 @@ enum Next {
 /// Result of selecting the next run-queue entry under the (optional)
 /// horizon bound.
 enum Picked {
-    /// Run this thread at this wake time.
-    Run(SimTime, Tid),
+    /// Run this entry's thread at its wake time.
+    Run((SimTime, u64, Tid, u64)),
     /// The earliest valid entry is at/past the horizon; it was re-queued
     /// untouched and the domain must pause at the window barrier.
     Horizon(SimTime),
@@ -1441,16 +1320,14 @@ fn next_effective(s: &mut Sched) -> Option<SimTime> {
 /// Pop the earliest valid run-queue entry (FIFO tie-break), skipping
 /// entries superseded by an early wake and stopping at the horizon.
 fn pop_valid(s: &mut Sched) -> Picked {
-    while let Some(Reverse((t, seq, tid, generation))) = s.runq.pop() {
+    while let Some(Reverse(e @ (t, _, tid, generation))) = s.runq.pop() {
         let info = s.info(tid);
         if info.generation == generation && info.state == TState::Runnable {
-            if let Some(h) = s.horizon {
-                if t >= h {
-                    s.runq.push(Reverse((t, seq, tid, generation)));
-                    return Picked::Horizon(t);
-                }
+            if s.horizon.is_some_and(|h| t >= h) {
+                s.runq.push(Reverse(e));
+                return Picked::Horizon(t);
             }
-            return Picked::Run(t, tid);
+            return Picked::Run(e);
         }
         // stale entry superseded by an early wake
     }
@@ -1465,26 +1342,10 @@ fn pop_valid(s: &mut Sched) -> Picked {
 /// happens before any tie collection, so pausing at a window barrier
 /// consumes no PRNG state and the resumed schedule is unchanged.
 fn pop_random_tie(s: &mut Sched) -> Picked {
-    let Reverse(first) = {
-        // Inline pop_valid, but keep (seq, generation) so non-chosen
-        // ties can be re-queued with their original ordering keys.
-        loop {
-            let Some(Reverse(e)) = s.runq.pop() else {
-                return Picked::Empty;
-            };
-            let info = s.info(e.2);
-            if info.generation == e.3 && info.state == TState::Runnable {
-                break Reverse(e);
-            }
-        }
+    let first = match pop_valid(s) {
+        Picked::Run(first) => first,
+        other => return other,
     };
-    if let Some(h) = s.horizon {
-        if first.0 >= h {
-            let t = first.0;
-            s.runq.push(Reverse(first));
-            return Picked::Horizon(t);
-        }
-    }
     let t0 = first.0;
     let mut ties = vec![first];
     while let Some(&Reverse((t, ..))) = s.runq.peek() {
@@ -1503,10 +1364,8 @@ fn pop_random_tie(s: &mut Sched) -> Picked {
         (splitmix64(&mut s.rng) % ties.len() as u64) as usize
     };
     let chosen = ties.swap_remove(idx);
-    for e in ties {
-        s.runq.push(Reverse(e));
-    }
-    Picked::Run(chosen.0, chosen.2)
+    s.runq.extend(ties.into_iter().map(Reverse));
+    Picked::Run(chosen)
 }
 
 /// Handle returned by [`Kernel::spawn`]; allows joining the thread and
@@ -1514,7 +1373,7 @@ fn pop_random_tie(s: &mut Sched) -> Picked {
 pub struct JoinHandle<T> {
     kernel: Kernel,
     tid: Tid,
-    name: String,
+    name: Arc<str>,
     result: Arc<Mutex<Option<T>>>,
 }
 
@@ -1902,7 +1761,7 @@ mod tests {
     /// handful of threads need (an idle promise) is kept beside the table.
     #[test]
     fn thread_table_entries_do_not_grow() {
-        assert_eq!(std::mem::size_of::<ThreadInfo>(), 160);
+        assert_eq!(std::mem::size_of::<ThreadInfo>(), 152);
     }
 
     #[test]

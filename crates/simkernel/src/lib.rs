@@ -1,9 +1,9 @@
 //! # simkernel — deterministic virtual-time simulation kernel
 //!
 //! The foundation of the Snapify reproduction: a cooperative scheduler in
-//! which every *simulated thread* is a real OS thread but exactly one runs
-//! at a time, under a single global virtual clock. See [`kernel`] for the
-//! execution model and its determinism/data-race-freedom guarantees.
+//! which every *simulated thread* has a stack of its own, all of a kernel's
+//! run on one OS thread, one at a time, under a single virtual clock. See
+//! [`kernel`] for the execution model and its determinism guarantees.
 //!
 //! The crate provides:
 //!
@@ -15,7 +15,7 @@
 //! * [`BandwidthResource`] — FIFO-serialized transports with
 //!   latency + bandwidth cost models (PCIe links, disks);
 //! * [`Kernel::spawn_stepped`] and the `poll_*` cores of the primitives
-//!   ([`wait`]) — services that run on the dispatcher, with no OS thread.
+//!   ([`wait`]) — services that run on the dispatcher, with no stack.
 //!
 //! ## Example
 //!

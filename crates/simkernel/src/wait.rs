@@ -3,8 +3,8 @@
 //!
 //! A blocking primitive is written once, as a core that never blocks: it
 //! either finishes or says what to wait for ([`Polled`]). A thread on its
-//! own OS thread loops over the core with [`block_on`]; a stepped service
-//! ([`crate::Kernel::spawn_stepped`]), which has no OS thread to park,
+//! own stack loops over the core with [`block_on`]; a stepped service
+//! ([`crate::Kernel::spawn_stepped`]), which has no stack to leave,
 //! returns the wait to the dispatcher in a [`Step`].
 
 use std::fmt;
@@ -110,7 +110,7 @@ pub enum Step {
     },
     /// The service is finished; its joiners are released.
     Exit,
-    /// Grant the OS thread parked behind this step — how a thread in
+    /// Switch to the thread parked behind this step — how a thread in
     /// [`crate::Kernel::sleep_poll`] is woken. A service has none: from there it
     /// fails the run.
     Wake,
@@ -120,7 +120,7 @@ pub enum Step {
 pub(crate) type StepFn = Box<dyn FnMut() -> Step + Send>;
 
 /// Give up the token until `w` is over (callable only from a simulated
-/// thread on its own OS thread — a step returns `w` in [`Step::Wait`]).
+/// thread on its own stack — a step returns `w` in [`Step::Wait`]).
 pub(crate) fn wait(w: Wait) {
     let (k, me) = current();
     k.wait(me, w);
@@ -128,7 +128,7 @@ pub(crate) fn wait(w: Wait) {
 
 /// The blocking form of a primitive, from its non-blocking core: poll,
 /// wait as told, poll again, until the core is `Ready`. Callable only from
-/// a simulated thread on its own OS thread — a step polls the core itself
+/// a simulated thread on its own stack — a step polls the core itself
 /// and returns the wait.
 pub fn block_on<T>(mut poll: impl FnMut() -> Polled<T>) -> T {
     loop {

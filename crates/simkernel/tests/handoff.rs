@@ -1,18 +1,16 @@
-//! The token hand-off signals the grantee *after* releasing the scheduler
-//! lock, so with a second CPU the grantee runs while the granter is still
-//! on its way to its own slot. Two patterns sit in that window on purpose:
+//! Schedule pins for the token hand-off. Two patterns hand the token on at
+//! every turn:
 //!
 //! * **ping-pong** — A wakes B and blocks at once, B wakes A and blocks at
-//!   once: each thread's slot is granted again before its owner has parked
-//!   on it;
+//!   once;
 //! * **spawn chain** — a parent joins a child that exits immediately, and
 //!   the moment the exiting child hands it the token it spawns the next
-//!   one: the child's OS thread is given new work, and granted, before it
-//!   is back waiting for any.
+//!   one, whose stack is the one the child just left.
 //!
-//! Neither may change *which* thread runs next: every trace digest below
-//! was measured at the commit before the hand-off was reordered and OS
-//! threads were recycled.
+//! A hand-off is a stack switch on one carrier, so there is no OS-level
+//! race left to provoke; what these pins hold is *which* thread runs next.
+//! Every trace digest below was measured before OS threads were recycled,
+//! and has survived every change of hand-off mechanism since.
 
 use simkernel::{sleep, spawn, us, MultiDomainConfig, MultiKernel, SchedPolicy, Semaphore};
 

@@ -1,27 +1,32 @@
-//! An OS thread that finishes a simulated thread is handed the next one
-//! to be spawned, so a kernel creates as many OS threads as it has
-//! simulated threads alive at once — not as many as it ever spawns — and
-//! every one of them has exited and been joined when a clean run returns:
-//! the idle ones released, the ones still parked mid-body unwound.
+//! One carrier: every simulated thread of a kernel runs on one OS thread,
+//! however many are spawned or alive at once, and a run — clean or failed
+//! — leaves none behind when it returns. A `MultiKernel` has one carrier
+//! per domain.
 
 use simkernel::{
-    current, ms, sleep, spawn, yield_now, Kernel, Polled, Semaphore, SimChannel, Step,
+    ms, sleep, spawn, us, yield_now, Kernel, MultiDomainConfig, MultiKernel, Polled, Semaphore,
+    SimChannel, Step,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
-/// The tests count this process's worker threads, so they take turns.
+/// The tests count this process's OS threads, so they take turns.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run `root` as the root thread of a fresh kernel; hands the kernel back.
-fn run_root(root: impl FnOnce() + Send + 'static) -> Kernel {
-    let k = Kernel::new();
-    k.spawn("root", root);
-    k.run();
-    k
+/// This process's simulator OS threads: tasks named `sim-…` (the carrier
+/// of a `Kernel::run`) or `domain-…` (of a `MultiKernel` domain), read from
+/// `/proc/self/task`. `Threads:` of `/proc/self/status` would also count
+/// the test harness's own threads, which come and go.
+fn os_threads() -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm")).ok();
+    let comms = tasks.filter_map(|t| comm(t.ok()?));
+    comms
+        .filter(|c| c.starts_with("sim-") || c.starts_with("domain-"))
+        .count()
 }
 
 /// The text of the failure `root`'s run ends in.
@@ -32,72 +37,69 @@ fn failure_of(k: &Kernel, root: impl FnOnce() + Send + 'static) -> String {
 }
 
 #[test]
-fn sequential_spawns_share_one_worker() {
+fn a_thousand_threads_run_on_one_carrier() {
     let _serial = serial();
-    let k = run_root(|| {
-        for i in 0..10_000u64 {
-            assert_eq!(spawn("child", move || i).join(), i);
-        }
-    });
-    assert!(k.os_threads_created() <= 2, "{}", k.os_threads_created());
-}
-
-#[test]
-fn os_threads_follow_peak_concurrency() {
-    let _serial = serial();
-    let k = run_root(|| {
-        for wave in 0..2 {
-            let children: Vec<_> = (0..64)
-                .map(|i| spawn(format!("w{wave}-{i}"), || sleep(ms(1))))
-                .collect();
-            children.into_iter().for_each(|c| c.join());
-        }
-    });
-    assert_eq!(k.os_threads_created(), 64 + 1);
-}
-
-#[test]
-fn a_recycled_worker_is_the_new_thread() {
-    let _serial = serial();
-    let k = Kernel::new();
-    let root = k.spawn("root", || {
-        (0..5u64)
+    let peak = Kernel::run_root(|| {
+        let children: Vec<_> = (0..1_000u64)
             .map(|i| {
-                let h = spawn(format!("life-{i}"), move || {
-                    let os_name = std::thread::current().name().map(str::to_owned);
-                    (current().1, i, os_name)
-                });
-                sleep(ms(1)); // the child never blocks: it has finished
-                h
+                spawn(format!("child-{i}"), move || {
+                    sleep(us(i % 7));
+                    os_threads()
+                })
             })
-            .collect::<Vec<_>>()
+            .collect();
+        let seen = children.into_iter().map(|c| c.join()).max().unwrap();
+        let sequential = (0..1_000).map(|_| spawn("seq", os_threads).join()).max();
+        seen.max(sequential.unwrap())
     });
-    k.run();
-    assert_eq!(k.os_threads_created(), 2);
-    for (i, h) in root.take_result().unwrap().into_iter().enumerate() {
-        // Root took worker 0; every life ran on worker 1.
-        let expected = (h.tid(), i as u64, Some("sim-worker-1".to_owned()));
-        assert_eq!(h.take_result(), Some(expected), "{}", h.name());
-    }
+    assert_eq!(peak, 1);
 }
 
 #[test]
-fn a_panic_in_a_recycled_worker_fails_the_run_under_its_simulated_name() {
+fn four_domains_run_on_four_carriers() {
+    let _serial = serial();
+    let mk = MultiKernel::new(MultiDomainConfig::new(4, us(50)));
+    let (tx, rx) = mk.port::<usize>("peaks", 1, 0, us(60));
+    let sampler = mk.domain(0).spawn("sampler", move || {
+        let mut peak = os_threads();
+        for _ in 0..3 {
+            peak = peak.max(rx.recv().unwrap());
+        }
+        peak
+    });
+    mk.domain(1).spawn("reporter", move || {
+        for _ in 0..3 {
+            sleep(ms(1));
+            tx.send(os_threads()).unwrap();
+        }
+    });
+    for d in 2..4 {
+        mk.domain(d).spawn(format!("busy-{d}"), || {
+            for _ in 0..10 {
+                sleep(us(300));
+            }
+        });
+    }
+    mk.run();
+    let peak = sampler.take_result().unwrap();
+    assert_eq!(peak, 4);
+}
+
+#[test]
+fn a_panic_on_a_reused_stack_fails_the_run_under_its_simulated_name() {
     let _serial = serial();
     let k = Kernel::new();
     let msg = failure_of(&k, || {
         spawn("first-life", || ()).join();
         spawn("second-life", || panic!("boom")).join()
     });
-    assert_eq!(k.os_threads_created(), 2);
     assert!(msg.contains("thread 'second-life' panicked: boom"), "{msg}");
     // The failed kernel leaves nothing behind that a fresh one trips on.
-    let fresh = run_root(|| assert_eq!(spawn("child", || 7).join(), 7));
-    assert_eq!(fresh.os_threads_created(), 2);
+    assert_eq!(Kernel::run_root(|| spawn("child", || 7).join()), 7);
 }
 
 #[test]
-fn dumps_name_the_simulated_thread_not_the_worker() {
+fn dumps_name_the_simulated_thread_not_the_carrier() {
     let _serial = serial();
     let k = Kernel::new();
     let deadlock = failure_of(&k, || {
@@ -106,7 +108,7 @@ fn dumps_name_the_simulated_thread_not_the_worker() {
     });
     assert!(deadlock.contains("deadlock at"), "{deadlock}");
     assert!(deadlock.contains("'stuck-second-life'"), "{deadlock}");
-    assert!(!deadlock.contains("sim-worker"), "{deadlock}");
+    assert!(!deadlock.contains("sim-carrier"), "{deadlock}");
 
     let k = Kernel::new();
     k.set_livelock_threshold(Some(100));
@@ -119,65 +121,31 @@ fn dumps_name_the_simulated_thread_not_the_worker() {
     });
     assert!(livelock.contains("livelock at"), "{livelock}");
     assert!(livelock.contains("'spinning-second-life'"), "{livelock}");
-    assert!(!livelock.contains("sim-worker"), "{livelock}");
+    assert!(!livelock.contains("sim-carrier"), "{livelock}");
 }
 
-/// `Threads:` of `/proc/self/status`.
-#[cfg(target_os = "linux")]
-fn os_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
-    line["Threads:".len()..].trim().parse().unwrap()
-}
-
-/// Run 100 kernels that each hold `workers` OS threads at once; `Threads:`
-/// must end where it began.
-#[cfg(target_os = "linux")]
-fn a_hundred_runs_leave_no_os_thread_behind(workers: usize, run: impl Fn() -> usize) {
+/// Run `run` 100 times; no simulator OS thread may be left.
+fn a_hundred_runs_leave_no_os_thread_behind(run: impl Fn()) {
     let _serial = serial();
-    let before = os_threads();
     for _ in 0..100 {
-        let seen = run();
-        assert!(seen >= workers, "{seen}");
+        run();
     }
-    // 100 × `workers` OS threads were created and joined. The count may be
-    // off by the test harness's own threads coming and going, and `join`
-    // returns when the kernel clears the exiting thread's tid, a moment
-    // before the thread is gone from the count — but not by one run's worth.
+    // `join` returns when the kernel clears the exiting thread's tid, a
+    // moment before the thread is gone from `/proc`.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while os_threads() >= before + workers && std::time::Instant::now() < deadline {
+    while os_threads() > 0 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    let after = os_threads();
-    assert!(
-        after < before + workers,
-        "every worker must exit and be joined: {before} -> {after} OS threads"
-    );
+    assert_eq!(os_threads(), 0, "simulator OS threads left behind");
 }
 
-#[cfg(target_os = "linux")]
+/// Eight children that finish, eight daemons parked for good and eight
+/// stepped services, unwound and dropped when the run ends.
 #[test]
 fn finished_runs_leave_no_os_thread_behind() {
-    const WORKERS: usize = 1 + 8;
-    a_hundred_runs_leave_no_os_thread_behind(WORKERS, || {
-        Kernel::run_root(|| {
-            let children: Vec<_> = (0..WORKERS - 1)
-                .map(|_| spawn("child", os_threads))
-                .collect();
-            children.into_iter().map(|c| c.join()).max().unwrap()
-        })
-    });
-}
-
-/// The same with threads that never finish: eight daemons parked for good
-/// and eight stepped services, unwound and dropped when the run ends.
-#[cfg(target_os = "linux")]
-#[test]
-fn finished_runs_leave_no_daemon_os_thread_behind() {
-    const WORKERS: usize = 1 + 8;
-    a_hundred_runs_leave_no_os_thread_behind(WORKERS, || {
+    a_hundred_runs_leave_no_os_thread_behind(|| {
         let k = Kernel::new();
-        for i in 0..WORKERS - 1 {
+        for i in 0..8 {
             let never = SimChannel::<()>::unbounded("never");
             let rx = never.clone();
             k.spawn_daemon(format!("daemon-{i}"), move || rx.recv());
@@ -188,11 +156,27 @@ fn finished_runs_leave_no_daemon_os_thread_behind() {
                 }
             });
         }
-        let root = k.spawn("root", || {
-            sleep(ms(1)); // every daemon is parked mid-body
-            os_threads()
+        k.spawn("root", || {
+            let children: Vec<_> = (0..8).map(|_| spawn("child", || sleep(ms(1)))).collect();
+            children.into_iter().for_each(|c| c.join());
         });
         k.run();
-        root.take_result().unwrap()
+    });
+}
+
+/// A failed run resumes none of its threads, and its carrier still exits.
+#[test]
+fn failed_runs_leave_no_os_thread_behind() {
+    a_hundred_runs_leave_no_os_thread_behind(|| {
+        let k = Kernel::new();
+        for i in 0..4 {
+            let never = SimChannel::<()>::unbounded("never");
+            k.spawn_daemon(format!("parked-{i}"), move || never.recv());
+        }
+        let msg = failure_of(&k, || {
+            sleep(ms(1)); // every daemon is parked mid-body
+            panic!("boom")
+        });
+        assert!(msg.contains("thread 'root' panicked: boom"), "{msg}");
     });
 }
