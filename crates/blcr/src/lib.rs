@@ -13,7 +13,9 @@
 //! 2. **the small-write preamble** — real BLCR issues many small writes
 //!    (thread/fd/vm metadata) before the page loop, and then writes memory
 //!    *page by page*; this is exactly what makes plain NFS slow in
-//!    Table 4. The simulated checkpointer declares its 4 KiB write
+//!    Table 4. What matters of the preamble is its writes' count and size,
+//!    so each is the next slice of one synthetic extent, never bytes in
+//!    memory. The simulated checkpointer declares its 4 KiB write
 //!    granularity to the sink via [`ByteSink::set_write_granularity`];
 //! 3. **restart rebuilds, never resumes** — the restarted process is a new
 //!    process (new pid) whose memory image and opaque runtime state match
@@ -41,6 +43,17 @@ use stream::{FrameReader, FrameWriter};
 
 /// Snapshot stream magic.
 const MAGIC: &[u8; 8] = b"BLCRSIM1";
+
+/// Tag of the synthetic extent the preamble's records are slices of
+/// ("BLCRPRE" and a version byte).
+const PREAMBLE_TAG: u64 = u64::from_le_bytes(*b"BLCRPRE1");
+
+/// The preamble's content: `preamble_writes` records of
+/// `preamble_write_size` bytes, opaque, the same in every image.
+fn preamble(config: &BlcrConfig) -> Payload {
+    let len = u64::from(config.preamble_writes) * config.preamble_write_size;
+    Payload::synthetic(PREAMBLE_TAG, len)
+}
 
 /// The page size at which BLCR dumps memory (drives NFS op pricing).
 pub const PAGE_SIZE: u64 = 4096;
@@ -196,11 +209,11 @@ fn checkpoint_impl(
     // Preamble: many small metadata writes (the NFS killer).
     w.write_bytes(MAGIC)?;
     total += MAGIC.len() as u64;
-    for i in 0..config.preamble_writes {
-        let rec = vec![(i % 251) as u8; config.preamble_write_size as usize];
-        w.write_bytes(&rec)?;
-        total += config.preamble_write_size;
+    let (preamble, size) = (preamble(config), config.preamble_write_size);
+    for i in 0..u64::from(config.preamble_writes) {
+        w.sink().write(preamble.slice(i * size, size))?;
     }
+    total += preamble.len();
 
     w.write_string(proc.name())?;
     total += 8 + proc.name().len() as u64;
@@ -310,41 +323,62 @@ pub fn restart(
     if magic != MAGIC {
         return Err(BlcrError::BadImage("bad magic".to_string()));
     }
-    for _ in 0..config.preamble_writes {
-        r.read_bytes(config.preamble_write_size)?;
+    let expected = preamble(config);
+    if r.read_opaque(expected.len())?.normalize() != expected {
+        return Err(BlcrError::BadImage("bad preamble".to_string()));
     }
     let name = r.read_string()?;
     let state_len = r.read_u64()?;
     let runtime_state = r.read_bytes(state_len)?;
 
     let proc = SimProcess::new(pids.alloc(), name, node);
+    match rebuild(config, &mut r, &proc) {
+        Ok(image_digest) => {
+            // The rebuilt regions are byte-identical to the snapshot they
+            // came from: start the restored process clean so its next
+            // incremental capture only pays for what it writes after the
+            // restore.
+            proc.memory().mark_captured();
+            Ok(RestartedProcess {
+                proc,
+                runtime_state,
+                image_digest,
+            })
+        }
+        Err(e) => {
+            proc.exit(); // release what was mapped so far
+            Err(e)
+        }
+    }
+}
+
+/// Map the image's regions into `proc`, then check the rebuilt memory
+/// against the stream's digest; returns the digest.
+fn rebuild(
+    config: &BlcrConfig,
+    r: &mut FrameReader<'_>,
+    proc: &SimProcess,
+) -> Result<u64, BlcrError> {
     let nregions = r.read_u64()?;
     for _ in 0..nregions {
         simkernel::sleep(config.per_region_cost);
         let rname = r.read_string()?;
         let content = r.read_payload()?;
-        if let Err(oom) = proc.memory().map_region(&rname, content) {
-            proc.exit(); // release what was mapped so far
-            return Err(BlcrError::OutOfMemory(oom));
+        if proc.memory().has_region(&rname) {
+            return Err(BlcrError::BadImage(format!("region '{rname}' twice")));
         }
+        proc.memory()
+            .map_region(&rname, content)
+            .map_err(BlcrError::OutOfMemory)?;
     }
     let expect_digest = r.read_u64()?;
     let got_digest = proc.memory().digest();
     if expect_digest != got_digest {
-        proc.exit();
         return Err(BlcrError::BadImage(format!(
             "image digest mismatch: stream says {expect_digest:#x}, rebuilt {got_digest:#x}"
         )));
     }
-    // The rebuilt regions are byte-identical to the snapshot they came
-    // from: start the restored process clean so its next incremental
-    // capture only pays for what it writes after the restore.
-    proc.memory().mark_captured();
-    Ok(RestartedProcess {
-        proc,
-        runtime_state,
-        image_digest: got_digest,
-    })
+    Ok(got_digest)
 }
 
 #[cfg(test)]
@@ -463,9 +497,68 @@ mod tests {
             let truncated = full.slice(0, full.len() - 100);
             let pids = PidAllocator::new();
             let node2 = phi();
+            let before = node2.mem().used();
             let mut src = PayloadSource::new(truncated);
             let err = restart(&cfg, &node2, &pids, &mut src).unwrap_err();
             assert!(matches!(err, BlcrError::Io(_) | BlcrError::BadImage(_)));
+            // The regions mapped before the stream ran out were released.
+            assert_eq!(node2.mem().used(), before);
+        });
+    }
+
+    /// An image whose preamble is anything but the one synthetic extent —
+    /// the filler bytes earlier versions wrote, another extent, a shifted
+    /// slice of this one — is not an image this checkpointer wrote.
+    #[test]
+    fn a_preamble_other_than_the_extent_is_a_bad_image() {
+        Kernel::run_root(|| {
+            let cfg = BlcrConfig::default();
+            let mut sink = VecSink::new();
+            checkpoint(&cfg, &sample_proc(&phi()), b"pc=42", &mut sink).unwrap();
+            let image = sink.payload();
+            let (start, len) = (MAGIC.len() as u64, preamble(&cfg).len());
+            let with_preamble = |pre: Payload| {
+                let mut out = image.slice(0, start);
+                out.append(pre);
+                out.append(image.slice(start + len, image.len() - start - len));
+                out
+            };
+            let size = cfg.preamble_write_size as usize;
+            let filler =
+                (0..cfg.preamble_writes).map(|i| Payload::bytes(vec![(i % 251) as u8; size]));
+            let shifted = Payload::synthetic(PREAMBLE_TAG, len + 1).slice(1, len);
+            for pre in [
+                Payload::concat(filler),
+                Payload::synthetic(PREAMBLE_TAG ^ 1, len),
+                shifted,
+            ] {
+                let node = phi();
+                let mut src = PayloadSource::new(with_preamble(pre));
+                let err = restart(&cfg, &node, &PidAllocator::new(), &mut src).unwrap_err();
+                assert_eq!(err, BlcrError::BadImage("bad preamble".into()));
+                assert_eq!(node.mem().used(), 0);
+            }
+            // The splice itself is sound: the image's own preamble restarts.
+            let mut src = PayloadSource::new(with_preamble(preamble(&cfg)));
+            assert!(restart(&cfg, &phi(), &PidAllocator::new(), &mut src).is_ok());
+        });
+    }
+
+    /// The preamble costs what it did as filler — one sink write per
+    /// record, the same sizes — and holds no bytes in memory.
+    #[test]
+    fn the_preamble_is_counted_writes_of_one_extent() {
+        Kernel::run_root(|| {
+            let cfg = BlcrConfig::default();
+            let mut sink = VecSink::new();
+            checkpoint(&cfg, &sample_proc(&phi()), &[], &mut sink).unwrap();
+            let records = &sink.chunks[1..=cfg.preamble_writes as usize];
+            assert!(records.iter().all(|r| r.len() == cfg.preamble_write_size));
+            assert_eq!(
+                Payload::concat(records.iter().cloned()).normalize(),
+                preamble(&cfg)
+            );
+            assert_eq!(sink.chunks[1 + cfg.preamble_writes as usize].len(), 8);
         });
     }
 

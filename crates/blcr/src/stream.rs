@@ -1,10 +1,12 @@
 //! Record framing over byte streams.
 //!
 //! A process image is a self-describing stream: metadata (names, sizes,
-//! digests) is written as *real* bytes so the restart side can parse it,
-//! while region contents pass through as opaque [`Payload`] chunks —
-//! possibly synthetic, never materialized. The reader buffers payload
-//! chunks and materializes only the byte ranges it must actually parse.
+//! digests) is written as *real* bytes so the restart side can parse it;
+//! everything else passes through as opaque [`Payload`] chunks — region
+//! contents, and the preamble, whose records are counted writes of one
+//! synthetic extent — possibly synthetic, never materialized. The reader
+//! buffers payload chunks and materializes only the byte ranges it must
+//! actually parse.
 
 use std::collections::VecDeque;
 
@@ -130,16 +132,22 @@ impl<'a> FrameReader<'a> {
     /// Read exactly `n` real bytes (metadata parse). Synthetic content
     /// here means the stream lost framing inside a region: an error.
     pub fn read_bytes(&mut self, n: u64) -> Result<Vec<u8>, IoError> {
-        self.fill(n)?;
-        self.take(n).try_bytes().ok_or_else(|| {
+        self.read_opaque(n)?.try_bytes().ok_or_else(|| {
             IoError::Other(format!("corrupt stream: {n} metadata bytes are synthetic"))
         })
     }
 
+    /// Read exactly `n` bytes without materializing them.
+    pub(crate) fn read_opaque(&mut self, n: u64) -> Result<Payload, IoError> {
+        self.fill(n)?;
+        Ok(self.take(n))
+    }
+
     /// Read a `u64`.
     pub fn read_u64(&mut self) -> Result<u64, IoError> {
-        let b = self.read_bytes(8)?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        let mut word = [0; 8];
+        word.copy_from_slice(&self.read_bytes(8)?);
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Read a length-prefixed string.
@@ -152,8 +160,7 @@ impl<'a> FrameReader<'a> {
     /// Read a length-prefixed payload without materializing it.
     pub fn read_payload(&mut self) -> Result<Payload, IoError> {
         let len = self.read_u64()?;
-        self.fill(len)?;
-        Ok(self.take(len))
+        self.read_opaque(len)
     }
 
     /// True if the source (and buffer) are exhausted.

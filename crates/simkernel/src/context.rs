@@ -293,13 +293,16 @@ impl Kernel {
     pub(crate) fn finish(&self) {
         let mut s = self.inner.sched.lock().unwrap();
         if s.failure.is_some() || !s.done {
-            for t in &mut s.threads {
+            for t in s.threads.values_mut() {
                 std::mem::forget(t.ctx.take());
             }
         } else {
             self.inner.torn_down.store(true, Ordering::Relaxed);
-            for tid in 1..=s.threads.len() as Tid {
-                if let Some(step) = s.info_mut(tid).step.take() {
+            for tid in 1..=s.threads.last_tid() {
+                let Some(info) = s.threads.get_mut(tid) else {
+                    continue;
+                };
+                if let Some(step) = info.step.take() {
                     drop(s);
                     let out = self.within(tid, move || drop(step));
                     s = self.inner.sched.lock().unwrap();
@@ -310,7 +313,7 @@ impl Kernel {
                         s.failure.get_or_insert(failure);
                     }
                 }
-                if s.info(tid).ctx.is_some() {
+                if s.threads.get(tid).is_some_and(|t| t.ctx.is_some()) {
                     s = self.run_context(s, tid);
                 }
             }

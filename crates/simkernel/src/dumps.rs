@@ -16,13 +16,12 @@ pub(super) fn deadlock_dump(s: &Sched) -> String {
 /// Append one line per blocked thread (shared between the local
 /// deadlock dump and the cross-domain stall dump in `crate::domain`).
 pub(super) fn push_blocked_threads(out: &mut String, s: &Sched) {
-    for (i, info) in s.threads.iter().enumerate() {
+    for (tid, info) in s.threads.iter() {
         let (TState::Blocked, Some(w)) = (info.state, &info.wait) else {
             continue;
         };
         out.push_str(&format!(
-            "  [{}] '{}'{} parked for {} blocked on: {w}\n",
-            i + 1,
+            "  [{tid}] '{}'{} parked for {} blocked on: {w}\n",
             info.name,
             if info.daemon { " (daemon)" } else { "" },
             s.now.since(info.block_since),
@@ -39,7 +38,7 @@ pub(super) fn livelock_dump(s: &Sched, limit: u64) -> String {
         "livelock at {}: {limit} consecutive dispatches without virtual-time progress (policy {:?}); runnable/running threads:\n",
         s.now, s.policy
     );
-    for (i, info) in s.threads.iter().enumerate() {
+    for (tid, info) in s.threads.iter() {
         if !matches!(info.state, TState::Runnable | TState::Running) {
             continue;
         }
@@ -49,8 +48,7 @@ pub(super) fn livelock_dump(s: &Sched, limit: u64) -> String {
             None => String::new(),
         };
         out.push_str(&format!(
-            "  [{}] '{}'{} {:?} since {}{}\n",
-            i + 1,
+            "  [{tid}] '{}'{} {:?} since {}{}\n",
             info.name,
             if info.daemon { " (daemon)" } else { "" },
             info.state,

@@ -43,9 +43,10 @@
 //!   call. A pick of the blocking thread itself switches nothing. A
 //!   thread's stack is mapped at spawn, from a free list of warm ones, and
 //!   handed back by the context that runs after its last switch.
-//! * **Slab thread table.** `Tid`s are dense and monotonically assigned,
-//!   so thread metadata lives in a `Vec` indexed by `tid - 1`, not a
-//!   `HashMap` (no hashing on every dispatch).
+//! * **Thread table: tids dense and never reused; slots are.** A tid
+//!   indexes a slot map (`threads.rs`), not a `HashMap` (no hashing on
+//!   every dispatch), and a finished thread's slot goes to the next spawn:
+//!   the table holds the threads alive, not every thread ever spawned.
 //! * **Lock-free clock reads.** The virtual clock is mirrored in an
 //!   `AtomicU64` updated at dispatch; [`Kernel::now`] is a relaxed load,
 //!   so channel sends, observability timestamps, and cost-model queries
@@ -109,9 +110,12 @@ use crate::wait::{Step, StepFn, Tick, Wait};
 mod context;
 #[path = "dumps.rs"]
 mod dumps;
+#[path = "threads.rs"]
+mod threads;
 use context::Context;
 pub(crate) use dumps::push_flight_tail;
 use dumps::{deadlock_dump, livelock_dump, payload_to_string, push_blocked_threads};
+use threads::{TState, ThreadInfo, Threads};
 
 /// Identifier of a simulated thread.
 pub type Tid = u32;
@@ -191,56 +195,17 @@ impl fmt::Write for Trace {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TState {
-    /// Queued in the run queue (possibly with a future wake-up time).
-    Runnable,
-    /// Currently holds the token.
-    Running,
-    /// Waiting on a primitive; not in the run queue.
-    Blocked,
-    /// The thread's closure has returned.
-    Finished,
-}
-
 /// A simulated thread's closure, wrapped to store its result in the
 /// [`JoinHandle`]; run on a [`Context`] of its own.
 type Job = Box<dyn FnOnce() + Send>;
-
-struct ThreadInfo {
-    name: Arc<str>,
-    state: TState,
-    /// Daemon threads (service loops) do not keep the simulation alive:
-    /// the run ends when the last non-daemon thread finishes.
-    daemon: bool,
-    /// The stack this simulated thread runs on; the token is handed over
-    /// by switching to it. `None` for a stepped service, which runs on the
-    /// dispatching stack, and once the thread has finished.
-    ctx: Option<Box<Context>>,
-    /// What dispatch runs in place when the thread's turn comes, instead
-    /// of switching to `ctx`: a stepped service's body, or the tick a
-    /// thread in [`Kernel::sleep_poll`] left behind.
-    step: Option<StepFn>,
-    /// What the thread is waiting for (for dumps); `None` once picked.
-    wait: Option<Wait>,
-    /// Virtual time at which the thread last gave up the token.
-    block_since: SimTime,
-    /// Threads waiting in `join()` on this thread.
-    joiners: Vec<Tid>,
-    /// Generation counter: incremented every time the thread blocks, so
-    /// stale run-queue entries (from cancelled timed waits) can be skipped.
-    generation: u64,
-    /// Index of its entry in `Sched::idlers` while it has one; was padding.
-    idle: u32,
-}
 
 struct Sched {
     now: SimTime,
     seq: u64,
     /// Min-heap of `(wake time, sequence, tid, generation)`.
     runq: BinaryHeap<Reverse<(SimTime, u64, Tid, u64)>>,
-    /// Slab of thread metadata, indexed by `tid - 1` (tids are dense).
-    threads: Vec<ThreadInfo>,
+    /// The unfinished threads, by tid (`threads.rs`).
+    threads: Threads,
     /// The current token holder (None while the token is being handed off).
     running: Option<Tid>,
     live: usize,
@@ -318,12 +283,12 @@ impl Sched {
 
     #[inline]
     fn info(&self, tid: Tid) -> &ThreadInfo {
-        &self.threads[(tid - 1) as usize]
+        self.threads.info(tid)
     }
 
     #[inline]
     fn info_mut(&mut self, tid: Tid) -> &mut ThreadInfo {
-        &mut self.threads[(tid - 1) as usize]
+        self.threads.info_mut(tid)
     }
 
     /// The stack `tid` runs on: it is switched to, or switches away.
@@ -439,7 +404,7 @@ impl Kernel {
                     now: SimTime::ZERO,
                     seq: 0,
                     runq: BinaryHeap::new(),
-                    threads: Vec::new(),
+                    threads: Threads::default(),
                     running: None,
                     live: 0,
                     done: false,
@@ -619,9 +584,8 @@ impl Kernel {
     ) -> Tid {
         let mut s = self.inner.sched.lock().unwrap();
         assert!(!s.done, "cannot spawn after the simulation finished");
-        let tid = s.threads.len() as Tid + 1;
         let now = s.now;
-        s.threads.push(ThreadInfo {
+        let tid = s.threads.insert(ThreadInfo {
             name: Arc::clone(name),
             state: TState::Runnable,
             daemon,
@@ -743,11 +707,14 @@ impl Kernel {
             return; // teardown's destructors: nobody to wake, nothing to record
         }
         let now = s.now;
-        match s.info(tid).state {
+        match s.threads.state(tid) {
             // A thread in a timed wait is woken early: its timer entry is
             // superseded through the generation counter.
             TState::Blocked | TState::Runnable => requeue(&mut s, tid, now),
-            other => panic!("make_runnable on thread {tid} in state {other:?}"),
+            other => {
+                drop(s); // the run fails by this panic, not by a poisoned lock
+                panic!("make_runnable on thread {tid} in state {other:?}")
+            }
         }
         trace(&mut s, tid, format_args!("wake"));
     }
@@ -1031,6 +998,7 @@ impl Kernel {
         let info = s.info_mut(me);
         info.state = TState::Finished;
         let joiners = std::mem::take(&mut info.joiners);
+        let holds_nothing = info.ctx.is_none() && info.step.is_none();
         trace(s, me, format_args!("exit"));
         for j in joiners {
             debug_assert_eq!(s.info(j).state, TState::Blocked);
@@ -1043,6 +1011,9 @@ impl Kernel {
             // Remaining daemon (service) threads are left to teardown.
             s.done = true;
         }
+        if holds_nothing {
+            s.threads.reclaim(me);
+        }
         !s.done
     }
 
@@ -1052,11 +1023,10 @@ impl Kernel {
         assert_ne!(me, target, "a simulated thread cannot join itself");
         {
             let mut s = self.inner.sched.lock().unwrap();
-            let tinfo = s.info_mut(target);
-            if tinfo.state == TState::Finished {
-                return;
+            match s.threads.get_mut(target) {
+                Some(t) if t.state != TState::Finished => t.joiners.push(me),
+                _ => return,
             }
-            tinfo.joiners.push(me);
         }
         // Note: between releasing the lock above and blocking below, no
         // other simulated thread can run (single-token discipline), so the
@@ -1135,17 +1105,19 @@ impl Kernel {
             return;
         };
         let t = s.now.max(at);
-        let info = s.info(tid);
         // A timed wait's timer entry is superseded only when the delivery
         // lands before the deadline.
-        let deadline = info.wait.as_ref().and_then(|w| w.deadline);
-        match info.state {
+        let deadline = s.threads.get(tid).and_then(|i| i.wait.as_ref()?.deadline);
+        match s.threads.state(tid) {
             TState::Runnable if deadline.is_some_and(|d| t >= d) => s.seq += 1,
             TState::Blocked | TState::Runnable => {
                 requeue(&mut s, tid, t);
                 trace(&mut s, tid, format_args!("wake"));
             }
-            other => panic!("wake_external_at on thread {tid} in state {other:?}"),
+            other => {
+                drop(s);
+                panic!("wake_external_at on thread {tid} in state {other:?}")
+            }
         }
     }
 
@@ -1300,8 +1272,7 @@ enum Picked {
 fn next_effective(s: &mut Sched) -> Option<SimTime> {
     let (mut ticks, mut next) = (Vec::new(), None::<SimTime>);
     while let Some(&Reverse((t, _, tid, generation))) = s.runq.peek() {
-        let info = s.info(tid);
-        if info.generation != generation || info.state != TState::Runnable {
+        if !s.threads.is_current(tid, generation) {
             s.runq.pop();
             continue;
         }
@@ -1321,15 +1292,14 @@ fn next_effective(s: &mut Sched) -> Option<SimTime> {
 /// entries superseded by an early wake and stopping at the horizon.
 fn pop_valid(s: &mut Sched) -> Picked {
     while let Some(Reverse(e @ (t, _, tid, generation))) = s.runq.pop() {
-        let info = s.info(tid);
-        if info.generation == generation && info.state == TState::Runnable {
+        if s.threads.is_current(tid, generation) {
             if s.horizon.is_some_and(|h| t >= h) {
                 s.runq.push(Reverse(e));
                 return Picked::Horizon(t);
             }
             return Picked::Run(e);
         }
-        // stale entry superseded by an early wake
+        // stale: superseded by an early wake, or its thread finished
     }
     Picked::Empty
 }
@@ -1353,8 +1323,7 @@ fn pop_random_tie(s: &mut Sched) -> Picked {
             break;
         }
         let Reverse(e) = s.runq.pop().unwrap();
-        let info = s.info(e.2);
-        if info.generation == e.3 && info.state == TState::Runnable {
+        if s.threads.is_current(e.2, e.3) {
             ties.push(e);
         }
     }
@@ -1755,13 +1724,6 @@ mod tests {
         }
         k.run();
         assert!(k.now() > SimTime::ZERO);
-    }
-
-    /// A run has tens of thousands of thread-table entries: what only a
-    /// handful of threads need (an idle promise) is kept beside the table.
-    #[test]
-    fn thread_table_entries_do_not_grow() {
-        assert_eq!(std::mem::size_of::<ThreadInfo>(), 152);
     }
 
     #[test]
