@@ -19,7 +19,13 @@
 //!   measures the timed run-queue path (`block_until`).
 //! * `idle_pollers_64` — 64 threads in `sleep_poll` on a 200 µs grid whose
 //!   predicate answers `Tick::Idle` until the last tick (the COI daemon's
-//!   Snapify monitor, idle); measures ticks answered at the pick.
+//!   Snapify monitor, idle); measures ticks answered at the pick. The
+//!   pollers share one grid, so each tick bounds the others' runs: one
+//!   tick per pick.
+//! * `lone_poller` — one poller promising `until: None` beside a worker
+//!   with one event per 1,000 of its ticks (a population build's monitor,
+//!   alone between events); measures ticks answered as runs, up to the
+//!   next queued event per pick. Events = ticks answered.
 //! * `spawn_join_1000` — spawn/join of 1000 simulated threads alive at
 //!   once (so 1000 OS threads); measures thread-table and startup costs.
 //! * `spawn_join_seq_1000` — 1000 times spawn one thread and join it, the
@@ -209,6 +215,30 @@ fn idle_pollers_64(ticks: u64) -> u64 {
     64 * ticks
 }
 
+/// One poller, idle with `until: None` on a 200 µs grid, beside a worker
+/// whose event on every 1,000th tick voids the promise, `rounds` times.
+/// Events = idle ticks answered.
+fn lone_poller(rounds: u64) -> u64 {
+    let kernel = Kernel::new();
+    let raised = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&raised);
+    kernel.spawn("poller", move || {
+        simkernel::sleep_poll(us(200), move |_| match flag.load(Ordering::SeqCst) {
+            true => Tick::Ready,
+            false => Tick::Idle { until: None },
+        });
+    });
+    kernel.spawn("worker", move || {
+        for _ in 0..rounds {
+            simkernel::sleep(us(200 * 1000));
+        }
+        raised.store(true, Ordering::SeqCst);
+    });
+    kernel.run();
+    assert_eq!(kernel.now().as_nanos(), us(200 * 1000 * rounds).as_nanos());
+    kernel.inline_polls()
+}
+
 /// Spawn and join 1000 threads. Events = spawns + exits.
 fn spawn_join_1000() -> u64 {
     Kernel::run_root(|| {
@@ -303,6 +333,7 @@ fn main() {
     let mx_iters: u64 = if quick { 50 } else { 400 };
     let tm_iters: u64 = if quick { 50 } else { 400 };
     let poll_ticks: u64 = if quick { 500 } else { 5000 };
+    let lone_rounds: u64 = if quick { 1_000 } else { 10_000 };
 
     let rows = vec![
         measure("ping_pong_64", warmups, batches, || {
@@ -320,6 +351,7 @@ fn main() {
         measure("idle_pollers_64", warmups, batches, || {
             idle_pollers_64(poll_ticks)
         }),
+        measure("lone_poller", warmups, batches, || lone_poller(lone_rounds)),
         measure("spawn_join_1000", warmups, batches, spawn_join_1000),
         measure("spawn_join_seq_1000", warmups, batches, spawn_join_seq_1000),
         measure(

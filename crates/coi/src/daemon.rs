@@ -13,7 +13,8 @@
 //! (200 µs) grid, but a tick on which every pipe is empty and no watchdog
 //! window has elapsed — over 99% of them — is answered at the pick by the
 //! simkernel scheduler ([`simkernel::sleep_poll`], `Tick::Idle`): same
-//! virtual schedule, no OS-thread hand-off, not even a call.
+//! virtual schedule, no stack switch, not even a call — and a stretch of
+//! such ticks up to the next event in the domain is answered as one pick.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -80,10 +80,16 @@
 //!   barrier delivering into it: each clears the promises in force. The
 //!   pick is untouched — pop, horizon check, livelock streak, tie-break
 //!   draw, clock advance — and *then* a thread picked under its promise has
-//!   its answer performed right there, under the lock (`inline_polls += 1`,
-//!   `release_token` to the next tick). A debug build runs the step instead
-//!   and fails the run by name on another answer. A pausing domain reports
-//!   `next_effective`, not its next tick.
+//!   its answer performed right there, under the lock, for that tick and
+//!   every later one the queue would hand out before anything else: the
+//!   ticks strictly before the earliest queued entry, the promise's `until`
+//!   and the horizon (`runq.rs`, `release_idle_run`). A run leaves what one
+//!   pick per tick leaves — clock, sequence numbers, generation,
+//!   `inline_polls`, livelock streak, one traced event per tick — and one
+//!   entry queued, at the first tick past the run. Pollers interleaved on
+//!   one grid bound each other's runs to a tick each. A debug build runs
+//!   the step instead and fails the run by name on another answer. A
+//!   pausing domain reports `next_effective`, not its next tick.
 //!
 //! # Deadlock detection
 //!
@@ -110,11 +116,17 @@ use crate::wait::{Step, StepFn, Tick, Wait};
 mod context;
 #[path = "dumps.rs"]
 mod dumps;
+#[path = "runq.rs"]
+mod runq;
 #[path = "threads.rs"]
 mod threads;
 use context::Context;
 pub(crate) use dumps::push_flight_tail;
 use dumps::{deadlock_dump, livelock_dump, payload_to_string, push_blocked_threads};
+use runq::{
+    next_effective, pop_random_tie, pop_valid, release_idle, release_idle_run, release_token,
+    requeue, Picked,
+};
 use threads::{TState, ThreadInfo, Threads};
 
 /// Identifier of a simulated thread.
@@ -228,6 +240,9 @@ struct Sched {
     /// Steps that ended in [`Step::Wait`]: turns dispatch completed itself,
     /// switching to no thread's stack.
     inline_polls: u64,
+    /// Picks that answered promised ticks in place of their step, each a
+    /// run of one or more (`runq.rs`, `release_idle_run`).
+    idle_runs: u64,
     /// A step is running (scheduler lock released, `running` set): the
     /// only simulated code executing is that step, and it may not block.
     in_step: bool,
@@ -422,6 +437,7 @@ impl Kernel {
                     livelock_threshold: None,
                     same_time_streak: 0,
                     inline_polls: 0,
+                    idle_runs: 0,
                     in_step: false,
                     idlers: Vec::new(),
                     dump_note: None,
@@ -782,6 +798,15 @@ impl Kernel {
         self.inner.sched.lock().unwrap().inline_polls
     }
 
+    /// How many picks answered promised idle ticks without calling their
+    /// step, each a run of one or more up to the next queued event
+    /// (module docs, "Tickless idle"): the ticks of [`Kernel::inline_polls`]
+    /// whose step did not run, over this, is ticks per pick. 0 in a debug
+    /// build, which runs every step.
+    pub fn idle_runs(&self) -> u64 {
+        self.inner.sched.lock().unwrap().idle_runs
+    }
+
     /// Number of live (unfinished) simulated threads.
     pub fn live_threads(&self) -> usize {
         self.inner.sched.lock().unwrap().live
@@ -902,9 +927,11 @@ impl Kernel {
 
     /// One pick of [`Kernel::dispatch`]: the horizon check, the livelock
     /// accounting, the tie-break and the clock advance, the same whether
-    /// the thread picked runs on its own stack or as a step.
+    /// the thread picked runs on its own stack or as a step. Promised ticks
+    /// are answered on the way, a run of them per pop (`runq.rs`), and the
+    /// clock is published once, where the pick ends.
     fn pick_next(&self, s: &mut Sched) -> Next {
-        loop {
+        let next = loop {
             let next = match s.policy {
                 SchedPolicy::Fifo => pop_valid(s),
                 SchedPolicy::Random(_) => pop_random_tie(s),
@@ -920,12 +947,11 @@ impl Kernel {
                             if s.same_time_streak >= limit {
                                 s.failure = Some(livelock_dump(s, limit));
                                 s.done = true;
-                                return Next::Grant(None);
+                                break Next::Grant(None);
                             }
                         }
                     }
                     s.now = s.now.max(t);
-                    self.inner.now_ns.store(s.now.as_nanos(), Ordering::Relaxed);
                     s.running = Some(tid);
                     let info = s.info_mut(tid);
                     info.state = TState::Running;
@@ -933,11 +959,11 @@ impl Kernel {
                     // Tickless idle: a promised tick is answered here, as its step
                     // would have (a debug build runs the step, and compares).
                     if let Some(idle) = s.promise(tid, s.now).filter(|_| !cfg!(debug_assertions)) {
-                        release_idle(s, tid, idle.every);
+                        release_idle_run(s, tid, idle);
                         continue;
                     }
                     let info = s.info_mut(tid);
-                    return match info.step.take() {
+                    break match info.step.take() {
                         Some(step) => Next::Step(tid, step),
                         None => {
                             s.idlers.clear();
@@ -971,8 +997,10 @@ impl Kernel {
                     }
                 }
             }
-            return Next::Grant(None);
-        }
+            break Next::Grant(None);
+        };
+        self.inner.now_ns.store(s.now.as_nanos(), Ordering::Relaxed);
+        next
     }
 
     /// Fail the run because thread `tid`'s code panicked with `msg`.
@@ -1175,57 +1203,6 @@ fn obs_clock() -> (u64, u32) {
     })
 }
 
-/// `me` gives up the token to wait for `w` — the one place that happens,
-/// for a thread blocking on its own stack ([`Kernel::wait`]) and for a
-/// step that returned [`Step::Wait`]. Everything a later dispatch or the
-/// trace can observe of it happens here, in this order: an untimed wait
-/// leaves the thread `Blocked` until woken; a timed one leaves it
-/// `Runnable` behind a run-queue entry at the deadline, which an earlier
-/// wake supersedes through the generation counter.
-fn release_token(s: &mut Sched, me: Tid, w: Wait) {
-    debug_assert_eq!(s.running, Some(me));
-    s.running = None;
-    let (now, seq) = (s.now, s.seq);
-    let info = s.info_mut(me);
-    debug_assert_eq!(info.state, TState::Running);
-    info.block_since = now;
-    info.generation += 1;
-    let generation = info.generation;
-    match w.deadline {
-        None => {
-            info.state = TState::Blocked;
-            trace(s, me, format_args!("block: {w}"));
-        }
-        Some(deadline) => {
-            info.state = TState::Runnable;
-            s.seq += 1;
-            s.runq.push(Reverse((deadline, seq, me, generation)));
-            trace(s, me, format_args!("block_until: {w}"));
-        }
-    }
-    s.info_mut(me).wait = Some(w);
-}
-
-/// Make `tid` runnable at `t`, behind a run-queue entry that supersedes
-/// any it has (a timed wait's timer) through the generation counter.
-fn requeue(s: &mut Sched, tid: Tid, t: SimTime) {
-    let seq = s.seq;
-    s.seq += 1;
-    let info = s.info_mut(tid);
-    info.state = TState::Runnable;
-    info.generation += 1;
-    let generation = info.generation;
-    s.runq.push(Reverse((t, seq, tid, generation)));
-}
-
-/// What [`Step::Idle`] asks for, from the step's turn or in its place: a
-/// turn that woke no thread, asleep to the next tick.
-fn release_idle(s: &mut Sched, tid: Tid, every: SimDuration) {
-    s.inline_polls += 1;
-    let tick = s.now + every;
-    release_token(s, tid, Wait::fixed("sleep", Some(tick)));
-}
-
 fn trace(s: &mut Sched, tid: Tid, label: fmt::Arguments<'_>) {
     let (now, tr) = (s.now, &mut s.trace);
     if !tr.on {
@@ -1251,90 +1228,6 @@ enum Next {
     Grant(Option<Tid>),
     /// The thread picked is stepped: run its step in place, pick again.
     Step(Tid, StepFn),
-}
-
-/// Result of selecting the next run-queue entry under the (optional)
-/// horizon bound.
-enum Picked {
-    /// Run this entry's thread at its wake time.
-    Run((SimTime, u64, Tid, u64)),
-    /// The earliest valid entry is at/past the horizon; it was re-queued
-    /// untouched and the domain must pause at the window barrier.
-    Horizon(SimTime),
-    /// No valid entry pending.
-    Empty,
-}
-
-/// The earliest pending event *that can do something*, superseded entries
-/// discarded: a tick under an idle promise counts from the promise's
-/// `until` — not at all without one — unless only such ticks are pending,
-/// when it is the first: an all-idle domain ticks on (DESIGN.md §14).
-fn next_effective(s: &mut Sched) -> Option<SimTime> {
-    let (mut ticks, mut next) = (Vec::new(), None::<SimTime>);
-    while let Some(&Reverse((t, _, tid, generation))) = s.runq.peek() {
-        if !s.threads.is_current(tid, generation) {
-            s.runq.pop();
-            continue;
-        }
-        let Some(idle) = s.promise(tid, t) else {
-            next = Some(next.map_or(t, |n| n.min(t)));
-            break;
-        };
-        next = next.into_iter().chain(idle.until).min();
-        ticks.extend(s.runq.pop());
-    }
-    let first_tick = ticks.first().map(|&Reverse((t, ..))| t);
-    s.runq.extend(ticks);
-    next.or(first_tick)
-}
-
-/// Pop the earliest valid run-queue entry (FIFO tie-break), skipping
-/// entries superseded by an early wake and stopping at the horizon.
-fn pop_valid(s: &mut Sched) -> Picked {
-    while let Some(Reverse(e @ (t, _, tid, generation))) = s.runq.pop() {
-        if s.threads.is_current(tid, generation) {
-            if s.horizon.is_some_and(|h| t >= h) {
-                s.runq.push(Reverse(e));
-                return Picked::Horizon(t);
-            }
-            return Picked::Run(e);
-        }
-        // stale: superseded by an early wake, or its thread finished
-    }
-    Picked::Empty
-}
-
-/// Pop one valid run-queue entry at the *minimum* wake time, choosing
-/// uniformly among all valid entries tied at that time with the
-/// scheduler's splitmix64 state, and re-queueing the rest untouched.
-/// Because only the tie-break is randomized, virtual time still
-/// advances monotonically exactly as under FIFO. The horizon check
-/// happens before any tie collection, so pausing at a window barrier
-/// consumes no PRNG state and the resumed schedule is unchanged.
-fn pop_random_tie(s: &mut Sched) -> Picked {
-    let first = match pop_valid(s) {
-        Picked::Run(first) => first,
-        other => return other,
-    };
-    let t0 = first.0;
-    let mut ties = vec![first];
-    while let Some(&Reverse((t, ..))) = s.runq.peek() {
-        if t != t0 {
-            break;
-        }
-        let Reverse(e) = s.runq.pop().unwrap();
-        if s.threads.is_current(e.2, e.3) {
-            ties.push(e);
-        }
-    }
-    let idx = if ties.len() == 1 {
-        0
-    } else {
-        (splitmix64(&mut s.rng) % ties.len() as u64) as usize
-    };
-    let chosen = ties.swap_remove(idx);
-    s.runq.extend(ties.into_iter().map(Reverse));
-    Picked::Run(chosen)
 }
 
 /// Handle returned by [`Kernel::spawn`]; allows joining the thread and

@@ -3,8 +3,11 @@
 //! trace, same clocks, same wake-up instants — under both tie-break
 //! policies, with the livelock counter armed, and across domain counts —
 //! whether its idle answers promise nothing (every tick is evaluated) or
-//! as much as they can (the ticks are answered at the pick). The only
-//! permitted difference is that idle ticks no longer wake the polling
+//! as much as they can (the ticks are answered at the pick, a run of them
+//! up to the next queued event at once). Two scenarios: a busy one, where
+//! pollers, sleepers and messages crowd one grid, and a long-idle one,
+//! where each run of ticks ends at one of the bounds a run can have. The
+//! only permitted difference is that idle ticks no longer wake the polling
 //! thread, which `Kernel::inline_polls` counts. The second half holds the
 //! promise itself to its contract.
 
@@ -13,7 +16,7 @@ use simkernel::{
     SchedPolicy, SimChannel, SimDuration, SimTime, Tick,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a poller waits: the reference loop, the kernel primitive with every
@@ -105,6 +108,30 @@ fn flipper(pending: &Arc<AtomicU64>, gaps: &'static [u64]) -> impl FnOnce() + Se
     }
 }
 
+/// Sleep until the instant `t`.
+fn sleep_until(t: SimTime) {
+    sleep(t - now());
+}
+
+/// A poller that starts waiting at `start` until `flag` is raised, its idle
+/// answers promising nothing on their own (`until: None`).
+fn flag_poller(
+    log: &Log,
+    form: Form,
+    id: usize,
+    start: SimTime,
+    flag: &Arc<AtomicBool>,
+) -> impl FnOnce() + Send + 'static {
+    let (log, flag) = (log.clone(), Arc::clone(flag));
+    move || {
+        sleep_until(start);
+        log.wait(form, us(200), move |_| {
+            idle_unless(flag.load(Ordering::SeqCst), None)
+        });
+        log.woke(id);
+    }
+}
+
 struct Outcome {
     fingerprint: (usize, u64),
     clocks: Vec<SimTime>,
@@ -184,9 +211,92 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy, livelock: Option<
         port_tx.close();
     });
 
+    finish(&mk, domains, &log, 3 + 2 + 2 + 2)
+}
+
+/// Long idle stretches, ended by events at every bound a run of promised
+/// ticks can have. The pollers take turns, so each run is cut only by the
+/// event that ends its stretch: a queued event on a tick, 1 ns before one
+/// and 1 ns after one (poller 0); the promise's `until` on a tick and
+/// between ticks (poller 1); another poller's tick, in phase (pollers 2
+/// and 3) and out of phase (4); and at two domains a window horizon on a
+/// tick, before a delivery (poller 5, alone in the second domain).
+fn long_idle_scenario(
+    form: Form,
+    domains: u32,
+    policy: SchedPolicy,
+    livelock: Option<u64>,
+) -> Outcome {
+    let mk = MultiKernel::new(MultiDomainConfig::new(domains, us(50)).with_policy(policy));
+    mk.enable_trace();
+    mk.set_livelock_threshold(livelock);
+    let d0 = mk.domain(0);
+    let d1 = mk.domain(1 % domains);
+    let log = Log::default();
+    let at = |t| SimTime::ZERO + us(t);
+
+    // P0 waits three times on a 200 µs grid from 0; after each token it
+    // acts for 30 µs, so the grids restart at 10.03 and 20.06 ms.
+    let tokens = Arc::new(AtomicU64::new(0));
+    d0.spawn("p0", token_poller(&log, form, 0, us(200), &tokens, 3));
+    // P1 waits out two deadlines on a 250 µs grid from 31 ms: 10 ms away,
+    // on its 40th tick, then 10.123 ms away, between two.
+    {
+        let log = log.clone();
+        d0.spawn("p1", move || {
+            sleep_until(at(31_000));
+            for span in [us(10_000), us(10_123)] {
+                let deadline = now() + span;
+                log.wait(form, us(250), move |now| {
+                    idle_unless(now >= deadline, Some(deadline))
+                });
+                log.woke(1);
+            }
+        });
+    }
+    // P2 and P3 tick together from 55 ms, P4 100 µs behind them.
+    let raised = Arc::new(AtomicBool::new(false));
+    for (id, start) in [(2, 55_000), (3, 55_000), (4, 55_100)] {
+        d0.spawn(
+            format!("p{id}"),
+            flag_poller(&log, form, id, at(start), &raised),
+        );
+    }
+    // P5 idles from 70 ms until `rx5` hears from `worker`: sent at 79.95
+    // ms, in at 81.95 ms. At two domains the window the send opens ends on
+    // P5's tick at 80 ms, and the delivery comes at its barrier, before
+    // `sleeper5`'s event at 90 ms: a run past the horizon would miss it.
+    let raised5 = Arc::new(AtomicBool::new(false));
+    let (port_tx, port_rx) = mk.port::<u64>("mail5", 0, 1 % domains, ms(2));
+    d1.spawn("p5", flag_poller(&log, form, 5, at(70_000), &raised5));
+    d1.spawn("rx5", move || {
+        port_rx.recv().unwrap();
+        raised5.store(true, Ordering::SeqCst);
+    });
+    d1.spawn("sleeper5", move || sleep_until(at(90_000)));
+    d0.spawn("worker", move || {
+        // On P0's tick at 10 ms; 1 ns before its tick at 20.03 ms; 1 ns
+        // after its tick at 30.06 ms.
+        for t in [10_000_000, 20_029_999, 30_060_001] {
+            sleep_until(SimTime(t));
+            tokens.fetch_add(1, Ordering::SeqCst);
+        }
+        sleep_until(at(60_000));
+        raised.store(true, Ordering::SeqCst);
+        sleep_until(at(79_950));
+        port_tx.send(5).unwrap();
+    });
+
+    finish(&mk, domains, &log, 3 + 2 + 3 + 1)
+}
+
+/// Run `mk` and collect what its `domains` and pollers saw; `waits` is
+/// how many waits the scenario ends.
+fn finish(mk: &MultiKernel, domains: u32, log: &Log, waits: usize) -> Outcome {
     mk.run();
     let mut wakes = std::mem::take(&mut *log.wakes.lock().unwrap());
     wakes.sort();
+    assert_eq!(wakes.len(), waits, "every wait ended");
     Outcome {
         clocks: (0..domains).map(|d| mk.clock(d)).collect(),
         inline_polls: (0..domains).map(|d| mk.domain(d).inline_polls()).sum(),
@@ -196,15 +306,22 @@ fn run_scenario(form: Form, domains: u32, policy: SchedPolicy, livelock: Option<
     }
 }
 
+/// A scenario's outcome with its pollers waiting in the given form.
+type Scenario = fn(Form, u32, SchedPolicy, Option<u64>) -> Outcome;
+
 /// All forms of one configuration must agree on everything observable,
 /// and both primitive forms must have kept every idle tick off the pollers.
-fn assert_equivalent(domains: u32, policy: SchedPolicy, livelock: Option<u64>) -> Outcome {
-    let reference = run_scenario(Form::Loop, domains, policy, livelock);
-    assert_eq!(reference.wakes.len(), 3 + 2 + 2 + 2, "every wait ended");
+fn assert_equivalent(
+    scenario: Scenario,
+    domains: u32,
+    policy: SchedPolicy,
+    livelock: Option<u64>,
+) -> Outcome {
+    let reference = scenario(Form::Loop, domains, policy, livelock);
     assert_eq!(reference.inline_polls, 0);
     assert!(reference.idle_ticks > 20, "scenario too quiet");
     for (form, name) in [(Form::Poll, "poll"), (Form::Idle, "idle")] {
-        let polled = run_scenario(form, domains, policy, livelock);
+        let polled = scenario(form, domains, policy, livelock);
         let what = format!("{name}: domains={domains} {policy:?} livelock={livelock:?}");
         assert_eq!(reference.fingerprint, polled.fingerprint, "trace: {what}");
         assert_eq!(reference.clocks, polled.clocks, "clocks: {what}");
@@ -219,7 +336,7 @@ fn assert_equivalent(domains: u32, policy: SchedPolicy, livelock: Option<u64>) -
 
 #[test]
 fn fifo_trace_is_identical() {
-    let out = assert_equivalent(1, SchedPolicy::Fifo, None);
+    let out = assert_equivalent(run_scenario, 1, SchedPolicy::Fifo, None);
     // P0's first token is handed out at 600 µs, on a tick: `flip0` queued
     // its wake-up before P0 queued that tick, so the tick sees the token.
     assert_eq!(out.wakes[0], (0, SimTime::ZERO + us(600)));
@@ -234,7 +351,7 @@ fn fifo_trace_is_identical() {
 fn random_tie_break_consumes_the_same_draws() {
     let mut digests = std::collections::HashSet::new();
     for seed in 0..10u64 {
-        let out = assert_equivalent(1, SchedPolicy::Random(seed), None);
+        let out = assert_equivalent(run_scenario, 1, SchedPolicy::Random(seed), None);
         digests.insert(out.fingerprint.1);
     }
     assert!(digests.len() > 1, "the seeds never changed a tie-break");
@@ -244,20 +361,64 @@ fn random_tie_break_consumes_the_same_draws() {
 fn livelock_streak_steps_identically() {
     // The grid ties produce short same-time streaks; a threshold just
     // above them trips only if an inline tick skipped a reset.
-    assert_equivalent(1, SchedPolicy::Fifo, Some(16));
-    assert_equivalent(1, SchedPolicy::Random(7), Some(16));
+    assert_equivalent(run_scenario, 1, SchedPolicy::Fifo, Some(16));
+    assert_equivalent(run_scenario, 1, SchedPolicy::Random(7), Some(16));
 }
 
 #[test]
 fn two_domains_match_one() {
-    let one = assert_equivalent(1, SchedPolicy::Fifo, None);
-    let two = assert_equivalent(2, SchedPolicy::Fifo, Some(64));
+    let one = assert_equivalent(run_scenario, 1, SchedPolicy::Fifo, None);
+    let two = assert_equivalent(run_scenario, 2, SchedPolicy::Fifo, Some(64));
     // The raw fingerprint names domains, so it is comparable only at a
     // fixed domain count; what the threads saw is not.
     assert_eq!(one.wakes, two.wakes);
     assert_eq!(one.clocks[0], two.clocks[0]);
     // Random ties are drawn per domain, so there only the forms must agree.
-    assert_equivalent(2, SchedPolicy::Random(0xfeed), None);
+    assert_equivalent(run_scenario, 2, SchedPolicy::Random(0xfeed), None);
+}
+
+#[test]
+fn long_idle_runs_end_where_single_ticks_would() {
+    let out = assert_equivalent(long_idle_scenario, 1, SchedPolicy::Fifo, None);
+    let expected = [
+        // On a tick: `worker` queued first, so the tick sees the token.
+        (0, 10_000),
+        // 1 ns before the tick at 20.03 ms: that tick sees it.
+        (0, 20_030),
+        // 1 ns after the tick at 30.06 ms: the next one sees it.
+        (0, 30_260),
+        // `until` on the tick at 41 ms; between ticks, the next at 51.25 ms.
+        (1, 41_000),
+        (1, 51_250),
+        // Raised on the in-phase pair's tick, queued before it.
+        (2, 60_000),
+        (3, 60_000),
+        (4, 60_100),
+        (5, 82_000),
+    ];
+    let expected: Vec<_> = expected
+        .iter()
+        .map(|&(p, t)| (p, SimTime::ZERO + us(t)))
+        .collect();
+    assert_eq!(out.wakes, expected);
+    let two = assert_equivalent(long_idle_scenario, 2, SchedPolicy::Fifo, None);
+    assert_eq!(out.wakes, two.wakes);
+    assert_eq!(out.clocks[0], two.clocks[0].max(two.clocks[1]));
+}
+
+#[test]
+fn long_idle_runs_draw_and_streak_like_single_ticks() {
+    for domains in [1, 2] {
+        assert_equivalent(long_idle_scenario, domains, SchedPolicy::Fifo, Some(16));
+        for seed in 0..8 {
+            assert_equivalent(
+                long_idle_scenario,
+                domains,
+                SchedPolicy::Random(seed),
+                Some(16),
+            );
+        }
+    }
 }
 
 /// The text of the failure a run of `form` ends in when two threads start
@@ -330,6 +491,52 @@ fn a_promised_tick_costs_no_predicate_call() {
     // it is evaluated again. A debug build audits the thirteen between.
     let calls = if cfg!(debug_assertions) { 15 } else { 2 };
     assert_eq!(lone_watchdog(Form::Idle), (SimTime::ZERO + us(1050), calls));
+}
+
+/// One poller whose idle answers promise `until: None`, beside a worker
+/// with an event on every 1,000th of its ticks, `events` times: (idle
+/// ticks, runs answered at the pick, predicate calls).
+fn lone_poller(events: u64) -> (u64, u64, u64) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let raised = Arc::new(AtomicBool::new(false));
+    let k = Kernel::new();
+    {
+        let (calls, raised) = (Arc::clone(&calls), Arc::clone(&raised));
+        k.spawn("poller", move || {
+            sleep_poll(us(200), move |_| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                idle_unless(raised.load(Ordering::SeqCst), None)
+            })
+        });
+    }
+    k.spawn("worker", move || {
+        for _ in 0..events {
+            sleep(ms(200));
+        }
+        raised.store(true, Ordering::SeqCst);
+    });
+    k.run();
+    assert_eq!(k.now(), SimTime::ZERO + ms(200) * events);
+    (
+        k.inline_polls(),
+        k.idle_runs(),
+        calls.load(Ordering::SeqCst),
+    )
+}
+
+#[test]
+fn a_run_of_promised_ticks_is_one_pick() {
+    // Every tick but the last at 1 s is idle. The worker's event on each
+    // 1,000th voids the promise: that tick calls the predicate, which
+    // promises again, and the ticks up to the next event are one pick.
+    let (ticks, runs, calls) = lone_poller(5);
+    assert_eq!(ticks, 4_999);
+    let picks = if cfg!(debug_assertions) {
+        (0, 5_000)
+    } else {
+        (5, 6)
+    };
+    assert_eq!((runs, calls), picks);
 }
 
 #[test]
